@@ -8,23 +8,26 @@ Hex pairs are case-insensitive; ``??`` matches any byte.  ``sync`` marks
 a rule for the small in-fault-path check and requires severity=kill.
 
 Matching is exact-byte with wildcards, per page, overlapping matches
-included.  The compiled form is an Aho-Corasick automaton over each
-pattern's longest run of consecutive literal bytes; an anchor hit
-yields one candidate start offset, which is then verified against the
-remaining literal positions.  Result order is (offset, rule name), so a
-scan is a pure function of (content, ruleset).
+included.  Each pattern's longest run of consecutive literal bytes is its
+anchor.  A scan finds anchor candidates with one ``re`` pass over the page
+in C, then verifies each candidate's anchor and remaining literals in
+Python, so its cost is that one pass plus work per candidate.  Result
+order is (offset, rule name), so a scan is a pure function of
+(content, ruleset).
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
 
 Atom = int | None  # one pattern position: literal byte or wildcard
 
 _HEX_PAIR = re.compile(r"[0-9a-fA-F]{2}$")
 _NAME = re.compile(r"\w+$")
+
+# most leading anchor bytes the prefilter keys a candidate on
+_PREFIX = 4
 
 
 class RuleSyntaxError(ValueError):
@@ -44,7 +47,9 @@ class SignatureRule:
 
     def __post_init__(self) -> None:
         if self.severity not in ("kill", "alert"):
-            raise ValueError(f"rule {self.name}: bad severity {self.severity!r}")
+            raise ValueError(
+                f"rule {self.name}: severity must be kill or alert, got {self.severity!r}"
+            )
         if not self.atoms:
             raise ValueError(f"rule {self.name}: empty pattern")
         if all(a is None for a in self.atoms):
@@ -82,78 +87,74 @@ class ScanResult:
 
 
 class _MultiPattern:
-    """Aho-Corasick over anchor strings with post-hit verification."""
+    """Anchor prefilter with exact verification.
+
+    With k = min(_PREFIX, shortest anchor length), one ``re`` pattern
+    matches where the first k bytes of some anchor could start: a class of
+    every anchor's byte 0, then a lookahead of the classes at positions
+    1..k-1.  A dict maps each anchor's k-byte prefix to the rules behind
+    it.  ``finditer`` yields the candidates at C speed; each one costs a
+    dict lookup, and each rule in the bucket a whole-anchor compare, a
+    bounds check and a check of its literals outside the anchor.  Sparse
+    candidates cost almost nothing beyond the C pass; content made of
+    anchor bytes makes every position a candidate.  No rules, no pattern.
+    """
 
     def __init__(self, rules: list[SignatureRule]):
-        self.rules = rules
-        # trie as parallel arrays: goto maps, fail links, merged outputs
-        self._goto: list[dict[int, int]] = [{}]
-        self._fail: list[int] = [0]
-        self._out: list[list[tuple[int, int, int]]] = [[]]  # (rule_idx, anchor_off, anchor_len)
-        # literal (position, byte) checks per rule for verification
-        self._literals: list[list[tuple[int, int]]] = []
-        for idx, rule in enumerate(rules):
-            self._literals.append([(i, a) for i, a in enumerate(rule.atoms) if a is not None])
-            anchor_off, anchor = rule.anchor()
-            node = 0
-            for byte in anchor:
-                nxt = self._goto[node].get(byte)
-                if nxt is None:
-                    self._goto.append({})
-                    self._fail.append(0)
-                    self._out.append([])
-                    nxt = len(self._goto) - 1
-                    self._goto[node][byte] = nxt
-                node = nxt
-            self._out[node].append((idx, anchor_off, len(anchor)))
-        # breadth-first fail links, outputs merged along them
-        queue = deque()
-        for node in self._goto[0].values():
-            queue.append(node)
-        while queue:
-            node = queue.popleft()
-            for byte, child in self._goto[node].items():
-                queue.append(child)
-                fall = self._fail[node]
-                while fall and byte not in self._goto[fall]:
-                    fall = self._fail[fall]
-                self._fail[child] = self._goto[fall].get(byte, 0)
-                self._out[child] = self._out[child] + self._out[self._fail[child]]
+        self._find = None
+        if not rules:
+            return
+        anchors = [rule.anchor() for rule in rules]
+        k = self._k = min(_PREFIX, min(len(anchor) for _, anchor in anchors))
+        self._buckets: dict[bytes, list[tuple[bytes, int, str, int, tuple]]] = {}
+        for rule, (anchor_off, anchor) in zip(rules, anchors):
+            checks = tuple(
+                (i, a) for i, a in enumerate(rule.atoms)
+                if a is not None and not anchor_off <= i < anchor_off + len(anchor)
+            )
+            self._buckets.setdefault(anchor[:k], []).append(
+                (anchor, anchor_off, rule.name, len(rule.atoms), checks)
+            )
+        classes = [
+            b"[" + re.escape(bytes(sorted({prefix[i] for prefix in self._buckets}))) + b"]"
+            for i in range(k)
+        ]
+        lookahead = b"(?=" + b"".join(classes[1:]) + b")" if k > 1 else b""
+        self._find = re.compile(classes[0] + lookahead).finditer
 
     def scan(self, data: bytes) -> list[Match]:
+        if self._find is None:
+            return []
+        k, buckets, size = self._k, self._buckets, len(data)
         hits: list[Match] = []
-        goto, fail, out = self._goto, self._fail, self._out
-        node = 0
-        for pos, byte in enumerate(data):
-            while node and byte not in goto[node]:
-                node = fail[node]
-            node = goto[node].get(byte, 0)
-            if not out[node]:
-                continue
-            for rule_idx, anchor_off, anchor_len in out[node]:
-                start = pos - anchor_len + 1 - anchor_off
-                rule = self.rules[rule_idx]
-                if start < 0 or start + len(rule.atoms) > len(data):
+        for candidate in self._find(data):
+            pos = candidate.start()
+            for anchor, anchor_off, name, length, checks in buckets.get(data[pos : pos + k], ()):
+                start = pos - anchor_off
+                if start < 0 or start + length > size or not data.startswith(anchor, pos):
                     continue
-                if all(data[start + i] == b for i, b in self._literals[rule_idx]):
-                    hits.append(Match(rule.name, start))
+                if all(data[start + i] == b for i, b in checks):
+                    hits.append(Match(name, start))
         hits.sort(key=lambda m: (m.offset, m.rule))
         return hits
+
+
+def _admit(rule: SignatureRule, names: set[str], page_size: int) -> None:
+    """Add rule.name to names; ValueError if taken or the rule overruns a page."""
+    if rule.name in names:
+        raise ValueError(f"duplicate rule name {rule.name!r}")
+    if len(rule.atoms) > page_size:
+        raise ValueError(f"rule {rule.name}: pattern longer than page size {page_size}")
+    names.add(rule.name)
 
 
 class RuleSet:
     """Parsed rules plus compiled indexes for full and sync-only scans."""
 
     def __init__(self, rules: list[SignatureRule], page_size: int = 4096):
-        names = set()
+        names: set[str] = set()
         for rule in rules:
-            if rule.name in names:
-                raise ValueError(f"duplicate rule name {rule.name!r}")
-            names.add(rule.name)
-            if len(rule.atoms) > page_size:
-                raise ValueError(
-                    f"rule {rule.name}: pattern longer than page size {page_size}"
-                )
+            _admit(rule, names, page_size)
         self.rules = list(rules)
         self.page_size = page_size
         self.by_name = {r.name: r for r in self.rules}
@@ -163,9 +164,6 @@ class RuleSet:
 
     def __len__(self) -> int:
         return len(self.rules)
-
-
-EMPTY_RULESET = RuleSet([], page_size=4096)
 
 
 def parse_rules(text: str, page_size: int = 4096) -> RuleSet:
@@ -195,11 +193,9 @@ def parse_rules(text: str, page_size: int = 4096) -> RuleSet:
         col, word = take("'rule'")
         if word != "rule":
             raise RuleSyntaxError(f"expected 'rule', got {word!r}", line_no, col)
-        col, name = take("rule name")
+        name_col, name = take("rule name")
         if not _NAME.match(name):
-            raise RuleSyntaxError(f"bad rule name {name!r}", line_no, col)
-        if name in names:
-            raise RuleSyntaxError(f"duplicate rule name {name!r}", line_no, col)
+            raise RuleSyntaxError(f"bad rule name {name!r}", line_no, name_col)
         col, fam = take("family=<label>")
         if not fam.startswith("family="):
             raise RuleSyntaxError(f"expected family=<label>, got {fam!r}", line_no, col)
@@ -210,10 +206,6 @@ def parse_rules(text: str, page_size: int = 4096) -> RuleSet:
         if not sev.startswith("severity="):
             raise RuleSyntaxError(f"expected severity=..., got {sev!r}", line_no, col)
         severity = sev[len("severity=") :]
-        if severity not in ("kill", "alert"):
-            raise RuleSyntaxError(
-                f"severity must be kill or alert, got {severity!r}", line_no, col
-            )
         sync = False
         col, word = take("'sync' or '{'")
         if word == "sync":
@@ -242,18 +234,12 @@ def parse_rules(text: str, page_size: int = 4096) -> RuleSet:
             raise RuleSyntaxError(
                 f"trailing input after '}}': {tokens[pos][1]!r}", line_no, tokens[pos][0]
             )
-        if not atoms:
-            raise RuleSyntaxError("empty pattern", line_no, col)
-        if all(a is None for a in atoms):
-            raise RuleSyntaxError("pattern needs at least one literal byte", line_no, col)
-        if len(atoms) > page_size:
-            raise RuleSyntaxError(
-                f"pattern longer than page size {page_size}", line_no, col
-            )
-        if sync and severity != "kill":
-            raise RuleSyntaxError("sync rules must have severity=kill", line_no, col)
-        names.add(name)
-        rules.append(SignatureRule(name, family, severity, sync, tuple(atoms)))
+        try:
+            rule = SignatureRule(name, family, severity, sync, tuple(atoms))
+            _admit(rule, names, page_size)
+        except ValueError as err:
+            raise RuleSyntaxError(str(err), line_no, name_col) from None
+        rules.append(rule)
     return RuleSet(rules, page_size=page_size)
 
 

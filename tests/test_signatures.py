@@ -260,3 +260,119 @@ def test_scan_cost_scales_roughly_linearly():
     big = small * 8
     t_small, t_big = best_of(small), best_of(big)
     assert t_big < 24 * max(t_small, 1e-6)
+
+
+def _naive(page: bytes, rules) -> list[tuple[int, str]]:
+    return naive_scan(page, [(r.name, r.atoms) for r in rules])
+
+
+def _scanned(page: bytes, rs: RuleSet) -> list[tuple[int, str]]:
+    return [(m.offset, m.rule) for m in scan_page(page, rs).matches]
+
+
+def _pattern(rng: random.Random, alphabet, length: int, wild: float = 0.25):
+    atoms = [None if rng.random() < wild else rng.choice(alphabet) for _ in range(length)]
+    if all(a is None for a in atoms):
+        atoms[rng.randrange(length)] = rng.choice(alphabet)
+    return tuple(atoms)
+
+
+class TestPrefilterEdges:
+    """Edges of the anchor prefilter, each checked against the naive oracle."""
+
+    def test_rules_sharing_an_anchor_prefix_share_a_bucket(self):
+        rng = random.Random(7)
+        prefix = (0x90, 0x91, 0x92, 0x93)
+        tail = [None, 0x90, 0x94, 0x95]
+        for _ in range(100):
+            rules = [
+                SignatureRule(f"s{i}", "t", "alert", False,
+                              prefix + tuple(rng.choice(tail) for _ in range(rng.randint(0, 4))))
+                for i in range(8)
+            ]
+            rs = RuleSet(rules, page_size=256)
+            assert len(rs._full._buckets[bytes(prefix)]) == 8
+            page = bytearray(rng.choice([0x00, 0x90, 0x91, 0x92, 0x93, 0x94]) for _ in range(256))
+            for r in rng.sample(rules, 4):
+                embed(page, rng.randint(0, 256 - len(r.atoms)), r.atoms)
+            assert _scanned(bytes(page), rs) == _naive(bytes(page), rules)
+
+    @pytest.mark.parametrize("shortest", [1, 2, 3, 4, 5, 7])
+    def test_every_prefix_length(self, shortest):
+        rng = random.Random(shortest)
+        alphabet = [0xA0, 0xA1, 0xA2]
+        for _ in range(60):
+            anchor = tuple(rng.choice(alphabet) for _ in range(shortest))
+            rules = [SignatureRule("short", "t", "alert", False, (None,) + anchor + (None,))]
+            for i in range(rng.randint(1, 5)):
+                run = tuple(rng.choice(alphabet) for _ in range(rng.randint(shortest, shortest + 4)))
+                rules.append(SignatureRule(f"r{i}", "t", "alert", False,
+                                           _pattern(rng, alphabet, 2, 0.5) + (None,) + run))
+            rs = RuleSet(rules, page_size=128)
+            assert rs._full._k == min(4, shortest)
+            page = bytearray(rng.choice(alphabet + [0x00]) for _ in range(128))
+            for r in rules:
+                embed(page, rng.randint(0, 128 - len(r.atoms)), r.atoms)
+            assert _scanned(bytes(page), rs) == _naive(bytes(page), rules)
+
+    def test_anchor_behind_leading_wildcards_at_both_page_edges(self):
+        rules = [
+            rule("lead2", "?? ?? aa bb cc"),
+            rule("mixed", "?? 11 ?? 22 22 22 ?? 33"),
+            rule("both", "?? ?? ?? dd ee ff ?? ??"),
+        ]
+        rs = ruleset(*rules, page_size=64)
+        for r in rules:
+            for offset in (0, 64 - len(r.atoms)):
+                page = bytearray(64)
+                embed(page, offset, r.atoms)
+                assert _scanned(bytes(page), rs) == _naive(bytes(page), rules)
+                assert (offset, r.name) in _scanned(bytes(page), rs)
+        # the anchor alone at the very start or end, its wildcards off the page
+        for page in (bytes.fromhex("aabbcc").ljust(64, b"\x00"),
+                     bytes.fromhex("ddeeff").rjust(64, b"\x00")):
+            assert _scanned(page, rs) == _naive(page, rules)
+
+    def test_page_made_only_of_anchor_bytes(self):
+        rng = random.Random(11)
+        alphabet = [0xC0, 0xC1]
+        for _ in range(3):
+            rules = [
+                SignatureRule(f"d{i}", "t", "alert", False, _pattern(rng, alphabet, rng.randint(2, 9)))
+                for i in range(6)
+            ]
+            rs = RuleSet(rules, page_size=4096)
+            page = bytes(rng.choice(alphabet) for _ in range(4096))
+            assert _scanned(page, rs) == _naive(page, rules)
+        # a constant page: every position is a candidate and most verify
+        page = b"\xc0" * 4096
+        rules = [rule("run", "c0 c0 c0"), rule("gap", "c0 ?? c0 c0 c0 c0")]
+        assert _scanned(page, ruleset(*rules)) == _naive(page, rules)
+
+    def test_sync_check_is_the_first_naive_sync_hit(self):
+        rng = random.Random(5)
+        alphabet = [0xE0, 0xE1, 0xE2, 0x00]
+        for _ in range(300):
+            rules = [
+                SignatureRule(f"r{i}", "t", "kill", rng.random() < 0.5,
+                              _pattern(rng, alphabet, rng.randint(1, 6)))
+                for i in range(rng.randint(1, 6))
+            ]
+            rs = RuleSet(rules, page_size=96)
+            page = bytearray(rng.choice(alphabet) for _ in range(96))
+            for r in rules:
+                if rng.random() < 0.5:
+                    embed(page, rng.randint(0, 96 - len(r.atoms)), r.atoms)
+            want = _naive(bytes(page), [r for r in rules if r.sync])
+            got = sync_check(bytes(page), rs)
+            assert got == (Match(want[0][1], want[0][0]) if want else None)
+
+    @given(st.binary(min_size=64, max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_no_rules_and_no_sync_rules_never_match(self, page):
+        empty = ruleset(page_size=64)
+        assert scan_page(page, empty).matches == []
+        assert sync_check(page, empty) is None
+        no_sync = ruleset(rule("a", "00"), rule("b", "ff ?? 7f"), page_size=64)
+        assert sync_check(page, no_sync) is None
+        assert _scanned(page, no_sync) == _naive(page, no_sync.rules)
