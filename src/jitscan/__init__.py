@@ -29,7 +29,7 @@ from .mmu import (
 )
 from .pipeline import PageSnapshot, SnapshotTable
 from .report import ActionTaken, Detection, EventOutcome, Report
-from .shadow import BaselineEngine, ShadowEngine, ShadowVerdict, VerdictAction
+from .shadow import BaselineEngine, ShadowEngine
 from .signatures import (
     Match,
     RuleSet,
@@ -71,7 +71,6 @@ __all__ = [
     "RunContext",
     "ScanResult",
     "ShadowEngine",
-    "ShadowVerdict",
     "SignatureRule",
     "SimConfig",
     "SimCpu",
@@ -82,7 +81,6 @@ __all__ = [
     "TraceLine",
     "UnknownProcessError",
     "UnmappedRangeError",
-    "VerdictAction",
     "VmArea",
     "build_run",
     "parse_rules",

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from .guard import DosGuard, GuardConfig
 from .mmu import AccessKind, Machine, SimError
 from .pipeline import DEFAULT_BUCKETS, SnapshotTable
-from .report import ActionTaken, Detection, EventOutcome, Report
-from .shadow import BaselineEngine, ShadowEngine
+from .report import EventOutcome, Report
+from .shadow import BaselineEngine, ShadowEngine, signature_hit
 from .signatures import RuleSet, scan_page
 from .trace import (
     FetchEvent,
@@ -70,32 +70,10 @@ class Agent:
             if self.rules is None:
                 continue
             for match in scan_page(snap.content, self.rules).matches:
-                rule = self.rules.by_name[match.rule]
-                action = self.detection_action if rule.severity == "kill" else "alert"
-                self.report.record_detection(
-                    Detection(
-                        pid=snap.pid, uid=snap.uid, vpage=snap.vpage,
-                        offset=match.offset, vaddr=snap.vpage * self.machine.page_size + match.offset,
-                        rule=rule.name, family=rule.family, severity=rule.severity,
-                        path="async", action=action,
-                    )
+                signature_hit(
+                    self.machine, self.report, self.rules.by_name[match.rule], snap.pid,
+                    snap.uid, snap.vpage, match.offset, "async", self.detection_action,
                 )
-                if action == "kill":
-                    space = self.machine.spaces.get(snap.pid)
-                    if space is not None and space.alive:
-                        self.machine.kill_process(snap.pid)
-                        self.report.record_action(
-                            ActionTaken(snap.pid, snap.uid, "kill", "signature",
-                                        rule=rule.name, path="async")
-                        )
-                elif action == "block":
-                    space = self.machine.spaces.get(snap.pid)
-                    if space is not None and space.alive and not space.blocked:
-                        space.blocked = True
-                        self.report.record_action(
-                            ActionTaken(snap.pid, snap.uid, "block", "signature",
-                                        rule=rule.name, path="async")
-                        )
         return len(snaps)
 
 

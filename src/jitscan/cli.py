@@ -15,8 +15,30 @@ import sys
 
 from .agent import SimConfig, replay
 from .guard import GuardConfig
-from .signatures import RuleSyntaxError, parse_rules, scan_page
-from .trace import TraceError, parse_trace
+from .signatures import parse_rules, scan_page
+from .trace import parse_trace
+
+
+class _BadInput(Exception):
+    """Malformed input; main prints it on one line and exits 2."""
+
+
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_positive = _at_least(1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,16 +56,16 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="in-fault-path check of sync rules (default on)")
     run.add_argument("--action", choices=["kill", "block", "alert"], default="kill",
                      help="response to signature detections (default kill)")
-    run.add_argument("--threshold", type=int, default=GuardConfig.threshold,
+    run.add_argument("--threshold", type=_positive, default=GuardConfig.threshold,
                      help="pending snapshots per uid before a penalty")
-    run.add_argument("--ttl-penalty", type=int, default=GuardConfig.ttl_penalty,
+    run.add_argument("--ttl-penalty", type=_positive, default=GuardConfig.ttl_penalty,
                      help="penalty window in ticks")
-    run.add_argument("--ttl-evict", type=int, default=GuardConfig.ttl_evict,
+    run.add_argument("--ttl-evict", type=_positive, default=GuardConfig.ttl_evict,
                      help="ticks at zero pending before an entry is evicted")
     run.add_argument("--penalty-action", choices=["kill", "block"], default="kill",
                      help="what a throttle denial does to the process")
-    run.add_argument("--page-size", type=int, default=4096)
-    run.add_argument("--drain-every", type=int, default=1, metavar="N",
+    run.add_argument("--page-size", type=_positive, default=4096)
+    run.add_argument("--drain-every", type=_at_least(0), default=1, metavar="N",
                      help="agent drains after every Nth event; 0 disables")
     run.add_argument("--report", help="write the report here instead of stdout")
     run.add_argument("--debug-suppress-tlb-flush", action="store_true",
@@ -52,33 +74,26 @@ def _build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="scan one page image against the rules")
     scan.add_argument("--rules", required=True)
     scan.add_argument("--page", required=True, help="page image (at most one page)")
-    scan.add_argument("--page-size", type=int, default=4096)
+    scan.add_argument("--page-size", type=_positive, default=4096)
 
     check = sub.add_parser("check-trace", help="parse and validate a trace file")
     check.add_argument("trace", help="trace file")
-    check.add_argument("--page-size", type=int, default=4096)
+    check.add_argument("--page-size", type=_positive, default=4096)
     return parser
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+def _load(what: str, parse, path: str, page_size: int):
+    """parse(text of path); unreadable or malformed input is a _BadInput."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse(handle.read(), page_size=page_size)
+    except (OSError, ValueError) as exc:  # parse errors and bad UTF-8 are ValueErrors
+        raise _BadInput(f"{what}: {exc}") from None
 
 
 def _cmd_run(args) -> int:
-    try:
-        rules = parse_rules(_read(args.rules), page_size=args.page_size)
-    except (OSError, RuleSyntaxError, ValueError) as exc:
-        print(f"jitscan: rules: {exc}", file=sys.stderr)
-        return 2
-    try:
-        lines = parse_trace(_read(args.trace), page_size=args.page_size)
-    except (OSError, TraceError) as exc:
-        print(f"jitscan: trace: {exc}", file=sys.stderr)
-        return 2
-    if args.drain_every < 0:
-        print("jitscan: --drain-every must be >= 0", file=sys.stderr)
-        return 2
+    rules = _load("rules", parse_rules, args.rules, args.page_size)
+    lines = _load("trace", parse_trace, args.trace, args.page_size)
     config = SimConfig(
         page_size=args.page_size,
         sync_check=args.sync_check == "on",
@@ -109,24 +124,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    try:
-        rules = parse_rules(_read(args.rules), page_size=args.page_size)
-    except (OSError, RuleSyntaxError, ValueError) as exc:
-        print(f"jitscan: rules: {exc}", file=sys.stderr)
-        return 2
+    rules = _load("rules", parse_rules, args.rules, args.page_size)
     try:
         with open(args.page, "rb") as handle:
             image = handle.read()
     except OSError as exc:
-        print(f"jitscan: page: {exc}", file=sys.stderr)
-        return 2
+        raise _BadInput(f"page: {exc}") from None
     if len(image) > args.page_size:
-        print(
-            f"jitscan: page image is {len(image)} bytes, larger than one "
-            f"{args.page_size}-byte page",
-            file=sys.stderr,
+        raise _BadInput(
+            f"page image is {len(image)} bytes, larger than one {args.page_size}-byte page"
         )
-        return 2
     result = scan_page(image.ljust(args.page_size, b"\x00"), rules)
     exit_kill = False
     for match in result.matches:
@@ -145,22 +152,21 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    try:
-        lines = parse_trace(_read(args.trace), page_size=args.page_size)
-    except (OSError, TraceError) as exc:
-        print(f"jitscan: trace: {exc}", file=sys.stderr)
-        return 2
+    lines = _load("trace", parse_trace, args.trace, args.page_size)
     print(f"ok: {len(lines)} events")
     return 0
 
 
+_COMMANDS = {"run": _cmd_run, "scan": _cmd_scan, "check-trace": _cmd_check}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "scan":
-        return _cmd_scan(args)
-    return _cmd_check(args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _BadInput as exc:
+        print(f"jitscan: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ page walk last produced.  Stale entries are honored on purpose; a
 permission edit becomes visible to a CPU only once the page's entry is
 flushed or the access traps.  Fault handling is delegated to a
 pluggable engine so the same machine can run under the shadow W^X
-engine or a plain baseline.
+engine or a plain baseline; each hook returns the AccessResult the
+access ends with, OK meaning it proceeds.
 """
 
 from __future__ import annotations
@@ -202,8 +203,9 @@ def _permits(kind: AccessKind, writable: bool, exec_disabled: bool) -> bool:
 class Machine:
     """The simulated machine: processes, frames, CPUs, logical clock.
 
-    A fault engine must be attached before accesses run; it receives
-    FaultEvents and answers with verdicts (see the shadow module).
+    A fault engine must be attached before accesses run; its hooks
+    receive FaultEvents and return the AccessResult of the access, OK to
+    let it proceed, after applying any kill or block (see the shadow module).
     """
 
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE, suppress_tlb_flush: bool = False):
@@ -274,8 +276,26 @@ class Machine:
     def mprotect(self, pid: int, start_vpage: int, n_pages: int, perms: str) -> None:
         if n_pages < 1:
             raise ValueError("n_pages must be >= 1")
-        self.space(pid)  # alive check up front
         self.engine.on_mprotect(pid, start_vpage, n_pages, perms)
+
+    def relabel(self, pid: int, start_vpage: int, n_pages: int, perms: str, rule) -> None:
+        """Set the logical perms of vpages [start, start+n) of pid.
+
+        rule(pte, area, old_w, old_x) re-derives each present page's bits,
+        then the page is flushed from every TLB.
+        """
+        space = self.space(pid)
+        for area in space.carve(start_vpage, n_pages, self.page_size):
+            old_w, old_x = area.logical_w, area.logical_x
+            area.logical_r = "r" in perms
+            area.logical_w = "w" in perms
+            area.logical_x = "x" in perms
+            for vpage in range(area.start_vpage, area.end_vpage):
+                pte = space.ptes.get(vpage)
+                if pte is None or not pte.present:
+                    continue
+                rule(pte, area, old_w, old_x)
+                self.tlb_flush_one(pid, vpage)
 
     def kill_process(self, pid: int) -> None:
         space = self.spaces.get(pid)
@@ -387,22 +407,19 @@ class Machine:
 
         area = space.find_area(vpage)
         pte = space.ptes.get(vpage)
-        verdict = None
-        if area is None:
-            fault = FaultEvent(pid, tid, cpu_id, vaddr, vpage, kind, FaultCause.INVALID_AREA)
-            verdict = self.engine.on_materialize(fault, None)
-        elif pte is None or not pte.present:
-            fault = FaultEvent(pid, tid, cpu_id, vaddr, vpage, kind, FaultCause.NOT_PRESENT)
-            verdict = self.engine.on_materialize(fault, area)
+        result = AccessResult.OK
+        if area is None or pte is None or not pte.present:
+            cause = FaultCause.INVALID_AREA if area is None else FaultCause.NOT_PRESENT
+            fault = FaultEvent(pid, tid, cpu_id, vaddr, vpage, kind, cause)
+            result = self.engine.on_materialize(fault, area)
         elif kind is AccessKind.WRITE and not pte.writable:
             fault = FaultEvent(pid, tid, cpu_id, vaddr, vpage, kind, FaultCause.WRITE_VIOLATION)
-            verdict = self.engine.handle_write_fault(fault)
+            result = self.engine.handle_write_fault(fault)
         elif kind is AccessKind.FETCH and pte.exec_disabled:
             fault = FaultEvent(pid, tid, cpu_id, vaddr, vpage, kind, FaultCause.EXEC_VIOLATION)
-            verdict = self.engine.handle_exec_fault(fault)
-
-        if verdict is not None and not verdict.allows():
-            return self._settle(space, verdict)
+            result = self.engine.handle_exec_fault(fault)
+        if result is not AccessResult.OK:
+            return result
 
         pte = space.ptes.get(vpage)
         if pte is None or not pte.present or not _permits(kind, pte.writable, pte.exec_disabled):
@@ -418,12 +435,3 @@ class Machine:
         if kind is AccessKind.WRITE:
             off = vaddr % self.page_size
             self.frames[pte.frame][off : off + len(data)] = data
-
-    def _settle(self, space: AddressSpace, verdict) -> AccessResult:
-        if verdict.delivers_segv():
-            return AccessResult.SEGV_DELIVERED
-        if verdict.kills():
-            self.kill_process(space.pid)
-            return AccessResult.KILLED
-        space.blocked = True
-        return AccessResult.BLOCKED

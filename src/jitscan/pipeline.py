@@ -50,7 +50,6 @@ class SnapshotTable:
         self._pending_bytes = 0
         self._high_watermark = 0
         self._enqueued_total = 0
-        self._drained_total = 0
         self._rr = 0  # next bucket the drain scan starts from
 
     def bucket_of(self, pid: int) -> int:
@@ -73,10 +72,13 @@ class SnapshotTable:
         """Remove up to max_items snapshots (all pending when None).
 
         One snapshot per non-empty bucket per sweep, resuming after the
-        bucket served last, so no bucket starves.
+        bucket served last, so no bucket starves.  Returns at once, with
+        no bucket locked, when nothing is pending.
         """
         out: list[PageSnapshot] = []
-        while max_items is None or len(out) < max_items:
+        with self._stats_lock:
+            left = self._pending
+        while left and (max_items is None or len(out) < max_items):
             snap = None
             for step in range(self.n_buckets):
                 idx = (self._rr + step) % self.n_buckets
@@ -93,7 +95,7 @@ class SnapshotTable:
             with self._stats_lock:
                 self._pending -= 1
                 self._pending_bytes -= len(snap.content)
-                self._drained_total += 1
+                left = self._pending
             if self.on_delivered is not None:
                 self.on_delivered(snap.uid)
         return out
@@ -115,8 +117,3 @@ class SnapshotTable:
     def enqueued_total(self) -> int:
         with self._stats_lock:
             return self._enqueued_total
-
-    @property
-    def drained_total(self) -> int:
-        with self._stats_lock:
-            return self._drained_total

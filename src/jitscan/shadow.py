@@ -20,44 +20,92 @@ executable.
 Pages that are executable but never writable get one content check on
 the fetch that materializes them and are otherwise left alone; pages
 without execute rights never interact with any of this.
+
+``respond`` is the single point where a process is killed or blocked,
+for the sync check, the flood guard and the async agent alike;
+``signature_hit`` is the one place a signature match is recorded.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .guard import DosGuard
-from .mmu import AccessKind, FaultCause, FaultEvent, Machine, VmArea
+from .mmu import AccessKind, AccessResult, FaultCause, FaultEvent, Machine, PageTableEntry, VmArea
 from .pipeline import PageSnapshot, SnapshotTable
 from .report import ActionTaken, Detection, Report
-from .signatures import RuleSet, sync_check
+from .signatures import RuleSet, SignatureRule, sync_check
 
 
-class VerdictAction(str, enum.Enum):
-    ALLOW = "allow"
-    DELIVER_SEGV = "deliver_segv"
-    SIGKILL = "sigkill"
-    BLOCK = "block"
+def respond(
+    machine: Machine, report: Report, pid: int, uid: int, action: str, cause: str,
+    rule: str | None = None, path: str | None = None,
+) -> AccessResult:
+    """Kill or block pid, recording the action only if it changed anything.
+
+    A kill applies to a process that is still alive; a block to one that
+    is alive and not blocked yet.  Returns how the stopped access ends.
+    """
+    space = machine.spaces.get(pid)
+    if space is not None and space.alive and not (action == "block" and space.blocked):
+        if action == "kill":
+            machine.kill_process(pid)
+        else:
+            space.blocked = True
+        report.record_action(ActionTaken(pid, uid, action, cause, rule=rule, path=path))
+    return AccessResult.KILLED if action == "kill" else AccessResult.BLOCKED
 
 
-@dataclass
-class ShadowVerdict:
-    action: VerdictAction
-    snapshot_emitted: bool = False
+def signature_hit(
+    machine: Machine, report: Report, rule: SignatureRule, pid: int, uid: int,
+    vpage: int, offset: int, path: str, detection_action: str,
+) -> AccessResult:
+    """Record a match of rule at (vpage, offset) and respond to it.
 
-    def allows(self) -> bool:
-        return self.action is VerdictAction.ALLOW
+    Kill-severity matches get detection_action, alert-severity ones are
+    only recorded.  Returns OK when the process may go on.
+    """
+    action = detection_action if rule.severity == "kill" else "alert"
+    report.record_detection(
+        Detection(
+            pid=pid, uid=uid, vpage=vpage,
+            offset=offset, vaddr=vpage * machine.page_size + offset,
+            rule=rule.name, family=rule.family, severity=rule.severity,
+            path=path, action=action,
+        )
+    )
+    if action == "alert":
+        return AccessResult.OK
+    return respond(machine, report, pid, uid, action, "signature", rule.name, path)
 
-    def delivers_segv(self) -> bool:
-        return self.action is VerdictAction.DELIVER_SEGV
 
-    def kills(self) -> bool:
-        return self.action is VerdictAction.SIGKILL
+def _shadow_relabel(pte: PageTableEntry, area: VmArea, old_w: bool, old_x: bool) -> None:
+    """Shadow bits of a present page whose area now has area's permissions."""
+    if area.logical_x:
+        gained_x = not old_x
+        gained_w = area.logical_w and not old_w
+        if gained_x or gained_w:
+            # next fetch must re-run the content check
+            pte.exec_disabled = True
+            pte.writable = area.logical_w
+            pte.orig_exe = True
+            pte.orig_write = False
+        elif pte.orig_exe:
+            pte.writable = area.logical_w  # recheck still pending
+        elif pte.orig_write:
+            pte.writable = False
+            if not area.logical_w:
+                pte.orig_write = False  # leaves the machine
+    else:
+        pte.exec_disabled = True
+        pte.writable = area.logical_w
+        pte.orig_write = False
+        pte.orig_exe = False
 
 
-_ALLOW = ShadowVerdict(VerdictAction.ALLOW)
-_SEGV = ShadowVerdict(VerdictAction.DELIVER_SEGV)
+def _plain_relabel(pte: PageTableEntry, area: VmArea, old_w: bool, old_x: bool) -> None:
+    pte.writable = area.logical_w
+    pte.exec_disabled = not area.logical_x
 
 
 class ShadowEngine:
@@ -86,10 +134,10 @@ class ShadowEngine:
 
     # ---- fault hooks ---------------------------------------------------
 
-    def on_materialize(self, fault: FaultEvent, area: VmArea | None) -> ShadowVerdict:
+    def on_materialize(self, fault: FaultEvent, area: VmArea | None) -> AccessResult:
         """Not-present fault: materialize the page per its area class."""
         if area is None or not area.permits(fault.kind):
-            return _SEGV  # nothing materializes for an illegitimate access
+            return AccessResult.SEGV_DELIVERED  # nothing materializes
         machine = self.machine
         space = machine.space(fault.pid)
         if area.logical_x and area.logical_w:
@@ -103,47 +151,45 @@ class ShadowEngine:
                 return self.handle_exec_fault(
                     replace(fault, cause=FaultCause.EXEC_VIOLATION)
                 )
-            return _ALLOW
+            return AccessResult.OK
         if area.logical_x:
             machine.install_page(
                 space, area, fault.vpage, writable=False, exec_disabled=False,
             )
             if fault.kind is AccessKind.FETCH:
                 return self._checked_fetch(fault, space.uid)
-            return _ALLOW
+            return AccessResult.OK
         machine.install_page(
             space, area, fault.vpage,
             writable=area.logical_w, exec_disabled=True,
         )
-        return _ALLOW
+        return AccessResult.OK
 
-    def handle_write_fault(self, fault: FaultEvent) -> ShadowVerdict:
+    def handle_write_fault(self, fault: FaultEvent) -> AccessResult:
         """Write trap: shadow-induced ones flip the page to write mode."""
         machine = self.machine
         space = machine.space(fault.pid)
         area = space.find_area(fault.vpage)
-        if area is None or not area.logical_w or not space.alive:
-            return _SEGV
-        pte = space.ptes[fault.vpage]
-        if not pte.orig_write:
-            return _SEGV
+        pte = space.ptes[fault.vpage]  # write traps come from present pages
+        if area is None or not area.logical_w or not pte.orig_write:
+            return AccessResult.SEGV_DELIVERED
         pte.exec_disabled = True
         pte.writable = True
         pte.orig_exe = True
         pte.orig_write = False
         machine.tlb_flush_one(fault.pid, fault.vpage)
-        return _ALLOW
+        return AccessResult.OK
 
-    def handle_exec_fault(self, fault: FaultEvent) -> ShadowVerdict:
+    def handle_exec_fault(self, fault: FaultEvent) -> AccessResult:
         """Fetch trap: check content, snapshot it, flip to exec mode."""
         machine = self.machine
         space = machine.space(fault.pid)
         pte = space.ptes[fault.vpage]
         if not pte.orig_exe:
-            return _SEGV
-        verdict = self._checked_fetch(fault, space.uid)
-        if not verdict.allows():
-            return verdict
+            return AccessResult.SEGV_DELIVERED
+        result = self._checked_fetch(fault, space.uid)
+        if result is not AccessResult.OK:
+            return result
         area = space.find_area(fault.vpage)
         pte.exec_disabled = False
         pte.writable = False
@@ -152,99 +198,39 @@ class ShadowEngine:
         # stay under the machine once rechecked
         pte.orig_write = bool(area is not None and area.logical_w and area.logical_x)
         machine.tlb_flush_one(fault.pid, fault.vpage)
-        return verdict
+        return AccessResult.OK
 
     def on_mprotect(self, pid: int, start_vpage: int, n_pages: int, perms: str) -> None:
         """Update logical permissions; force rechecks where X appears."""
-        machine = self.machine
-        space = machine.space(pid)
-        pieces = space.carve(start_vpage, n_pages, machine.page_size)
-        for piece in pieces:
-            old_w, old_x = piece.logical_w, piece.logical_x
-            piece.logical_r = "r" in perms
-            piece.logical_w = "w" in perms
-            piece.logical_x = "x" in perms
-            for vpage in range(piece.start_vpage, piece.end_vpage):
-                pte = space.ptes.get(vpage)
-                if pte is None or not pte.present:
-                    continue
-                if piece.logical_x:
-                    gained_x = not old_x
-                    gained_w = piece.logical_w and not old_w
-                    if gained_x or gained_w:
-                        # next fetch must re-run the content check
-                        pte.exec_disabled = True
-                        pte.writable = piece.logical_w
-                        pte.orig_exe = True
-                        pte.orig_write = False
-                    elif pte.orig_exe:
-                        pte.writable = piece.logical_w  # recheck still pending
-                    elif pte.orig_write:
-                        pte.writable = False
-                        if not piece.logical_w:
-                            pte.orig_write = False  # leaves the machine
-                else:
-                    pte.exec_disabled = True
-                    pte.writable = piece.logical_w
-                    pte.orig_write = False
-                    pte.orig_exe = False
-                machine.tlb_flush_one(pid, vpage)
+        self.machine.relabel(pid, start_vpage, n_pages, perms, _shadow_relabel)
 
     # ---- the exec-side content check ------------------------------------
 
-    def _checked_fetch(self, fault: FaultEvent, uid: int) -> ShadowVerdict:
+    def _checked_fetch(self, fault: FaultEvent, uid: int) -> AccessResult:
         """Sync check, flood-guard admission, snapshot emission."""
         machine = self.machine
         content = machine.read_page(fault.pid, fault.vpage)
         if self.sync_check_enabled and self.rules is not None:
             hit = sync_check(content, self.rules)
             if hit is not None:
-                rule = self.rules.by_name[hit.rule]
-                self.report.record_detection(
-                    Detection(
-                        pid=fault.pid, uid=uid, vpage=fault.vpage,
-                        offset=hit.offset, vaddr=fault.vaddr,
-                        rule=rule.name, family=rule.family, severity=rule.severity,
-                        path="sync", action=self.detection_action,
-                    )
+                result = signature_hit(
+                    machine, self.report, self.rules.by_name[hit.rule], fault.pid, uid,
+                    fault.vpage, hit.offset, "sync", self.detection_action,
                 )
-                if self.detection_action == "kill":
-                    self.report.record_action(
-                        ActionTaken(fault.pid, uid, "kill", "signature",
-                                    rule=rule.name, path="sync")
-                    )
-                    return ShadowVerdict(VerdictAction.SIGKILL)
-                if self.detection_action == "block":
-                    self.report.record_action(
-                        ActionTaken(fault.pid, uid, "block", "signature",
-                                    rule=rule.name, path="sync")
-                    )
-                    return ShadowVerdict(VerdictAction.BLOCK)
-                # alert: record only, the fetch goes on
+                if result is not AccessResult.OK:
+                    return result
         if self.guard is not None:
             admission = self.guard.admit(uid, fault.pid, machine.now)
             if not admission.admitted:
-                self.report.record_action(
-                    ActionTaken(fault.pid, uid, admission.action, "throttle")
-                )
-                if admission.action == "kill":
-                    return ShadowVerdict(VerdictAction.SIGKILL)
-                return ShadowVerdict(VerdictAction.BLOCK)
-        emitted = False
+                return respond(machine, self.report, fault.pid, uid, admission.action, "throttle")
         if self.pipeline is not None:
             self.pipeline.enqueue(
                 PageSnapshot(
-                    content=content,
-                    offset=fault.vaddr % machine.page_size,
-                    vaddr=fault.vaddr,
-                    vpage=fault.vpage,
-                    pid=fault.pid,
-                    tid=fault.tid,
-                    uid=uid,
+                    content=content, offset=fault.vaddr % machine.page_size, vaddr=fault.vaddr,
+                    vpage=fault.vpage, pid=fault.pid, tid=fault.tid, uid=uid,
                 )
             )
-            emitted = True
-        return ShadowVerdict(VerdictAction.ALLOW, snapshot_emitted=emitted)
+        return AccessResult.OK
 
 
 class BaselineEngine:
@@ -258,34 +244,21 @@ class BaselineEngine:
     def __init__(self, machine: Machine):
         self.machine = machine
 
-    def on_materialize(self, fault: FaultEvent, area: VmArea | None) -> ShadowVerdict:
+    def on_materialize(self, fault: FaultEvent, area: VmArea | None) -> AccessResult:
         if area is None or not area.permits(fault.kind):
-            return _SEGV
+            return AccessResult.SEGV_DELIVERED
         space = self.machine.space(fault.pid)
         self.machine.install_page(
             space, area, fault.vpage,
             writable=area.logical_w, exec_disabled=not area.logical_x,
         )
-        return _ALLOW
+        return AccessResult.OK
 
-    def handle_write_fault(self, fault: FaultEvent) -> ShadowVerdict:
-        return _SEGV
+    def handle_write_fault(self, fault: FaultEvent) -> AccessResult:
+        return AccessResult.SEGV_DELIVERED
 
-    def handle_exec_fault(self, fault: FaultEvent) -> ShadowVerdict:
-        return _SEGV
+    def handle_exec_fault(self, fault: FaultEvent) -> AccessResult:
+        return AccessResult.SEGV_DELIVERED
 
     def on_mprotect(self, pid: int, start_vpage: int, n_pages: int, perms: str) -> None:
-        machine = self.machine
-        space = machine.space(pid)
-        pieces = space.carve(start_vpage, n_pages, machine.page_size)
-        for piece in pieces:
-            piece.logical_r = "r" in perms
-            piece.logical_w = "w" in perms
-            piece.logical_x = "x" in perms
-            for vpage in range(piece.start_vpage, piece.end_vpage):
-                pte = space.ptes.get(vpage)
-                if pte is None or not pte.present:
-                    continue
-                pte.writable = piece.logical_w
-                pte.exec_disabled = not piece.logical_x
-                machine.tlb_flush_one(pid, vpage)
+        self.machine.relabel(pid, start_vpage, n_pages, perms, _plain_relabel)

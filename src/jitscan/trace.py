@@ -185,6 +185,12 @@ def parse_trace(text: str, page_size: int = 4096) -> list[TraceLine]:
                 content=line.opt_hex("content"),
                 at=line.opt_int("at", minimum=0),
             )
+            size = event.n_pages * page_size
+            if event.content is not None and len(event.content) > size:
+                raise TraceError(
+                    f"content is {len(event.content)} bytes, more than"
+                    f" {event.n_pages} page(s) of {page_size}", line_no,
+                )
         elif op == "MPROTECT":
             event = MprotectEvent(
                 pid=need_pid(),

@@ -111,6 +111,7 @@ def random_benign_trace(rng: random.Random, page_size: int = 4096) -> str:
             perms = rng.choice(["r", "rw", "rx", "wx", "rwx"])
             pages = rng.randint(1, 4)
             content = bytes(rng.randrange(256) for _ in range(rng.randint(0, 2 * page_size)))
+            content = content[: pages * page_size]  # no image outruns its area
             at = 16 + len(areas) * 8
             lines.append(
                 f"MMAP pid={pid} perms={perms} pages={pages} at={at}"

@@ -63,17 +63,36 @@ class TestReplay:
         assert report.events[-1].result == "error"
         assert "dead" in report.events[-1].detail
 
-    def test_sync_rule_kills_at_the_fetch(self):
+    @pytest.mark.parametrize(
+        "action,result", [("kill", "killed"), ("block", "blocked"), ("alert", "ok")]
+    )
+    def test_sync_rule_kills_at_the_fetch(self, action, result):
+        stub_at = 16 * PS + 64  # the fetch lands elsewhere on the page
         trace = (
             "PROC uid=1000\n"
             "MMAP pid=1 perms=wx pages=1 at=16\n"
-            f"WRITE pid=1 tid=1 cpu=0 addr={16 * PS} bytes={SYNC_STUB.hex()}\n"
-            f"FETCH pid=1 tid=1 cpu=0 addr={16 * PS}\n"
+            f"WRITE pid=1 tid=1 cpu=0 addr={stub_at} bytes={SYNC_STUB.hex()}\n"
+            f"FETCH pid=1 tid=1 cpu=0 addr={16 * PS + 512}\n"
         )
-        report = replay(trace, rules(SYNC_RULES_TEXT + ASYNC_RULES))
-        assert report.events[-1].result == "killed"
-        assert report.detections[0].path == "sync"
-        assert report.metrics["snapshots_emitted"] == 0
+        report = replay(
+            trace, rules(SYNC_RULES_TEXT + ASYNC_RULES), SimConfig(detection_action=action)
+        )
+        assert report.events[-1].result == result
+        sync = report.detections[0]
+        assert (sync.path, sync.action, sync.offset, sync.vaddr) == ("sync", action, 64, stub_at)
+        if action == "alert":
+            # the fetch goes on and the async scan records the same match again
+            assert report.metrics["snapshots_emitted"] == 1
+            assert [d.path for d in report.detections] == ["sync", "async"]
+            again = report.detections[1]
+            assert (again.offset, again.vaddr) == (sync.offset, sync.vaddr)
+            assert report.actions == []
+        else:
+            assert report.metrics["snapshots_emitted"] == 0
+            assert len(report.detections) == 1
+            assert [(a.action, a.cause, a.path) for a in report.actions] == [
+                (action, "signature", "sync")
+            ]
 
     def test_sync_check_off_defers_to_async(self):
         trace = (
@@ -194,6 +213,29 @@ class TestAgentStep:
         assert [d.rule for d in ctx.report.detections] == ["dropper"]
         # no duplicate kill action for an already-dead process
         assert ctx.report.actions == []
+
+    @pytest.mark.parametrize(
+        "action,expected",
+        [("kill", [("block", "throttle"), ("kill", "signature")]), ("block", [("block", "throttle")])],
+    )
+    def test_async_hit_on_a_throttle_blocked_pid(self, action, expected):
+        # a kill still ends a blocked process; a second block records nothing
+        config = SimConfig(
+            drain_every=0, detection_action=action,
+            guard=GuardConfig(threshold=1, penalty_action="block"),
+        )
+        ctx = build_run(config, rules())
+        pid = ctx.machine.create_process(uid=1)
+        ctx.machine.mmap(pid, "wx", 2, at=16)
+        from jitscan.mmu import AccessKind, AccessResult
+
+        ctx.machine.access(pid, 1, 0, 16 * PS, AccessKind.WRITE, DROPPER)
+        assert ctx.machine.access(pid, 1, 0, 16 * PS, AccessKind.FETCH) is AccessResult.OK
+        assert ctx.machine.access(pid, 1, 0, 17 * PS, AccessKind.FETCH) is AccessResult.BLOCKED
+        ctx.agent.step()
+        assert [d.rule for d in ctx.report.detections] == ["dropper"]
+        assert [(a.action, a.cause) for a in ctx.report.actions] == expected
+        assert ctx.machine.spaces[pid].alive is (action == "block")
 
     def test_step_without_rules_just_drains(self):
         ctx = build_run(SimConfig(), rules=None)
@@ -324,6 +366,37 @@ class TestCli:
         bad.write_text("PROC uid=1\nMMAP pid=9 perms=rw pages=1\n")
         assert main(["check-trace", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--trace", "{trace}", "--rules", "{rules}", "--threshold", "0"],
+            ["run", "--trace", "{trace}", "--rules", "{rules}", "--ttl-penalty", "0"],
+            ["run", "--trace", "{trace}", "--rules", "{rules}", "--ttl-evict", "0"],
+            ["run", "--trace", "{trace}", "--rules", "{rules}", "--page-size", "0"],
+            ["run", "--trace", "{trace}", "--rules", "{rules}", "--drain-every", "-1"],
+            ["run", "--trace", "{binary}", "--rules", "{rules}"],
+            ["run", "--trace", "{trace}", "--rules", "{binary}"],
+            ["check-trace", "{binary}"],
+            ["check-trace", "{trace}", "--page-size", "0"],
+            ["check-trace", "{trace}", "--page-size", "-4"],
+            ["scan", "--rules", "{rules}", "--page", "{binary}", "--page-size", "0"],
+        ],
+    )
+    def test_malformed_input_exits_2_without_traceback(self, files, capsys, argv):
+        trace, rule_file, tmp = files
+        binary = tmp / "binary"
+        binary.write_bytes(b"\xff\xfe\x00not utf-8\n")
+        paths = {"trace": trace, "rules": rule_file, "binary": binary}
+        argv = [arg.format(**paths) for arg in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag value this way
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].startswith("jitscan")
 
     def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
         rule_file = tmp_path / "r.rules"

@@ -94,5 +94,14 @@ def test_write_bounds_respect_configured_page_size():
         parse_trace(text, page_size=64)
 
 
+def test_mmap_content_longer_than_the_area_is_rejected():
+    text = "PROC uid=1\nMMAP pid=1 perms=rx pages=1 content={}\n"
+    parse_trace(text.format("c3" * 64), page_size=64)  # exactly one page fits
+    with pytest.raises(TraceError) as err:
+        parse_trace(text.format("c3" * 65), page_size=64)
+    assert err.value.line == 2
+    assert "content is 65 bytes" in str(err.value)
+
+
 def test_parse_is_deterministic():
     assert parse_trace(GOOD) == parse_trace(GOOD)
