@@ -34,7 +34,6 @@ from .signatures import (
     Match,
     RuleSet,
     RuleSyntaxError,
-    ScanResult,
     SignatureRule,
     parse_rules,
     scan_page,
@@ -69,7 +68,6 @@ __all__ = [
     "RuleSet",
     "RuleSyntaxError",
     "RunContext",
-    "ScanResult",
     "ShadowEngine",
     "SignatureRule",
     "SimConfig",

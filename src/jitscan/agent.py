@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .guard import DosGuard, GuardConfig
 from .mmu import AccessKind, Machine, SimError
-from .pipeline import DEFAULT_BUCKETS, SnapshotTable
+from .pipeline import SnapshotTable
 from .report import EventOutcome, Report
 from .shadow import BaselineEngine, ShadowEngine, signature_hit
 from .signatures import RuleSet, scan_page
@@ -38,7 +38,6 @@ class SimConfig:
     detection_action: str = "kill"  # response to signature hits: kill|block|alert
     shadow: bool = True  # False runs the plain baseline engine
     suppress_tlb_flush: bool = False  # debug: drop cross-CPU shootdowns
-    buckets: int = DEFAULT_BUCKETS
     drain_every: int = 1  # agent cadence in events; 0 disables draining
     drain_batch: int = 0  # snapshots per agent step; 0 means no limit
     guard: GuardConfig = field(default_factory=GuardConfig)
@@ -69,7 +68,7 @@ class Agent:
             self.scans_run += 1
             if self.rules is None:
                 continue
-            for match in scan_page(snap.content, self.rules).matches:
+            for match in scan_page(snap.content, self.rules):
                 signature_hit(
                     self.machine, self.report, self.rules.by_name[match.rule], snap.pid,
                     snap.uid, snap.vpage, match.offset, "async", self.detection_action,
@@ -93,10 +92,7 @@ def build_run(config: SimConfig | None = None, rules: RuleSet | None = None) -> 
     machine = Machine(page_size=config.page_size, suppress_tlb_flush=config.suppress_tlb_flush)
     report = Report()
     guard = DosGuard(config.guard)
-    pipeline = SnapshotTable(
-        config.buckets,
-        on_delivered=lambda uid: guard.on_delivered(uid, machine.now),
-    )
+    pipeline = SnapshotTable(on_delivered=lambda uid: guard.on_delivered(uid, machine.now))
     if config.shadow:
         engine = ShadowEngine(
             machine,

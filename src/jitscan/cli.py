@@ -10,6 +10,7 @@ Exit codes: 0 clean, 1 a kill-severity signature matched, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -107,19 +108,22 @@ def _cmd_run(args) -> int:
             ttl_evict=args.ttl_evict,
         ),
     )
-    report = replay(lines, rules, config)
-    payload = report.emit("jsonl")
+    sink = contextlib.nullcontext(sys.stdout.buffer)
+    if args.report:  # opened first, so a bad path fails before the replay
+        try:
+            sink = open(args.report, "wb")
+        except OSError as exc:
+            raise _BadInput(f"report: {exc}") from None
+    with sink as out:
+        report = replay(lines, rules, config)
+        out.write(report.emit("jsonl"))
+        out.flush()
     if args.report:
-        with open(args.report, "wb") as handle:
-            handle.write(payload)
         print(
             f"jitscan: {report.metrics['events']} events, "
             f"{report.metrics['detections']} detections -> {args.report}",
             file=sys.stderr,
         )
-    else:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
     return 1 if report.any_kill_detection else 0
 
 
@@ -134,9 +138,9 @@ def _cmd_scan(args) -> int:
         raise _BadInput(
             f"page image is {len(image)} bytes, larger than one {args.page_size}-byte page"
         )
-    result = scan_page(image.ljust(args.page_size, b"\x00"), rules)
+    matches = scan_page(image.ljust(args.page_size, b"\x00"), rules)
     exit_kill = False
-    for match in result.matches:
+    for match in matches:
         rule = rules.by_name[match.rule]
         exit_kill = exit_kill or rule.severity == "kill"
         print(json.dumps(
@@ -145,7 +149,7 @@ def _cmd_scan(args) -> int:
             sort_keys=True, separators=(",", ":"),
         ))
     print(json.dumps(
-        {"record": "summary", "matches": len(result.matches)},
+        {"record": "summary", "matches": len(matches)},
         sort_keys=True, separators=(",", ":"),
     ))
     return 1 if exit_kill else 0

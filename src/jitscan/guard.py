@@ -5,7 +5,8 @@ delivered one.  Pushing the counter past the threshold starts a penalty
 window during which every admission for that uid is denied, whatever
 pid it comes from (a fork bomb churning through pids still shares the
 uid).  Entries that sit at zero long enough are evicted so setuid churn
-cannot grow the table without bound.
+cannot grow the table without bound; eviction reads only the idle uids,
+oldest first, and relies on time never running backwards.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class GuardConfig:
 class ThrottleEntry:
     pending: int = 0
     penalized_until: int | None = None
-    zero_since: int | None = None  # tick pending last reached 0
 
 
 @dataclass
@@ -44,9 +44,12 @@ class Admission:
 
 
 class DosGuard:
+    """Per-uid admission control; `now` never decreases from call to call."""
+
     def __init__(self, config: GuardConfig | None = None):
         self.config = config or GuardConfig()
         self.entries: dict[int, ThrottleEntry] = {}
+        self._idle: dict[int, int] = {}  # uid -> tick pending reached 0, oldest first
         self._lock = threading.Lock()
         self.admits = 0
         self.denials = 0
@@ -59,19 +62,17 @@ class DosGuard:
         with self._lock:
             entry = self.entries.get(uid)
             if entry is None:
-                entry = self.entries[uid] = ThrottleEntry(zero_since=now)
+                entry = self.entries[uid] = ThrottleEntry()
             if entry.penalized_until is not None and now >= entry.penalized_until:
                 entry.penalized_until = None
+            if entry.penalized_until is None and entry.pending + 1 > cfg.threshold:
+                # denied requests never enqueue, so pending stays put
+                entry.penalized_until = now + cfg.ttl_penalty
             if entry.penalized_until is not None:
                 self.denials += 1
                 return Admission(False, cfg.penalty_action)
-            if entry.pending + 1 > cfg.threshold:
-                # denied requests never enqueue, so pending stays put
-                entry.penalized_until = now + cfg.ttl_penalty
-                self.denials += 1
-                return Admission(False, cfg.penalty_action)
             entry.pending += 1
-            entry.zero_since = None
+            self._idle.pop(uid, None)
             self.admits += 1
             return Admission(True)
 
@@ -79,30 +80,27 @@ class DosGuard:
         """A snapshot for uid left the pipeline (scanned or dropped)."""
         with self._lock:
             entry = self.entries.get(uid)
-            if entry is None:
+            if entry is None or entry.pending == 0:
                 self.unknown_deliveries += 1
                 return
-            if entry.pending > 0:
-                entry.pending -= 1
-                if entry.pending == 0:
-                    entry.zero_since = now
-            else:
-                self.unknown_deliveries += 1
+            entry.pending -= 1
+            if entry.pending == 0:
+                self._idle[uid] = now
 
     def tick(self, now: int) -> list[int]:
-        """Expire penalties, evict entries idle at zero. Returns evicted uids."""
+        """Evict uids idle at zero for ttl_evict ticks; returns them oldest first.
+
+        Reads only idle uids, in idle-since order, and stops at the first
+        one still too young; this order holds because `now` never decreases.
+        """
         evicted: list[int] = []
         with self._lock:
-            for uid, entry in list(self.entries.items()):
-                if entry.penalized_until is not None and now >= entry.penalized_until:
-                    entry.penalized_until = None
-                if (
-                    entry.pending == 0
-                    and entry.zero_since is not None
-                    and now - entry.zero_since >= self.config.ttl_evict
-                ):
-                    del self.entries[uid]
-                    evicted.append(uid)
+            for uid, since in self._idle.items():
+                if now - since < self.config.ttl_evict:
+                    break
+                evicted.append(uid)
+            for uid in evicted:
+                del self._idle[uid], self.entries[uid]
             self.evictions += len(evicted)
         return evicted
 

@@ -19,7 +19,7 @@ order is (offset, rule name), so a scan is a pure function of
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 Atom = int | None  # one pattern position: literal byte or wildcard
 
@@ -76,14 +76,6 @@ class SignatureRule:
 class Match:
     rule: str
     offset: int
-
-
-@dataclass
-class ScanResult:
-    matches: list[Match] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return bool(self.matches)
 
 
 class _MultiPattern:
@@ -243,13 +235,13 @@ def parse_rules(text: str, page_size: int = 4096) -> RuleSet:
     return RuleSet(rules, page_size=page_size)
 
 
-def scan_page(content: bytes, rules: RuleSet) -> ScanResult:
+def scan_page(content: bytes, rules: RuleSet) -> list[Match]:
     """All rule matches in one page, ordered by (offset, rule name)."""
     if len(content) != rules.page_size:
         raise ValueError(
             f"content is {len(content)} bytes, page size is {rules.page_size}"
         )
-    return ScanResult(rules._full.scan(content))
+    return rules._full.scan(content)
 
 
 def sync_check(content: bytes, rules: RuleSet) -> Match | None:

@@ -2,15 +2,17 @@
 
 The oracles here deliberately know nothing about the implementation:
 the scanner oracle is a literal sliding window, the snapshot oracle is
-a two-variable recurrence over one page's history, and the W^X checker
-inspects raw PTE and TLB state.  Tests compare engine output against
-these instead of trusting the engine's own bookkeeping.
+a two-variable recurrence over one page's history, the W^X checker
+inspects raw PTE and TLB state, and the guard oracle sweeps its whole
+uid table on every tick.  Tests compare engine output against these
+instead of trusting the engine's own bookkeeping.
 """
 
 from __future__ import annotations
 
 import random
 
+from jitscan.guard import Admission
 from jitscan.mmu import Machine
 
 # one line per acceptance criterion, echoed after the run
@@ -64,6 +66,68 @@ def snapshot_reference(ops: list[str]) -> list[bool]:
             materialized = True
             write_since_fetch = False
     return out
+
+
+class SweepGuard:
+    """Reference flood guard: every tick walks the whole uid table.
+
+    Same contract as DosGuard (admit / on_delivered / tick / pending and
+    the four counters), written the slow obvious way: each entry carries
+    its own penalty end and idle-since tick, and tick expires penalties
+    and evicts idle entries by visiting every uid.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.entries: dict[int, dict] = {}
+        self.admits = self.denials = self.evictions = self.unknown_deliveries = 0
+
+    def admit(self, uid: int, pid: int, now: int) -> Admission:
+        cfg = self.config
+        entry = self.entries.setdefault(
+            uid, {"pending": 0, "penalized_until": None, "zero_since": now}
+        )
+        if entry["penalized_until"] is not None and now >= entry["penalized_until"]:
+            entry["penalized_until"] = None
+        if entry["penalized_until"] is not None:
+            self.denials += 1
+            return Admission(False, cfg.penalty_action)
+        if entry["pending"] + 1 > cfg.threshold:
+            entry["penalized_until"] = now + cfg.ttl_penalty
+            self.denials += 1
+            return Admission(False, cfg.penalty_action)
+        entry["pending"] += 1
+        entry["zero_since"] = None
+        self.admits += 1
+        return Admission(True)
+
+    def on_delivered(self, uid: int, now: int) -> None:
+        entry = self.entries.get(uid)
+        if entry is None or entry["pending"] == 0:
+            self.unknown_deliveries += 1
+            return
+        entry["pending"] -= 1
+        if entry["pending"] == 0:
+            entry["zero_since"] = now
+
+    def tick(self, now: int) -> list[int]:
+        evicted = []
+        for uid, entry in list(self.entries.items()):
+            if entry["penalized_until"] is not None and now >= entry["penalized_until"]:
+                entry["penalized_until"] = None
+            if (
+                entry["pending"] == 0
+                and entry["zero_since"] is not None
+                and now - entry["zero_since"] >= self.config.ttl_evict
+            ):
+                del self.entries[uid]
+                evicted.append(uid)
+        self.evictions += len(evicted)
+        return evicted
+
+    def pending(self, uid: int) -> int:
+        entry = self.entries.get(uid)
+        return 0 if entry is None else entry["pending"]
 
 
 def wx_violations(machine: Machine) -> list[tuple[int, int]]:

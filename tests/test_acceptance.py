@@ -139,7 +139,7 @@ def test_03_signature_invisible_at_rest_is_caught_at_unpack():
         target = rng.randrange(pages)
         off = rng.randint(0, PS - len(sig))
         if all(
-            not scan_page(image[p * PS:(p + 1) * PS], rules).matches
+            not scan_page(image[p * PS:(p + 1) * PS], rules)
             for p in range(pages)
         ):
             hidden += 1
@@ -384,7 +384,7 @@ def test_09_scanner_agrees_with_the_sliding_window_oracle():
             for n, ats in specs
         )
         rules = parse_rules(text + "\n", page_size=page_len)
-        got = [(m.offset, m.rule) for m in scan_page(bytes(page), rules).matches]
+        got = [(m.offset, m.rule) for m in scan_page(bytes(page), rules)]
         if got == naive_scan(bytes(page), specs):
             agree += 1
     _criterion(

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jitscan.agent import SimConfig, build_run, replay
 from jitscan.cli import main
@@ -377,6 +383,9 @@ class TestCli:
             ["run", "--trace", "{trace}", "--rules", "{rules}", "--drain-every", "-1"],
             ["run", "--trace", "{binary}", "--rules", "{rules}"],
             ["run", "--trace", "{trace}", "--rules", "{binary}"],
+            ["run", "--trace", "{trace}", "--rules", "{rules}",
+             "--report", "{trace.parent}/missing-dir/x.jsonl"],
+            ["run", "--trace", "{trace}", "--rules", "{rules}", "--report", "{trace.parent}"],
             ["check-trace", "{binary}"],
             ["check-trace", "{trace}", "--page-size", "0"],
             ["check-trace", "{trace}", "--page-size", "-4"],
@@ -402,3 +411,117 @@ class TestCli:
         rule_file = tmp_path / "r.rules"
         rule_file.write_text(ASYNC_RULES)
         assert main(["run", "--trace", str(tmp_path / "nope"), "--rules", str(rule_file)]) == 2
+
+
+_TRACE_HEAD = "PROC uid=1\nMMAP pid=1 perms=rwx pages=2 at=16\n"
+_TRACE_HEADS = [  # a valid start that runs a dropper, a valid start, none
+    _TRACE_HEAD + "WRITE pid=1 tid=1 cpu=0 addr=0x10000 bytes=4831c0\n"
+    "FETCH pid=1 tid=1 cpu=1 addr=0x10000\n",
+    _TRACE_HEAD, "",
+]
+_TRACE_LINES = [
+    "PROC uid=2", "MMAP pid=1 perms=wx pages=1 content=4831c0",
+    "MPROTECT pid=1 start=16 pages=1 perms=rx",
+    "WRITE pid=1 tid=1 cpu=0 addr=0x10000 bytes=4831c0", "FETCH pid=1 tid=1 cpu=1 addr=0x10000",
+    "WRITE pid=1 tid=1 cpu=0 addr=1024 bytes=0f05", "FETCH pid=1 tid=1 cpu=0 addr=1024",
+    "READ pid=1 tid=1 cpu=0 addr=0x10004", "TICK n=3", "# comment",
+]
+_TRACE_TOKENS = [
+    "PROC", "MMAP", "MPROTECT", "WRITE", "FETCH", "READ", "TICK", "uid=1", "pid=1",
+    "pid=9", "tid=1", "cpu=0", "cpu=-1", "perms=rwx", "perms=q", "pages=1", "pages=0",
+    "at=16", "at=-1", "start=16", "addr=0x10000", "addr=1025", "addr=99999999999999999999",
+    "bytes=c3", "bytes=zz", "content=00ff", "content=0", "n=5", "n=-1", "=", "x=", "#",
+]
+_RULE_HEADS = ["rule r1 family=f severity=kill { 48 31 c0 }\n", ""]
+_RULE_LINES = [
+    "rule s1 family=f severity=kill sync { 0f 05 }",
+    "rule a1 family=f severity=alert { c3 ?? 90 }",
+    "# comment",
+]
+_RULE_TOKENS = [
+    "rule", "r1", "r2", "family=f", "severity=kill", "severity=alert", "severity=x",
+    "sync", "{", "}", "48", "31", "c0", "??", "0f", "zz", "4", "#",
+]
+_NON_UTF8 = [b"", b"", b"", b"", b"\xff\xfe", b"\x80", b"ok\xc3"]  # mostly nothing appended
+
+
+def _text_file(heads, lines, tokens):
+    """A file of the language: an optional head, then distinct lines that are
+    mostly whole lines of the language and sometimes shuffled tokens, then
+    sometimes bytes that are not UTF-8."""
+    line = st.one_of(
+        st.sampled_from(lines),
+        st.sampled_from(lines),
+        st.lists(st.sampled_from(tokens), max_size=6).map(" ".join),
+    )
+    return st.tuples(
+        st.sampled_from(heads), st.lists(line, max_size=8, unique=True),
+        st.sampled_from(_NON_UTF8),
+    ).map(lambda parts: (parts[0] + "\n".join(parts[1])).encode() + parts[2])
+
+
+def _flag(name, values):
+    """Either no flag or `name value` for one of values."""
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [name, str(v)]))
+
+
+_INT_VALUES = [-1, 0, 1, 2, 5, "x"]
+_PAGE_SIZE = _flag("--page-size", [-1, 0, 1, 16, 64, 4096, "x"])  # small frames only
+_RUN_FLAGS = st.lists(
+    st.one_of(
+        _flag("--sync-check", ["on", "off", "maybe"]),
+        _flag("--action", ["kill", "block", "alert", "shame"]),
+        _flag("--penalty-action", ["kill", "block", "alert"]),
+        _flag("--threshold", _INT_VALUES),
+        _flag("--ttl-penalty", _INT_VALUES),
+        _flag("--ttl-evict", _INT_VALUES),
+        _flag("--drain-every", _INT_VALUES),
+        _PAGE_SIZE,
+    ),
+    max_size=4,
+).map(lambda flags: [arg for flag in flags for arg in flag])
+
+
+class TestCliFuzz:
+    @pytest.mark.parametrize("command", [
+        ["run"],
+        ["run", "--report", "{tmp}/out.jsonl"],
+        ["run", "--report", "{tmp}/missing-dir/out.jsonl"],
+        ["run", "--report", "{tmp}"],  # a directory
+        ["scan"],
+        ["check-trace"],
+    ])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        trace=_text_file(_TRACE_HEADS, _TRACE_LINES, _TRACE_TOKENS),
+        rule_text=_text_file(_RULE_HEADS, _RULE_LINES, _RULE_TOKENS),
+        page=st.one_of(st.binary(max_size=80), st.just(b"\x90\x48\x31\xc0")),
+        run_flags=_RUN_FLAGS,
+        page_size=_PAGE_SIZE,
+    )
+    def test_any_input_exits_0_1_or_2_without_traceback(
+        self, command, trace, rule_text, page, run_flags, page_size
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, data in (("t.trace", trace), ("r.rules", rule_text), ("p.bin", page)):
+                with open(os.path.join(tmp, name), "wb") as handle:
+                    handle.write(data)
+            trace_file, rule_file = os.path.join(tmp, "t.trace"), os.path.join(tmp, "r.rules")
+            if command[0] == "run":
+                flags = [flag.format(tmp=tmp) for flag in command[1:] + run_flags]
+                argv = ["run", "--trace", trace_file, "--rules", rule_file, *flags]
+            elif command[0] == "scan":
+                argv = ["scan", "--rules", rule_file, "--page", os.path.join(tmp, "p.bin"),
+                        *page_size]
+            else:
+                argv = ["check-trace", trace_file, *page_size]
+            out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects a flag value this way
+                    code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().strip().splitlines()[-1].startswith("jitscan"), argv

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from jitscan.guard import DosGuard, GuardConfig
+
+from conftest import SweepGuard
 
 
 def guard(threshold=3, action="kill", ttl_penalty=100, ttl_evict=500) -> DosGuard:
@@ -116,12 +120,48 @@ class TestTick:
         assert g.admit(5, 2, now=60).admitted
         assert g.pending(5) == 1
 
-    def test_tick_clears_expired_penalties(self):
-        g = guard(threshold=1, ttl_penalty=30)
-        g.admit(5, 1, now=0)
-        g.admit(5, 1, now=1)  # penalty until 31
-        g.tick(now=31)
-        assert g.entries[5].penalized_until is None
+    def test_evicts_oldest_idle_first_and_stops_at_a_young_one(self):
+        g = guard(ttl_evict=100)
+        for uid in (7, 5, 6):
+            g.admit(uid, 1, now=0)
+        g.on_delivered(6, now=10)
+        g.on_delivered(7, now=20)
+        g.on_delivered(5, now=30)
+        assert g.tick(now=120) == [6, 7]
+        assert set(g.entries) == {5}
+
+
+class TestAgainstSweepOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_decisions_as_the_full_table_sweep(self, seed):
+        """Random admit/deliver/tick runs on a few uids, compared step by step."""
+        rng = random.Random(seed)
+        for _ in range(100):
+            config = GuardConfig(
+                threshold=rng.randint(1, 3), penalty_action=rng.choice(["kill", "block"]),
+                ttl_penalty=rng.randint(1, 5), ttl_evict=rng.randint(1, 8),
+            )
+            fast, slow = DosGuard(config), SweepGuard(config)
+            now = 0
+            for step in range(rng.randint(1, 120)):
+                now += rng.choice([0, 0, 1, 1, 2, 3])
+                uid, kind = rng.randrange(3), rng.random()
+                where = (config, step)
+                if kind < 0.4:
+                    assert fast.admit(uid, uid + 100, now) == slow.admit(uid, uid + 100, now), where
+                elif kind < 0.8:  # may deliver more than is pending
+                    fast.on_delivered(uid, now)
+                    slow.on_delivered(uid, now)
+                else:
+                    assert sorted(fast.tick(now)) == sorted(slow.tick(now)), where
+                counters = ("admits", "denials", "evictions", "unknown_deliveries")
+                assert [getattr(fast, c) for c in counters] == [
+                    getattr(slow, c) for c in counters
+                ], where
+                assert [fast.pending(u) for u in range(3)] == [
+                    slow.pending(u) for u in range(3)
+                ], where
+                assert set(fast.entries) == set(slow.entries), where
 
 
 class TestConfig:

@@ -98,18 +98,18 @@ class TestScan:
         rs = ruleset(rule("r", "de ad be ef"), page_size=64)
         page = bytearray(64)
         embed(page, 10, rs.by_name["r"].atoms)
-        assert scan_page(bytes(page), rs).matches == [Match("r", 10)]
+        assert scan_page(bytes(page), rs) == [Match("r", 10)]
 
     def test_wildcards_match_any_byte(self):
         rs = ruleset(rule("r", "aa ?? ?? bb"), page_size=64)
         page = bytearray(64)
         page[4:8] = bytes([0xAA, 0x01, 0xFF, 0xBB])
-        assert scan_page(bytes(page), rs).matches == [Match("r", 4)]
+        assert scan_page(bytes(page), rs) == [Match("r", 4)]
 
     def test_overlapping_matches_all_reported(self):
         rs = ruleset(rule("r", "41 41 41"), page_size=16)
         page = bytes([0x41] * 5).ljust(16, b"\x00")
-        assert [m.offset for m in scan_page(page, rs).matches] == [0, 1, 2]
+        assert [m.offset for m in scan_page(page, rs)] == [0, 1, 2]
 
     def test_match_flush_with_page_end(self):
         # 20-byte pattern placed at 4076 of a 4096-byte page
@@ -117,19 +117,19 @@ class TestScan:
         rs = ruleset(rule("edge", pattern))
         page = bytearray(4096)
         embed(page, 4076, rs.by_name["edge"].atoms)
-        assert scan_page(bytes(page), rs).matches == [Match("edge", 4076)]
+        assert scan_page(bytes(page), rs) == [Match("edge", 4076)]
 
     def test_pattern_straddling_page_end_not_matched(self):
         rs = ruleset(rule("r", "41 41 41 41"), page_size=32)
         page = bytearray(32)
         page[30:32] = b"\x41\x41"  # continuation would be on the next page
-        assert scan_page(bytes(page), rs).matches == []
+        assert scan_page(bytes(page), rs) == []
 
     def test_result_ordered_by_offset_then_name(self):
         rs = ruleset(rule("zeta", "11 22"), rule("alpha", "11 22"), page_size=32)
         page = bytearray(32)
         page[5:7] = b"\x11\x22"
-        assert scan_page(bytes(page), rs).matches == [Match("alpha", 5), Match("zeta", 5)]
+        assert scan_page(bytes(page), rs) == [Match("alpha", 5), Match("zeta", 5)]
 
     def test_wrong_page_size_rejected(self):
         rs = ruleset(rule("r", "00"), page_size=64)
@@ -140,8 +140,8 @@ class TestScan:
         rs = ruleset(rule("r", "aa bb"), page_size=32)
         page = bytearray(32)
         page[3:5] = b"\xaa\xbb"
-        first = scan_page(bytes(page), rs).matches
-        second = scan_page(bytes(page), rs).matches
+        first = scan_page(bytes(page), rs)
+        second = scan_page(bytes(page), rs)
         assert first == second
 
     def test_leading_wildcards_near_page_start_bounded(self):
@@ -149,10 +149,10 @@ class TestScan:
         rs = ruleset(rule("r", "?? ?? aa bb"), page_size=32)
         page = bytearray(32)
         page[0:2] = b"\xaa\xbb"
-        assert scan_page(bytes(page), rs).matches == []
+        assert scan_page(bytes(page), rs) == []
         page2 = bytearray(32)
         page2[2:4] = b"\xaa\xbb"
-        assert scan_page(bytes(page2), rs).matches == [Match("r", 0)]
+        assert scan_page(bytes(page2), rs) == [Match("r", 0)]
 
 
 class TestSyncCheck:
@@ -173,7 +173,7 @@ class TestSyncCheck:
         page = bytearray(64)
         page[0:2] = b"\xcc\xcc"
         assert sync_check(bytes(page), rs) is None
-        assert scan_page(bytes(page), rs).matches == [Match("async_only", 0)]
+        assert scan_page(bytes(page), rs) == [Match("async_only", 0)]
 
     def test_clean_page_returns_none(self):
         rs = ruleset(rule("r", "de ad", severity="kill", sync=True), page_size=64)
@@ -207,7 +207,7 @@ class TestOracleEquivalence:
         rng = random.Random(2024)
         for _ in range(3000):
             page, rs, rules = _random_case(rng)
-            got = [(m.offset, m.rule) for m in scan_page(page, rs).matches]
+            got = [(m.offset, m.rule) for m in scan_page(page, rs)]
             want = naive_scan(page, [(r.name, r.atoms) for r in rules])
             assert got == want
 
@@ -232,7 +232,7 @@ class TestOracleEquivalence:
             offset = data.draw(st.integers(0, page_size - len(target.atoms)))
             embed(page, offset, target.atoms)
         rs = RuleSet(rules, page_size=page_size)
-        got = [(m.offset, m.rule) for m in scan_page(bytes(page), rs).matches]
+        got = [(m.offset, m.rule) for m in scan_page(bytes(page), rs)]
         assert got == naive_scan(bytes(page), [(r.name, r.atoms) for r in rules])
 
 
@@ -267,7 +267,7 @@ def _naive(page: bytes, rules) -> list[tuple[int, str]]:
 
 
 def _scanned(page: bytes, rs: RuleSet) -> list[tuple[int, str]]:
-    return [(m.offset, m.rule) for m in scan_page(page, rs).matches]
+    return [(m.offset, m.rule) for m in scan_page(page, rs)]
 
 
 def _pattern(rng: random.Random, alphabet, length: int, wild: float = 0.25):
@@ -371,7 +371,7 @@ class TestPrefilterEdges:
     @settings(max_examples=100, deadline=None)
     def test_no_rules_and_no_sync_rules_never_match(self, page):
         empty = ruleset(page_size=64)
-        assert scan_page(page, empty).matches == []
+        assert scan_page(page, empty) == []
         assert sync_check(page, empty) is None
         no_sync = ruleset(rule("a", "00"), rule("b", "ff ?? 7f"), page_size=64)
         assert sync_check(page, no_sync) is None
