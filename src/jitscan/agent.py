@@ -110,8 +110,19 @@ def build_run(config: SimConfig | None = None, rules: RuleSet | None = None) -> 
     return RunContext(machine, engine, pipeline, guard, agent, report)
 
 
+# READ, WRITE and FETCH are nearly every event, so they skip the isinstance ladder
+_ACCESS_KINDS = {
+    ReadEvent: AccessKind.READ, WriteEvent: AccessKind.WRITE, FetchEvent: AccessKind.FETCH,
+}
+
+
 def _apply_event(machine: Machine, event) -> tuple[str, str | None]:
     """Run one event; returns (result, detail) for the report."""
+    kind = _ACCESS_KINDS.get(type(event))
+    if kind is not None:
+        data = event.data if kind is AccessKind.WRITE else None
+        result = machine.access(event.pid, event.tid, event.cpu, event.addr, kind, data)
+        return result._value_, None  # the plain string, without the .value property's call
     if isinstance(event, ProcEvent):
         pid = machine.create_process(event.uid)
         return "ok", f"pid={pid}"
@@ -121,17 +132,6 @@ def _apply_event(machine: Machine, event) -> tuple[str, str | None]:
     if isinstance(event, MprotectEvent):
         machine.mprotect(event.pid, event.start_vpage, event.n_pages, event.perms)
         return "ok", None
-    if isinstance(event, WriteEvent):
-        result = machine.access(
-            event.pid, event.tid, event.cpu, event.addr, AccessKind.WRITE, event.data
-        )
-        return result.value, None
-    if isinstance(event, FetchEvent):
-        result = machine.access(event.pid, event.tid, event.cpu, event.addr, AccessKind.FETCH)
-        return result.value, None
-    if isinstance(event, ReadEvent):
-        result = machine.access(event.pid, event.tid, event.cpu, event.addr, AccessKind.READ)
-        return result.value, None
     if isinstance(event, TickEvent):
         return "ok", f"now={machine.now}"
     raise TypeError(f"unknown event type {type(event).__name__}")
@@ -146,32 +146,33 @@ def replay(
     config = config or SimConfig()
     lines = parse_trace(trace, config.page_size) if isinstance(trace, str) else trace
     ctx = build_run(config, rules)
-    machine, report = ctx.machine, ctx.report
+    machine, report, guard, agent = ctx.machine, ctx.report, ctx.guard, ctx.agent
     for index, line in enumerate(lines, start=1):
-        machine.now += line.event.n if isinstance(line.event, TickEvent) else 1
+        event = line.event
+        machine.now += event.n if isinstance(event, TickEvent) else 1
         try:
-            result, detail = _apply_event(machine, line.event)
+            result, detail = _apply_event(machine, event)
         except (SimError, ValueError) as exc:
             result, detail = "error", str(exc)
         report.record_event(EventOutcome(index, line.line_no, line.text, result, detail))
-        ctx.guard.tick(machine.now)
+        guard.tick(machine.now)
         if config.drain_every > 0 and index % config.drain_every == 0:
-            ctx.agent.step(config.drain_batch)
+            agent.step(config.drain_batch)
     if config.drain_every > 0:
         while ctx.pipeline.pending_count() > 0:
-            ctx.agent.step(config.drain_batch)
+            agent.step(config.drain_batch)
     report.metrics = {
         "events": len(lines),
         "snapshots_emitted": ctx.pipeline.enqueued_total,
         "pending_high_watermark": ctx.pipeline.high_watermark,
         "pending_final": ctx.pipeline.pending_count(),
-        "scans_run": ctx.agent.scans_run,
-        "evictions": ctx.guard.evictions,
-        "admits": ctx.guard.admits,
-        "denials": ctx.guard.denials,
+        "scans_run": agent.scans_run,
+        "evictions": guard.evictions,
+        "admits": guard.admits,
+        "denials": guard.denials,
         "detections": len(report.detections),
         "kills": sum(1 for a in report.actions if a.action == "kill"),
         "blocks": sum(1 for a in report.actions if a.action == "block"),
         "clock": machine.now,
     }
-    return ctx.report
+    return report

@@ -92,7 +92,12 @@ class DosGuard:
 
         Reads only idle uids, in idle-since order, and stops at the first
         one still too young; this order holds because `now` never decreases.
+        With no idle uid it returns without the lock: a uid that goes idle
+        concurrently is the same as that delivery landing just after this
+        tick, and the next tick sees it.
         """
+        if not self._idle:
+            return []
         evicted: list[int] = []
         with self._lock:
             for uid, since in self._idle.items():

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(slots=True)
 class EventOutcome:
     index: int
     line: int

@@ -6,6 +6,8 @@ Rule files are line oriented, one rule per line, ``#`` starts a comment:
 
 Hex pairs are case-insensitive; ``??`` matches any byte.  ``sync`` marks
 a rule for the small in-fault-path check and requires severity=kill.
+Lines end at ``\n`` (or ``\r\n``) only, so line numbers are the ones an
+editor shows; other line-break characters are whitespace.
 
 Matching is exact-byte with wildcards, per page, overlapping matches
 included.  Each pattern's longest run of consecutive literal bytes is its
@@ -90,6 +92,9 @@ class _MultiPattern:
     bounds check and a check of its literals outside the anchor.  Sparse
     candidates cost almost nothing beyond the C pass; content made of
     anchor bytes makes every position a candidate.  No rules, no pattern.
+
+    k comes from the shortest anchor in the whole set: one short anchor
+    shortens the key, and so widens the candidate stream, for every rule.
     """
 
     def __init__(self, rules: list[SignatureRule]):
@@ -162,8 +167,8 @@ def parse_rules(text: str, page_size: int = 4096) -> RuleSet:
     """Parse a rule file; raises RuleSyntaxError with line and column."""
     rules: list[SignatureRule] = []
     names: set[str] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.removesuffix("\r").split("#", 1)[0]
         if not line.strip():
             continue
         tokens = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]

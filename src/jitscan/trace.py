@@ -1,7 +1,7 @@
 """The replayable trace language.
 
 Text, one event per line, ``#`` starts a comment.  Fields are
-``key=value`` tokens; integers accept decimal or 0x-prefixed hex.
+``key=value`` tokens in any order:
 
     PROC uid=1000
     MMAP pid=1 perms=wx pages=4 [content=<hex>] [at=<vpage>]
@@ -10,6 +10,14 @@ Text, one event per line, ``#`` starts a comment.  Fields are
     FETCH pid=1 tid=1 cpu=0 addr=0x10000
     READ  pid=1 tid=1 cpu=0 addr=0x10000
     TICK n=50
+
+``_GRAMMAR`` is the one place that lists each event's fields, with each
+field's kind and least value.  An integer is ASCII decimal digits
+(leading zeros allowed, still decimal: ``010`` is ten) or ``0x`` and
+hex digits; signs, ``_``, ``0b``/``0o`` prefixes and non-ASCII digits
+are rejected.  Lines end at ``\n`` only, so line numbers are the ones an
+editor shows: a ``\r`` before it is stripped, and other line-break
+characters (form feed, ``\u2028``, ...) are whitespace inside a line.
 
 PROC assigns pids sequentially from 1 in trace order, so later lines
 can name them.  MMAP without ``at=`` places the area at the next free
@@ -20,8 +28,8 @@ A WRITE payload must stay inside one page.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from itertools import permutations
 
 
 class TraceError(ValueError):
@@ -30,12 +38,12 @@ class TraceError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcEvent:
     uid: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MmapEvent:
     pid: int
     perms: str
@@ -44,7 +52,7 @@ class MmapEvent:
     at: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MprotectEvent:
     pid: int
     start_vpage: int
@@ -52,7 +60,7 @@ class MprotectEvent:
     perms: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteEvent:
     pid: int
     tid: int
@@ -61,7 +69,7 @@ class WriteEvent:
     data: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FetchEvent:
     pid: int
     tid: int
@@ -69,7 +77,7 @@ class FetchEvent:
     addr: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadEvent:
     pid: int
     tid: int
@@ -77,7 +85,7 @@ class ReadEvent:
     addr: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TickEvent:
     n: int
 
@@ -87,147 +95,114 @@ TraceEvent = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceLine:
     line_no: int
     text: str
     event: TraceEvent
 
 
-_PERMS = re.compile(r"[rwx]+$")
+# every non-empty subset of rwx, each letter at most once, in any order
+_PERMS = frozenset("".join(p) for n in (1, 2, 3) for p in permutations("rwx", n))
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+_INTEGER = frozenset({"pid", "int", "int?"})
+_OPTIONAL = frozenset({"int?", "hex?"})
+
+# op -> (event class, its fields in constructor order as (key, kind, minimum));
+# kinds: "pid" (an int naming a created pid), "int", "perms", "hex", and
+# "int?" / "hex?", which are None when the field is absent
+_ACCESS = (("pid", "pid", 1), ("tid", "int", 0), ("cpu", "int", 0), ("addr", "int", 0))
+_GRAMMAR: dict[str, tuple[type, tuple[tuple[str, str, int], ...]]] = {
+    "PROC": (ProcEvent, (("uid", "int", 0),)),
+    "MMAP": (MmapEvent, (
+        ("pid", "pid", 1), ("perms", "perms", 0), ("pages", "int", 1),
+        ("content", "hex?", 0), ("at", "int?", 0),
+    )),
+    "MPROTECT": (MprotectEvent, (
+        ("pid", "pid", 1), ("start", "int", 0), ("pages", "int", 1), ("perms", "perms", 0),
+    )),
+    "WRITE": (WriteEvent, _ACCESS + (("bytes", "hex", 0),)),
+    "FETCH": (FetchEvent, _ACCESS),
+    "READ": (ReadEvent, _ACCESS),
+    "TICK": (TickEvent, (("n", "int", 1),)),
+}
 
 
-def _fields(tokens: list[str], line_no: int) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise TraceError(f"expected key=value, got {tok!r}", line_no)
-        key, _, value = tok.partition("=")
-        if key in out:
-            raise TraceError(f"duplicate field {key!r}", line_no)
-        out[key] = value
-    return out
+def done(line_no: int, text: str, event: TraceEvent, unknown: dict, page_size: int) -> TraceLine:
+    """The whole-line checks once every field is read, then the line.
 
-
-class _Line:
-    def __init__(self, line_no: int, fields: dict[str, str]):
-        self.line_no = line_no
-        self.fields = fields
-        self.used: set[str] = set()
-
-    def int_(self, key: str, minimum: int | None = None) -> int:
-        raw = self.str_(key)
-        try:
-            value = int(raw, 0)
-        except ValueError:
-            raise TraceError(f"{key} must be an integer, got {raw!r}", self.line_no)
-        if minimum is not None and value < minimum:
-            raise TraceError(f"{key} must be >= {minimum}, got {value}", self.line_no)
-        return value
-
-    def str_(self, key: str) -> str:
-        if key not in self.fields:
-            raise TraceError(f"missing field {key}=", self.line_no)
-        self.used.add(key)
-        return self.fields[key]
-
-    def opt_int(self, key: str, minimum: int | None = None) -> int | None:
-        return self.int_(key, minimum) if key in self.fields else None
-
-    def perms(self, key: str = "perms") -> str:
-        raw = self.str_(key)
-        if not _PERMS.match(raw) or len(set(raw)) != len(raw):
-            raise TraceError(f"bad perms {raw!r} (subset of rwx)", self.line_no)
-        return raw
-
-    def hex_(self, key: str) -> bytes:
-        raw = self.str_(key)
-        try:
-            return bytes.fromhex(raw)
-        except ValueError:
-            raise TraceError(f"{key} must be hex bytes, got {raw!r}", self.line_no)
-
-    def opt_hex(self, key: str) -> bytes | None:
-        return self.hex_(key) if key in self.fields else None
-
-    def done(self) -> None:
-        extra = set(self.fields) - self.used
-        if extra:
-            raise TraceError(f"unknown field(s): {', '.join(sorted(extra))}", self.line_no)
+    ``bench/layers.py`` counts parsed event lines by calls to this name.
+    """
+    if type(event) is MmapEvent and event.content is not None:
+        if len(event.content) > event.n_pages * page_size:
+            raise TraceError(
+                f"content is {len(event.content)} bytes, more than"
+                f" {event.n_pages} page(s) of {page_size}", line_no,
+            )
+    elif type(event) is WriteEvent:
+        if not event.data:
+            raise TraceError("bytes must not be empty", line_no)
+        if (event.addr % page_size) + len(event.data) > page_size:
+            raise TraceError("write payload crosses a page boundary", line_no)
+    if unknown:
+        raise TraceError(f"unknown field(s): {', '.join(sorted(unknown))}", line_no)
+    return TraceLine(line_no, text, event)
 
 
 def parse_trace(text: str, page_size: int = 4096) -> list[TraceLine]:
     """Parse and validate a trace; raises TraceError with the line number."""
     out: list[TraceLine] = []
     n_pids = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
-        tokens = stripped.split()
-        op, rest = tokens[0].upper(), tokens[1:]
-        line = _Line(line_no, _fields(rest, line_no))
-
-        def need_pid() -> int:
-            pid = line.int_("pid", minimum=1)
-            if pid > n_pids:
-                raise TraceError(f"pid {pid} not created yet", line_no)
-            return pid
-
-        if op == "PROC":
-            event: TraceEvent = ProcEvent(uid=line.int_("uid", minimum=0))
+        op, *tokens = stripped.split()
+        fields: dict[str, str] = {}
+        for tok in tokens:
+            key, eq, value = tok.partition("=")
+            if not eq:
+                raise TraceError(f"expected key=value, got {tok!r}", line_no)
+            if key in fields:
+                raise TraceError(f"duplicate field {key!r}", line_no)
+            fields[key] = value
+        grammar = _GRAMMAR.get(op.upper())
+        if grammar is None:
+            raise TraceError(f"unknown event {op!r}", line_no)
+        cls, spec = grammar
+        args: list = []
+        for key, kind, minimum in spec:
+            value = fields.pop(key, None)
+            if value is None:
+                if kind not in _OPTIONAL:
+                    raise TraceError(f"missing field {key}=", line_no)
+                args.append(None)
+            elif kind in _INTEGER:
+                number = None
+                try:  # int() refuses a bare 0x and a decimal past the digit limit
+                    if value.isdigit() and value.isascii():
+                        number = int(value)
+                    elif value[:2] == "0x" and not value[2:].strip(_HEX_DIGITS):
+                        number = int(value, 16)
+                except ValueError:
+                    pass
+                if number is None:
+                    raise TraceError(f"{key} must be an integer, got {value!r}", line_no)
+                if number < minimum:
+                    raise TraceError(f"{key} must be >= {minimum}, got {number}", line_no)
+                if kind == "pid" and number > n_pids:
+                    raise TraceError(f"pid {number} not created yet", line_no)
+                args.append(number)
+            elif kind == "perms":
+                if value not in _PERMS:
+                    raise TraceError(f"bad perms {value!r} (subset of rwx)", line_no)
+                args.append(value)
+            else:
+                try:
+                    args.append(bytes.fromhex(value))
+                except ValueError:
+                    raise TraceError(f"{key} must be hex bytes, got {value!r}", line_no)
+        if cls is ProcEvent:
             n_pids += 1
-        elif op == "MMAP":
-            event = MmapEvent(
-                pid=need_pid(),
-                perms=line.perms(),
-                n_pages=line.int_("pages", minimum=1),
-                content=line.opt_hex("content"),
-                at=line.opt_int("at", minimum=0),
-            )
-            size = event.n_pages * page_size
-            if event.content is not None and len(event.content) > size:
-                raise TraceError(
-                    f"content is {len(event.content)} bytes, more than"
-                    f" {event.n_pages} page(s) of {page_size}", line_no,
-                )
-        elif op == "MPROTECT":
-            event = MprotectEvent(
-                pid=need_pid(),
-                start_vpage=line.int_("start", minimum=0),
-                n_pages=line.int_("pages", minimum=1),
-                perms=line.perms(),
-            )
-        elif op == "WRITE":
-            event = WriteEvent(
-                pid=need_pid(),
-                tid=line.int_("tid", minimum=0),
-                cpu=line.int_("cpu", minimum=0),
-                addr=line.int_("addr", minimum=0),
-                data=line.hex_("bytes"),
-            )
-            if not event.data:
-                raise TraceError("bytes must not be empty", line_no)
-            if (event.addr % page_size) + len(event.data) > page_size:
-                raise TraceError("write payload crosses a page boundary", line_no)
-        elif op == "FETCH":
-            event = FetchEvent(
-                pid=need_pid(),
-                tid=line.int_("tid", minimum=0),
-                cpu=line.int_("cpu", minimum=0),
-                addr=line.int_("addr", minimum=0),
-            )
-        elif op == "READ":
-            event = ReadEvent(
-                pid=need_pid(),
-                tid=line.int_("tid", minimum=0),
-                cpu=line.int_("cpu", minimum=0),
-                addr=line.int_("addr", minimum=0),
-            )
-        elif op == "TICK":
-            event = TickEvent(n=line.int_("n", minimum=1))
-        else:
-            raise TraceError(f"unknown event {tokens[0]!r}", line_no)
-        line.done()
-        out.append(TraceLine(line_no, stripped, event))
+        out.append(done(line_no, stripped, cls(*args), fields, page_size))
     return out

@@ -3,17 +3,31 @@
 The oracles here deliberately know nothing about the implementation:
 the scanner oracle is a literal sliding window, the snapshot oracle is
 a two-variable recurrence over one page's history, the W^X checker
-inspects raw PTE and TLB state, and the guard oracle sweeps its whole
-uid table on every tick.  Tests compare engine output against these
-instead of trusting the engine's own bookkeeping.
+inspects raw PTE and TLB state, the guard oracle sweeps its whole uid
+table on every tick, and the trace oracle reads each line through a
+per-line field object with one method per field kind.  Tests compare
+engine output against these instead of trusting the engine's own
+bookkeeping.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
 from jitscan.guard import Admission
 from jitscan.mmu import Machine
+from jitscan.trace import (
+    FetchEvent,
+    MmapEvent,
+    MprotectEvent,
+    ProcEvent,
+    ReadEvent,
+    TickEvent,
+    TraceError,
+    TraceLine,
+    WriteEvent,
+)
 
 # one line per acceptance criterion, echoed after the run
 ACCEPTANCE_RESULTS: list[str] = []
@@ -128,6 +142,153 @@ class SweepGuard:
     def pending(self, uid: int) -> int:
         entry = self.entries.get(uid)
         return 0 if entry is None else entry["pending"]
+
+
+_REF_PERMS = re.compile(r"[rwx]+$")
+_REF_INT = re.compile(r"[0-9]+|0x[0-9a-fA-F]+")
+
+
+def _ref_fields(tokens: list[str], line_no: int) -> dict[str, str]:
+    out: dict[str, str] = {}
+    for tok in tokens:
+        if "=" not in tok:
+            raise TraceError(f"expected key=value, got {tok!r}", line_no)
+        key, _, value = tok.partition("=")
+        if key in out:
+            raise TraceError(f"duplicate field {key!r}", line_no)
+        out[key] = value
+    return out
+
+
+class _RefLine:
+    def __init__(self, line_no: int, fields: dict[str, str]):
+        self.line_no = line_no
+        self.fields = fields
+        self.used: set[str] = set()
+
+    def int_(self, key: str, minimum: int | None = None) -> int:
+        raw = self.str_(key)
+        if not _REF_INT.fullmatch(raw):
+            raise TraceError(f"{key} must be an integer, got {raw!r}", self.line_no)
+        try:
+            value = int(raw, 16 if raw.startswith("0x") else 10)
+        except ValueError:  # a decimal past the interpreter's digit limit
+            raise TraceError(f"{key} must be an integer, got {raw!r}", self.line_no)
+        if minimum is not None and value < minimum:
+            raise TraceError(f"{key} must be >= {minimum}, got {value}", self.line_no)
+        return value
+
+    def str_(self, key: str) -> str:
+        if key not in self.fields:
+            raise TraceError(f"missing field {key}=", self.line_no)
+        self.used.add(key)
+        return self.fields[key]
+
+    def opt_int(self, key: str, minimum: int | None = None) -> int | None:
+        return self.int_(key, minimum) if key in self.fields else None
+
+    def perms(self, key: str = "perms") -> str:
+        raw = self.str_(key)
+        if not _REF_PERMS.match(raw) or len(set(raw)) != len(raw):
+            raise TraceError(f"bad perms {raw!r} (subset of rwx)", self.line_no)
+        return raw
+
+    def hex_(self, key: str) -> bytes:
+        raw = self.str_(key)
+        try:
+            return bytes.fromhex(raw)
+        except ValueError:
+            raise TraceError(f"{key} must be hex bytes, got {raw!r}", self.line_no)
+
+    def opt_hex(self, key: str) -> bytes | None:
+        return self.hex_(key) if key in self.fields else None
+
+    def done(self) -> None:
+        extra = set(self.fields) - self.used
+        if extra:
+            raise TraceError(f"unknown field(s): {', '.join(sorted(extra))}", self.line_no)
+
+
+def reference_parse_trace(text: str, page_size: int = 4096) -> list[TraceLine]:
+    """Reference trace parser: one field object per line, one if per event.
+
+    Lines end at "\n" only, and an integer is ASCII decimal digits or
+    0x and hex digits, checked with a regex; the rest is the per-method
+    parser that the table-driven ``parse_trace`` replaced.
+    """
+    out: list[TraceLine] = []
+    n_pids = 0
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        tokens = stripped.split()
+        op, rest = tokens[0].upper(), tokens[1:]
+        line = _RefLine(line_no, _ref_fields(rest, line_no))
+
+        def need_pid() -> int:
+            pid = line.int_("pid", minimum=1)
+            if pid > n_pids:
+                raise TraceError(f"pid {pid} not created yet", line_no)
+            return pid
+
+        if op == "PROC":
+            event = ProcEvent(uid=line.int_("uid", minimum=0))
+            n_pids += 1
+        elif op == "MMAP":
+            event = MmapEvent(
+                pid=need_pid(),
+                perms=line.perms(),
+                n_pages=line.int_("pages", minimum=1),
+                content=line.opt_hex("content"),
+                at=line.opt_int("at", minimum=0),
+            )
+            size = event.n_pages * page_size
+            if event.content is not None and len(event.content) > size:
+                raise TraceError(
+                    f"content is {len(event.content)} bytes, more than"
+                    f" {event.n_pages} page(s) of {page_size}", line_no,
+                )
+        elif op == "MPROTECT":
+            event = MprotectEvent(
+                pid=need_pid(),
+                start_vpage=line.int_("start", minimum=0),
+                n_pages=line.int_("pages", minimum=1),
+                perms=line.perms(),
+            )
+        elif op == "WRITE":
+            event = WriteEvent(
+                pid=need_pid(),
+                tid=line.int_("tid", minimum=0),
+                cpu=line.int_("cpu", minimum=0),
+                addr=line.int_("addr", minimum=0),
+                data=line.hex_("bytes"),
+            )
+            if not event.data:
+                raise TraceError("bytes must not be empty", line_no)
+            if (event.addr % page_size) + len(event.data) > page_size:
+                raise TraceError("write payload crosses a page boundary", line_no)
+        elif op == "FETCH":
+            event = FetchEvent(
+                pid=need_pid(),
+                tid=line.int_("tid", minimum=0),
+                cpu=line.int_("cpu", minimum=0),
+                addr=line.int_("addr", minimum=0),
+            )
+        elif op == "READ":
+            event = ReadEvent(
+                pid=need_pid(),
+                tid=line.int_("tid", minimum=0),
+                cpu=line.int_("cpu", minimum=0),
+                addr=line.int_("addr", minimum=0),
+            )
+        elif op == "TICK":
+            event = TickEvent(n=line.int_("n", minimum=1))
+        else:
+            raise TraceError(f"unknown event {tokens[0]!r}", line_no)
+        line.done()
+        out.append(TraceLine(line_no, stripped, event))
+    return out
 
 
 def wx_violations(machine: Machine) -> list[tuple[int, int]]:

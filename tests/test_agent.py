@@ -373,6 +373,13 @@ class TestCli:
         assert main(["check-trace", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_check_trace_counts_lines_as_an_editor_does(self, files, capsys):
+        _, _, tmp = files
+        bad = tmp / "bad.trace"
+        bad.write_bytes(b"PROC uid=1 # build\x0cstamp\nMMAP pid=7 perms=rw pages=1\n")
+        assert main(["check-trace", str(bad)]) == 2
+        assert capsys.readouterr().err == "jitscan: trace: line 2: pid 7 not created yet\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

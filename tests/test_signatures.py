@@ -87,6 +87,24 @@ class TestParse:
             parse_rules("rule a family=f severity=kill { 00 }\n\nrule b family=f severity=bad { 00 }\n")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(
+        "brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_line_breaks_other_than_newline_keep_line_numbers(self, brk):
+        text = f"# built{brk}x\nrule r family=f severity=wat {{ 00 }}\n"
+        with pytest.raises(RuleSyntaxError) as err:
+            parse_rules(text)
+        assert (err.value.line, err.value.column) == (2, 6)
+        assert "severity" in str(err.value)
+
+    def test_crlf_lines_keep_their_columns(self):
+        with pytest.raises(RuleSyntaxError) as err:
+            parse_rules(
+                "rule q family=f severity=kill { 01 }\r\n"
+                "rule r family=f severity=kill { 00\r\n"
+            )
+        assert (err.value.line, err.value.column) == (2, 35)
+
     def test_pattern_longer_than_page_rejected(self):
         body = " ".join(["00"] * 65)
         with pytest.raises(RuleSyntaxError):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
 from jitscan.trace import (
@@ -15,6 +18,8 @@ from jitscan.trace import (
     WriteEvent,
     parse_trace,
 )
+
+from conftest import reference_parse_trace
 
 GOOD = """\
 # two processes, one shared uid
@@ -53,6 +58,38 @@ def test_line_numbers_point_at_source_lines():
 def test_hex_and_decimal_integers_both_work():
     lines = parse_trace("PROC uid=0\nMMAP pid=1 perms=r pages=1 at=0x20\n")
     assert lines[1].event.at == 32
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [("0", 0), ("00", 0), ("010", 10), ("0x10", 16), ("0xfF", 255), ("0x000", 0),
+     ("99999999999999999999", 99999999999999999999)],
+)
+def test_integer_grammar_accepts_ascii_decimal_and_0x_hex(text, value):
+    # leading zeros stay decimal: 010 is ten, never octal eight
+    assert parse_trace(f"PROC uid={text}")[0].event.uid == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0b11", "0o2", "1_000", "+7", "-1", "١٢", "²", "0X10", "0x", "0x_1", "1e3", "9" * 5000],
+)
+def test_integer_grammar_rejects_other_forms(text):
+    with pytest.raises(TraceError) as err:
+        parse_trace(f"PROC uid={text}")
+    assert str(err.value) == f"line 1: uid must be an integer, got {text!r}"
+
+
+@pytest.mark.parametrize(
+    "brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"],
+)
+def test_line_breaks_other_than_newline_keep_line_numbers(brk):
+    text = f"PROC uid=1 # build{brk}stamp\nMMAP pid=7 perms=rw pages=1\n"
+    with pytest.raises(TraceError) as err:
+        parse_trace(text)
+    assert str(err.value) == "line 2: pid 7 not created yet"
+    lines = parse_trace(f"PROC{brk}uid=1\r\n# a{brk}b\r\nTICK n=2\r\n")
+    assert [(l.line_no, l.text) for l in lines] == [(1, f"PROC{brk}uid=1"), (3, "TICK n=2")]
 
 
 @pytest.mark.parametrize(
@@ -105,3 +142,145 @@ def test_mmap_content_longer_than_the_area_is_rejected():
 
 def test_parse_is_deterministic():
     assert parse_trace(GOOD) == parse_trace(GOOD)
+
+
+def test_events_and_lines_are_frozen_and_slotted():
+    lines = parse_trace(GOOD)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lines[0].line_no = 7
+    for line in lines:
+        field = dataclasses.fields(line.event)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(line.event, field, 0)
+        assert not hasattr(line.event, "__dict__")
+    assert not hasattr(lines[0], "__dict__")
+
+
+def test_events_of_different_kinds_never_compare_equal():
+    assert ReadEvent(1, 1, 0, 64) != FetchEvent(1, 1, 0, 64)
+    assert ReadEvent(1, 1, 0, 64) == ReadEvent(1, 1, 0, 64)
+
+
+# --- the table-driven parser against the reference parser in conftest ---
+
+_OPS = ("PROC", "MMAP", "MPROTECT", "WRITE", "FETCH", "READ", "TICK")
+_BAD_INTS = (
+    "zero", "-1", "+7", "0b11", "0o2", "1_000", "١٢", "²", "0x", "0X1f",
+    "0xg", "0x_1", "", "1e3", "99999999999999999999", "9" * 5000, "010", "00", "0x00ff",
+)
+_BAD_HEX = ("xyz", "abc", "", "0x00", "C3", "zz", "c3c")
+_BAD_PERMS = ("q", "rr", "", "RW", "xwr", "rwxr", "wxw")
+# characters str.splitlines() treats as line ends; only "\n" ends a trace line
+_BREAKS = ("\f", "\v", "\r", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def _int_text(rng: random.Random, value: int) -> str:
+    form = rng.random()
+    if form < 0.6:
+        return str(value)
+    if form < 0.8:
+        return f"{value:#x}"
+    if form < 0.9:
+        return f"0x{value:X}"
+    return f"00{value}"  # leading zeros, still decimal
+
+
+def _fields(rng: random.Random, op: str, n_pids: int, ps: int) -> list[list[str]]:
+    """Fields of a valid line, except for a pid not created yet now and then."""
+    pid = ["pid", _int_text(rng, rng.randint(1, n_pids + (rng.random() < 0.05) or 1))]
+    perms = ["perms", "".join(rng.sample("rwx", rng.randint(1, 3)))]
+    if op == "PROC":
+        return [["uid", _int_text(rng, rng.choice([0, 1, 1000, rng.randrange(1 << 20)]))]]
+    if op == "MMAP":
+        pages = rng.randint(1, 2)
+        fields = [pid, perms, ["pages", _int_text(rng, pages)]]
+        if rng.random() < 0.5:
+            size = rng.choice([1, 3, pages * ps, pages * ps + 1])
+            fields.append(["content", bytes(rng.randrange(256) for _ in range(size)).hex()])
+        if rng.random() < 0.5:
+            fields.append(["at", _int_text(rng, rng.randrange(64))])
+        return fields
+    if op == "MPROTECT":
+        return [pid, ["start", _int_text(rng, rng.randrange(64))],
+                ["pages", _int_text(rng, rng.randint(1, 4))], perms]
+    if op == "TICK":
+        return [["n", _int_text(rng, rng.randint(1, 100))]]
+    size = rng.randint(1, 8)
+    offset = rng.choice([0, rng.randrange(ps), ps - size, ps - size + 1])
+    fields = [pid, ["tid", _int_text(rng, rng.randrange(4))],
+              ["cpu", _int_text(rng, rng.randrange(4))],
+              ["addr", _int_text(rng, rng.randrange(8) * ps + offset)]]
+    if op == "WRITE":
+        fields.append(["bytes", bytes(rng.randrange(256) for _ in range(size)).hex()])
+    return fields
+
+
+def _mutate(rng: random.Random, fields: list[list[str]]) -> None:
+    """One defect: a field dropped, doubled, unknown, keyless or badly valued."""
+    kind = rng.randrange(8)
+    if kind == 0 and fields:
+        fields.pop(rng.randrange(len(fields)))
+    elif kind == 1 and fields:
+        key, value = rng.choice(fields)
+        fields.insert(rng.randrange(len(fields) + 1), [key, rng.choice([value, "1"])])
+    elif kind == 2:
+        fields.append(rng.choice([["foo", "1"], ["extra", ""], ["PID", "1"], ["", "5"]]))
+    elif kind == 3:
+        fields.insert(rng.randrange(len(fields) + 1), [rng.choice(["pid", "x", "42", "="])])
+    elif fields:
+        field = rng.choice(fields)
+        if field[0] in ("bytes", "content"):
+            field[1] = rng.choice(_BAD_HEX)
+        elif field[0] == "perms":
+            field[1] = rng.choice(_BAD_PERMS)
+        else:
+            field[1] = rng.choice(_BAD_INTS + ("0",))
+
+
+def _token_soup(rng: random.Random, ps: int) -> str:
+    """A short trace: mostly valid lines, some with one defect, odd spacing,
+    mixed-case ops, comments and line-break characters other than "\\n"."""
+    lines, n_pids = [], 0
+    for _ in range(rng.randint(1, 10)):
+        roll = rng.random()
+        if roll < 0.08:
+            lines.append(rng.choice(["", "   ", "# note", rng.choice(_BREAKS)]))
+            continue
+        op = "PROC" if roll < 0.2 or (not n_pids and roll < 0.9) else rng.choice(_OPS)
+        fields = _fields(rng, op, n_pids, ps)
+        n_pids += op == "PROC"
+        if rng.random() < 0.12:
+            _mutate(rng, fields)
+        if rng.random() < 0.3:
+            rng.shuffle(fields)
+        if rng.random() < 0.2:
+            op = "".join(c.lower() if rng.random() < 0.5 else c for c in op)
+        if rng.random() < 0.03:
+            op = rng.choice(["BOOM", "PROCS", "#PROC"])
+        tokens = [op] + ["=".join(field) for field in fields]
+        sep = " " if rng.random() < 0.8 else rng.choice(["\t", "  ", *_BREAKS])
+        line = sep.join(tokens)
+        if rng.random() < 0.15:
+            line += f" # {rng.choice(['x', 'build' + rng.choice(_BREAKS) + 'stamp', 'a=b'])}"
+        lines.append(line)
+    return rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])
+
+
+def _outcome(parse, text: str, ps: int):
+    try:
+        return parse(text, page_size=ps)
+    except TraceError as err:
+        return ("error", str(err), err.line)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_same_result_as_the_reference_parser_on_token_soup(seed):
+    rng = random.Random(seed)
+    seen: set[str] = set()
+    for _ in range(400):
+        ps = rng.choice([64, 4096])
+        text = _token_soup(rng, ps)
+        got = _outcome(parse_trace, text, ps)
+        assert got == _outcome(reference_parse_trace, text, ps), text
+        seen.add("parsed" if isinstance(got, list) else got[1].split(": ", 1)[1][:12])
+    assert len(seen) >= 12, seen  # the soup reaches the parse and most error kinds
