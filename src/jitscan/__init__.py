@@ -28,7 +28,7 @@ from .mmu import (
     VmArea,
 )
 from .pipeline import PageSnapshot, SnapshotTable
-from .report import ActionTaken, Detection, EventOutcome, Report
+from .report import ActionTaken, Detection, Report
 from .shadow import BaselineEngine, ShadowEngine
 from .signatures import (
     Match,
@@ -54,7 +54,6 @@ __all__ = [
     "DeadProcessError",
     "Detection",
     "DosGuard",
-    "EventOutcome",
     "FaultCause",
     "FaultEvent",
     "GuardConfig",

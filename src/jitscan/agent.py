@@ -4,8 +4,8 @@
 machine, fault engine, snapshot pipeline, and flood guard, applies the
 trace events in order against a logical clock, and lets the agent
 drain and scan snapshots on a configurable cadence.  The returned
-Report carries per-event outcomes, detections, kill/block actions, and
-run metrics; emitting it twice gives identical bytes.
+Report carries a count of events per outcome, detections, kill/block
+actions, and run metrics; emitting it twice gives identical bytes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .guard import DosGuard, GuardConfig
 from .mmu import AccessKind, Machine, SimError
 from .pipeline import SnapshotTable
-from .report import EventOutcome, Report
+from .report import Report
 from .shadow import BaselineEngine, ShadowEngine, signature_hit
 from .signatures import RuleSet, scan_page
 from .trace import (
@@ -116,25 +116,22 @@ _ACCESS_KINDS = {
 }
 
 
-def _apply_event(machine: Machine, event) -> tuple[str, str | None]:
-    """Run one event; returns (result, detail) for the report."""
+def _apply_event(machine: Machine, event) -> str:
+    """Run one event; returns its result for the report's outcome counts."""
     kind = _ACCESS_KINDS.get(type(event))
     if kind is not None:
         data = event.data if kind is AccessKind.WRITE else None
         result = machine.access(event.pid, event.tid, event.cpu, event.addr, kind, data)
-        return result._value_, None  # the plain string, without the .value property's call
+        return result._value_  # the plain string, without the .value property's call
     if isinstance(event, ProcEvent):
-        pid = machine.create_process(event.uid)
-        return "ok", f"pid={pid}"
-    if isinstance(event, MmapEvent):
-        area = machine.mmap(event.pid, event.perms, event.n_pages, event.content, event.at)
-        return "ok", f"vpages=[{area.start_vpage},{area.end_vpage})"
-    if isinstance(event, MprotectEvent):
+        machine.create_process(event.uid)
+    elif isinstance(event, MmapEvent):
+        machine.mmap(event.pid, event.perms, event.n_pages, event.content, event.at)
+    elif isinstance(event, MprotectEvent):
         machine.mprotect(event.pid, event.start_vpage, event.n_pages, event.perms)
-        return "ok", None
-    if isinstance(event, TickEvent):
-        return "ok", f"now={machine.now}"
-    raise TypeError(f"unknown event type {type(event).__name__}")
+    elif not isinstance(event, TickEvent):
+        raise TypeError(f"unknown event type {type(event).__name__}")
+    return "ok"
 
 
 def replay(
@@ -142,19 +139,24 @@ def replay(
     rules: RuleSet | None = None,
     config: SimConfig | None = None,
 ) -> Report:
-    """Replay a trace to a Report. Deterministic in (trace, rules, config)."""
+    """Replay a trace to a Report. Deterministic in (trace, rules, config).
+
+    Each event's result is counted into ``Report.outcomes`` as it ends;
+    no per-event record is kept.
+    """
     config = config or SimConfig()
     lines = parse_trace(trace, config.page_size) if isinstance(trace, str) else trace
     ctx = build_run(config, rules)
     machine, report, guard, agent = ctx.machine, ctx.report, ctx.guard, ctx.agent
+    outcomes = report.outcomes
     for index, line in enumerate(lines, start=1):
         event = line.event
         machine.now += event.n if isinstance(event, TickEvent) else 1
         try:
-            result, detail = _apply_event(machine, event)
-        except (SimError, ValueError) as exc:
-            result, detail = "error", str(exc)
-        report.record_event(EventOutcome(index, line.line_no, line.text, result, detail))
+            result = _apply_event(machine, event)
+        except (SimError, ValueError):
+            result = "error"
+        outcomes[result] = outcomes.get(result, 0) + 1
         guard.tick(machine.now)
         if config.drain_every > 0 and index % config.drain_every == 0:
             agent.step(config.drain_batch)

@@ -24,8 +24,12 @@ class _BadInput(Exception):
     """Malformed input; main prints it on one line and exits 2."""
 
 
-def _at_least(minimum: int):
-    """argparse type: an integer no smaller than minimum."""
+# the largest --page-size, x86-64's 2 MiB huge page: a page is allocated whole
+MAX_PAGE_SIZE = 2**21
+
+
+def _in_range(minimum: int, maximum: int | None = None):
+    """argparse type: an integer no smaller than minimum and no larger than maximum."""
 
     def parse(text: str) -> int:
         try:
@@ -34,12 +38,15 @@ def _at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return parse
 
 
-_positive = _at_least(1)
+_positive = _in_range(1)
+_page_size = _in_range(1, MAX_PAGE_SIZE)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,8 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="ticks at zero pending before an entry is evicted")
     run.add_argument("--penalty-action", choices=["kill", "block"], default="kill",
                      help="what a throttle denial does to the process")
-    run.add_argument("--page-size", type=_positive, default=4096)
-    run.add_argument("--drain-every", type=_at_least(0), default=1, metavar="N",
+    run.add_argument("--page-size", type=_page_size, default=4096)
+    run.add_argument("--drain-every", type=_in_range(0), default=1, metavar="N",
                      help="agent drains after every Nth event; 0 disables")
     run.add_argument("--report", help="write the report here instead of stdout")
     run.add_argument("--debug-suppress-tlb-flush", action="store_true",
@@ -75,11 +82,11 @@ def _build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="scan one page image against the rules")
     scan.add_argument("--rules", required=True)
     scan.add_argument("--page", required=True, help="page image (at most one page)")
-    scan.add_argument("--page-size", type=_positive, default=4096)
+    scan.add_argument("--page-size", type=_page_size, default=4096)
 
     check = sub.add_parser("check-trace", help="parse and validate a trace file")
     check.add_argument("trace", help="trace file")
-    check.add_argument("--page-size", type=_positive, default=4096)
+    check.add_argument("--page-size", type=_page_size, default=4096)
     return parser
 
 

@@ -52,7 +52,7 @@ def respond(
             machine.kill_process(pid)
         else:
             space.blocked = True
-        report.record_action(ActionTaken(pid, uid, action, cause, rule=rule, path=path))
+        report.actions.append(ActionTaken(pid, uid, action, cause, rule=rule, path=path))
     return AccessResult.KILLED if action == "kill" else AccessResult.BLOCKED
 
 
@@ -66,7 +66,7 @@ def signature_hit(
     only recorded.  Returns OK when the process may go on.
     """
     action = detection_action if rule.severity == "kill" else "alert"
-    report.record_detection(
+    report.detections.append(
         Detection(
             pid=pid, uid=uid, vpage=vpage,
             offset=offset, vaddr=vpage * machine.page_size + offset,

@@ -98,7 +98,6 @@ TraceEvent = (
 @dataclass(frozen=True, slots=True)
 class TraceLine:
     line_no: int
-    text: str
     event: TraceEvent
 
 
@@ -128,7 +127,7 @@ _GRAMMAR: dict[str, tuple[type, tuple[tuple[str, str, int], ...]]] = {
 }
 
 
-def done(line_no: int, text: str, event: TraceEvent, unknown: dict, page_size: int) -> TraceLine:
+def done(line_no: int, event: TraceEvent, unknown: dict, page_size: int) -> TraceLine:
     """The whole-line checks once every field is read, then the line.
 
     ``bench/layers.py`` counts parsed event lines by calls to this name.
@@ -146,7 +145,7 @@ def done(line_no: int, text: str, event: TraceEvent, unknown: dict, page_size: i
             raise TraceError("write payload crosses a page boundary", line_no)
     if unknown:
         raise TraceError(f"unknown field(s): {', '.join(sorted(unknown))}", line_no)
-    return TraceLine(line_no, text, event)
+    return TraceLine(line_no, event)
 
 
 def parse_trace(text: str, page_size: int = 4096) -> list[TraceLine]:
@@ -204,5 +203,5 @@ def parse_trace(text: str, page_size: int = 4096) -> list[TraceLine]:
                     raise TraceError(f"{key} must be hex bytes, got {value!r}", line_no)
         if cls is ProcEvent:
             n_pids += 1
-        out.append(done(line_no, stripped, cls(*args), fields, page_size))
+        out.append(done(line_no, cls(*args), fields, page_size))
     return out

@@ -287,7 +287,7 @@ def reference_parse_trace(text: str, page_size: int = 4096) -> list[TraceLine]:
         else:
             raise TraceError(f"unknown event {tokens[0]!r}", line_no)
         line.done()
-        out.append(TraceLine(line_no, stripped, event))
+        out.append(TraceLine(line_no, event))
     return out
 
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -49,13 +51,13 @@ class TestReplay:
             f"READ pid=1 tid=1 cpu=0 addr={16 * PS}\n",
             rules(),
         )
-        assert [e.result for e in report.events] == ["ok", "ok", "ok", "ok"]
+        assert report.outcomes == {"ok": 4}
         assert report.metrics["snapshots_emitted"] == 0
         assert report.metrics["detections"] == 0
 
     def test_packer_write_then_fetch_is_caught_async(self):
         report = replay(PACKER_TRACE, rules())
-        assert [e.result for e in report.events] == ["ok", "ok", "ok", "ok"]
+        assert report.outcomes == {"ok": 4}
         assert len(report.detections) == 1
         det = report.detections[0]
         assert (det.rule, det.path, det.action) == ("dropper", "async", "kill")
@@ -66,13 +68,18 @@ class TestReplay:
     def test_kill_mid_trace_turns_later_events_into_errors(self):
         trace = PACKER_TRACE + f"FETCH pid=1 tid=1 cpu=0 addr={17 * PS}\n"
         report = replay(trace, rules())
-        assert report.events[-1].result == "error"
-        assert "dead" in report.events[-1].detail
+        assert report.outcomes == {"ok": 4, "error": 1}
+        assert report.metrics["kills"] == 1
 
     @pytest.mark.parametrize(
-        "action,result", [("kill", "killed"), ("block", "blocked"), ("alert", "ok")]
+        "action,outcomes",
+        [
+            ("kill", {"ok": 3, "killed": 1}),
+            ("block", {"ok": 3, "blocked": 1}),
+            ("alert", {"ok": 4}),
+        ],
     )
-    def test_sync_rule_kills_at_the_fetch(self, action, result):
+    def test_sync_rule_kills_at_the_fetch(self, action, outcomes):
         stub_at = 16 * PS + 64  # the fetch lands elsewhere on the page
         trace = (
             "PROC uid=1000\n"
@@ -83,7 +90,7 @@ class TestReplay:
         report = replay(
             trace, rules(SYNC_RULES_TEXT + ASYNC_RULES), SimConfig(detection_action=action)
         )
-        assert report.events[-1].result == result
+        assert report.outcomes == outcomes  # only the fetch can stop
         sync = report.detections[0]
         assert (sync.path, sync.action, sync.offset, sync.vaddr) == ("sync", action, 64, stub_at)
         if action == "alert":
@@ -108,14 +115,13 @@ class TestReplay:
             f"FETCH pid=1 tid=1 cpu=0 addr={16 * PS}\n"
         )
         report = replay(trace, rules(SYNC_RULES_TEXT), SimConfig(sync_check=False))
-        assert report.events[-1].result == "ok"  # the fetch went through
+        assert report.outcomes == {"ok": 4}  # the fetch went through
         assert [d.path for d in report.detections] == ["async"]
         assert [a.path for a in report.actions] == ["async"]
 
     def test_async_lag_lets_the_fetch_run_first(self):
         report = replay(PACKER_TRACE, rules(), SimConfig(drain_every=100))
-        fetch_outcome = report.events[3]
-        assert fetch_outcome.result == "ok"
+        assert report.outcomes == {"ok": 4}  # the fetch ran before the scan
         # detection still lands (end-of-trace drain) and is async
         assert [d.path for d in report.detections] == ["async"]
         assert report.metrics["pending_high_watermark"] == 1
@@ -133,7 +139,7 @@ class TestReplay:
             f"READ pid=1 tid=1 cpu=0 addr={16 * PS}\n"
         )
         report = replay(trace, rules(), SimConfig(detection_action="block"))
-        assert [e.result for e in report.events[-2:]] == ["blocked", "blocked"]
+        assert report.outcomes == {"ok": 4, "blocked": 2}
         assert report.metrics["blocks"] == 1
 
     def test_alert_severity_rules_never_kill(self):
@@ -147,7 +153,7 @@ class TestReplay:
         report = replay(trace, rules())
         assert [d.rule for d in report.detections] == ["probe", "probe"]  # overlap
         assert report.actions == []
-        assert report.events[-1].result == "ok"
+        assert report.outcomes == {"ok": 5}
         assert not report.any_kill_detection
 
     def test_flood_is_throttled_and_second_pid_shares_the_penalty(self):
@@ -162,11 +168,9 @@ class TestReplay:
             guard=GuardConfig(threshold=8, ttl_penalty=1000, ttl_evict=5000),
         )
         report = replay("\n".join(lines) + "\n", rules(), config)
-        fetches = [e.result for e in report.events[4:]]
-        assert fetches[:8] == ["ok"] * 8
-        assert fetches[8] == "killed"  # pid 1 dies at the 9th fresh page
-        assert all(r == "error" for r in fetches[9:12])  # pid 1 is gone
-        assert fetches[12] == "killed"  # pid 2, same uid, penalty window
+        # 4 setup events and 8 admitted fetches; pid 1 dies at its 9th fetch,
+        # its last 3 fail, and pid 2 (same uid) dies in the penalty window
+        assert report.outcomes == {"ok": 12, "killed": 2, "error": 3}
         throttle_actions = [a for a in report.actions if a.cause == "throttle"]
         assert [a.pid for a in throttle_actions] == [1, 2]
         assert report.metrics["admits"] == 8
@@ -182,6 +186,35 @@ class TestReplay:
         config = SimConfig(guard=GuardConfig(threshold=8, ttl_penalty=10, ttl_evict=50))
         report = replay(trace, rules(), config)
         assert report.metrics["evictions"] == 1
+
+    def test_retained_memory_does_not_grow_with_trace_length(self):
+        def benign(n_accesses: int) -> str:
+            lines = ["PROC uid=1", "MMAP pid=1 perms=rw pages=4 at=16"]
+            for i in range(n_accesses):
+                addr = (16 + i % 4) * PS + (i * 8) % PS
+                if i % 2:
+                    lines.append(f"WRITE pid=1 tid=1 cpu=1 addr={addr} bytes=00ff")
+                else:
+                    lines.append(f"READ pid=1 tid=1 cpu=0 addr={addr}")
+            return "\n".join(lines) + "\n"
+
+        def retained(text: str) -> int:
+            """Bytes still allocated after replay(text), its report held."""
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                report = replay(text)
+                gc.collect()
+                after = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert report.outcomes == {"ok": text.count("\n")}
+            return after - before
+
+        replay(benign(10))  # first-call caches are not the report's
+        small, large = benign(2_000), benign(8_000)
+        assert retained(large) < retained(small) + 16 * 1024
 
     def test_replay_accepts_preparsed_lines(self):
         from jitscan.trace import parse_trace
@@ -397,6 +430,11 @@ class TestCli:
             ["check-trace", "{trace}", "--page-size", "0"],
             ["check-trace", "{trace}", "--page-size", "-4"],
             ["scan", "--rules", "{rules}", "--page", "{binary}", "--page-size", "0"],
+            # a page is allocated whole, so the size is capped before any allocation
+            ["run", "--trace", "{trace}", "--rules", "{rules}", "--page-size", "2097153"],
+            ["run", "--trace", "{trace}", "--rules", "{rules}", "--page-size", "1099511627776"],
+            ["scan", "--rules", "{rules}", "--page", "{trace}", "--page-size", "1099511627776"],
+            ["check-trace", "{trace}", "--page-size", "1099511627776"],
         ],
     )
     def test_malformed_input_exits_2_without_traceback(self, files, capsys, argv):

@@ -89,7 +89,7 @@ def test_line_breaks_other_than_newline_keep_line_numbers(brk):
         parse_trace(text)
     assert str(err.value) == "line 2: pid 7 not created yet"
     lines = parse_trace(f"PROC{brk}uid=1\r\n# a{brk}b\r\nTICK n=2\r\n")
-    assert [(l.line_no, l.text) for l in lines] == [(1, f"PROC{brk}uid=1"), (3, "TICK n=2")]
+    assert [(l.line_no, l.event) for l in lines] == [(1, ProcEvent(1)), (3, TickEvent(2))]
 
 
 @pytest.mark.parametrize(
