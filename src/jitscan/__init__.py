@@ -15,8 +15,6 @@ from .mmu import (
     AccessResult,
     AddressSpace,
     DeadProcessError,
-    FaultCause,
-    FaultEvent,
     Machine,
     OverlapError,
     PageNotPresentError,
@@ -54,8 +52,6 @@ __all__ = [
     "DeadProcessError",
     "Detection",
     "DosGuard",
-    "FaultCause",
-    "FaultEvent",
     "GuardConfig",
     "Machine",
     "Match",

@@ -6,9 +6,9 @@ CPU keeps an infinite TLB caching the (writable, exec_disabled) pair a
 page walk last produced.  Stale entries are honored on purpose; a
 permission edit becomes visible to a CPU only once the page's entry is
 flushed or the access traps.  Fault handling is delegated to a
-pluggable engine so the same machine can run under the shadow W^X
-engine or a plain baseline; each hook returns the AccessResult the
-access ends with, OK meaning it proceeds.
+pluggable engine, the shadow W^X engine or a plain baseline, whose
+hooks take the space, area and page entry the access walk resolved and
+return the AccessResult the access ends with, OK meaning it proceeds.
 """
 
 from __future__ import annotations
@@ -47,13 +47,6 @@ class AccessKind(str, enum.Enum):
     READ = "read"
     WRITE = "write"
     FETCH = "fetch"
-
-
-class FaultCause(str, enum.Enum):
-    NOT_PRESENT = "not_present"
-    WRITE_VIOLATION = "write_violation"
-    EXEC_VIOLATION = "exec_violation"
-    INVALID_AREA = "invalid_area"
 
 
 class AccessResult(str, enum.Enum):
@@ -181,17 +174,6 @@ class SimCpu:
     tlb: dict[tuple[int, int], tuple[bool, bool]] = field(default_factory=dict)
 
 
-@dataclass
-class FaultEvent:
-    pid: int
-    tid: int
-    cpu_id: int
-    vaddr: int
-    vpage: int
-    kind: AccessKind
-    cause: FaultCause
-
-
 def _permits(kind: AccessKind, writable: bool, exec_disabled: bool) -> bool:
     if kind is AccessKind.WRITE:
         return writable
@@ -203,9 +185,12 @@ def _permits(kind: AccessKind, writable: bool, exec_disabled: bool) -> bool:
 class Machine:
     """The simulated machine: processes, frames, CPUs, logical clock.
 
-    A fault engine must be attached before accesses run; its hooks
-    receive FaultEvents and return the AccessResult of the access, OK to
-    let it proceed, after applying any kill or block (see the shadow module).
+    A fault engine must be attached before accesses run.  Per trap,
+    ``access`` calls on_materialize(space, area, vpage, vaddr, tid, kind)
+    for a page not present, handle_write_fault(space, area, pte, vpage) for
+    a denied write or handle_exec_fault(space, area, pte, vpage, vaddr, tid)
+    for a denied fetch.  Each applies any kill or block (see the shadow
+    module) and returns the AccessResult of the access, OK to proceed.
     """
 
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE, suppress_tlb_flush: bool = False):
@@ -290,12 +275,13 @@ class Machine:
             area.logical_r = "r" in perms
             area.logical_w = "w" in perms
             area.logical_x = "x" in perms
-            for vpage in range(area.start_vpage, area.end_vpage):
+            # walk the fewer of the piece's vpages and the pid's present pages
+            vpages = range(area.start_vpage, area.end_vpage)
+            for vpage in vpages if len(vpages) <= len(space.ptes) else space.ptes:
                 pte = space.ptes.get(vpage)
-                if pte is None or not pte.present:
-                    continue
-                rule(pte, area, old_w, old_x)
-                self.tlb_flush_one(pid, vpage)
+                if pte is not None and pte.present and area.contains(vpage):
+                    rule(pte, area, old_w, old_x)
+                    self.tlb_flush_one(pid, vpage)
 
     def kill_process(self, pid: int) -> None:
         space = self.spaces.get(pid)
@@ -324,7 +310,6 @@ class Machine:
         *,
         writable: bool,
         exec_disabled: bool,
-        orig_write: bool = False,
         orig_exe: bool = False,
     ) -> PageTableEntry:
         frame = self._next_frame
@@ -334,7 +319,6 @@ class Machine:
             present=True,
             writable=writable,
             exec_disabled=exec_disabled,
-            orig_write=orig_write,
             orig_exe=orig_exe,
             frame=frame,
         )
@@ -409,15 +393,11 @@ class Machine:
         pte = space.ptes.get(vpage)
         result = AccessResult.OK
         if area is None or pte is None or not pte.present:
-            cause = FaultCause.INVALID_AREA if area is None else FaultCause.NOT_PRESENT
-            fault = FaultEvent(pid, tid, cpu_id, vaddr, vpage, kind, cause)
-            result = self.engine.on_materialize(fault, area)
+            result = self.engine.on_materialize(space, area, vpage, vaddr, tid, kind)
         elif kind is AccessKind.WRITE and not pte.writable:
-            fault = FaultEvent(pid, tid, cpu_id, vaddr, vpage, kind, FaultCause.WRITE_VIOLATION)
-            result = self.engine.handle_write_fault(fault)
+            result = self.engine.handle_write_fault(space, area, pte, vpage)
         elif kind is AccessKind.FETCH and pte.exec_disabled:
-            fault = FaultEvent(pid, tid, cpu_id, vaddr, vpage, kind, FaultCause.EXEC_VIOLATION)
-            result = self.engine.handle_exec_fault(fault)
+            result = self.engine.handle_exec_fault(space, area, pte, vpage, vaddr, tid)
         if result is not AccessResult.OK:
             return result
 

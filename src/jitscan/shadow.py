@@ -19,7 +19,8 @@ executable.
 
 Pages that are executable but never writable get one content check on
 the fetch that materializes them and are otherwise left alone; pages
-without execute rights never interact with any of this.
+without execute rights never interact with any of this.  Each hook takes
+the space, area and page entry ``Machine.access`` resolved.
 
 ``respond`` is the single point where a process is killed or blocked,
 for the sync check, the flood guard and the async agent alike;
@@ -28,10 +29,8 @@ for the sync check, the flood guard and the async agent alike;
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .guard import DosGuard
-from .mmu import AccessKind, AccessResult, FaultCause, FaultEvent, Machine, PageTableEntry, VmArea
+from .mmu import AccessKind, AccessResult, AddressSpace, Machine, PageTableEntry, VmArea
 from .pipeline import PageSnapshot, SnapshotTable
 from .report import ActionTaken, Detection, Report
 from .signatures import RuleSet, SignatureRule, sync_check
@@ -134,70 +133,61 @@ class ShadowEngine:
 
     # ---- fault hooks ---------------------------------------------------
 
-    def on_materialize(self, fault: FaultEvent, area: VmArea | None) -> AccessResult:
+    def on_materialize(
+        self, space: AddressSpace, area: VmArea | None, vpage: int, vaddr: int, tid: int,
+        kind: AccessKind,
+    ) -> AccessResult:
         """Not-present fault: materialize the page per its area class."""
-        if area is None or not area.permits(fault.kind):
+        if area is None or not area.permits(kind):
             return AccessResult.SEGV_DELIVERED  # nothing materializes
         machine = self.machine
-        space = machine.space(fault.pid)
         if area.logical_x and area.logical_w:
             # fetches must trap until the content has been checked
-            machine.install_page(
-                space, area, fault.vpage,
-                writable=True, exec_disabled=True, orig_exe=True,
+            pte = machine.install_page(
+                space, area, vpage, writable=True, exec_disabled=True, orig_exe=True,
             )
-            if fault.kind is AccessKind.FETCH:
+            if kind is AccessKind.FETCH:
                 # materialize-then-check in one step: a single snapshot
-                return self.handle_exec_fault(
-                    replace(fault, cause=FaultCause.EXEC_VIOLATION)
-                )
+                return self.handle_exec_fault(space, area, pte, vpage, vaddr, tid)
             return AccessResult.OK
         if area.logical_x:
-            machine.install_page(
-                space, area, fault.vpage, writable=False, exec_disabled=False,
-            )
-            if fault.kind is AccessKind.FETCH:
-                return self._checked_fetch(fault, space.uid)
+            pte = machine.install_page(space, area, vpage, writable=False, exec_disabled=False)
+            if kind is AccessKind.FETCH:
+                return self._checked_fetch(space, pte, vpage, vaddr, tid)
             return AccessResult.OK
-        machine.install_page(
-            space, area, fault.vpage,
-            writable=area.logical_w, exec_disabled=True,
-        )
+        machine.install_page(space, area, vpage, writable=area.logical_w, exec_disabled=True)
         return AccessResult.OK
 
-    def handle_write_fault(self, fault: FaultEvent) -> AccessResult:
+    def handle_write_fault(
+        self, space: AddressSpace, area: VmArea, pte: PageTableEntry, vpage: int,
+    ) -> AccessResult:
         """Write trap: shadow-induced ones flip the page to write mode."""
-        machine = self.machine
-        space = machine.space(fault.pid)
-        area = space.find_area(fault.vpage)
-        pte = space.ptes[fault.vpage]  # write traps come from present pages
-        if area is None or not area.logical_w or not pte.orig_write:
+        if not area.logical_w or not pte.orig_write:
             return AccessResult.SEGV_DELIVERED
         pte.exec_disabled = True
         pte.writable = True
         pte.orig_exe = True
         pte.orig_write = False
-        machine.tlb_flush_one(fault.pid, fault.vpage)
+        self.machine.tlb_flush_one(space.pid, vpage)
         return AccessResult.OK
 
-    def handle_exec_fault(self, fault: FaultEvent) -> AccessResult:
+    def handle_exec_fault(
+        self, space: AddressSpace, area: VmArea, pte: PageTableEntry, vpage: int, vaddr: int,
+        tid: int,
+    ) -> AccessResult:
         """Fetch trap: check content, snapshot it, flip to exec mode."""
-        machine = self.machine
-        space = machine.space(fault.pid)
-        pte = space.ptes[fault.vpage]
         if not pte.orig_exe:
             return AccessResult.SEGV_DELIVERED
-        result = self._checked_fetch(fault, space.uid)
+        result = self._checked_fetch(space, pte, vpage, vaddr, tid)
         if result is not AccessResult.OK:
             return result
-        area = space.find_area(fault.vpage)
         pte.exec_disabled = False
         pte.writable = False
         pte.orig_exe = False
         # orig_write names the masked write permission; only W^X areas
         # stay under the machine once rechecked
-        pte.orig_write = bool(area is not None and area.logical_w and area.logical_x)
-        machine.tlb_flush_one(fault.pid, fault.vpage)
+        pte.orig_write = area.logical_w and area.logical_x
+        self.machine.tlb_flush_one(space.pid, vpage)
         return AccessResult.OK
 
     def on_mprotect(self, pid: int, start_vpage: int, n_pages: int, perms: str) -> None:
@@ -206,28 +196,31 @@ class ShadowEngine:
 
     # ---- the exec-side content check ------------------------------------
 
-    def _checked_fetch(self, fault: FaultEvent, uid: int) -> AccessResult:
+    def _checked_fetch(
+        self, space: AddressSpace, pte: PageTableEntry, vpage: int, vaddr: int, tid: int,
+    ) -> AccessResult:
         """Sync check, flood-guard admission, snapshot emission."""
         machine = self.machine
-        content = machine.read_page(fault.pid, fault.vpage)
+        pid, uid = space.pid, space.uid
+        content = bytes(machine.frames[pte.frame])
         if self.sync_check_enabled and self.rules is not None:
             hit = sync_check(content, self.rules)
             if hit is not None:
                 result = signature_hit(
-                    machine, self.report, self.rules.by_name[hit.rule], fault.pid, uid,
-                    fault.vpage, hit.offset, "sync", self.detection_action,
+                    machine, self.report, self.rules.by_name[hit.rule], pid, uid,
+                    vpage, hit.offset, "sync", self.detection_action,
                 )
                 if result is not AccessResult.OK:
                     return result
         if self.guard is not None:
-            admission = self.guard.admit(uid, fault.pid, machine.now)
+            admission = self.guard.admit(uid, pid, machine.now)
             if not admission.admitted:
-                return respond(machine, self.report, fault.pid, uid, admission.action, "throttle")
+                return respond(machine, self.report, pid, uid, admission.action, "throttle")
         if self.pipeline is not None:
             self.pipeline.enqueue(
                 PageSnapshot(
-                    content=content, offset=fault.vaddr % machine.page_size, vaddr=fault.vaddr,
-                    vpage=fault.vpage, pid=fault.pid, tid=fault.tid, uid=uid,
+                    content=content, offset=vaddr % machine.page_size, vaddr=vaddr,
+                    vpage=vpage, pid=pid, tid=tid, uid=uid,
                 )
             )
         return AccessResult.OK
@@ -244,20 +237,26 @@ class BaselineEngine:
     def __init__(self, machine: Machine):
         self.machine = machine
 
-    def on_materialize(self, fault: FaultEvent, area: VmArea | None) -> AccessResult:
-        if area is None or not area.permits(fault.kind):
+    def on_materialize(
+        self, space: AddressSpace, area: VmArea | None, vpage: int, vaddr: int, tid: int,
+        kind: AccessKind,
+    ) -> AccessResult:
+        if area is None or not area.permits(kind):
             return AccessResult.SEGV_DELIVERED
-        space = self.machine.space(fault.pid)
         self.machine.install_page(
-            space, area, fault.vpage,
-            writable=area.logical_w, exec_disabled=not area.logical_x,
+            space, area, vpage, writable=area.logical_w, exec_disabled=not area.logical_x,
         )
         return AccessResult.OK
 
-    def handle_write_fault(self, fault: FaultEvent) -> AccessResult:
+    def handle_write_fault(
+        self, space: AddressSpace, area: VmArea, pte: PageTableEntry, vpage: int,
+    ) -> AccessResult:
         return AccessResult.SEGV_DELIVERED
 
-    def handle_exec_fault(self, fault: FaultEvent) -> AccessResult:
+    def handle_exec_fault(
+        self, space: AddressSpace, area: VmArea, pte: PageTableEntry, vpage: int, vaddr: int,
+        tid: int,
+    ) -> AccessResult:
         return AccessResult.SEGV_DELIVERED
 
     def on_mprotect(self, pid: int, start_vpage: int, n_pages: int, perms: str) -> None:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
+import jitscan
 from jitscan.mmu import (
     AccessKind,
     AccessResult,
@@ -13,6 +15,7 @@ from jitscan.mmu import (
     Machine,
     OverlapError,
     PageNotPresentError,
+    SimError,
     UnknownProcessError,
     UnmappedRangeError,
     VmArea,
@@ -282,3 +285,96 @@ class TestMmapMprotect:
         machine.mprotect(pid, 16, 1, "r")
         assert machine.access(pid, 1, 0, 16 * PS, AccessKind.WRITE, b"y") is AccessResult.SEGV_DELIVERED
         assert machine.read_page(pid, 16)[:1] == b"x"
+
+    def test_mprotect_cost_follows_present_pages_not_range_size(self):
+        machine = shadow_machine()
+        pid = machine.create_process(uid=0)
+        n = 10**8
+        machine.mmap(pid, "rw", n, at=16)
+        touched = 16 + n // 2
+        machine.access(pid, 1, 0, touched * PS, AccessKind.WRITE, b"x")
+        t0 = time.perf_counter()
+        machine.mprotect(pid, 16, n, "rx")
+        elapsed = time.perf_counter() - t0
+        pte = machine.spaces[pid].ptes[touched]
+        # gained X: the next fetch must re-run the content check
+        assert (pte.writable, pte.exec_disabled, pte.orig_exe, pte.orig_write) == (
+            False, True, True, False,
+        )
+        assert machine.access(pid, 1, 0, touched * PS, AccessKind.FETCH) is AccessResult.OK
+        assert elapsed < 1.0
+
+    def test_small_mprotect_cost_does_not_follow_process_size(self):
+        ps = 64
+        machine = shadow_machine(page_size=ps)
+        pid = machine.create_process(uid=0)
+        n = 2 * 10**4
+        machine.mmap(pid, "rw", n, at=16)
+        for vpage in range(16, 16 + n):
+            machine.access(pid, 1, 0, vpage * ps, AccessKind.WRITE, b"x")
+        t0 = time.perf_counter()
+        for i in range(2000):
+            machine.mprotect(pid, 16 + i % 8, 1, "rx" if i // 8 % 2 == 0 else "rw")
+        elapsed = time.perf_counter() - t0
+        ptes = machine.spaces[pid].ptes
+        assert [ptes[16 + i].writable for i in range(8)] == [True] * 8
+        assert machine.access(pid, 1, 0, 16 * ps, AccessKind.FETCH) is AccessResult.SEGV_DELIVERED
+        assert elapsed < 1.0
+
+
+class PermissiveStub:
+    """Fault engine that records each hook's arguments and allows every trap unchanged."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_materialize(self, space, area, vpage, vaddr, tid, kind):
+        self.calls.append(("on_materialize", space, area, vpage, vaddr, tid, kind))
+        return AccessResult.OK
+
+    def handle_write_fault(self, space, area, pte, vpage):
+        self.calls.append(("handle_write_fault", space, area, pte, vpage))
+        return AccessResult.OK
+
+    def handle_exec_fault(self, space, area, pte, vpage, vaddr, tid):
+        self.calls.append(("handle_exec_fault", space, area, pte, vpage, vaddr, tid))
+        return AccessResult.OK
+
+
+class TestFaultEngineContract:
+    def test_ok_without_materializing_is_a_sim_error(self):
+        machine = Machine(page_size=PS)
+        stub = PermissiveStub()
+        machine.attach_engine(stub)
+        pid = machine.create_process(uid=0)
+        area = machine.mmap(pid, "rw", 2, at=16)
+        with pytest.raises(SimError, match="left it impermissible"):
+            machine.access(pid, 7, 0, 17 * PS + 3, AccessKind.READ)
+        space = machine.spaces[pid]
+        assert stub.calls == [("on_materialize", space, area, 17, 17 * PS + 3, 7, AccessKind.READ)]
+        assert stub.calls[0][1] is space and stub.calls[0][2] is area
+        assert space.ptes == {}
+
+    def test_ok_leaving_bits_unchanged_is_a_sim_error(self):
+        machine = Machine(page_size=PS)
+        machine.attach_engine(BaselineEngine(machine))
+        pid = machine.create_process(uid=0)
+        area = machine.mmap(pid, "r", 1, at=16)
+        assert machine.access(pid, 1, 0, 16 * PS, AccessKind.READ) is AccessResult.OK
+        stub = PermissiveStub()
+        machine.attach_engine(stub)
+        space = machine.spaces[pid]
+        pte = space.ptes[16]
+        with pytest.raises(SimError, match="left it impermissible"):
+            machine.access(pid, 2, 1, 16 * PS + 1, AccessKind.WRITE, b"w")
+        with pytest.raises(SimError, match="left it impermissible"):
+            machine.access(pid, 3, 1, 16 * PS + 2, AccessKind.FETCH)
+        assert stub.calls == [
+            ("handle_write_fault", space, area, pte, 16),
+            ("handle_exec_fault", space, area, pte, 16, 16 * PS + 2, 3),
+        ]
+        assert all(call[3] is pte for call in stub.calls)
+
+
+def test_every_public_name_resolves():
+    assert [n for n in jitscan.__all__ if not hasattr(jitscan, n)] == []
