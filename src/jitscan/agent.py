@@ -37,7 +37,6 @@ class SimConfig:
     sync_check: bool = True
     detection_action: str = "kill"  # response to signature hits: kill|block|alert
     shadow: bool = True  # False runs the plain baseline engine
-    suppress_tlb_flush: bool = False  # debug: drop cross-CPU shootdowns
     drain_every: int = 1  # agent cadence in events; 0 disables draining
     drain_batch: int = 0  # snapshots per agent step; 0 means no limit
     guard: GuardConfig = field(default_factory=GuardConfig)
@@ -89,7 +88,7 @@ class RunContext:
 def build_run(config: SimConfig | None = None, rules: RuleSet | None = None) -> RunContext:
     """Wire a machine, engine, pipeline, guard, and agent from config."""
     config = config or SimConfig()
-    machine = Machine(page_size=config.page_size, suppress_tlb_flush=config.suppress_tlb_flush)
+    machine = Machine(page_size=config.page_size)
     report = Report()
     guard = DosGuard(config.guard)
     pipeline = SnapshotTable(on_delivered=lambda uid: guard.on_delivered(uid, machine.now))

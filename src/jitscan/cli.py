@@ -76,8 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--drain-every", type=_in_range(0), default=1, metavar="N",
                      help="agent drains after every Nth event; 0 disables")
     run.add_argument("--report", help="write the report here instead of stdout")
-    run.add_argument("--debug-suppress-tlb-flush", action="store_true",
-                     help=argparse.SUPPRESS)
 
     scan = sub.add_parser("scan", help="scan one page image against the rules")
     scan.add_argument("--rules", required=True)
@@ -106,7 +104,6 @@ def _cmd_run(args) -> int:
         page_size=args.page_size,
         sync_check=args.sync_check == "on",
         detection_action=args.action,
-        suppress_tlb_flush=args.debug_suppress_tlb_flush,
         drain_every=args.drain_every,
         guard=GuardConfig(
             threshold=args.threshold,

@@ -65,7 +65,7 @@ class PageTableEntry:
     exec_disabled: bool = False
     orig_write: bool = False
     orig_exe: bool = False
-    frame: int | None = None
+    frame: bytearray | None = None  # the page's bytes while present
 
 
 @dataclass
@@ -200,11 +200,9 @@ class Machine:
         self.suppress_tlb_flush = suppress_tlb_flush
         self.spaces: dict[int, AddressSpace] = {}
         self.cpus: dict[int, SimCpu] = {}
-        self.frames: dict[int, bytearray] = {}
         self.now = 0
         self.engine = None
         self._next_pid = 1
-        self._next_frame = 1
 
     def attach_engine(self, engine) -> None:
         self.engine = engine
@@ -284,9 +282,7 @@ class Machine:
                     self.tlb_flush_one(pid, vpage)
 
     def kill_process(self, pid: int) -> None:
-        space = self.spaces.get(pid)
-        if space is None:
-            raise UnknownProcessError(f"no such pid {pid}")
+        space = self.space(pid, require_alive=False)
         if not space.alive:
             return  # idempotent
         space.alive = False
@@ -312,15 +308,12 @@ class Machine:
         exec_disabled: bool,
         orig_exe: bool = False,
     ) -> PageTableEntry:
-        frame = self._next_frame
-        self._next_frame += 1
-        self.frames[frame] = bytearray(area.backing_for(vpage, self.page_size))
         pte = PageTableEntry(
             present=True,
             writable=writable,
             exec_disabled=exec_disabled,
             orig_exe=orig_exe,
-            frame=frame,
+            frame=bytearray(area.backing_for(vpage, self.page_size)),
         )
         space.ptes[vpage] = pte
         return pte
@@ -330,7 +323,7 @@ class Machine:
         pte = space.ptes.get(vpage)
         if pte is None or not pte.present:
             raise PageNotPresentError(f"pid {pid}: vpage {vpage} not present")
-        return bytes(self.frames[pte.frame])
+        return bytes(pte.frame)
 
     def tlb_flush_one(self, pid: int, vpage: int) -> None:
         """Drop one page's entry from every CPU (broadcast shootdown)."""
@@ -346,7 +339,7 @@ class Machine:
         for pid, space in self.spaces.items():
             for vpage, pte in space.ptes.items():
                 if pte.present:
-                    out[(pid, vpage)] = bytes(self.frames[pte.frame])
+                    out[(pid, vpage)] = bytes(pte.frame)
         return out
 
     # ---- the access path ----------------------------------------------
@@ -414,4 +407,4 @@ class Machine:
     def _apply(self, pte: PageTableEntry, vaddr: int, kind: AccessKind, data: bytes | None) -> None:
         if kind is AccessKind.WRITE:
             off = vaddr % self.page_size
-            self.frames[pte.frame][off : off + len(data)] = data
+            pte.frame[off : off + len(data)] = data

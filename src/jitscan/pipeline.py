@@ -3,8 +3,12 @@
 Producers (fault hooks) enqueue page snapshots; the agent drains them.
 Snapshots land in hash buckets keyed by pid, each bucket a FIFO with
 its own lock, so enqueues and drains on different buckets proceed
-independently.  A global counter stamps every snapshot with a strictly
-increasing sequence number at enqueue time.
+independently.  A ready ring holds the index of each non-empty bucket
+exactly once, in the order the buckets became non-empty; a drain
+serves the bucket at its front and requeues it at the back while it
+still holds items, so the cost of a drain follows what is pending, not
+the bucket count.  A global counter stamps every snapshot with a
+strictly increasing sequence number at enqueue time.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ class _Bucket:
 
 
 class SnapshotTable:
-    """Fixed bucket array; per-bucket FIFO; round-robin drain order."""
+    """Fixed bucket array; per-bucket FIFO; round-robin drain over a ring
+    of non-empty buckets."""
 
     def __init__(self, n_buckets: int = DEFAULT_BUCKETS, on_delivered=None):
         if n_buckets < 1:
@@ -50,15 +55,18 @@ class SnapshotTable:
         self._pending_bytes = 0
         self._high_watermark = 0
         self._enqueued_total = 0
-        self._rr = 0  # next bucket the drain scan starts from
+        self._ready: deque[int] = deque()  # non-empty bucket indices, each once
 
     def bucket_of(self, pid: int) -> int:
         return hash(pid) % self.n_buckets
 
     def enqueue(self, snap: PageSnapshot) -> int:
         snap.seq = next(self._seq)
-        bucket = self._buckets[self.bucket_of(snap.pid)]
+        idx = self.bucket_of(snap.pid)
+        bucket = self._buckets[idx]
         with bucket.lock:
+            if not bucket.items:
+                self._ready.append(idx)
             bucket.items.append(snap)
         with self._stats_lock:
             self._pending += 1
@@ -71,33 +79,31 @@ class SnapshotTable:
     def drain(self, max_items: int | None = None) -> list[PageSnapshot]:
         """Remove up to max_items snapshots (all pending when None).
 
-        One snapshot per non-empty bucket per sweep, resuming after the
-        bucket served last, so no bucket starves.  Returns at once, with
-        no bucket locked, when nothing is pending.
+        Serves the bucket at the front of the ready ring, one snapshot at
+        a time, and puts it back at the end while it still holds items:
+        buckets are served in the order they became non-empty, and no
+        bucket is served twice while another non-empty one waits.
+        Returns at once, with no lock taken, when nothing is pending.
         """
         out: list[PageSnapshot] = []
-        with self._stats_lock:
-            left = self._pending
-        while left and (max_items is None or len(out) < max_items):
-            snap = None
-            for step in range(self.n_buckets):
-                idx = (self._rr + step) % self.n_buckets
-                bucket = self._buckets[idx]
-                with bucket.lock:
-                    if bucket.items:
-                        snap = bucket.items.popleft()
-                if snap is not None:
-                    self._rr = (idx + 1) % self.n_buckets
-                    break
-            if snap is None:
+        ready = self._ready
+        while ready and (max_items is None or len(out) < max_items):
+            try:
+                idx = ready.popleft()
+            except IndexError:  # a concurrent drain took the last index
                 break
-            out.append(snap)
+            bucket = self._buckets[idx]
+            with bucket.lock:
+                out.append(bucket.items.popleft())
+                if bucket.items:
+                    ready.append(idx)
+        if out:
             with self._stats_lock:
-                self._pending -= 1
-                self._pending_bytes -= len(snap.content)
-                left = self._pending
+                self._pending -= len(out)
+                self._pending_bytes -= sum(len(snap.content) for snap in out)
             if self.on_delivered is not None:
-                self.on_delivered(snap.uid)
+                for snap in out:
+                    self.on_delivered(snap.uid)
         return out
 
     def pending_count(self) -> int:

@@ -202,7 +202,7 @@ class ShadowEngine:
         """Sync check, flood-guard admission, snapshot emission."""
         machine = self.machine
         pid, uid = space.pid, space.uid
-        content = bytes(machine.frames[pte.frame])
+        content = bytes(pte.frame)
         if self.sync_check_enabled and self.rules is not None:
             hit = sync_check(content, self.rules)
             if hit is not None:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import random
+import sys
 import threading
+from collections import deque
 
 import pytest
 
@@ -105,6 +108,81 @@ class TestOrdering:
         first_three = [s.pid for s in table.drain(3)]
         assert sorted(first_three) == [1, 2, 3]  # one from each, no starvation
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_histories_match_a_model(self, seed):
+        # random enqueue/drain histories against per-bucket FIFO lists;
+        # fairness: between two services of a bucket, every bucket that
+        # stayed non-empty the whole time was served
+        rng = random.Random(seed)
+        for _ in range(40):
+            table = SnapshotTable(rng.randint(1, 8))
+            n_pids = rng.randint(1, 12)
+            model: dict[int, deque[PageSnapshot]] = {}
+            nonempty_since: dict[int, int] = {}  # step the bucket last became non-empty
+            last_served: dict[int, int] = {}
+            pending = pending_bytes = peak = 0
+            step = 0
+            for _ in range(rng.randint(1, 60)):
+                step += 1
+                if rng.random() < 0.6:
+                    pid = rng.randint(1, n_pids)
+                    item = PageSnapshot(
+                        content=bytes(rng.randint(1, 32)), offset=0, vaddr=step,
+                        vpage=step, pid=pid, tid=1, uid=pid,
+                    )
+                    idx = table.bucket_of(pid)
+                    fifo = model.setdefault(idx, deque())
+                    if not fifo:
+                        nonempty_since[idx] = step
+                    fifo.append(item)
+                    table.enqueue(item)
+                    pending += 1
+                    pending_bytes += len(item.content)
+                    peak = max(peak, pending)
+                    continue
+                max_items = rng.choice([None, 1, 2, 3])
+                drained = table.drain(max_items)
+                want = pending if max_items is None else min(max_items, pending)
+                assert len(drained) == want  # nothing lost
+                for item in drained:
+                    step += 1
+                    idx = table.bucket_of(item.pid)
+                    assert model[idx] and model[idx].popleft() is item  # FIFO, no dup
+                    prev = last_served.get(idx)
+                    if prev is not None:
+                        for other, fifo in model.items():
+                            if other != idx and fifo and nonempty_since[other] < prev:
+                                assert last_served.get(other, 0) > prev, (
+                                    f"bucket {idx} served twice while bucket {other} waited"
+                                )
+                    last_served[idx] = step
+                    pending -= 1
+                    pending_bytes -= len(item.content)
+                assert table.pending_count() == pending
+                assert table.pending_bytes() == pending_bytes
+                assert table.high_watermark == peak
+            assert len(table.drain()) == pending
+            assert table.pending_count() == 0
+
+    def test_drain_locks_only_the_pending_bucket(self):
+        class CountingLock:
+            acquired = 0
+
+            def __enter__(self):
+                CountingLock.acquired += 1
+
+            def __exit__(self, *exc):
+                return False
+
+        table = SnapshotTable(64)
+        table.enqueue(snap(40, 1))
+        for bucket in table._buckets:
+            bucket.lock = CountingLock()
+        assert [s.pid for s in table.drain()] == [40]
+        assert CountingLock.acquired == 1
+        assert table.drain() == []
+        assert CountingLock.acquired == 1
+
 
 class TestConcurrency:
     def test_parallel_enqueue_loses_and_duplicates_nothing(self):
@@ -137,6 +215,48 @@ class TestConcurrency:
         for pid in range(1, n_threads + 1):
             tags = [s.vaddr for s in collected if s.pid == pid]
             assert tags == sorted(tags)
+
+    def test_concurrent_drains_share_the_ring(self):
+        # two drainers race four producers under a short switch interval:
+        # each snapshot comes out exactly once and the counters end at zero
+        table = SnapshotTable(8)
+        per_thread = 400
+        pids = range(1, 5)
+        collected: list[list[PageSnapshot]] = [[], []]
+        producers_done = threading.Event()
+
+        def producer(pid: int):
+            for i in range(per_thread):
+                table.enqueue(snap(pid, i, uid=pid))
+
+        def drainer(out: list[PageSnapshot]):
+            while not producers_done.is_set() or table.pending_count() > 0:
+                out.extend(table.drain(3))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            drainers = [threading.Thread(target=drainer, args=(out,)) for out in collected]
+            producers = [threading.Thread(target=producer, args=(pid,)) for pid in pids]
+            for t in drainers + producers:
+                t.start()
+            for t in producers:
+                t.join(timeout=30)
+            producers_done.set()
+            for t in drainers:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in drainers + producers)
+        seqs = sorted(s.seq for out in collected for s in out)
+        assert seqs == list(range(len(pids) * per_thread))
+        for out in collected:  # each drainer sees every pid in FIFO order
+            for pid in pids:
+                tags = [s.vaddr for s in out if s.pid == pid]
+                assert tags == sorted(tags)
+        assert table.pending_count() == 0
+        assert table.pending_bytes() == 0
+        assert table.drain() == []
 
     def test_burst_then_steady_watermark(self):
         # a burst of emissions with a lagging drain peaks, then settles
