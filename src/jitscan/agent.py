@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .guard import DosGuard, GuardConfig
-from .mmu import AccessKind, Machine, SimError
+from .mmu import DEFAULT_PAGE_SIZE, AccessKind, Machine, SimError
 from .pipeline import SnapshotTable
 from .report import Report
 from .shadow import BaselineEngine, ShadowEngine, signature_hit
@@ -33,7 +33,7 @@ from .trace import (
 
 @dataclass
 class SimConfig:
-    page_size: int = 4096
+    page_size: int = DEFAULT_PAGE_SIZE
     sync_check: bool = True
     detection_action: str = "kill"  # response to signature hits: kill|block|alert
     shadow: bool = True  # False runs the plain baseline engine
@@ -78,7 +78,6 @@ class Agent:
 @dataclass
 class RunContext:
     machine: Machine
-    engine: object
     pipeline: SnapshotTable
     guard: DosGuard
     agent: Agent
@@ -106,7 +105,7 @@ def build_run(config: SimConfig | None = None, rules: RuleSet | None = None) -> 
         engine = BaselineEngine(machine)
     machine.attach_engine(engine)
     agent = Agent(machine, pipeline, rules, report, config.detection_action)
-    return RunContext(machine, engine, pipeline, guard, agent, report)
+    return RunContext(machine, pipeline, guard, agent, report)
 
 
 # READ, WRITE and FETCH are nearly every event, so they skip the isinstance ladder

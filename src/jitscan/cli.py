@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 
 from .agent import SimConfig, replay
 from .guard import GuardConfig
+from .mmu import DEFAULT_PAGE_SIZE
+from .report import encode_record
 from .signatures import parse_rules, scan_page
 from .trace import parse_trace
 
@@ -72,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="ticks at zero pending before an entry is evicted")
     run.add_argument("--penalty-action", choices=["kill", "block"], default="kill",
                      help="what a throttle denial does to the process")
-    run.add_argument("--page-size", type=_page_size, default=4096)
+    run.add_argument("--page-size", type=_page_size, default=DEFAULT_PAGE_SIZE)
     run.add_argument("--drain-every", type=_in_range(0), default=1, metavar="N",
                      help="agent drains after every Nth event; 0 disables")
     run.add_argument("--report", help="write the report here instead of stdout")
@@ -80,11 +81,11 @@ def _build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="scan one page image against the rules")
     scan.add_argument("--rules", required=True)
     scan.add_argument("--page", required=True, help="page image (at most one page)")
-    scan.add_argument("--page-size", type=_page_size, default=4096)
+    scan.add_argument("--page-size", type=_page_size, default=DEFAULT_PAGE_SIZE)
 
     check = sub.add_parser("check-trace", help="parse and validate a trace file")
     check.add_argument("trace", help="trace file")
-    check.add_argument("--page-size", type=_page_size, default=4096)
+    check.add_argument("--page-size", type=_page_size, default=DEFAULT_PAGE_SIZE)
     return parser
 
 
@@ -147,15 +148,11 @@ def _cmd_scan(args) -> int:
     for match in matches:
         rule = rules.by_name[match.rule]
         exit_kill = exit_kill or rule.severity == "kill"
-        print(json.dumps(
+        print(encode_record(
             {"record": "match", "rule": rule.name, "family": rule.family,
              "severity": rule.severity, "offset": match.offset},
-            sort_keys=True, separators=(",", ":"),
         ))
-    print(json.dumps(
-        {"record": "summary", "matches": len(matches)},
-        sort_keys=True, separators=(",", ":"),
-    ))
+    print(encode_record({"record": "summary", "matches": len(matches)}))
     return 1 if exit_kill else 0
 
 

@@ -9,10 +9,17 @@ flushed or the access traps.  Fault handling is delegated to a
 pluggable engine, the shadow W^X engine or a plain baseline, whose
 hooks take the space, area and page entry the access walk resolved and
 return the AccessResult the access ends with, OK meaning it proceeds.
+
+An address space keeps its areas sorted, disjoint and merged: after an
+mprotect no two touching areas have equal permissions.  Areas carry
+permissions only.  An mmap's initial content waits per page in the
+space's ``images`` until that page is first touched, and an entry in
+``ptes`` means the page is present.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass, field
 
@@ -58,30 +65,24 @@ class AccessResult(str, enum.Enum):
 
 @dataclass
 class PageTableEntry:
-    """One page's physical flags plus the two spare shadow bits."""
+    """One present page's physical flags, the two spare shadow bits and its bytes."""
 
-    present: bool = False
+    frame: bytearray
     writable: bool = False
     exec_disabled: bool = False
     orig_write: bool = False
     orig_exe: bool = False
-    frame: bytearray | None = None  # the page's bytes while present
 
 
 @dataclass
 class VmArea:
-    """A contiguous mapping with logical (requested) permissions.
-
-    ``backing`` is the initial image copied in at materialization,
-    zero-padded per page; ``None`` means anonymous zero-fill.
-    """
+    """A contiguous mapping with logical (requested) permissions."""
 
     start_vpage: int
     n_pages: int
     logical_r: bool
     logical_w: bool
     logical_x: bool
-    backing: bytes | None = None
 
     @property
     def end_vpage(self) -> int:
@@ -103,25 +104,21 @@ class VmArea:
             "x" if self.logical_x else ""
         )
 
-    def backing_for(self, vpage: int, page_size: int) -> bytes:
-        """Initial content of one page, zero-padded past the image end."""
-        off = (vpage - self.start_vpage) * page_size
-        chunk = b"" if self.backing is None else self.backing[off : off + page_size]
-        return chunk.ljust(page_size, b"\x00")
-
-    def split(self, lo: int, hi: int, page_size: int) -> VmArea:
-        """A copy of this area restricted to vpages [lo, hi)."""
-        off = (lo - self.start_vpage) * page_size
-        length = (hi - lo) * page_size
-        backing = None if self.backing is None else self.backing[off : off + length]
-        return VmArea(lo, hi - lo, self.logical_r, self.logical_w, self.logical_x, backing)
-
 
 @dataclass
 class AddressSpace:
+    """One process's areas, initial page images and page table.
+
+    ``areas`` is sorted by start and disjoint, and ``protect`` keeps it
+    merged: no two touching areas have equal permissions after it.
+    ``images`` maps a vpage to the mmap content it starts with, held
+    until the page is first touched; ``ptes`` holds the present pages.
+    """
+
     pid: int
     uid: int
     areas: list[VmArea] = field(default_factory=list)
+    images: dict[int, memoryview] = field(default_factory=dict)
     ptes: dict[int, PageTableEntry] = field(default_factory=dict)
     alive: bool = True
     blocked: bool = False
@@ -133,37 +130,49 @@ class AddressSpace:
                 return area
         return None
 
-    def carve(self, start: int, n_pages: int, page_size: int) -> list[VmArea]:
-        """Split areas at the [start, start+n) boundaries.
+    def insert(self, area: VmArea) -> None:
+        """Add area in start order; raises if it overlaps a mapped page."""
+        for other in self.areas:
+            if area.start_vpage < other.end_vpage and other.start_vpage < area.end_vpage:
+                raise OverlapError(
+                    f"pid {self.pid}: mapping [{area.start_vpage}, {area.end_vpage}) overlaps"
+                    f" [{other.start_vpage}, {other.end_vpage})"
+                )
+        bisect.insort(self.areas, area, key=lambda a: a.start_vpage)
+        self.mmap_cursor = max(self.mmap_cursor, area.end_vpage)
 
-        Returns the pieces exactly covering the range; raises if any
-        page in the range is unmapped.
+    def protect(self, start: int, n_pages: int, perms: str) -> list[tuple[int, int, bool, bool]]:
+        """Give vpages [start, start+n) perms, merging touching areas left equal.
+
+        Returns (lo, hi, old_w, old_x) for each former area's part of the
+        range, in order; raises, changing nothing, if any page in the
+        range is unmapped.
         """
         end = start + n_pages
-        covered = 0
-        kept: list[VmArea] = []
-        pieces: list[VmArea] = []
+        new = ("r" in perms, "w" in perms, "x" in perms)
+        pieces: list[tuple[int, int, bool, bool]] = []
+        runs: list[list] = []  # [start, end, (r, w, x), the area while nothing cut or grew it]
         for area in self.areas:
-            a0, a1 = area.start_vpage, area.end_vpage
-            if a1 <= start or a0 >= end:
-                kept.append(area)
-                continue
-            lo, hi = max(a0, start), min(a1, end)
-            covered += hi - lo
-            if a0 < lo:
-                kept.append(area.split(a0, lo, page_size))
-            mid = area.split(lo, hi, page_size)
-            pieces.append(mid)
-            kept.append(mid)
-            if hi < a1:
-                kept.append(area.split(hi, a1, page_size))
-        if covered != n_pages:
+            a0 = area.start_vpage
+            a1 = a0 + area.n_pages
+            old = (area.logical_r, area.logical_w, area.logical_x)
+            cuts = ((a0, a1, old, area),)
+            if a0 < end and start < a1:
+                lo, hi = max(a0, start), min(a1, end)
+                pieces.append((lo, hi, old[1], old[2]))
+                cuts = ((a0, lo, old, None), (lo, hi, new, None), (hi, a1, old, None))
+            for c0, c1, rwx, whole in cuts:
+                if c0 == c1:
+                    continue
+                if runs and runs[-1][1] == c0 and runs[-1][2] == rwx:
+                    runs[-1][1], runs[-1][3] = c1, None
+                else:
+                    runs.append([c0, c1, rwx, whole])
+        if sum(hi - lo for lo, hi, _, _ in pieces) != n_pages:
             raise UnmappedRangeError(
                 f"pid {self.pid}: vpages [{start}, {end}) not fully mapped"
             )
-        kept.sort(key=lambda a: a.start_vpage)
-        self.areas = kept
-        pieces.sort(key=lambda a: a.start_vpage)
+        self.areas = [whole or VmArea(c0, c1 - c0, *rwx) for c0, c1, rwx, whole in runs]
         return pieces
 
 
@@ -210,19 +219,12 @@ class Machine:
     # ---- processes and mappings -------------------------------------
 
     def create_process(self, uid: int, image: list[VmArea] | None = None) -> int:
-        areas = sorted(image or [], key=lambda a: a.start_vpage)
-        for prev, cur in zip(areas, areas[1:]):
-            if cur.start_vpage < prev.end_vpage:
-                raise OverlapError(
-                    f"areas overlap at vpage {cur.start_vpage}"
-                )
-        pid = self._next_pid
+        space = AddressSpace(pid=self._next_pid, uid=uid)
+        for area in image or []:
+            space.insert(area)
         self._next_pid += 1
-        space = AddressSpace(pid=pid, uid=uid, areas=areas)
-        if areas:
-            space.mmap_cursor = max(space.mmap_cursor, areas[-1].end_vpage)
-        self.spaces[pid] = space
-        return pid
+        self.spaces[space.pid] = space
+        return space.pid
 
     def space(self, pid: int, require_alive: bool = True) -> AddressSpace:
         space = self.spaces.get(pid)
@@ -244,16 +246,12 @@ class Machine:
             raise ValueError("n_pages must be >= 1")
         space = self.space(pid)
         start = space.mmap_cursor if at is None else at
-        area = VmArea(start, n_pages, "r" in perms, "w" in perms, "x" in perms, backing)
-        for existing in space.areas:
-            if area.start_vpage < existing.end_vpage and existing.start_vpage < area.end_vpage:
-                raise OverlapError(
-                    f"pid {pid}: mapping [{area.start_vpage}, {area.end_vpage}) overlaps"
-                    f" [{existing.start_vpage}, {existing.end_vpage})"
-                )
-        space.areas.append(area)
-        space.areas.sort(key=lambda a: a.start_vpage)
-        space.mmap_cursor = max(space.mmap_cursor, area.end_vpage)
+        area = VmArea(start, n_pages, "r" in perms, "w" in perms, "x" in perms)
+        space.insert(area)
+        if backing is not None:
+            image, ps = memoryview(backing), self.page_size
+            for off in range(0, min(len(image), n_pages * ps), ps):
+                space.images[start + off // ps] = image[off : off + ps]
         return area
 
     def mprotect(self, pid: int, start_vpage: int, n_pages: int, perms: str) -> None:
@@ -268,16 +266,13 @@ class Machine:
         then the page is flushed from every TLB.
         """
         space = self.space(pid)
-        for area in space.carve(start_vpage, n_pages, self.page_size):
-            old_w, old_x = area.logical_w, area.logical_x
-            area.logical_r = "r" in perms
-            area.logical_w = "w" in perms
-            area.logical_x = "x" in perms
+        pieces = space.protect(start_vpage, n_pages, perms)
+        area = space.find_area(start_vpage)  # the merged range lies in one area
+        for lo, hi, old_w, old_x in pieces:
             # walk the fewer of the piece's vpages and the pid's present pages
-            vpages = range(area.start_vpage, area.end_vpage)
-            for vpage in vpages if len(vpages) <= len(space.ptes) else space.ptes:
+            for vpage in range(lo, hi) if hi - lo <= len(space.ptes) else space.ptes:
                 pte = space.ptes.get(vpage)
-                if pte is not None and pte.present and area.contains(vpage):
+                if pte is not None and lo <= vpage < hi:
                     rule(pte, area, old_w, old_x)
                     self.tlb_flush_one(pid, vpage)
 
@@ -301,19 +296,18 @@ class Machine:
     def install_page(
         self,
         space: AddressSpace,
-        area: VmArea,
         vpage: int,
         *,
         writable: bool,
         exec_disabled: bool,
         orig_exe: bool = False,
     ) -> PageTableEntry:
+        """Make vpage present, its frame the page's mmap image zero-padded."""
+        frame = bytearray(self.page_size)
+        image = space.images.pop(vpage, b"")
+        frame[: len(image)] = image
         pte = PageTableEntry(
-            present=True,
-            writable=writable,
-            exec_disabled=exec_disabled,
-            orig_exe=orig_exe,
-            frame=bytearray(area.backing_for(vpage, self.page_size)),
+            frame, writable=writable, exec_disabled=exec_disabled, orig_exe=orig_exe,
         )
         space.ptes[vpage] = pte
         return pte
@@ -321,7 +315,7 @@ class Machine:
     def read_page(self, pid: int, vpage: int) -> bytes:
         space = self.space(pid, require_alive=False)
         pte = space.ptes.get(vpage)
-        if pte is None or not pte.present:
+        if pte is None:
             raise PageNotPresentError(f"pid {pid}: vpage {vpage} not present")
         return bytes(pte.frame)
 
@@ -338,8 +332,7 @@ class Machine:
         out: dict[tuple[int, int], bytes] = {}
         for pid, space in self.spaces.items():
             for vpage, pte in space.ptes.items():
-                if pte.present:
-                    out[(pid, vpage)] = bytes(pte.frame)
+                out[(pid, vpage)] = bytes(pte.frame)
         return out
 
     # ---- the access path ----------------------------------------------
@@ -375,7 +368,7 @@ class Machine:
             writable, exec_disabled = cached
             if _permits(kind, writable, exec_disabled):
                 pte = space.ptes.get(vpage)
-                if pte is not None and pte.present:
+                if pte is not None:
                     # stale flags honored: no walk, no refill
                     self._apply(pte, vaddr, kind, data)
                     return AccessResult.OK
@@ -385,7 +378,7 @@ class Machine:
         area = space.find_area(vpage)
         pte = space.ptes.get(vpage)
         result = AccessResult.OK
-        if area is None or pte is None or not pte.present:
+        if area is None or pte is None:
             result = self.engine.on_materialize(space, area, vpage, vaddr, tid, kind)
         elif kind is AccessKind.WRITE and not pte.writable:
             result = self.engine.handle_write_fault(space, area, pte, vpage)
@@ -395,7 +388,7 @@ class Machine:
             return result
 
         pte = space.ptes.get(vpage)
-        if pte is None or not pte.present or not _permits(kind, pte.writable, pte.exec_disabled):
+        if pte is None or not _permits(kind, pte.writable, pte.exec_disabled):
             raise SimError(
                 f"fault engine allowed {kind.value} of pid {pid} vpage {vpage}"
                 " but left it impermissible"

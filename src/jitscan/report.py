@@ -14,6 +14,11 @@ import json
 from dataclasses import dataclass, field
 
 
+def encode_record(record: dict) -> str:
+    """One JSONL record: sorted keys and no spaces, so equal records encode to equal bytes."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
 @dataclass
 class Detection:
     pid: int
@@ -56,5 +61,4 @@ class Report:
         records = [{"record": "detection", **vars(d)} for d in self.detections]
         records += [{"record": "action", **vars(a)} for a in self.actions]
         records.append({"record": "summary", "outcomes": self.outcomes, **self.metrics})
-        lines = [json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in records]
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        return ("\n".join(map(encode_record, records)) + "\n").encode("utf-8")

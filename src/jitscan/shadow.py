@@ -144,18 +144,18 @@ class ShadowEngine:
         if area.logical_x and area.logical_w:
             # fetches must trap until the content has been checked
             pte = machine.install_page(
-                space, area, vpage, writable=True, exec_disabled=True, orig_exe=True,
+                space, vpage, writable=True, exec_disabled=True, orig_exe=True,
             )
             if kind is AccessKind.FETCH:
                 # materialize-then-check in one step: a single snapshot
                 return self.handle_exec_fault(space, area, pte, vpage, vaddr, tid)
             return AccessResult.OK
         if area.logical_x:
-            pte = machine.install_page(space, area, vpage, writable=False, exec_disabled=False)
+            pte = machine.install_page(space, vpage, writable=False, exec_disabled=False)
             if kind is AccessKind.FETCH:
                 return self._checked_fetch(space, pte, vpage, vaddr, tid)
             return AccessResult.OK
-        machine.install_page(space, area, vpage, writable=area.logical_w, exec_disabled=True)
+        machine.install_page(space, vpage, writable=area.logical_w, exec_disabled=True)
         return AccessResult.OK
 
     def handle_write_fault(
@@ -244,7 +244,7 @@ class BaselineEngine:
         if area is None or not area.permits(kind):
             return AccessResult.SEGV_DELIVERED
         self.machine.install_page(
-            space, area, vpage, writable=area.logical_w, exec_disabled=not area.logical_x,
+            space, vpage, writable=area.logical_w, exec_disabled=not area.logical_x,
         )
         return AccessResult.OK
 

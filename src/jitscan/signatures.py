@@ -23,6 +23,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .mmu import DEFAULT_PAGE_SIZE
+
 Atom = int | None  # one pattern position: literal byte or wildcard
 
 _HEX_PAIR = re.compile(r"[0-9a-fA-F]{2}$")
@@ -148,7 +150,7 @@ def _admit(rule: SignatureRule, names: set[str], page_size: int) -> None:
 class RuleSet:
     """Parsed rules plus compiled indexes for full and sync-only scans."""
 
-    def __init__(self, rules: list[SignatureRule], page_size: int = 4096):
+    def __init__(self, rules: list[SignatureRule], page_size: int = DEFAULT_PAGE_SIZE):
         names: set[str] = set()
         for rule in rules:
             _admit(rule, names, page_size)
@@ -163,7 +165,7 @@ class RuleSet:
         return len(self.rules)
 
 
-def parse_rules(text: str, page_size: int = 4096) -> RuleSet:
+def parse_rules(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> RuleSet:
     """Parse a rule file; raises RuleSyntaxError with line and column."""
     rules: list[SignatureRule] = []
     names: set[str] = set()

@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
+from .mmu import DEFAULT_PAGE_SIZE
+
 
 class TraceError(ValueError):
     def __init__(self, message: str, line: int):
@@ -148,7 +150,7 @@ def done(line_no: int, event: TraceEvent, unknown: dict, page_size: int) -> Trac
     return TraceLine(line_no, event)
 
 
-def parse_trace(text: str, page_size: int = 4096) -> list[TraceLine]:
+def parse_trace(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> list[TraceLine]:
     """Parse and validate a trace; raises TraceError with the line number."""
     out: list[TraceLine] = []
     n_pids = 0

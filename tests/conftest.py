@@ -304,8 +304,6 @@ def wx_violations(machine: Machine) -> list[tuple[int, int]]:
         if not space.alive:
             continue
         for vpage, pte in space.ptes.items():
-            if not pte.present:
-                continue
             area = space.find_area(vpage)
             if area is None or not (area.logical_w and area.logical_x):
                 continue

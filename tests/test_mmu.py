@@ -286,10 +286,10 @@ class TestMmapMprotect:
         assert machine.access(pid, 1, 0, 16 * PS, AccessKind.WRITE, b"y") is AccessResult.SEGV_DELIVERED
         assert machine.read_page(pid, 16)[:1] == b"x"
 
-    def test_mprotect_cost_follows_present_pages_not_range_size(self):
+    @pytest.mark.parametrize("n", [10**8, 10**20])
+    def test_mprotect_cost_follows_present_pages_not_range_size(self, n):
         machine = shadow_machine()
         pid = machine.create_process(uid=0)
-        n = 10**8
         machine.mmap(pid, "rw", n, at=16)
         touched = 16 + n // 2
         machine.access(pid, 1, 0, touched * PS, AccessKind.WRITE, b"x")
@@ -320,6 +320,115 @@ class TestMmapMprotect:
         assert [ptes[16 + i].writable for i in range(8)] == [True] * 8
         assert machine.access(pid, 1, 0, 16 * ps, AccessKind.FETCH) is AccessResult.SEGV_DELIVERED
         assert elapsed < 1.0
+
+    def test_flipping_every_page_and_back_leaves_one_area(self):
+        machine = plain_machine()
+        pid = machine.create_process(uid=0)
+        machine.mmap(pid, "rw", 400, at=16)
+        for vpage in range(16, 416):
+            machine.mprotect(pid, vpage, 1, "rx")
+            machine.mprotect(pid, vpage, 1, "rw")
+        assert [(a.start_vpage, a.n_pages, a.perms()) for a in machine.spaces[pid].areas] == [
+            (16, 400, "rw"),
+        ]
+
+
+PERMS = ["", "r", "w", "x", "rw", "rx", "wx", "rwx"]
+
+
+def _area_map_step(rng, machine, pid, perms_model, bytes_model, ps):
+    """One random MMAP, MPROTECT or touch, applied to machine and models alike.
+
+    Returns whether it was a successful MPROTECT.
+    """
+    space = machine.spaces[pid]
+    roll = rng.random()
+    if roll < 0.2:
+        n = rng.randint(1, 6)
+        at = None if rng.random() < 0.3 else rng.randrange(16, 80)
+        backing = None
+        if rng.random() < 0.6:
+            backing = bytes(rng.randrange(1, 256) for _ in range(rng.randrange(n * ps + 1)))
+        start = space.mmap_cursor if at is None else at
+        if any(v in perms_model for v in range(start, start + n)):
+            before = list(space.areas)
+            with pytest.raises(OverlapError):
+                machine.mmap(pid, rng.choice(PERMS), n, backing=backing, at=at)
+            assert space.areas == before
+            return False
+        perms = rng.choice(PERMS)
+        machine.mmap(pid, perms, n, backing=backing, at=at)
+        image = backing or b""
+        for i in range(n):
+            perms_model[start + i] = perms
+            bytes_model[start + i] = image[i * ps : (i + 1) * ps].ljust(ps, b"\x00")
+        return False
+    if roll < 0.6 and space.areas:
+        area = rng.choice(space.areas)
+        how = rng.choice(["inside", "flush-start", "flush-end", "across"])
+        if how == "inside":
+            start = rng.randrange(area.start_vpage, area.end_vpage)
+            end = rng.randint(start + 1, area.end_vpage)
+        elif how == "flush-start":
+            start, end = area.start_vpage, rng.randint(area.start_vpage + 1, area.end_vpage)
+        elif how == "flush-end":
+            start, end = rng.randrange(area.start_vpage, area.end_vpage), area.end_vpage
+        else:  # across boundaries, and over holes where the areas do not touch
+            start = rng.randrange(area.start_vpage, area.end_vpage)
+            end = start + rng.randint(1, 12)
+        perms = rng.choice(PERMS)
+        if any(v not in perms_model for v in range(start, end)):
+            before = list(space.areas)
+            snapshot = [(a.start_vpage, a.n_pages, a.perms()) for a in before]
+            with pytest.raises(UnmappedRangeError):
+                machine.mprotect(pid, start, end - start, perms)
+            assert space.areas == before
+            assert [(a.start_vpage, a.n_pages, a.perms()) for a in space.areas] == snapshot
+            return False
+        machine.mprotect(pid, start, end - start, perms)
+        for v in range(start, end):
+            perms_model[v] = perms
+        return True
+    vpage = rng.randrange(14, space.mmap_cursor + 2)
+    perms = perms_model.get(vpage, "")
+    if rng.random() < 0.5:
+        data = bytes([rng.randrange(1, 256)])
+        off = rng.randrange(ps)
+        result = machine.access(pid, 1, 0, vpage * ps + off, AccessKind.WRITE, data)
+        assert (result is AccessResult.OK) == ("w" in perms)
+        if "w" in perms:
+            page = bytes_model[vpage]
+            bytes_model[vpage] = page[:off] + data + page[off + 1 :]
+    else:
+        result = machine.access(pid, 1, 0, vpage * ps, AccessKind.READ)
+        assert result is AccessResult.SEGV_DELIVERED or vpage in perms_model
+    return False
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_area_map_matches_per_page_model(seed):
+    rng = random.Random(seed)
+    ps = 8
+    machine = plain_machine(page_size=ps)
+    pid = machine.create_process(uid=0)
+    space = machine.spaces[pid]
+    perms_model: dict[int, str] = {}  # vpage -> perms of every mapped page
+    bytes_model: dict[int, bytes] = {}  # vpage -> the page's content
+    for _ in range(400):
+        protected = _area_map_step(rng, machine, pid, perms_model, bytes_model, ps)
+        areas = space.areas
+        assert all(a.n_pages > 0 for a in areas)
+        assert all(a.end_vpage <= b.start_vpage for a, b in zip(areas, areas[1:]))
+        for vpage in range(0, space.mmap_cursor + 2):
+            area = space.find_area(vpage)
+            assert (None if area is None else area.perms()) == perms_model.get(vpage)
+        if protected:
+            assert not any(
+                a.end_vpage == b.start_vpage and a.perms() == b.perms()
+                for a, b in zip(areas, areas[1:])
+            )
+        for vpage in space.ptes:
+            assert machine.read_page(pid, vpage) == bytes_model[vpage]
 
 
 class PermissiveStub:

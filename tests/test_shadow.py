@@ -267,7 +267,7 @@ class TestStateMachineProperties:
             assert wx_violations(machine) == []
             for vp, pte in machine.spaces[pid].ptes.items():
                 area = machine.spaces[pid].find_area(vp)
-                if area.logical_w and area.logical_x and pte.present:
+                if area.logical_w and area.logical_x:
                     assert pte.orig_write != pte.orig_exe  # exactly one set
 
     def test_transparent_for_benign_behavior(self):
