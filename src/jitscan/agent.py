@@ -43,7 +43,12 @@ class SimConfig:
 
 
 class Agent:
-    """Drains the pipeline and scans each snapshot with the full ruleset."""
+    """Drains the pipeline and scans each snapshot with the full ruleset.
+
+    A snapshot's spans narrow its scan only while the page's previous
+    scan found nothing; ``_matched`` holds the (pid, vpage) pages whose
+    last scan matched, and those are scanned whole.
+    """
 
     def __init__(
         self,
@@ -59,6 +64,7 @@ class Agent:
         self.report = report
         self.detection_action = detection_action
         self.scans_run = 0
+        self._matched: set[tuple[int, int]] = set()
 
     def step(self, batch: int = 0) -> int:
         """Scan up to `batch` pending snapshots (all of them when 0)."""
@@ -67,7 +73,14 @@ class Agent:
             self.scans_run += 1
             if self.rules is None:
                 continue
-            for match in scan_page(snap.content, self.rules):
+            page = (snap.pid, snap.vpage)
+            spans = None if page in self._matched else snap.spans
+            matches = scan_page(snap.content, self.rules, spans)
+            if matches:
+                self._matched.add(page)
+            else:
+                self._matched.discard(page)
+            for match in matches:
                 signature_hit(
                     self.machine, self.report, self.rules.by_name[match.rule], snap.pid,
                     snap.uid, snap.vpage, match.offset, "async", self.detection_action,
@@ -87,6 +100,10 @@ class RunContext:
 def build_run(config: SimConfig | None = None, rules: RuleSet | None = None) -> RunContext:
     """Wire a machine, engine, pipeline, guard, and agent from config."""
     config = config or SimConfig()
+    if rules is not None and rules.page_size != config.page_size:
+        raise ValueError(
+            f"rules are for page size {rules.page_size}, the run's is {config.page_size}"
+        )
     machine = Machine(page_size=config.page_size)
     report = Report()
     guard = DosGuard(config.guard)

@@ -25,6 +25,9 @@ from dataclasses import dataclass, field
 
 DEFAULT_PAGE_SIZE = 4096
 
+# most written spans a page keeps before its next check goes whole-page
+MAX_WRITTEN_SPANS = 8
+
 
 class SimError(Exception):
     """Invalid request against the simulated machine."""
@@ -63,15 +66,23 @@ class AccessResult(str, enum.Enum):
     BLOCKED = "blocked"
 
 
-@dataclass
+@dataclass(slots=True)
 class PageTableEntry:
-    """One present page's physical flags, the two spare shadow bits and its bytes."""
+    """One present page's physical flags, the two spare shadow bits and its bytes.
+
+    ``written`` lists the in-page ``[lo, hi)`` spans written since the
+    page's last clean content check, in write order.  None means the next
+    check must cover the whole page: the page was never checked, its last
+    check found a match, or it took more than MAX_WRITTEN_SPANS writes.
+    Only ``Machine._apply`` adds a span, and only to a list.
+    """
 
     frame: bytearray
     writable: bool = False
     exec_disabled: bool = False
     orig_write: bool = False
     orig_exe: bool = False
+    written: list[tuple[int, int]] | None = None
 
 
 @dataclass
@@ -400,4 +411,11 @@ class Machine:
     def _apply(self, pte: PageTableEntry, vaddr: int, kind: AccessKind, data: bytes | None) -> None:
         if kind is AccessKind.WRITE:
             off = vaddr % self.page_size
-            pte.frame[off : off + len(data)] = data
+            end = off + len(data)
+            pte.frame[off:end] = data
+            written = pte.written
+            if written is not None:
+                if len(written) < MAX_WRITTEN_SPANS:
+                    written.append((off, end))
+                else:
+                    pte.written = None

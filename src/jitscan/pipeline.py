@@ -31,6 +31,8 @@ class PageSnapshot:
     tid: int
     uid: int
     seq: int = -1  # stamped by the table
+    # [lo, hi) spans written since the page's previous snapshot; None: whole page
+    spans: list[tuple[int, int]] | None = None
 
 
 @dataclass

@@ -22,6 +22,11 @@ the fetch that materializes them and are otherwise left alone; pages
 without execute rights never interact with any of this.  Each hook takes
 the space, area and page entry ``Machine.access`` resolved.
 
+A content check costs what was written, not the page: the sync check
+and the snapshot's async scan look only at windows around the spans
+written since the page's last checked fetch (``PageTableEntry.written``),
+and go back to the whole page after a match.
+
 ``respond`` is the single point where a process is killed or blocked,
 for the sync check, the flood guard and the async agent alike;
 ``signature_hit`` is the one place a signature match is recorded.
@@ -203,9 +208,11 @@ class ShadowEngine:
         machine = self.machine
         pid, uid = space.pid, space.uid
         content = bytes(pte.frame)
+        spans, pte.written = pte.written, []
         if self.sync_check_enabled and self.rules is not None:
-            hit = sync_check(content, self.rules)
+            hit = sync_check(content, self.rules, spans)
             if hit is not None:
+                pte.written = None  # the next check must see this match again
                 result = signature_hit(
                     machine, self.report, self.rules.by_name[hit.rule], pid, uid,
                     vpage, hit.offset, "sync", self.detection_action,
@@ -217,10 +224,14 @@ class ShadowEngine:
             if not admission.admitted:
                 return respond(machine, self.report, pid, uid, admission.action, "throttle")
         if self.pipeline is not None:
+            # Every return above stops the process for good (a blocked one
+            # never traps again), so a page's snapshots pair one to one
+            # with its checked fetches, and spans are the bytes written
+            # since the page's previous snapshot.
             self.pipeline.enqueue(
                 PageSnapshot(
                     content=content, offset=vaddr % machine.page_size, vaddr=vaddr,
-                    vpage=vpage, pid=pid, tid=tid, uid=uid,
+                    vpage=vpage, pid=pid, tid=tid, uid=uid, spans=spans,
                 )
             )
         return AccessResult.OK

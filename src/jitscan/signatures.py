@@ -15,7 +15,14 @@ anchor.  A scan finds anchor candidates with one ``re`` pass over the page
 in C, then verifies each candidate's anchor and remaining literals in
 Python, so its cost is that one pass plus work per candidate.  Result
 order is (offset, rule name), so a scan is a pure function of
-(content, ruleset).
+(content, ruleset, spans).
+
+A scan may be given the ``[lo, hi)`` spans written since the page was
+last found clean.  Every new match then overlaps a span, so the scan
+walks only the windows where such a match can start, and its cost
+follows the bytes written rather than the page size.  The caller must
+pass spans only when the page's previous content held no match; after
+a match it scans the whole page again.
 """
 
 from __future__ import annotations
@@ -97,6 +104,14 @@ class _MultiPattern:
 
     k comes from the shortest anchor in the whole set: one short anchor
     shortens the key, and so widens the candidate stream, for every rule.
+
+    Given spans, a scan keeps only matches that overlap one.  With reach
+    the longest pattern's length minus one, such a match starts in
+    ``[lo - reach, hi)`` of some span ``[lo, hi)``; those ranges, merged
+    where they touch, are the windows.  A window gets one ``finditer``
+    from its start to reach past its end, which holds the anchor of every
+    match starting in it, and keeps the hits that start inside it, so no
+    hit is found twice.
     """
 
     def __init__(self, rules: list[SignatureRule]):
@@ -120,20 +135,38 @@ class _MultiPattern:
         ]
         lookahead = b"(?=" + b"".join(classes[1:]) + b")" if k > 1 else b""
         self._find = re.compile(classes[0] + lookahead).finditer
+        self._reach = max(len(rule.atoms) for rule in rules) - 1
 
-    def scan(self, data: bytes) -> list[Match]:
+    def scan(self, data: bytes, spans: list[tuple[int, int]] | None = None) -> list[Match]:
+        """Matches in data; with spans, only those overlapping some span."""
         if self._find is None:
             return []
-        k, buckets, size = self._k, self._buckets, len(data)
+        k, buckets, size, reach = self._k, self._buckets, len(data), self._reach
+        windows = [(0, size)]
+        if spans is not None:
+            # a match overlapping [lo, hi) starts in [lo - reach, hi)
+            windows = []
+            for lo, hi in sorted(spans):
+                lo = max(0, lo - reach)
+                if windows and lo <= windows[-1][1]:
+                    lo, last_hi = windows.pop()
+                    hi = max(hi, last_hi)
+                windows.append((lo, hi))
         hits: list[Match] = []
-        for candidate in self._find(data):
-            pos = candidate.start()
-            for anchor, anchor_off, name, length, checks in buckets.get(data[pos : pos + k], ()):
-                start = pos - anchor_off
-                if start < 0 or start + length > size or not data.startswith(anchor, pos):
-                    continue
-                if all(data[start + i] == b for i, b in checks):
-                    hits.append(Match(name, start))
+        for lo, hi in windows:
+            # a match starting before hi ends by hi + reach, and its anchor with it
+            for candidate in self._find(data, lo, min(size, hi + reach)):
+                pos = candidate.start()
+                for anchor, anchor_off, name, length, checks in buckets.get(
+                    data[pos : pos + k], ()
+                ):
+                    start = pos - anchor_off
+                    if not lo <= start < hi or start + length > size:
+                        continue
+                    if data.startswith(anchor, pos) and all(
+                        data[start + i] == b for i, b in checks
+                    ):
+                        hits.append(Match(name, start))
         hits.sort(key=lambda m: (m.offset, m.rule))
         return hits
 
@@ -242,16 +275,24 @@ def parse_rules(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> RuleSet:
     return RuleSet(rules, page_size=page_size)
 
 
-def scan_page(content: bytes, rules: RuleSet) -> list[Match]:
-    """All rule matches in one page, ordered by (offset, rule name)."""
+def scan_page(
+    content: bytes, rules: RuleSet, spans: list[tuple[int, int]] | None = None,
+) -> list[Match]:
+    """Rule matches in one page, ordered by (offset, rule name).
+
+    With spans, only the matches overlapping a written span: all of them
+    when the page's previous content held no match.
+    """
     if len(content) != rules.page_size:
         raise ValueError(
             f"content is {len(content)} bytes, page size is {rules.page_size}"
         )
-    return rules._full.scan(content)
+    return rules._full.scan(content, spans)
 
 
-def sync_check(content: bytes, rules: RuleSet) -> Match | None:
-    """First sync-rule threat in the buffer, or None when clean."""
-    hits = rules._sync.scan(content)
+def sync_check(
+    content: bytes, rules: RuleSet, spans: list[tuple[int, int]] | None = None,
+) -> Match | None:
+    """First sync-rule threat in the buffer (narrowed as in scan_page), or None."""
+    hits = rules._sync.scan(content, spans)
     return hits[0] if hits else None

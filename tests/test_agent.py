@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import os
+import random
 import tempfile
 import tracemalloc
 
@@ -14,10 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jitscan import agent as agent_module
+from jitscan import shadow as shadow_module
 from jitscan.agent import SimConfig, build_run, replay
 from jitscan.cli import main
 from jitscan.guard import GuardConfig
-from jitscan.signatures import parse_rules
+from jitscan.shadow import ShadowEngine
+from jitscan.signatures import parse_rules, scan_page, sync_check
 
 from conftest import SYNC_RULES_TEXT, SYNC_STUB
 
@@ -285,6 +289,112 @@ class TestAgentStep:
         ctx.machine.access(pid, 1, 0, 16 * PS, AccessKind.FETCH)
         assert ctx.agent.step() == 1
         assert ctx.report.detections == []
+
+
+class TestBuildRun:
+    def test_rules_for_another_page_size_are_rejected_before_any_event(self):
+        trace = "PROC uid=1\nMMAP pid=1 perms=wx pages=1 at=16\nFETCH pid=1 tid=1 cpu=0 addr=1024\n"
+        with pytest.raises(ValueError, match="page size 4096.*64"):
+            build_run(SimConfig(page_size=64), rules())
+        with pytest.raises(ValueError, match="page size"):
+            replay(trace, rules(), SimConfig(page_size=64))
+        assert replay(trace, parse_rules(ASYNC_RULES, 64), SimConfig(page_size=64)).outcomes == {
+            "ok": 3
+        }
+
+
+def _ab_rules(rng: random.Random) -> str:
+    """Rules over the bytes A and B, sync and not, of different lengths."""
+    text, wild = "", rng.choice([0.1, 0.3, 0.5])
+    for i in range(rng.randint(1, 4)):
+        atoms = [
+            "??" if rng.random() < wild else rng.choice(["41", "42"])
+            for _ in range(rng.randint(1, 6))
+        ]
+        if all(a == "??" for a in atoms):
+            atoms[0] = "41"
+        sync = " sync" if rng.random() < 0.5 else ""
+        severity = "kill" if sync or rng.random() < 0.5 else "alert"
+        text += f"rule r{i} family=t severity={severity}{sync} {{ {' '.join(atoms)} }}\n"
+    return text
+
+
+def _sparse_history(rng: random.Random, page_size: int, n_pids: int = 1) -> str:
+    """Short writes from ABx on one page per pid, at the page edges or
+    anywhere, with occasional fetches and mprotects."""
+    lines = ["PROC uid=1000"] * n_pids
+    for pid in range(1, n_pids + 1):
+        lines.append(f"MMAP pid={pid} perms={rng.choice(['rwx', 'wx', 'rw'])} pages=1 at=16")
+    base = 16 * page_size
+    for _ in range(rng.randint(8, 30)):
+        pid, cpu, roll = rng.randint(1, n_pids), rng.randrange(2), rng.random()
+        if roll < 0.15:
+            lines.append(f"FETCH pid={pid} tid=1 cpu={cpu} addr={base}")
+        elif roll < 0.2:
+            perms = rng.choice(["rwx", "rx", "rw", "wx"])
+            lines.append(f"MPROTECT pid={pid} start=16 pages=1 perms={perms}")
+        else:
+            data = bytes(rng.choice(b"ABx") for _ in range(rng.randint(1, 3)))
+            off = rng.choice([0, page_size - len(data), rng.randint(0, page_size - len(data))])
+            lines.append(
+                f"WRITE pid={pid} tid=1 cpu={cpu} addr={base + off} bytes={data.hex()}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+class TestWrittenSpans:
+    """Checks narrowed to the bytes written since a page's last clean check."""
+
+    def test_reports_equal_whole_page_checks(self, monkeypatch):
+        def whole_page(trace, rs, config):
+            with monkeypatch.context() as m:
+                m.setattr(shadow_module, "sync_check",
+                          lambda content, rules, spans=None: sync_check(content, rules))
+                m.setattr(agent_module, "scan_page",
+                          lambda content, rules, spans=None: scan_page(content, rules))
+                return replay(trace, rs, config).emit()
+
+        rng = random.Random(77)
+        page_size, detected = 64, 0
+        for _ in range(1000):
+            trace = _sparse_history(rng, page_size)
+            rs = parse_rules(_ab_rules(rng), page_size)
+            for drain_every in (1, 3):
+                for sync in (True, False):
+                    config = SimConfig(page_size=page_size, sync_check=sync,
+                                       detection_action="alert", drain_every=drain_every)
+                    report = replay(trace, rs, config)
+                    assert report.emit() == whole_page(trace, rs, config)
+                    detected += bool(report.detections)
+        assert detected > 1000  # the histories reach matches often
+
+    def test_a_checked_fetch_without_a_snapshot_stops_the_process(self, monkeypatch):
+        # one span list serves the sync check and the snapshot only because
+        # of this: a page's checks and snapshots pair one to one
+        checked = ShadowEngine._checked_fetch
+        unpaired = []
+
+        def spy(self, space, pte, vpage, vaddr, tid):
+            before = self.pipeline.enqueued_total
+            result = checked(self, space, pte, vpage, vaddr, tid)
+            if self.pipeline.enqueued_total == before:
+                unpaired.append((space.alive, space.blocked))
+            return result
+
+        monkeypatch.setattr(ShadowEngine, "_checked_fetch", spy)
+        rng = random.Random(5)
+        for _ in range(150):
+            trace = _sparse_history(rng, 64, n_pids=3)
+            rs = parse_rules(_ab_rules(rng), 64)
+            for action in ("kill", "block", "alert"):
+                for penalty in ("kill", "block"):
+                    config = SimConfig(
+                        page_size=64, detection_action=action, drain_every=rng.choice([1, 3]),
+                        guard=GuardConfig(threshold=1, penalty_action=penalty),
+                    )
+                    replay(trace, rs, config)
+        assert len(unpaired) > 100
+        assert all(not alive or blocked for alive, blocked in unpaired)
 
 
 class TestEmit:

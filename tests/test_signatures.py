@@ -394,3 +394,75 @@ class TestPrefilterEdges:
         no_sync = ruleset(rule("a", "00"), rule("b", "ff ?? 7f"), page_size=64)
         assert sync_check(page, no_sync) is None
         assert _scanned(page, no_sync) == _naive(page, no_sync.rules)
+
+
+def _span(rng: random.Random, spans: list[tuple[int, int]], size: int, length: int):
+    """A [lo, hi) of the given length: at a page edge, touching, overlapping
+    or near an earlier span, or anywhere."""
+    where = rng.choice(["start", "end", "touch", "overlap", "near", "any"] if spans else
+                       ["start", "end", "any"])
+    if where == "start":
+        lo = 0
+    elif where == "end":
+        lo = size - length
+    elif where == "any":
+        lo = rng.randint(0, size - length)
+    else:
+        other_lo, other_hi = rng.choice(spans)
+        lo = {
+            "touch": rng.choice([other_hi, other_lo - length]),
+            "overlap": rng.randint(other_lo - length + 1, other_hi - 1),
+            "near": other_hi + rng.randint(1, 12),
+        }[where]
+        lo = min(max(lo, 0), size - length)
+    return lo, lo + length
+
+
+class TestWindowScan:
+    """Scans narrowed to written spans, on pages that held no match before."""
+
+    def test_spans_find_what_the_whole_page_scan_finds(self):
+        rng = random.Random(10)
+        alphabet = [0xB0, 0xB1, 0xB2]
+        background = [0x00, 0x01, 0x7F]  # outside every rule, so no match before the writes
+        size = 128
+        hits = windowed = 0
+        for _ in range(2000):
+            rules = [
+                SignatureRule(f"r{i}", "t", "kill", rng.random() < 0.5,
+                              _pattern(rng, alphabet, rng.randint(1, 14)))
+                for i in range(rng.randint(1, 6))
+            ]
+            rs = RuleSet(rules, page_size=size)
+            page = bytearray(rng.choice(background) for _ in range(size))
+            assert _naive(bytes(page), rules) == []
+            spans: list[tuple[int, int]] = []
+            for _ in range(rng.randint(0, 8)):
+                if rng.random() < 0.5:
+                    atoms = rng.choice(rules).atoms
+                    lo, hi = _span(rng, spans, size, len(atoms))
+                    embed(page, lo, atoms)
+                else:
+                    lo, hi = _span(rng, spans, size, rng.randint(1, 16))
+                    page[lo:hi] = bytes(rng.choice(alphabet + background) for _ in range(hi - lo))
+                spans.append((lo, hi))
+            content = bytes(page)
+            want = _naive(content, rules)
+            assert [(m.offset, m.rule) for m in scan_page(content, rs, spans)] == want
+            assert _scanned(content, rs) == want
+            want_sync = _naive(content, rs.sync_rules)
+            assert sync_check(content, rs, spans) == sync_check(content, rs) == (
+                Match(want_sync[0][1], want_sync[0][0]) if want_sync else None
+            )
+            hits += len(want)
+            windowed += sum(hi - lo for lo, hi in spans) < size // 2
+        assert hits > 2000 and windowed > 1000  # the cases hold matches and narrow windows
+
+    def test_no_spans_on_a_clean_page_find_nothing(self):
+        rs = ruleset(rule("a", "b0 ?? b1"), rule("s", "b2", severity="kill", sync=True),
+                     page_size=64)
+        page = bytes.fromhex("b0 00 b1 b2").ljust(64, b"\x00")
+        assert _scanned(page, rs) != []
+        # nothing written since a clean check: nothing new can match
+        assert scan_page(page, rs, []) == []
+        assert sync_check(page, rs, []) is None
