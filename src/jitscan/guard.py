@@ -11,8 +11,7 @@ oldest first, and relies on time never running backwards.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -44,13 +43,15 @@ class Admission:
 
 
 class DosGuard:
-    """Per-uid admission control; `now` never decreases from call to call."""
+    """Per-uid admission control; `now` never decreases from call to call.
+
+    Only the simulation thread calls it, so it holds no lock.
+    """
 
     def __init__(self, config: GuardConfig | None = None):
         self.config = config or GuardConfig()
         self.entries: dict[int, ThrottleEntry] = {}
         self._idle: dict[int, int] = {}  # uid -> tick pending reached 0, oldest first
-        self._lock = threading.Lock()
         self.admits = 0
         self.denials = 0
         self.evictions = 0
@@ -59,57 +60,52 @@ class DosGuard:
     def admit(self, uid: int, pid: int, now: int) -> Admission:
         """Decide one snapshot emission for (uid, pid) at tick `now`."""
         cfg = self.config
-        with self._lock:
-            entry = self.entries.get(uid)
-            if entry is None:
-                entry = self.entries[uid] = ThrottleEntry()
-            if entry.penalized_until is not None and now >= entry.penalized_until:
-                entry.penalized_until = None
-            if entry.penalized_until is None and entry.pending + 1 > cfg.threshold:
-                # denied requests never enqueue, so pending stays put
-                entry.penalized_until = now + cfg.ttl_penalty
-            if entry.penalized_until is not None:
-                self.denials += 1
-                return Admission(False, cfg.penalty_action)
-            entry.pending += 1
-            self._idle.pop(uid, None)
-            self.admits += 1
-            return Admission(True)
+        entry = self.entries.get(uid)
+        if entry is None:
+            entry = self.entries[uid] = ThrottleEntry()
+        if entry.penalized_until is not None and now >= entry.penalized_until:
+            entry.penalized_until = None
+        if entry.penalized_until is None and entry.pending + 1 > cfg.threshold:
+            # denied requests never enqueue, so pending stays put
+            entry.penalized_until = now + cfg.ttl_penalty
+        if entry.penalized_until is not None:
+            self.denials += 1
+            return Admission(False, cfg.penalty_action)
+        entry.pending += 1
+        self._idle.pop(uid, None)
+        self.admits += 1
+        return Admission(True)
 
     def on_delivered(self, uid: int, now: int) -> None:
         """A snapshot for uid left the pipeline (scanned or dropped)."""
-        with self._lock:
-            entry = self.entries.get(uid)
-            if entry is None or entry.pending == 0:
-                self.unknown_deliveries += 1
-                return
-            entry.pending -= 1
-            if entry.pending == 0:
-                self._idle[uid] = now
+        entry = self.entries.get(uid)
+        if entry is None or entry.pending == 0:
+            self.unknown_deliveries += 1
+            return
+        entry.pending -= 1
+        if entry.pending == 0:
+            self._idle[uid] = now
 
     def tick(self, now: int) -> list[int]:
         """Evict uids idle at zero for ttl_evict ticks; returns them oldest first.
 
         Reads only idle uids, in idle-since order, and stops at the first
         one still too young; this order holds because `now` never decreases.
-        With no idle uid it returns without the lock: a uid that goes idle
-        concurrently is the same as that delivery landing just after this
-        tick, and the next tick sees it.
+        With no idle uid it returns at once, so the per-event call costs
+        one dict test.
         """
         if not self._idle:
             return []
         evicted: list[int] = []
-        with self._lock:
-            for uid, since in self._idle.items():
-                if now - since < self.config.ttl_evict:
-                    break
-                evicted.append(uid)
-            for uid in evicted:
-                del self._idle[uid], self.entries[uid]
-            self.evictions += len(evicted)
+        for uid, since in self._idle.items():
+            if now - since < self.config.ttl_evict:
+                break
+            evicted.append(uid)
+        for uid in evicted:
+            del self._idle[uid], self.entries[uid]
+        self.evictions += len(evicted)
         return evicted
 
     def pending(self, uid: int) -> int:
-        with self._lock:
-            entry = self.entries.get(uid)
-            return 0 if entry is None else entry.pending
+        entry = self.entries.get(uid)
+        return 0 if entry is None else entry.pending

@@ -24,12 +24,24 @@ can name them.  MMAP without ``at=`` places the area at the next free
 vpage (deterministic bump allocation).  Every event advances the
 logical clock by one tick except TICK, which advances by exactly n.
 A WRITE payload must stay inside one page.
+
+Lines are read one at a time from the text; no list of them is built.
+A canonical READ, FETCH or WRITE line (the upper-case op, then its
+fields in ``_GRAMMAR`` order, one space apart, nothing else on the
+line) whose values are well formed and whose pid exists is read with
+one regex match.  Every other line goes through the token loop, which
+is the one source of error text: a fast-path candidate it cannot take
+falls to the loop, and both paths end in ``done()``'s whole-line
+checks.  Events and ``TraceLine`` are immutable named tuples compared
+by kind: a ReadEvent never equals a FetchEvent with the same fields,
+nor the plain tuple of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import permutations
+import re
+from itertools import permutations, repeat
+from typing import NamedTuple
 
 from .mmu import DEFAULT_PAGE_SIZE
 
@@ -40,13 +52,29 @@ class TraceError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True, slots=True)
-class ProcEvent:
+def _compared_by_kind(cls: type) -> type:
+    """Equal, unequal and hashed as the same class and fields: a READ never
+    equals a FETCH with the same fields, nor the plain tuple of them."""
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return type(self) is not type(other) or tuple.__ne__(self, other)
+
+    def __hash__(self):
+        return hash((type(self), tuple.__hash__(self)))
+
+    cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, __hash__
+    return cls
+
+
+@_compared_by_kind
+class ProcEvent(NamedTuple):
     uid: int
 
 
-@dataclass(frozen=True, slots=True)
-class MmapEvent:
+@_compared_by_kind
+class MmapEvent(NamedTuple):
     pid: int
     perms: str
     n_pages: int
@@ -54,16 +82,16 @@ class MmapEvent:
     at: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class MprotectEvent:
+@_compared_by_kind
+class MprotectEvent(NamedTuple):
     pid: int
     start_vpage: int
     n_pages: int
     perms: str
 
 
-@dataclass(frozen=True, slots=True)
-class WriteEvent:
+@_compared_by_kind
+class WriteEvent(NamedTuple):
     pid: int
     tid: int
     cpu: int
@@ -71,24 +99,24 @@ class WriteEvent:
     data: bytes
 
 
-@dataclass(frozen=True, slots=True)
-class FetchEvent:
+@_compared_by_kind
+class FetchEvent(NamedTuple):
     pid: int
     tid: int
     cpu: int
     addr: int
 
 
-@dataclass(frozen=True, slots=True)
-class ReadEvent:
+@_compared_by_kind
+class ReadEvent(NamedTuple):
     pid: int
     tid: int
     cpu: int
     addr: int
 
 
-@dataclass(frozen=True, slots=True)
-class TickEvent:
+@_compared_by_kind
+class TickEvent(NamedTuple):
     n: int
 
 
@@ -97,8 +125,8 @@ TraceEvent = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class TraceLine:
+@_compared_by_kind
+class TraceLine(NamedTuple):
     line_no: int
     event: TraceEvent
 
@@ -129,6 +157,42 @@ _GRAMMAR: dict[str, tuple[type, tuple[tuple[str, str, int], ...]]] = {
 }
 
 
+# Canonical READ/FETCH/WRITE lines, nearly every line of a trace, take
+# one regex match instead of the token loop: the upper-case op, then
+# every field of its _GRAMMAR spec in order as key=value, one space
+# apart, and nothing else on the line (no comment, no \r).  An integer
+# is 0x and hex digits or ASCII decimal digits ([0-9], not \d, which
+# matches ١٢); WRITE's bytes are hex digits, and bytes.fromhex refuses
+# an odd count.  Each op's alternative is a named group around its value
+# groups, so ``lastgroup`` names the op; any other line is ``.*``.
+_FAST_OPS = ("READ", "FETCH", "WRITE")
+_INT_RE = "(0x[0-9a-fA-F]+|[0-9]+)"
+
+
+def _fast_pattern(op: str) -> str:
+    _, spec = _GRAMMAR[op]
+    values = "".join(
+        f" {key}={'([0-9a-fA-F]+)' if kind == 'hex' else _INT_RE}" for key, kind, _ in spec
+    )
+    return f"(?P<{op}>{op}{values})"
+
+
+_LINE = re.compile("^(?:" + "|".join(map(_fast_pattern, _FAST_OPS)) + "|.*)$", re.M)
+
+
+def _fast_entry(op: str) -> tuple[type, tuple[int, ...], int | None]:
+    """(event class, its integer groups in _LINE, the group of a last hex field)."""
+    cls, spec = _GRAMMAR[op]
+    first = _LINE.groupindex[op] + 1
+    n_ints = sum(kind != "hex" for _, kind, _ in spec)
+    return cls, tuple(range(first, first + n_ints)), first + n_ints if n_ints < len(spec) else None
+
+
+_FAST = {op: _fast_entry(op) for op in _FAST_OPS}
+_BASE_0 = repeat(0)  # int(value, 0) reads both 0x hex and decimal
+_new = tuple.__new__  # builds a tuple subclass without its __new__'s Python call
+
+
 def done(line_no: int, event: TraceEvent, unknown: dict, page_size: int) -> TraceLine:
     """The whole-line checks once every field is read, then the line.
 
@@ -147,15 +211,29 @@ def done(line_no: int, event: TraceEvent, unknown: dict, page_size: int) -> Trac
             raise TraceError("write payload crosses a page boundary", line_no)
     if unknown:
         raise TraceError(f"unknown field(s): {', '.join(sorted(unknown))}", line_no)
-    return TraceLine(line_no, event)
+    return _new(TraceLine, (line_no, event))
 
 
 def parse_trace(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> list[TraceLine]:
     """Parse and validate a trace; raises TraceError with the line number."""
     out: list[TraceLine] = []
     n_pids = 0
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        stripped = raw.split("#", 1)[0].strip()
+    for line_no, match in enumerate(_LINE.finditer(text), start=1):
+        op = match.lastgroup
+        if op is not None:
+            cls, int_groups, hex_group = _FAST[op]
+            try:  # a value these refuse, such as 010 or 5,000 digits, is the loop's to read
+                args = list(map(int, match.group(*int_groups), _BASE_0))
+                if hex_group:
+                    args.append(bytes.fromhex(match.group(hex_group)))
+            except ValueError:
+                pass
+            else:
+                # every other field's least value is 0, which a match always meets
+                if 0 < args[0] <= n_pids:
+                    out.append(done(line_no, _new(cls, args), {}, page_size))
+                    continue
+        stripped = match.group().split("#", 1)[0].strip()
         if not stripped:
             continue
         op, *tokens = stripped.split()

@@ -523,6 +523,21 @@ class TestCli:
         assert main(["check-trace", str(bad)]) == 2
         assert capsys.readouterr().err == "jitscan: trace: line 2: pid 7 not created yet\n"
 
+    @pytest.mark.parametrize("command", ["check-trace", "run"])
+    def test_long_decimal_in_a_canonical_line_gets_the_one_line_error(
+        self, files, capsys, command
+    ):
+        # int() refuses a decimal this long, so the line leaves the fast path
+        _, rule_file, tmp = files
+        bad = tmp / "long.trace"
+        addr = "9" * 5000
+        bad.write_text(f"PROC uid=1\nREAD pid=1 tid=1 cpu=0 addr={addr}\n")
+        argv = {"check-trace": ["check-trace", str(bad)],
+                "run": ["run", "--trace", str(bad), "--rules", str(rule_file)]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"jitscan: trace: line 2: addr must be an integer, got {addr!r}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,6 +15,7 @@ from jitscan.trace import (
     ReadEvent,
     TickEvent,
     TraceError,
+    TraceLine,
     WriteEvent,
     parse_trace,
 )
@@ -146,19 +147,45 @@ def test_parse_is_deterministic():
 
 def test_events_and_lines_are_frozen_and_slotted():
     lines = parse_trace(GOOD)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        lines[0].line_no = 7
-    for line in lines:
-        field = dataclasses.fields(line.event)[0].name
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(line.event, field, 0)
-        assert not hasattr(line.event, "__dict__")
-    assert not hasattr(lines[0], "__dict__")
+    assert {type(line.event) for line in lines} == {
+        ProcEvent, MmapEvent, MprotectEvent, WriteEvent, FetchEvent, ReadEvent, TickEvent,
+    }
+    for obj in [lines[0], *(line.event for line in lines)]:
+        for field in obj._fields:
+            with pytest.raises(AttributeError):
+                setattr(obj, field, 0)
+        assert not hasattr(obj, "__dict__")
 
 
 def test_events_of_different_kinds_never_compare_equal():
-    assert ReadEvent(1, 1, 0, 64) != FetchEvent(1, 1, 0, 64)
-    assert ReadEvent(1, 1, 0, 64) == ReadEvent(1, 1, 0, 64)
+    read, fetch = ReadEvent(1, 1, 0, 64), FetchEvent(1, 1, 0, 64)
+    assert read != fetch and fetch != read
+    assert not read == fetch and not fetch == read
+    assert read == ReadEvent(1, 1, 0, 64) and not read != ReadEvent(1, 1, 0, 64)
+    # nor the plain tuple of their fields, from either side
+    assert read != (1, 1, 0, 64) and (1, 1, 0, 64) != read
+    assert not read == (1, 1, 0, 64) and not (1, 1, 0, 64) == read
+    line = TraceLine(3, read)
+    assert line != (3, read) and (3, read) != line
+    assert not line == (3, read) and not (3, read) == line
+    assert line == TraceLine(3, ReadEvent(1, 1, 0, 64))
+    assert len({read, fetch}) == 2 and len({read, ReadEvent(1, 1, 0, 64)}) == 1
+    assert hash(read) != hash(fetch) and hash(read) == hash(ReadEvent(1, 1, 0, 64))
+
+
+def test_parsing_streams_lines_instead_of_splitting_the_text():
+    ops = ["READ pid=1 tid=1 cpu=0 addr={:#x}", "WRITE pid=1 tid=2 cpu=1 addr={} bytes=c3",
+           "FETCH pid=1 tid=1 cpu=0 addr={}  # slow path", "# a comment {}"]
+    text = "PROC uid=1\n" + "\n".join(ops[i % 4].format(i * 8) for i in range(20_000))
+    tracemalloc.start()
+    try:
+        lines = parse_trace(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lines) == 15_001
+    # a list of the 20,000 line strings alone would hold more than 1 MiB
+    assert peak - retained < 128 * 1024
 
 
 # --- the table-driven parser against the reference parser in conftest ---
@@ -237,11 +264,39 @@ def _mutate(rng: random.Random, fields: list[list[str]]) -> None:
             field[1] = rng.choice(_BAD_INTS + ("0",))
 
 
+# values a canonical access line may carry that only the token loop reads
+# (010, a 5,000-digit decimal) or that must be refused as the loop refuses them
+_FAST_EDGE_INTS = ("0X1f", "١٢", "9" * 5000, "0", "010", "0x0", "²", "0x")
+_FAST_EDGE_HEX = ("", "abc", "c3c", "0xc3", "C3", "c3 ")
+
+
+def _canonical_access(rng: random.Random, n_pids: int, ps: int) -> str:
+    """A READ/FETCH/WRITE line in the parser's fast-path shape: the upper-case
+    op, then every field in grammar order, one space apart.  Now and then a
+    field takes an edge value, or the pid 0 or one not created yet; ``_fields``
+    already ends some WRITEs one byte past the page."""
+    op = rng.choice(("READ", "FETCH", "WRITE"))
+    fields = _fields(rng, op, n_pids, ps)
+    if rng.random() < 0.1:
+        field = rng.choice(fields)
+        if field[0] == "bytes":
+            field[1] = rng.choice(_FAST_EDGE_HEX)
+        elif field[0] == "pid" and rng.random() < 0.5:
+            field[1] = rng.choice([str(n_pids + 1), "0"])
+        else:
+            field[1] = rng.choice(_FAST_EDGE_INTS)
+    return " ".join([op] + ["=".join(field) for field in fields])
+
+
 def _token_soup(rng: random.Random, ps: int) -> str:
     """A short trace: mostly valid lines, some with one defect, odd spacing,
-    mixed-case ops, comments and line-break characters other than "\\n"."""
+    mixed-case ops, comments and line-break characters other than "\\n";
+    about half the lines are canonical access lines."""
     lines, n_pids = [], 0
     for _ in range(rng.randint(1, 10)):
+        if rng.random() < 0.65 and (n_pids or rng.random() < 0.1):
+            lines.append(_canonical_access(rng, n_pids, ps))
+            continue
         roll = rng.random()
         if roll < 0.08:
             lines.append(rng.choice(["", "   ", "# note", rng.choice(_BREAKS)]))
