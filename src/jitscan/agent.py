@@ -38,7 +38,6 @@ class SimConfig:
     detection_action: str = "kill"  # response to signature hits: kill|block|alert
     shadow: bool = True  # False runs the plain baseline engine
     drain_every: int = 1  # agent cadence in events; 0 disables draining
-    drain_batch: int = 0  # snapshots per agent step; 0 means no limit
     guard: GuardConfig = field(default_factory=GuardConfig)
 
 
@@ -174,10 +173,10 @@ def replay(
         outcomes[result] = outcomes.get(result, 0) + 1
         guard.tick(machine.now)
         if config.drain_every > 0 and index % config.drain_every == 0:
-            agent.step(config.drain_batch)
+            agent.step()
     if config.drain_every > 0:
         while ctx.pipeline.pending_count() > 0:
-            agent.step(config.drain_batch)
+            agent.step()
     report.metrics = {
         "events": len(lines),
         "snapshots_emitted": ctx.pipeline.enqueued_total,

@@ -309,17 +309,14 @@ class Machine:
         space: AddressSpace,
         vpage: int,
         *,
-        writable: bool,
-        exec_disabled: bool,
-        orig_exe: bool = False,
+        writable: bool = False,
+        exec_disabled: bool = False,
     ) -> PageTableEntry:
         """Make vpage present, its frame the page's mmap image zero-padded."""
         frame = bytearray(self.page_size)
         image = space.images.pop(vpage, b"")
         frame[: len(image)] = image
-        pte = PageTableEntry(
-            frame, writable=writable, exec_disabled=exec_disabled, orig_exe=orig_exe,
-        )
+        pte = PageTableEntry(frame, writable=writable, exec_disabled=exec_disabled)
         space.ptes[vpage] = pte
         return pte
 

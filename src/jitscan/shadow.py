@@ -1,10 +1,11 @@
 """W^X shadow paging engine, and the plain baseline it replaces.
 
-A writable-and-executable page never exposes both permissions at once.
-Its physical bits alternate between two modes:
+An executable page never runs unchecked content, and a writable one
+never exposes write and execute at once.  Its physical bits alternate
+between two modes, W and orig_write following the area's w:
 
-    write mode:  W=1 XD=1 orig_exe=1    (fetches trap)
-    exec mode:   W=0 XD=0 orig_write=1  (writes trap)
+    write mode:  W=<area w> XD=1 orig_exe=1    (unchecked: fetches trap)
+    exec mode:   W=0 XD=0 orig_write=<area w>  (checked: writes trap)
 
 The spare orig_* bits mark a trapped access as shadow-induced -- the
 masked permission was originally granted -- rather than a genuine
@@ -17,10 +18,12 @@ cross-CPU flush of that page's TLB entry; without it a stale entry on
 another CPU would let writes land on a page that is currently
 executable.
 
-Pages that are executable but never writable get one content check on
-the fetch that materializes them and are otherwise left alone; pages
-without execute rights never interact with any of this.  Each hook takes
-the space, area and page entry ``Machine.access`` resolved.
+Every executable page starts in write mode, whatever touched it first,
+so its first fetch checks it; a page of an area without execute rights
+is plain data, with both orig_* bits clear.  ``_set_mode`` is the one
+place a page's four bits are set, from its area and whether it is
+checked.  Each hook takes the space, area and page entry
+``Machine.access`` resolved.
 
 A content check costs what was written, not the page: the sync check
 and the snapshot's async scan look only at windows around the spans
@@ -83,28 +86,28 @@ def signature_hit(
     return respond(machine, report, pid, uid, action, "signature", rule.name, path)
 
 
+def _set_mode(pte: PageTableEntry, area: VmArea, checked: bool) -> None:
+    """Set a present page's four bits: exec mode if checked, else write mode.
+
+    A page of an area without x is plain data whatever checked says:
+    write mode's bits with both orig_* clear.
+    """
+    x = area.logical_x
+    checked = checked and x
+    pte.writable = area.logical_w and not checked
+    pte.exec_disabled = not checked
+    pte.orig_exe = x and not checked
+    pte.orig_write = checked and area.logical_w
+
+
 def _shadow_relabel(pte: PageTableEntry, area: VmArea, old_w: bool, old_x: bool) -> None:
-    """Shadow bits of a present page whose area now has area's permissions."""
-    if area.logical_x:
-        gained_x = not old_x
-        gained_w = area.logical_w and not old_w
-        if gained_x or gained_w:
-            # next fetch must re-run the content check
-            pte.exec_disabled = True
-            pte.writable = area.logical_w
-            pte.orig_exe = True
-            pte.orig_write = False
-        elif pte.orig_exe:
-            pte.writable = area.logical_w  # recheck still pending
-        elif pte.orig_write:
-            pte.writable = False
-            if not area.logical_w:
-                pte.orig_write = False  # leaves the machine
-    else:
-        pte.exec_disabled = True
-        pte.writable = area.logical_w
-        pte.orig_write = False
-        pte.orig_exe = False
+    """Shadow bits of a present page whose area now has area's permissions.
+
+    A page stays checked only if it was in exec mode and the edit granted
+    no new w; a new x cannot reach a page in exec mode, which only an
+    executable area holds.
+    """
+    _set_mode(pte, area, not pte.exec_disabled and (old_w or not area.logical_w))
 
 
 def _plain_relabel(pte: PageTableEntry, area: VmArea, old_w: bool, old_x: bool) -> None:
@@ -142,25 +145,14 @@ class ShadowEngine:
         self, space: AddressSpace, area: VmArea | None, vpage: int, vaddr: int, tid: int,
         kind: AccessKind,
     ) -> AccessResult:
-        """Not-present fault: materialize the page per its area class."""
+        """Not-present fault: install the page unchecked; a fetch then checks it."""
         if area is None or not area.permits(kind):
             return AccessResult.SEGV_DELIVERED  # nothing materializes
-        machine = self.machine
-        if area.logical_x and area.logical_w:
-            # fetches must trap until the content has been checked
-            pte = machine.install_page(
-                space, vpage, writable=True, exec_disabled=True, orig_exe=True,
-            )
-            if kind is AccessKind.FETCH:
-                # materialize-then-check in one step: a single snapshot
-                return self.handle_exec_fault(space, area, pte, vpage, vaddr, tid)
-            return AccessResult.OK
-        if area.logical_x:
-            pte = machine.install_page(space, vpage, writable=False, exec_disabled=False)
-            if kind is AccessKind.FETCH:
-                return self._checked_fetch(space, pte, vpage, vaddr, tid)
-            return AccessResult.OK
-        machine.install_page(space, vpage, writable=area.logical_w, exec_disabled=True)
+        pte = self.machine.install_page(space, vpage)
+        _set_mode(pte, area, checked=False)
+        if kind is AccessKind.FETCH:
+            # materialize-then-check in one step: a single snapshot
+            return self.handle_exec_fault(space, area, pte, vpage, vaddr, tid)
         return AccessResult.OK
 
     def handle_write_fault(
@@ -169,10 +161,7 @@ class ShadowEngine:
         """Write trap: shadow-induced ones flip the page to write mode."""
         if not area.logical_w or not pte.orig_write:
             return AccessResult.SEGV_DELIVERED
-        pte.exec_disabled = True
-        pte.writable = True
-        pte.orig_exe = True
-        pte.orig_write = False
+        _set_mode(pte, area, checked=False)
         self.machine.tlb_flush_one(space.pid, vpage)
         return AccessResult.OK
 
@@ -186,17 +175,12 @@ class ShadowEngine:
         result = self._checked_fetch(space, pte, vpage, vaddr, tid)
         if result is not AccessResult.OK:
             return result
-        pte.exec_disabled = False
-        pte.writable = False
-        pte.orig_exe = False
-        # orig_write names the masked write permission; only W^X areas
-        # stay under the machine once rechecked
-        pte.orig_write = area.logical_w and area.logical_x
+        _set_mode(pte, area, checked=True)
         self.machine.tlb_flush_one(space.pid, vpage)
         return AccessResult.OK
 
     def on_mprotect(self, pid: int, start_vpage: int, n_pages: int, perms: str) -> None:
-        """Update logical permissions; force rechecks where X appears."""
+        """Update logical permissions and each present page's mode."""
         self.machine.relabel(pid, start_vpage, n_pages, perms, _shadow_relabel)
 
     # ---- the exec-side content check ------------------------------------

@@ -160,7 +160,7 @@ _GRAMMAR: dict[str, tuple[type, tuple[tuple[str, str, int], ...]]] = {
 # Canonical READ/FETCH/WRITE lines, nearly every line of a trace, take
 # one regex match instead of the token loop: the upper-case op, then
 # every field of its _GRAMMAR spec in order as key=value, one space
-# apart, and nothing else on the line (no comment, no \r).  An integer
+# apart, and nothing else on the line but a \r (no comment).  An integer
 # is 0x and hex digits or ASCII decimal digits ([0-9], not \d, which
 # matches ١٢); WRITE's bytes are hex digits, and bytes.fromhex refuses
 # an odd count.  Each op's alternative is a named group around its value
@@ -174,7 +174,7 @@ def _fast_pattern(op: str) -> str:
     values = "".join(
         f" {key}={'([0-9a-fA-F]+)' if kind == 'hex' else _INT_RE}" for key, kind, _ in spec
     )
-    return f"(?P<{op}>{op}{values})"
+    return rf"(?P<{op}>{op}{values})\r?"
 
 
 _LINE = re.compile("^(?:" + "|".join(map(_fast_pattern, _FAST_OPS)) + "|.*)$", re.M)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jitscan.agent import SimConfig, replay
 from jitscan.guard import DosGuard, GuardConfig
 from jitscan.mmu import AccessKind, AccessResult, Machine
 from jitscan.pipeline import SnapshotTable
@@ -305,3 +306,95 @@ def test_bad_detection_action_rejected():
     machine = Machine(page_size=PS)
     with pytest.raises(ValueError):
         ShadowEngine(machine, detection_action="explode")
+
+
+# ---- every executable page starts unchecked ------------------------------
+
+STUB_AT = 16 * PS
+RX_MMAP = ["PROC uid=7", f"MMAP pid=1 perms=rx pages=1 at=16 content={SYNC_STUB.hex()}"]
+RW_THEN_RX = [
+    "PROC uid=7", f"MMAP pid=1 perms=rw pages=1 at=16 content={SYNC_STUB.hex()}",
+    "MPROTECT pid=1 start=16 pages=1 perms=rx",
+]
+READ_STUB = f"READ pid=1 tid=1 cpu=0 addr={STUB_AT}"
+FETCH_STUB = f"FETCH pid=1 tid=1 cpu=0 addr={STUB_AT}"
+ASYNC_ALERT_RULES = (
+    "rule stub_alert family=stub severity=alert { fe ed c0 de de ad be ef ca fe ba be }\n"
+)
+
+
+def replay_lines(lines: list[str], rules_text: str) -> Report:
+    return replay("\n".join(lines) + "\n", parse_rules(rules_text, page_size=PS),
+                  SimConfig(page_size=PS))
+
+
+class TestReadBeforeFirstFetch:
+    @pytest.mark.parametrize("setup", [RX_MMAP, RW_THEN_RX], ids=["rx-mmap", "rw-mprotect-rx"])
+    def test_sync_kill_payload_is_caught_after_a_read(self, setup):
+        read_first = replay_lines(setup + [READ_STUB, FETCH_STUB], SYNC_RULES_TEXT)
+        fetch_first = replay_lines(setup + [FETCH_STUB, READ_STUB], SYNC_RULES_TEXT)
+        assert [(d.path, d.action) for d in read_first.detections] == [("sync", "kill")]
+        assert read_first.detections == fetch_first.detections
+        assert read_first.actions == fetch_first.actions
+        # after the kill, the fetch-first trace's READ names a dead pid: an error
+        assert read_first.outcomes == {"ok": len(setup) + 1, "killed": 1}
+        assert fetch_first.outcomes == {"ok": len(setup), "killed": 1, "error": 1}
+
+    def test_async_alert_sees_one_snapshot_after_a_read(self):
+        read_first = replay_lines(RX_MMAP + [READ_STUB, FETCH_STUB], ASYNC_ALERT_RULES)
+        fetch_first = replay_lines(RX_MMAP + [FETCH_STUB, READ_STUB], ASYNC_ALERT_RULES)
+        for report in (read_first, fetch_first):
+            assert report.metrics["snapshots_emitted"] == 1
+            assert report.metrics["scans_run"] == 1
+            assert report.outcomes == {"ok": 4}
+        assert [(d.path, d.action) for d in read_first.detections] == [("async", "alert")]
+        assert read_first.detections == fetch_first.detections
+
+
+def mode_bits(perms: str, checked: bool) -> tuple[bool, bool, bool, bool]:
+    """flags() of a present page of an area with perms: the two-mode table."""
+    w = "w" in perms
+    if "x" not in perms:
+        return (w, True, False, False)  # plain data
+    return (False, False, w, False) if checked else (w, True, False, True)
+
+
+# every page state each start can reach before its mprotect
+MODE_STARTS = [
+    ("rw", "untouched"), ("rw", "data"), ("r", "untouched"), ("r", "data"),
+    *((perms, state) for perms in ("rx", "wx", "rwx") for state in ("untouched", "write", "exec")),
+]
+NON_EMPTY_PERMS = ("r", "w", "x", "rw", "rx", "wx", "rwx")
+
+
+class TestModeRule:
+    @pytest.mark.parametrize("start,state", MODE_STARTS)
+    def test_mprotect_leaves_one_of_the_two_modes(self, start, state):
+        for perms in NON_EMPTY_PERMS:
+            machine, _, _ = rig()
+            pid = machine.create_process(uid=1)
+            machine.mmap(pid, start, 1, backing=b"\x90", at=16)
+            if state == "data":
+                machine.access(pid, 1, 0, 16 * PS, R)
+            elif state == "write" and "w" in start:
+                machine.access(pid, 1, 0, 16 * PS, F)
+                machine.access(pid, 1, 1, 16 * PS, W, b"\xc3")
+            elif state == "write":
+                machine.access(pid, 1, 1, 16 * PS, R)
+            elif state == "exec":
+                machine.access(pid, 1, 0, 16 * PS, F)
+                machine.access(pid, 1, 1, 16 * PS, R)
+            if state != "untouched":
+                assert flags(machine, pid) == mode_bits(start, state == "exec"), (start, state)
+            machine.mprotect(pid, 16, 1, perms)
+            assert wx_violations(machine) == [], (start, state, perms)
+            if state == "untouched":
+                # the first touch materializes it; only a fetch checks it
+                kind = R if machine.spaces[pid].find_area(16).permits(R) else F
+                assert machine.access(pid, 1, 0, 16 * PS, kind) is AccessResult.OK
+                checked = kind is F
+            else:
+                # a page stays checked only from exec mode, and only if no w was granted
+                checked = state == "exec" and ("w" in start or "w" not in perms)
+            assert flags(machine, pid) == mode_bits(perms, checked), (start, state, perms)
+            assert wx_violations(machine) == [], (start, state, perms)

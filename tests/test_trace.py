@@ -17,10 +17,11 @@ from jitscan.trace import (
     TraceError,
     TraceLine,
     WriteEvent,
+    _LINE,
     parse_trace,
 )
 
-from conftest import reference_parse_trace
+from conftest import random_benign_trace, reference_parse_trace
 
 GOOD = """\
 # two processes, one shared uid
@@ -186,6 +187,20 @@ def test_parsing_streams_lines_instead_of_splitting_the_text():
     assert len(lines) == 15_001
     # a list of the 20,000 line strings alone would hold more than 1 MiB
     assert peak - retained < 128 * 1024
+
+
+def test_crlf_access_lines_take_the_regex_path():
+    assert _LINE.match("READ pid=1 tid=1 cpu=0 addr=0\r\n").lastgroup == "READ"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_crlf_trace_parses_as_its_lf_form(seed):
+    lf = random_benign_trace(random.Random(seed))
+    crlf = lf.replace("\n", "\r\n")
+    fast = [m.lastgroup for m in _LINE.finditer(lf)]
+    assert [m.lastgroup for m in _LINE.finditer(crlf)] == fast
+    assert fast.count(None) < len(fast) // 2  # most lines are canonical access lines
+    assert parse_trace(crlf) == parse_trace(lf)
 
 
 # --- the table-driven parser against the reference parser in conftest ---
