@@ -74,6 +74,8 @@ class PageTableEntry:
     page's last clean content check, in write order.  None means the next
     check must cover the whole page: the page was never checked, its last
     check found a match, or it took more than MAX_WRITTEN_SPANS writes.
+    A blank page of an executable area starts at ``[]`` instead when the
+    rule set cannot match a zero page: its zeros are a clean check.
     Only ``Machine._apply`` adds a span, and only to a list.
     """
 

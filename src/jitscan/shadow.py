@@ -28,7 +28,10 @@ checked.  Each hook takes the space, area and page entry
 A content check costs what was written, not the page: the sync check
 and the snapshot's async scan look only at windows around the spans
 written since the page's last checked fetch (``PageTableEntry.written``),
-and go back to the whole page after a match.
+and go back to the whole page after a match.  A blank page (no mmap
+image) of an executable area starts with an empty span list when no rule
+matches a zero page (``RuleSet.zero_page_clean``), so even its first
+check covers only the bytes written; any other page's is whole.
 
 ``respond`` is the single point where a process is killed or blocked,
 for the sync check, the flood guard and the async agent alike;
@@ -148,7 +151,10 @@ class ShadowEngine:
         """Not-present fault: install the page unchecked; a fetch then checks it."""
         if area is None or not area.permits(kind):
             return AccessResult.SEGV_DELIVERED  # nothing materializes
+        blank = area.logical_x and vpage not in space.images  # tested before the pop
         pte = self.machine.install_page(space, vpage)
+        if blank and self.rules is not None and self.rules.zero_page_clean:
+            pte.written = []
         _set_mode(pte, area, checked=False)
         if kind is AccessKind.FETCH:
             # materialize-then-check in one step: a single snapshot

@@ -181,7 +181,10 @@ def _admit(rule: SignatureRule, names: set[str], page_size: int) -> None:
 
 
 class RuleSet:
-    """Parsed rules plus compiled indexes for full and sync-only scans."""
+    """Parsed rules plus compiled indexes for full and sync-only scans.
+
+    ``zero_page_clean`` is True when no rule matches an all-zero page.
+    """
 
     def __init__(self, rules: list[SignatureRule], page_size: int = DEFAULT_PAGE_SIZE):
         names: set[str] = set()
@@ -193,6 +196,8 @@ class RuleSet:
         self.sync_rules = [r for r in self.rules if r.sync]
         self._full = _MultiPattern(self.rules)
         self._sync = _MultiPattern(self.sync_rules)
+        # a rule fits a page (_admit), so it matches zeros iff every literal is 00
+        self.zero_page_clean = not any(all(a in (None, 0) for a in r.atoms) for r in self.rules)
 
     def __len__(self) -> int:
         return len(self.rules)

@@ -342,6 +342,67 @@ def _sparse_history(rng: random.Random, page_size: int, n_pids: int = 1) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _zero_rules(rng: random.Random) -> str:
+    """Rules over the bytes A, B and 00 with wildcards.  Some sets match no
+    zero page, some match one only through an alert-only async rule or only
+    through a sync rule (their other rules each hold an A or a B), and some
+    are drawn freely."""
+    mode = rng.choice(["clean", "async-zero", "sync-zero", "any"])
+    rules = []
+    for _ in range(rng.randint(1, 4)):
+        atoms = [
+            "??" if rng.random() < 0.3 else rng.choice(["41", "42", "00"])
+            for _ in range(rng.randint(1, 6))
+        ]
+        if mode != "any" and all(a in ("??", "00") for a in atoms):
+            atoms[rng.randrange(len(atoms))] = rng.choice(["41", "42"])
+        elif all(a == "??" for a in atoms):
+            atoms[0] = "00"
+        sync = " sync" if rng.random() < 0.5 else ""
+        severity = "kill" if sync or rng.random() < 0.5 else "alert"
+        rules.append((f"severity={severity}{sync}", atoms))
+    if mode.endswith("-zero"):
+        atoms = ["??" if rng.random() < 0.4 else "00" for _ in range(rng.randint(1, 4))]
+        atoms[rng.randrange(len(atoms))] = "00"
+        flags = "severity=alert" if mode == "async-zero" else "severity=kill sync"
+        rules.insert(rng.randint(0, len(rules)), (flags, atoms))
+    return "".join(
+        f"rule r{i} family=t {flags} {{ {' '.join(atoms)} }}\n"
+        for i, (flags, atoms) in enumerate(rules)
+    )
+
+
+def _zero_history(rng: random.Random, page_size: int) -> str:
+    """Three areas of any x/w mix, each blank or with an image from AB00x,
+    written with bytes from AB00x, read, fetched and mprotected."""
+    lines, areas = ["PROC uid=1000"], []
+    for at in (16, 20, 24):
+        n = rng.randint(1, 2)
+        line = f"MMAP pid=1 perms={rng.choice(['wx', 'rwx', 'rx', 'rw'])} pages={n}"
+        if rng.random() < 0.5:
+            image = bytes(rng.choice(b"AB\x00x") for _ in range(rng.randint(1, n * page_size)))
+            line += f" content={image.hex()}"
+        lines.append(f"{line} at={at}")
+        areas.append((at, n))
+    for _ in range(rng.randint(10, 40)):
+        at, n = rng.choice(areas)
+        base, cpu, roll = (at + rng.randrange(n)) * page_size, rng.randrange(2), rng.random()
+        if roll < 0.25:
+            lines.append(f"FETCH pid=1 tid=1 cpu={cpu} addr={base + rng.randrange(page_size)}")
+        elif roll < 0.32:
+            perms = rng.choice(["wx", "rwx", "rx", "rw"])
+            lines.append(f"MPROTECT pid=1 start={at} pages={n} perms={perms}")
+        elif roll < 0.37:
+            lines.append(f"READ pid=1 tid=1 cpu={cpu} addr={base}")
+        else:
+            data = bytes(rng.choice(b"AB\x00x") for _ in range(rng.randint(1, 3)))
+            off = rng.choice([0, page_size - len(data), rng.randint(0, page_size - len(data))])
+            lines.append(
+                f"WRITE pid=1 tid=1 cpu={cpu} addr={base + off} bytes={data.hex()}"
+            )
+    return "\n".join(lines) + "\n"
+
+
 class TestWrittenSpans:
     """Checks narrowed to the bytes written since a page's last clean check."""
 
@@ -367,6 +428,32 @@ class TestWrittenSpans:
                     assert report.emit() == whole_page(trace, rs, config)
                     detected += bool(report.detections)
         assert detected > 1000  # the histories reach matches often
+
+    def test_reports_equal_whole_page_checks_with_zero_rules_and_images(self, monkeypatch):
+        # blank executable pages start narrow only when no rule matches a zero page
+        def whole_page(trace, rs, config):
+            with monkeypatch.context() as m:
+                m.setattr(shadow_module, "sync_check",
+                          lambda content, rules, spans=None: sync_check(content, rules))
+                m.setattr(agent_module, "scan_page",
+                          lambda content, rules, spans=None: scan_page(content, rules))
+                return replay(trace, rs, config).emit()
+
+        rng = random.Random(1313)
+        page_size, detected, zero_sets = 64, 0, 0
+        for _ in range(200):
+            trace = _zero_history(rng, page_size)
+            rs = parse_rules(_zero_rules(rng), page_size)
+            zero_sets += not rs.zero_page_clean
+            action = rng.choice(["alert", "kill"])
+            for drain_every in (1, 3):
+                for sync in (True, False):
+                    config = SimConfig(page_size=page_size, sync_check=sync,
+                                       detection_action=action, drain_every=drain_every)
+                    report = replay(trace, rs, config)
+                    assert report.emit() == whole_page(trace, rs, config)
+                    detected += bool(report.detections)
+        assert detected > 400 and 50 < zero_sets < 150  # matches, clean and unclean sets
 
     def test_a_checked_fetch_without_a_snapshot_stops_the_process(self, monkeypatch):
         # one span list serves the sync check and the snapshot only because

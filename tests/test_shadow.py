@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jitscan import shadow as shadow_module
 from jitscan.agent import SimConfig, replay
 from jitscan.guard import DosGuard, GuardConfig
 from jitscan.mmu import AccessKind, AccessResult, Machine
 from jitscan.pipeline import SnapshotTable
 from jitscan.report import Report
 from jitscan.shadow import BaselineEngine, ShadowEngine
-from jitscan.signatures import parse_rules
+from jitscan.signatures import parse_rules, sync_check
 
 from conftest import SYNC_RULES_TEXT, SYNC_STUB, snapshot_reference, wx_violations
 
@@ -349,6 +350,47 @@ class TestReadBeforeFirstFetch:
             assert report.outcomes == {"ok": 4}
         assert [(d.path, d.action) for d in read_first.detections] == [("async", "alert")]
         assert read_first.detections == fetch_first.detections
+
+
+def write_16(off: int) -> str:
+    return f"WRITE pid=1 tid=1 cpu=0 addr={STUB_AT + off} bytes={'90' * 16}"
+
+
+class TestFirstCheckSpans:
+    """Only a blank page of an executable area starts its first check narrow."""
+
+    def first_fetch_spans(self, monkeypatch, lines: list[str], rules_text: str):
+        seen = []
+
+        def spy(content, rules, spans=None):
+            seen.append(None if spans is None else list(spans))
+            return sync_check(content, rules, spans)
+
+        monkeypatch.setattr(shadow_module, "sync_check", spy)
+        replay_lines(["PROC uid=7", *lines, FETCH_STUB], rules_text)
+        assert len(seen) == 1
+        return seen[0]
+
+    def test_blank_wx_page_gets_exactly_its_writes(self, monkeypatch):
+        lines = ["MMAP pid=1 perms=wx pages=1 at=16", write_16(0x100), write_16(0x800)]
+        spans = self.first_fetch_spans(monkeypatch, lines, SYNC_RULES_TEXT)
+        assert spans == [(0x100, 0x110), (0x800, 0x810)]
+
+    def test_page_with_an_mmap_image_is_checked_whole(self, monkeypatch):
+        lines = ["MMAP pid=1 perms=wx pages=1 content=c3 at=16", write_16(0x100)]
+        assert self.first_fetch_spans(monkeypatch, lines, SYNC_RULES_TEXT) is None
+
+    def test_rules_that_match_a_zero_page_check_it_whole(self, monkeypatch):
+        rules_text = SYNC_RULES_TEXT + "rule zeros family=t severity=alert { 00 ?? 00 }\n"
+        lines = ["MMAP pid=1 perms=wx pages=1 at=16", write_16(0x100)]
+        assert self.first_fetch_spans(monkeypatch, lines, rules_text) is None
+
+    def test_data_page_made_executable_is_checked_whole(self, monkeypatch):
+        lines = [
+            "MMAP pid=1 perms=rw pages=1 at=16", write_16(0x100),
+            "MPROTECT pid=1 start=16 pages=1 perms=rx",
+        ]
+        assert self.first_fetch_spans(monkeypatch, lines, SYNC_RULES_TEXT) is None
 
 
 def mode_bits(perms: str, checked: bool) -> tuple[bool, bool, bool, bool]:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jitscan import signatures as signatures_module
 from jitscan.signatures import (
     Match,
     RuleSet,
@@ -466,3 +467,43 @@ class TestWindowScan:
         # nothing written since a clean check: nothing new can match
         assert scan_page(page, rs, []) == []
         assert sync_check(page, rs, []) is None
+
+
+class TestZeroPageClean:
+    """``RuleSet.zero_page_clean`` against a naive scan of an all-zero page."""
+
+    def test_equals_a_naive_scan_of_a_zero_page(self):
+        rng = random.Random(13)
+        outcomes = {True: 0, False: 0}
+        for _ in range(3000):
+            ps = rng.randint(1, 64)
+            rules = []
+            for i in range(rng.randint(1, 6)):
+                length = ps if rng.random() < 0.2 else rng.randint(1, min(ps, 8))
+                atoms = _pattern(rng, [0x00, 0x00, 0x41], length, wild=rng.choice([0.2, 0.5]))
+                sync = rng.random() < 0.5
+                severity = "kill" if sync or rng.random() < 0.5 else "alert"
+                rules.append(SignatureRule(f"r{i}", "t", severity, sync, atoms))
+            rs = RuleSet(rules, page_size=ps)
+            clean = naive_scan(bytes(ps), [(r.name, r.atoms) for r in rules]) == []
+            assert rs.zero_page_clean == clean, (ps, rules)
+            outcomes[clean] += 1
+        assert min(outcomes.values()) > 500  # both answers are common
+
+    def test_empty_set_is_clean(self):
+        assert ruleset(page_size=64).zero_page_clean
+
+    def test_an_alert_only_async_rule_makes_the_set_unclean(self):
+        rs = ruleset(rule("s", "41 00", severity="kill", sync=True), rule("z", "00 ?? 00"),
+                     page_size=64)
+        assert not rs.zero_page_clean
+        # its sync rules alone would be clean: the full set decides
+        assert RuleSet(rs.sync_rules, page_size=64).zero_page_clean
+
+    def test_set_up_scans_no_page(self, monkeypatch):
+        def no_scan(self, data, spans=None):
+            raise AssertionError("building a RuleSet scanned a page")
+
+        monkeypatch.setattr(signatures_module._MultiPattern, "scan", no_scan)
+        rs = ruleset(rule("z", "00 00", severity="kill", sync=True), page_size=2**21)
+        assert not rs.zero_page_clean
