@@ -19,7 +19,6 @@ from .mmu import (
     OverlapError,
     PageNotPresentError,
     PageTableEntry,
-    SimCpu,
     SimError,
     UnknownProcessError,
     UnmappedRangeError,
@@ -66,7 +65,6 @@ __all__ = [
     "ShadowEngine",
     "SignatureRule",
     "SimConfig",
-    "SimCpu",
     "SimError",
     "SnapshotTable",
     "ThrottleEntry",

@@ -1,9 +1,11 @@
-"""Simulated address spaces: page tables, demand paging, per-CPU TLBs.
+"""Simulated address spaces: page tables, demand paging, TLB entries.
 
 Everything here is deterministic and single-threaded: one logical
-simulation thread applies accesses in trace order, and each simulated
-CPU keeps an infinite TLB caching the (writable, exec_disabled) pair a
-page walk last produced.  Stale entries are honored on purpose; a
+simulation thread applies accesses in trace order.  Each simulated CPU
+has an infinite TLB caching the (writable, exec_disabled) pair a page
+walk last produced, and that entry is stored on the page entry it
+caches, keyed by CPU id, so a hit, fill, trap, flush or kill touches
+only the pages involved.  Stale entries are honored on purpose; a
 permission edit becomes visible to a CPU only once the page's entry is
 flushed or the access traps.  Fault handling is delegated to a
 pluggable engine, the shadow W^X engine or a plain baseline, whose
@@ -77,6 +79,8 @@ class PageTableEntry:
     A blank page of an executable area starts at ``[]`` instead when the
     rule set cannot match a zero page: its zeros are a clean check.
     Only ``Machine._apply`` adds a span, and only to a list.
+    ``tlb`` maps a CPU id to the (writable, exec_disabled) pair that CPU
+    cached at its last walk of the page.
     """
 
     frame: bytearray
@@ -85,6 +89,7 @@ class PageTableEntry:
     orig_write: bool = False
     orig_exe: bool = False
     written: list[tuple[int, int]] | None = None
+    tlb: dict[int, tuple[bool, bool]] = field(default_factory=dict)
 
 
 @dataclass
@@ -100,9 +105,6 @@ class VmArea:
     @property
     def end_vpage(self) -> int:
         return self.start_vpage + self.n_pages
-
-    def contains(self, vpage: int) -> bool:
-        return self.start_vpage <= vpage < self.end_vpage
 
     def permits(self, kind: AccessKind) -> bool:
         # x86-flavored: a writable mapping is implicitly readable
@@ -138,32 +140,33 @@ class AddressSpace:
     mmap_cursor: int = 16  # next auto-placed area start, in vpages
 
     def find_area(self, vpage: int) -> VmArea | None:
-        for area in self.areas:
-            if area.contains(vpage):
-                return area
+        i = bisect.bisect_right(self.areas, vpage, key=lambda a: a.start_vpage)
+        if i and vpage < self.areas[i - 1].end_vpage:
+            return self.areas[i - 1]
         return None
 
     def insert(self, area: VmArea) -> None:
         """Add area in start order; raises if it overlaps a mapped page."""
-        for other in self.areas:
+        i = bisect.bisect_right(self.areas, area.start_vpage, key=lambda a: a.start_vpage)
+        for other in self.areas[max(i - 1, 0) : i + 1]:  # disjoint: only neighbours can overlap
             if area.start_vpage < other.end_vpage and other.start_vpage < area.end_vpage:
                 raise OverlapError(
                     f"pid {self.pid}: mapping [{area.start_vpage}, {area.end_vpage}) overlaps"
                     f" [{other.start_vpage}, {other.end_vpage})"
                 )
-        bisect.insort(self.areas, area, key=lambda a: a.start_vpage)
+        self.areas.insert(i, area)
         self.mmap_cursor = max(self.mmap_cursor, area.end_vpage)
 
-    def protect(self, start: int, n_pages: int, perms: str) -> list[tuple[int, int, bool, bool]]:
+    def protect(self, start: int, n_pages: int, perms: str) -> list[tuple[int, int, bool]]:
         """Give vpages [start, start+n) perms, merging touching areas left equal.
 
-        Returns (lo, hi, old_w, old_x) for each former area's part of the
-        range, in order; raises, changing nothing, if any page in the
-        range is unmapped.
+        Returns (lo, hi, old_w) for each former area's part of the range,
+        in order, old_w being whether that area was writable; raises,
+        changing nothing, if any page in the range is unmapped.
         """
         end = start + n_pages
         new = ("r" in perms, "w" in perms, "x" in perms)
-        pieces: list[tuple[int, int, bool, bool]] = []
+        pieces: list[tuple[int, int, bool]] = []
         runs: list[list] = []  # [start, end, (r, w, x), the area while nothing cut or grew it]
         for area in self.areas:
             a0 = area.start_vpage
@@ -172,7 +175,7 @@ class AddressSpace:
             cuts = ((a0, a1, old, area),)
             if a0 < end and start < a1:
                 lo, hi = max(a0, start), min(a1, end)
-                pieces.append((lo, hi, old[1], old[2]))
+                pieces.append((lo, hi, old[1]))
                 cuts = ((a0, lo, old, None), (lo, hi, new, None), (hi, a1, old, None))
             for c0, c1, rwx, whole in cuts:
                 if c0 == c1:
@@ -181,19 +184,12 @@ class AddressSpace:
                     runs[-1][1], runs[-1][3] = c1, None
                 else:
                     runs.append([c0, c1, rwx, whole])
-        if sum(hi - lo for lo, hi, _, _ in pieces) != n_pages:
+        if sum(hi - lo for lo, hi, _ in pieces) != n_pages:
             raise UnmappedRangeError(
                 f"pid {self.pid}: vpages [{start}, {end}) not fully mapped"
             )
         self.areas = [whole or VmArea(c0, c1 - c0, *rwx) for c0, c1, rwx, whole in runs]
         return pieces
-
-
-@dataclass
-class SimCpu:
-    cpu_id: int
-    # (pid, vpage) -> (writable, exec_disabled) as of the last walk
-    tlb: dict[tuple[int, int], tuple[bool, bool]] = field(default_factory=dict)
 
 
 def _permits(kind: AccessKind, writable: bool, exec_disabled: bool) -> bool:
@@ -205,7 +201,7 @@ def _permits(kind: AccessKind, writable: bool, exec_disabled: bool) -> bool:
 
 
 class Machine:
-    """The simulated machine: processes, frames, CPUs, logical clock.
+    """The simulated machine: processes, frames, logical clock.
 
     A fault engine must be attached before accesses run.  Per trap,
     ``access`` calls on_materialize(space, area, vpage, vaddr, tid, kind)
@@ -221,7 +217,6 @@ class Machine:
         self.page_size = page_size
         self.suppress_tlb_flush = suppress_tlb_flush
         self.spaces: dict[int, AddressSpace] = {}
-        self.cpus: dict[int, SimCpu] = {}
         self.now = 0
         self.engine = None
         self._next_pid = 1
@@ -275,18 +270,19 @@ class Machine:
     def relabel(self, pid: int, start_vpage: int, n_pages: int, perms: str, rule) -> None:
         """Set the logical perms of vpages [start, start+n) of pid.
 
-        rule(pte, area, old_w, old_x) re-derives each present page's bits,
-        then the page is flushed from every TLB.
+        rule(pte, area, old_w) re-derives each present page's bits, old_w
+        being whether the page's former area was writable, then the page
+        is flushed from every TLB.
         """
         space = self.space(pid)
         pieces = space.protect(start_vpage, n_pages, perms)
         area = space.find_area(start_vpage)  # the merged range lies in one area
-        for lo, hi, old_w, old_x in pieces:
+        for lo, hi, old_w in pieces:
             # walk the fewer of the piece's vpages and the pid's present pages
             for vpage in range(lo, hi) if hi - lo <= len(space.ptes) else space.ptes:
                 pte = space.ptes.get(vpage)
                 if pte is not None and lo <= vpage < hi:
-                    rule(pte, area, old_w, old_x)
+                    rule(pte, area, old_w)
                     self.tlb_flush_one(pid, vpage)
 
     def kill_process(self, pid: int) -> None:
@@ -294,17 +290,10 @@ class Machine:
         if not space.alive:
             return  # idempotent
         space.alive = False
-        for cpu in self.cpus.values():
-            for key in [k for k in cpu.tlb if k[0] == pid]:
-                del cpu.tlb[key]
+        for pte in space.ptes.values():
+            pte.tlb.clear()
 
     # ---- page plumbing ------------------------------------------------
-
-    def cpu(self, cpu_id: int) -> SimCpu:
-        cpu = self.cpus.get(cpu_id)
-        if cpu is None:
-            cpu = self.cpus[cpu_id] = SimCpu(cpu_id)
-        return cpu
 
     def install_page(
         self,
@@ -330,12 +319,10 @@ class Machine:
         return bytes(pte.frame)
 
     def tlb_flush_one(self, pid: int, vpage: int) -> None:
-        """Drop one page's entry from every CPU (broadcast shootdown)."""
-        if self.suppress_tlb_flush:
-            return
-        key = (pid, vpage)
-        for cpu in self.cpus.values():
-            cpu.tlb.pop(key, None)
+        """Drop the page's entry on every CPU that holds one."""
+        pte = self.space(pid, require_alive=False).ptes.get(vpage)
+        if pte is not None and not self.suppress_tlb_flush:
+            pte.tlb.clear()
 
     def memory_map(self) -> dict[tuple[int, int], bytes]:
         """Present page contents keyed by (pid, vpage)."""
@@ -370,23 +357,19 @@ class Machine:
                 raise ValueError("write access requires payload bytes")
             if (vaddr % self.page_size) + len(data) > self.page_size:
                 raise ValueError("write payload crosses a page boundary")
-        cpu = self.cpu(cpu_id)
         vpage = vaddr // self.page_size
-        key = (pid, vpage)
-        cached = cpu.tlb.get(key)
+        pte = space.ptes.get(vpage)
+        cached = pte.tlb.get(cpu_id) if pte is not None else None
         if cached is not None:
             writable, exec_disabled = cached
             if _permits(kind, writable, exec_disabled):
-                pte = space.ptes.get(vpage)
-                if pte is not None:
-                    # stale flags honored: no walk, no refill
-                    self._apply(pte, vaddr, kind, data)
-                    return AccessResult.OK
+                # stale flags honored: no walk, no refill
+                self._apply(pte, vaddr, kind, data)
+                return AccessResult.OK
             # a trapping access drops the local entry (the walk redoes it)
-            del cpu.tlb[key]
+            del pte.tlb[cpu_id]
 
         area = space.find_area(vpage)
-        pte = space.ptes.get(vpage)
         result = AccessResult.OK
         if area is None or pte is None:
             result = self.engine.on_materialize(space, area, vpage, vaddr, tid, kind)
@@ -404,7 +387,7 @@ class Machine:
                 " but left it impermissible"
             )
         self._apply(pte, vaddr, kind, data)
-        cpu.tlb[key] = (pte.writable, pte.exec_disabled)
+        pte.tlb[cpu_id] = (pte.writable, pte.exec_disabled)
         return AccessResult.OK
 
     def _apply(self, pte: PageTableEntry, vaddr: int, kind: AccessKind, data: bytes | None) -> None:

@@ -103,7 +103,7 @@ def _set_mode(pte: PageTableEntry, area: VmArea, checked: bool) -> None:
     pte.orig_write = checked and area.logical_w
 
 
-def _shadow_relabel(pte: PageTableEntry, area: VmArea, old_w: bool, old_x: bool) -> None:
+def _shadow_relabel(pte: PageTableEntry, area: VmArea, old_w: bool) -> None:
     """Shadow bits of a present page whose area now has area's permissions.
 
     A page stays checked only if it was in exec mode and the edit granted
@@ -113,7 +113,7 @@ def _shadow_relabel(pte: PageTableEntry, area: VmArea, old_w: bool, old_x: bool)
     _set_mode(pte, area, not pte.exec_disabled and (old_w or not area.logical_w))
 
 
-def _plain_relabel(pte: PageTableEntry, area: VmArea, old_w: bool, old_x: bool) -> None:
+def _plain_relabel(pte: PageTableEntry, area: VmArea, old_w: bool) -> None:
     pte.writable = area.logical_w
     pte.exec_disabled = not area.logical_x
 

@@ -295,7 +295,7 @@ def wx_violations(machine: Machine) -> list[tuple[int, int]]:
     """(pid, vpage) pairs where write and execute are jointly reachable.
 
     For each present page of a W+X area, collect every live view of its
-    permission bits: the PTE itself plus any TLB entry on any CPU.  If
+    permission bits: the PTE itself plus its TLB entry on any CPU.  If
     one view permits writes while another permits fetches, some CPU can
     write the page while some CPU can execute it.
     """
@@ -307,11 +307,7 @@ def wx_violations(machine: Machine) -> list[tuple[int, int]]:
             area = space.find_area(vpage)
             if area is None or not (area.logical_w and area.logical_x):
                 continue
-            views = [(pte.writable, pte.exec_disabled)]
-            for cpu in machine.cpus.values():
-                cached = cpu.tlb.get((pid, vpage))
-                if cached is not None:
-                    views.append(cached)
+            views = [(pte.writable, pte.exec_disabled), *pte.tlb.values()]
             if any(w for w, _ in views) and any(not xd for _, xd in views):
                 bad.append((pid, vpage))
     return bad

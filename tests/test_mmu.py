@@ -141,8 +141,9 @@ class TestTlb:
         machine.mmap(pid, "rw", 1, at=16)
         machine.access(pid, 1, 0, 16 * PS, AccessKind.READ)
         machine.access(pid, 1, 1, 16 * PS, AccessKind.READ)
-        assert machine.cpus[0].tlb[(pid, 16)] == (True, True)
-        assert machine.cpus[1].tlb[(pid, 16)] == (True, True)
+        tlb = machine.spaces[pid].ptes[16].tlb
+        assert tlb[0] == (True, True)
+        assert tlb[1] == (True, True)
 
     def test_flush_one_is_a_broadcast(self):
         machine = plain_machine()
@@ -152,9 +153,10 @@ class TestTlb:
             machine.access(pid, 1, cpu, 16 * PS, AccessKind.READ)
             machine.access(pid, 1, cpu, 17 * PS, AccessKind.READ)
         machine.tlb_flush_one(pid, 16)
+        ptes = machine.spaces[pid].ptes
         for cpu in (0, 1, 2):
-            assert (pid, 16) not in machine.cpus[cpu].tlb
-            assert (pid, 17) in machine.cpus[cpu].tlb
+            assert cpu not in ptes[16].tlb
+            assert cpu in ptes[17].tlb
 
     def test_flush_of_uncached_page_is_a_noop(self):
         machine = plain_machine()
@@ -171,7 +173,7 @@ class TestTlb:
         assert machine.access(pid, 1, 0, 16 * PS, AccessKind.FETCH) is AccessResult.OK
         pte = machine.spaces[pid].ptes[16]
         assert (pte.writable, pte.exec_disabled) == (False, False)  # exec mode
-        assert machine.cpus[1].tlb[(pid, 16)] == (True, True)  # stale
+        assert pte.tlb[1] == (True, True)  # stale
         assert machine.access(pid, 1, 1, 16 * PS, AccessKind.WRITE, b"\x41") is AccessResult.OK
         assert wx_violations(machine) == [(pid, 16)]
 
@@ -181,7 +183,7 @@ class TestTlb:
         machine.mmap(pid, "wx", 1, at=16)
         machine.access(pid, 1, 0, 16 * PS, AccessKind.WRITE, b"\x90")
         machine.access(pid, 1, 0, 16 * PS, AccessKind.FETCH)  # traps, drops cpu0 entry
-        assert machine.cpus[0].tlb[(pid, 16)] == (False, False)  # refilled post-walk
+        assert machine.spaces[pid].ptes[16].tlb[0] == (False, False)  # refilled post-walk
 
 
 class TestReadPage:
@@ -233,10 +235,14 @@ class TestKillProcess:
     def test_kill_drops_tlb_entries(self):
         machine = plain_machine()
         pid = machine.create_process(uid=0)
-        machine.mmap(pid, "rw", 1, at=16)
-        machine.access(pid, 1, 0, 16 * PS, AccessKind.READ)
+        other = machine.create_process(uid=0)
+        for p in (pid, other):
+            machine.mmap(p, "rw", 1, at=16)
+            machine.access(p, 1, 0, 16 * PS, AccessKind.READ)
         machine.kill_process(pid)
-        assert (pid, 16) not in machine.cpus[0].tlb
+        assert 0 not in machine.spaces[pid].ptes[16].tlb
+        # only the killed pid's entries go: the other pid's, on the same cpu, stay
+        assert machine.spaces[other].ptes[16].tlb[0] == (True, True)
 
 
 class TestMmapMprotect:
@@ -319,6 +325,53 @@ class TestMmapMprotect:
         ptes = machine.spaces[pid].ptes
         assert [ptes[16 + i].writable for i in range(8)] == [True] * 8
         assert machine.access(pid, 1, 0, 16 * ps, AccessKind.FETCH) is AccessResult.SEGV_DELIVERED
+        assert elapsed < 1.0
+
+    def test_shootdown_cost_does_not_follow_cpu_count(self):
+        machine = shadow_machine()
+        pid = machine.create_process(uid=0)
+        machine.mmap(pid, "wx", 1, at=16)
+        t0 = time.perf_counter()
+        for cpu in range(10**4):
+            assert machine.access(pid, 1, cpu, 16 * PS, AccessKind.WRITE, b"\x90") is AccessResult.OK
+            assert machine.access(pid, 1, cpu, 16 * PS, AccessKind.FETCH) is AccessResult.OK
+        elapsed = time.perf_counter() - t0
+        # every flip shot down the previous cpu's entry: only the last fetch's stays
+        assert machine.spaces[pid].ptes[16].tlb == {10**4 - 1: (False, False)}
+        assert wx_violations(machine) == []
+        assert elapsed < 1.0
+
+    def test_kill_cost_does_not_follow_machine_size(self):
+        ps = 64
+        machine = plain_machine(page_size=ps)
+        pids = [machine.create_process(uid=0) for _ in range(2 * 10**4)]
+        for i, pid in enumerate(pids):
+            machine.mmap(pid, "rw", 1, at=16)
+            machine.access(pid, 1, i % 4, 16 * ps, AccessKind.READ)
+        t0 = time.perf_counter()
+        for pid in pids[::10]:
+            machine.kill_process(pid)
+        elapsed = time.perf_counter() - t0
+        for i, pid in enumerate(pids):
+            tlb = machine.spaces[pid].ptes[16].tlb
+            assert tlb == ({} if i % 10 == 0 else {i % 4: (True, True)})
+        assert elapsed < 0.5
+
+    def test_area_lookup_cost_does_not_follow_area_count(self):
+        ps = 64
+        machine = plain_machine(page_size=ps)
+        pid = machine.create_process(uid=0)
+        n = 8000
+        t0 = time.perf_counter()
+        for i in range(n):
+            machine.mmap(pid, "r" if i % 2 == 0 else "rw", 1, at=16 + i)
+        for vpage in range(16, 16 + n):
+            assert machine.access(pid, 1, 0, vpage * ps, AccessKind.READ) is AccessResult.OK
+        elapsed = time.perf_counter() - t0
+        areas = machine.spaces[pid].areas
+        assert [(a.start_vpage, a.perms()) for a in areas] == [
+            (16 + i, "r" if i % 2 == 0 else "rw") for i in range(n)
+        ]
         assert elapsed < 1.0
 
     def test_flipping_every_page_and_back_leaves_one_area(self):

@@ -107,7 +107,7 @@ class TestWriteFault:
         machine.access(pid, 1, 0, 16 * PS, F)
         machine.access(pid, 1, 1, 16 * PS, F)  # cpu1 caches exec-mode flags
         machine.access(pid, 1, 0, 16 * PS, W, b"\x41")  # flips to write mode
-        assert (pid, 16) not in machine.cpus[1].tlb
+        assert 1 not in machine.spaces[pid].ptes[16].tlb
 
 
 class TestExecFault:
