@@ -12,17 +12,18 @@ pluggable engine, the shadow W^X engine or a plain baseline, whose
 hooks take the space, area and page entry the access walk resolved and
 return the AccessResult the access ends with, OK meaning it proceeds.
 
-An address space keeps its areas sorted, disjoint and merged: after an
-mprotect no two touching areas have equal permissions.  Areas carry
-permissions only.  An mmap's initial content waits per page in the
-space's ``images`` until that page is first touched, and an entry in
-``ptes`` means the page is present.
+An address space keeps its areas sorted, disjoint and merged after every
+mmap and mprotect: no two touching areas have equal permissions, so an
+edit rebuilds only the areas around its range.  Areas carry permissions
+only.  An mmap's initial content waits per page in the space's ``images``
+until that page is first touched; an entry in ``ptes`` means it is present.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
+import operator
 from dataclasses import dataclass, field
 
 DEFAULT_PAGE_SIZE = 4096
@@ -114,6 +115,12 @@ class VmArea:
             return self.logical_w
         return self.logical_x
 
+    def part(self, start: int, end: int) -> VmArea:
+        """This area's permissions over vpages [start, end); itself if that is all of it."""
+        if start == self.start_vpage and end - start == self.n_pages:
+            return self
+        return VmArea(start, end - start, self.logical_r, self.logical_w, self.logical_x)
+
     def perms(self) -> str:
         return ("r" if self.logical_r else "") + ("w" if self.logical_w else "") + (
             "x" if self.logical_x else ""
@@ -124,8 +131,7 @@ class VmArea:
 class AddressSpace:
     """One process's areas, initial page images and page table.
 
-    ``areas`` is sorted by start and disjoint, and ``protect`` keeps it
-    merged: no two touching areas have equal permissions after it.
+    ``areas`` is sorted by start, disjoint and merged (see the module docstring).
     ``images`` maps a vpage to the mmap content it starts with, held
     until the page is first touched; ``ptes`` holds the present pages.
     """
@@ -137,59 +143,64 @@ class AddressSpace:
     ptes: dict[int, PageTableEntry] = field(default_factory=dict)
     alive: bool = True
     blocked: bool = False
-    mmap_cursor: int = 16  # next auto-placed area start, in vpages
+    mmap_cursor: int = 16  # next auto-placed area start, in vpages: past every area
 
     def find_area(self, vpage: int) -> VmArea | None:
-        i = bisect.bisect_right(self.areas, vpage, key=lambda a: a.start_vpage)
+        i = bisect.bisect_right(self.areas, vpage, key=_start)
         if i and vpage < self.areas[i - 1].end_vpage:
             return self.areas[i - 1]
         return None
 
-    def insert(self, area: VmArea) -> None:
-        """Add area in start order; raises if it overlaps a mapped page."""
-        i = bisect.bisect_right(self.areas, area.start_vpage, key=lambda a: a.start_vpage)
-        for other in self.areas[max(i - 1, 0) : i + 1]:  # disjoint: only neighbours can overlap
-            if area.start_vpage < other.end_vpage and other.start_vpage < area.end_vpage:
-                raise OverlapError(
-                    f"pid {self.pid}: mapping [{area.start_vpage}, {area.end_vpage}) overlaps"
-                    f" [{other.start_vpage}, {other.end_vpage})"
-                )
-        self.areas.insert(i, area)
-        self.mmap_cursor = max(self.mmap_cursor, area.end_vpage)
+    def insert(self, area: VmArea) -> VmArea:
+        """Map area's free range; returns the area now holding it (see _splice)."""
+        return self._splice(area, False)
 
-    def protect(self, start: int, n_pages: int, perms: str) -> list[tuple[int, int, bool]]:
-        """Give vpages [start, start+n) perms, merging touching areas left equal.
+    def protect(self, start: int, n_pages: int, perms: str) -> VmArea:
+        """Give mapped vpages [start, start+n) perms; returns the area now holding them."""
+        return self._splice(VmArea(start, n_pages, "r" in perms, "w" in perms, "x" in perms), True)
 
-        Returns (lo, hi, old_w) for each former area's part of the range,
-        in order, old_w being whether that area was writable; raises,
-        changing nothing, if any page in the range is unmapped.
+    def _splice(self, new: VmArea, mapped: bool) -> VmArea:
+        """Put new in place of the areas that overlap or touch its range.
+
+        Raises, changing nothing, unless it is all mapped (if mapped) or all
+        free.  Outer parts of the first and last stay; alike ones merge into new.
         """
-        end = start + n_pages
-        new = ("r" in perms, "w" in perms, "x" in perms)
-        pieces: list[tuple[int, int, bool]] = []
-        runs: list[list] = []  # [start, end, (r, w, x), the area while nothing cut or grew it]
-        for area in self.areas:
-            a0 = area.start_vpage
-            a1 = a0 + area.n_pages
-            old = (area.logical_r, area.logical_w, area.logical_x)
-            cuts = ((a0, a1, old, area),)
-            if a0 < end and start < a1:
-                lo, hi = max(a0, start), min(a1, end)
-                pieces.append((lo, hi, old[1]))
-                cuts = ((a0, lo, old, None), (lo, hi, new, None), (hi, a1, old, None))
-            for c0, c1, rwx, whole in cuts:
-                if c0 == c1:
-                    continue
-                if runs and runs[-1][1] == c0 and runs[-1][2] == rwx:
-                    runs[-1][1], runs[-1][3] = c1, None
-                else:
-                    runs.append([c0, c1, rwx, whole])
-        if sum(hi - lo for lo, hi, _ in pieces) != n_pages:
-            raise UnmappedRangeError(
-                f"pid {self.pid}: vpages [{start}, {end}) not fully mapped"
-            )
-        self.areas = [whole or VmArea(c0, c1 - c0, *rwx) for c0, c1, rwx, whole in runs]
-        return pieces
+        areas = self.areas
+        start, end = new.start_vpage, new.end_vpage
+        i = bisect.bisect_left(areas, start, key=_start)
+        lo = i - 1 if i and areas[i - 1].end_vpage >= start else i
+        hi = bisect.bisect_right(areas, end, i, key=_start)
+        covered = 0
+        for area in areas[lo:hi]:  # a touching area covers 0
+            a0, a1 = area.start_vpage, area.start_vpage + area.n_pages
+            covered += (a1 if a1 < end else end) - (a0 if a0 > start else start)
+            if covered and not mapped:
+                raise OverlapError(
+                    f"pid {self.pid}: mapping [{start}, {end}) overlaps"
+                    f" [{area.start_vpage}, {area.end_vpage})"
+                )
+        if mapped and covered != end - start:
+            raise UnmappedRangeError(f"pid {self.pid}: vpages [{start}, {end}) not fully mapped")
+        self.mmap_cursor = max(self.mmap_cursor, end)
+        edit = []
+        if lo < hi:
+            first, last = areas[lo], areas[hi - 1]
+            if _perms(first) == _perms(new):
+                start = min(start, first.start_vpage)
+            elif first.start_vpage < start:
+                edit.append(first.part(first.start_vpage, start))
+            if _perms(last) == _perms(new):
+                end = max(end, last.end_vpage)
+            new = new.part(start, end)
+        edit.append(new)
+        if lo < hi and last.end_vpage > end:
+            edit.append(last.part(end, last.end_vpage))
+        areas[lo:hi] = edit
+        return new
+
+
+_start = operator.attrgetter("start_vpage")
+_perms = operator.attrgetter("logical_r", "logical_w", "logical_x")
 
 
 def _permits(kind: AccessKind, writable: bool, exec_disabled: bool) -> bool:
@@ -254,8 +265,7 @@ class Machine:
             raise ValueError("n_pages must be >= 1")
         space = self.space(pid)
         start = space.mmap_cursor if at is None else at
-        area = VmArea(start, n_pages, "r" in perms, "w" in perms, "x" in perms)
-        space.insert(area)
+        area = space.insert(VmArea(start, n_pages, "r" in perms, "w" in perms, "x" in perms))
         if backing is not None:
             image, ps = memoryview(backing), self.page_size
             for off in range(0, min(len(image), n_pages * ps), ps):
@@ -270,20 +280,19 @@ class Machine:
     def relabel(self, pid: int, start_vpage: int, n_pages: int, perms: str, rule) -> None:
         """Set the logical perms of vpages [start, start+n) of pid.
 
-        rule(pte, area, old_w) re-derives each present page's bits, old_w
-        being whether the page's former area was writable, then the page
-        is flushed from every TLB.
+        rule(pte, area) re-derives each present page's bits from the area
+        now holding the range (a page in exec mode still carries its former
+        area's w in orig_write), then the page is flushed from every TLB.
         """
         space = self.space(pid)
-        pieces = space.protect(start_vpage, n_pages, perms)
-        area = space.find_area(start_vpage)  # the merged range lies in one area
-        for lo, hi, old_w in pieces:
-            # walk the fewer of the piece's vpages and the pid's present pages
-            for vpage in range(lo, hi) if hi - lo <= len(space.ptes) else space.ptes:
-                pte = space.ptes.get(vpage)
-                if pte is not None and lo <= vpage < hi:
-                    rule(pte, area, old_w)
-                    self.tlb_flush_one(pid, vpage)
+        area = space.protect(start_vpage, n_pages, perms)
+        end, ptes = start_vpage + n_pages, space.ptes
+        # walk the fewer of the range's vpages and the pid's present pages
+        for vpage in range(start_vpage, end) if n_pages <= len(ptes) else ptes:
+            pte = ptes.get(vpage)
+            if pte is not None and start_vpage <= vpage < end:
+                rule(pte, area)
+                self.tlb_flush_one(pid, vpage)
 
     def kill_process(self, pid: int) -> None:
         space = self.space(pid, require_alive=False)
@@ -295,19 +304,12 @@ class Machine:
 
     # ---- page plumbing ------------------------------------------------
 
-    def install_page(
-        self,
-        space: AddressSpace,
-        vpage: int,
-        *,
-        writable: bool = False,
-        exec_disabled: bool = False,
-    ) -> PageTableEntry:
-        """Make vpage present, its frame the page's mmap image zero-padded."""
+    def install_page(self, space: AddressSpace, vpage: int) -> PageTableEntry:
+        """Make vpage present, its bits clear, its frame the mmap image zero-padded."""
         frame = bytearray(self.page_size)
         image = space.images.pop(vpage, b"")
         frame[: len(image)] = image
-        pte = PageTableEntry(frame, writable=writable, exec_disabled=exec_disabled)
+        pte = PageTableEntry(frame)
         space.ptes[vpage] = pte
         return pte
 

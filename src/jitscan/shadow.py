@@ -103,17 +103,17 @@ def _set_mode(pte: PageTableEntry, area: VmArea, checked: bool) -> None:
     pte.orig_write = checked and area.logical_w
 
 
-def _shadow_relabel(pte: PageTableEntry, area: VmArea, old_w: bool) -> None:
+def _shadow_relabel(pte: PageTableEntry, area: VmArea) -> None:
     """Shadow bits of a present page whose area now has area's permissions.
 
-    A page stays checked only if it was in exec mode and the edit granted
-    no new w; a new x cannot reach a page in exec mode, which only an
-    executable area holds.
+    A page stays checked only if it is in exec mode and the edit grants no
+    w that orig_write, its area's w when it was checked, lacks; a new x
+    cannot reach a page in exec mode, which only an executable area holds.
     """
-    _set_mode(pte, area, not pte.exec_disabled and (old_w or not area.logical_w))
+    _set_mode(pte, area, not pte.exec_disabled and (pte.orig_write or not area.logical_w))
 
 
-def _plain_relabel(pte: PageTableEntry, area: VmArea, old_w: bool) -> None:
+def _plain_relabel(pte: PageTableEntry, area: VmArea) -> None:
     pte.writable = area.logical_w
     pte.exec_disabled = not area.logical_x
 
@@ -244,9 +244,7 @@ class BaselineEngine:
     ) -> AccessResult:
         if area is None or not area.permits(kind):
             return AccessResult.SEGV_DELIVERED
-        self.machine.install_page(
-            space, vpage, writable=area.logical_w, exec_disabled=not area.logical_x,
-        )
+        _plain_relabel(self.machine.install_page(space, vpage), area)
         return AccessResult.OK
 
     def handle_write_fault(

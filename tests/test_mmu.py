@@ -374,6 +374,49 @@ class TestMmapMprotect:
         ]
         assert elapsed < 1.0
 
+    def test_mprotect_cost_does_not_follow_area_count(self):
+        machine = plain_machine(page_size=64)
+        pid = machine.create_process(uid=0)
+        n = 4000
+        for i in range(n):  # one-page areas with one-page holes between, so nothing merges
+            machine.mmap(pid, "r" if i % 2 == 0 else "rw", 1, at=16 + 2 * i)
+        t0 = time.perf_counter()
+        for i in range(n):
+            machine.mprotect(pid, 16 + 2 * i, 1, "rx")
+        elapsed = time.perf_counter() - t0
+        assert len(machine.spaces[pid].areas) == n
+        assert elapsed < 1.0
+
+    def test_mmap_merges_touching_equal_neighbours(self):
+        machine = plain_machine()
+        pid = machine.create_process(uid=0)
+        space = machine.spaces[pid]
+        machine.mmap(pid, "rw", 2, at=16)
+        area = machine.mmap(pid, "rw", 2, at=18)
+        assert [(a.start_vpage, a.n_pages, a.perms()) for a in space.areas] == [(16, 4, "rw")]
+        assert area is space.areas[0]
+        machine.mmap(pid, "r", 1, at=20)
+        machine.mmap(pid, "wx", 2, at=30)
+        machine.mmap(pid, "wx", 2, at=34)
+        area = machine.mmap(pid, "wx", 2, at=32)  # fills the hole between them
+        assert [(a.start_vpage, a.n_pages, a.perms()) for a in space.areas] == [
+            (16, 4, "rw"),
+            (20, 1, "r"),
+            (30, 6, "wx"),
+        ]
+        assert area is space.areas[2]
+
+    def test_overlap_error_names_the_first_overlapped_area(self):
+        machine = plain_machine()
+        pid = machine.create_process(uid=0)
+        machine.mmap(pid, "rw", 2, at=16)
+        machine.mmap(pid, "rw", 2, at=18)  # merges into [16, 20)
+        machine.mmap(pid, "r", 2, at=21)
+        before = list(machine.spaces[pid].areas)
+        with pytest.raises(OverlapError, match=r"mapping \[15, 23\) overlaps \[16, 20\)$"):
+            machine.mmap(pid, "rx", 8, at=15)
+        assert machine.spaces[pid].areas == before
+
     def test_flipping_every_page_and_back_leaves_one_area(self):
         machine = plain_machine()
         pid = machine.create_process(uid=0)
@@ -390,10 +433,7 @@ PERMS = ["", "r", "w", "x", "rw", "rx", "wx", "rwx"]
 
 
 def _area_map_step(rng, machine, pid, perms_model, bytes_model, ps):
-    """One random MMAP, MPROTECT or touch, applied to machine and models alike.
-
-    Returns whether it was a successful MPROTECT.
-    """
+    """One random MMAP, MPROTECT or touch, applied to machine and models alike."""
     space = machine.spaces[pid]
     roll = rng.random()
     if roll < 0.2:
@@ -408,14 +448,16 @@ def _area_map_step(rng, machine, pid, perms_model, bytes_model, ps):
             with pytest.raises(OverlapError):
                 machine.mmap(pid, rng.choice(PERMS), n, backing=backing, at=at)
             assert space.areas == before
-            return False
+            return
         perms = rng.choice(PERMS)
-        machine.mmap(pid, perms, n, backing=backing, at=at)
+        area = machine.mmap(pid, perms, n, backing=backing, at=at)
+        assert any(a is area for a in space.areas) and area.perms() == perms
+        assert area.start_vpage <= start and start + n <= area.end_vpage
         image = backing or b""
         for i in range(n):
             perms_model[start + i] = perms
             bytes_model[start + i] = image[i * ps : (i + 1) * ps].ljust(ps, b"\x00")
-        return False
+        return
     if roll < 0.6 and space.areas:
         area = rng.choice(space.areas)
         how = rng.choice(["inside", "flush-start", "flush-end", "across"])
@@ -437,11 +479,11 @@ def _area_map_step(rng, machine, pid, perms_model, bytes_model, ps):
                 machine.mprotect(pid, start, end - start, perms)
             assert space.areas == before
             assert [(a.start_vpage, a.n_pages, a.perms()) for a in space.areas] == snapshot
-            return False
+            return
         machine.mprotect(pid, start, end - start, perms)
         for v in range(start, end):
             perms_model[v] = perms
-        return True
+        return
     vpage = rng.randrange(14, space.mmap_cursor + 2)
     perms = perms_model.get(vpage, "")
     if rng.random() < 0.5:
@@ -468,18 +510,17 @@ def test_area_map_matches_per_page_model(seed):
     perms_model: dict[int, str] = {}  # vpage -> perms of every mapped page
     bytes_model: dict[int, bytes] = {}  # vpage -> the page's content
     for _ in range(400):
-        protected = _area_map_step(rng, machine, pid, perms_model, bytes_model, ps)
+        _area_map_step(rng, machine, pid, perms_model, bytes_model, ps)
         areas = space.areas
         assert all(a.n_pages > 0 for a in areas)
         assert all(a.end_vpage <= b.start_vpage for a, b in zip(areas, areas[1:]))
         for vpage in range(0, space.mmap_cursor + 2):
             area = space.find_area(vpage)
             assert (None if area is None else area.perms()) == perms_model.get(vpage)
-        if protected:
-            assert not any(
-                a.end_vpage == b.start_vpage and a.perms() == b.perms()
-                for a, b in zip(areas, areas[1:])
-            )
+        assert not any(
+            a.end_vpage == b.start_vpage and a.perms() == b.perms()
+            for a, b in zip(areas, areas[1:])
+        )
         for vpage in space.ptes:
             assert machine.read_page(pid, vpage) == bytes_model[vpage]
 

@@ -190,6 +190,20 @@ class TestMprotect:
         assert machine.access(pid, 1, 0, 16 * PS, F) is AccessResult.OK
         assert pipeline.enqueued_total == 2  # one per checked fetch
 
+    def test_each_page_keeps_its_own_former_w(self):
+        # one mprotect over areas that differed in w: each page's orig_write says which it had
+        machine, _, _ = rig()
+        pid = machine.create_process(uid=1)
+        machine.mmap(pid, "wx", 1, at=16)
+        machine.mmap(pid, "rx", 1, backing=b"\xc3", at=17)
+        for vpage in (16, 17):
+            assert machine.access(pid, 1, 0, vpage * PS, F) is AccessResult.OK
+        assert flags(machine, pid, 16) == (False, False, True, False)
+        assert flags(machine, pid, 17) == (False, False, False, False)
+        machine.mprotect(pid, 16, 2, "rwx")
+        assert flags(machine, pid, 16) == (False, False, True, False)  # w kept: stays checked
+        assert flags(machine, pid, 17) == (True, True, False, True)  # w granted: write mode
+
     def test_losing_x_leaves_the_machine(self):
         machine, _, _ = rig()
         pid = one_wx_page(machine)
