@@ -10,7 +10,7 @@ actions, and run metrics; emitting it twice gives identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .guard import DosGuard, GuardConfig
 from .mmu import DEFAULT_PAGE_SIZE, AccessKind, Machine, SimError
@@ -31,14 +31,17 @@ from .trace import (
 )
 
 
-@dataclass
 class SimConfig:
-    page_size: int = DEFAULT_PAGE_SIZE
-    sync_check: bool = True
-    detection_action: str = "kill"  # response to signature hits: kill|block|alert
-    shadow: bool = True  # False runs the plain baseline engine
-    drain_every: int = 1  # agent cadence in events; 0 disables draining
-    guard: GuardConfig = field(default_factory=GuardConfig)
+    def __init__(
+        self, page_size: int = DEFAULT_PAGE_SIZE, sync_check: bool = True,
+        detection_action: str = "kill", shadow: bool = True, drain_every: int = 1,
+        guard: GuardConfig | None = None,
+    ):
+        self.page_size, self.sync_check = page_size, sync_check
+        self.detection_action = detection_action  # response to signature hits: kill|block|alert
+        self.shadow = shadow  # False runs the plain baseline engine
+        self.drain_every = drain_every  # agent cadence in events; 0 disables draining
+        self.guard = GuardConfig() if guard is None else guard
 
 
 class Agent:
@@ -87,8 +90,7 @@ class Agent:
         return len(snaps)
 
 
-@dataclass
-class RunContext:
+class RunContext(NamedTuple):
     machine: Machine
     pipeline: SnapshotTable
     guard: DosGuard
@@ -162,7 +164,7 @@ def replay(
     lines = parse_trace(trace, config.page_size) if isinstance(trace, str) else trace
     ctx = build_run(config, rules)
     machine, report, guard, agent = ctx.machine, ctx.report, ctx.guard, ctx.agent
-    outcomes = report.outcomes
+    outcomes, drain_every, tick, step = report.outcomes, config.drain_every, guard.tick, agent.step
     for index, line in enumerate(lines, start=1):
         event = line.event
         machine.now += event.n if isinstance(event, TickEvent) else 1
@@ -171,10 +173,10 @@ def replay(
         except (SimError, ValueError):
             result = "error"
         outcomes[result] = outcomes.get(result, 0) + 1
-        guard.tick(machine.now)
-        if config.drain_every > 0 and index % config.drain_every == 0:
-            agent.step()
-    if config.drain_every > 0:
+        tick(machine.now)
+        if drain_every > 0 and index % drain_every == 0:
+            step()
+    if drain_every > 0:
         while ctx.pipeline.pending_count() > 0:
             agent.step()
     report.metrics = {

@@ -11,45 +11,56 @@ oldest first, and relies on time never running backwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass
 class GuardConfig:
-    threshold: int = 256
-    penalty_action: str = "kill"  # "kill" | "block"
-    ttl_penalty: int = 1000  # ticks a penalty lasts
-    ttl_evict: int = 5000  # ticks at pending==0 before the entry is dropped
+    """Guard settings; the class attributes are the defaults."""
 
-    def __post_init__(self) -> None:
-        if self.threshold < 1:
+    threshold = 256
+    penalty_action = "kill"  # "kill" | "block"
+    ttl_penalty = 1000  # ticks a penalty lasts
+    ttl_evict = 5000  # ticks at pending==0 before the entry is dropped
+
+    def __init__(
+        self, threshold: int = threshold, penalty_action: str = penalty_action,
+        ttl_penalty: int = ttl_penalty, ttl_evict: int = ttl_evict,
+    ):
+        if threshold < 1:
             raise ValueError("threshold must be >= 1")
-        if self.penalty_action not in ("kill", "block"):
+        if penalty_action not in ("kill", "block"):
             raise ValueError("penalty_action must be 'kill' or 'block'")
-        if self.ttl_penalty < 1 or self.ttl_evict < 1:
+        if ttl_penalty < 1 or ttl_evict < 1:
             raise ValueError("TTLs must be >= 1")
+        self.threshold, self.penalty_action = threshold, penalty_action
+        self.ttl_penalty, self.ttl_evict = ttl_penalty, ttl_evict
 
 
-@dataclass
 class ThrottleEntry:
-    pending: int = 0
-    penalized_until: int | None = None
+    __slots__ = ("pending", "penalized_until")
+
+    def __init__(self):
+        self.pending, self.penalized_until = 0, None
 
 
-@dataclass
-class Admission:
+class Admission(NamedTuple):
     admitted: bool
     action: str | None = None  # penalty action when denied
+
+
+_ADMITTED = Admission(True)
 
 
 class DosGuard:
     """Per-uid admission control; `now` never decreases from call to call.
 
-    Only the simulation thread calls it, so it holds no lock.
+    Only the simulation thread calls it, so it holds no lock.  A denial's
+    penalty action is read from the config once, at construction.
     """
 
     def __init__(self, config: GuardConfig | None = None):
         self.config = config or GuardConfig()
+        self._denied = Admission(False, self.config.penalty_action)
         self.entries: dict[int, ThrottleEntry] = {}
         self._idle: dict[int, int] = {}  # uid -> tick pending reached 0, oldest first
         self.admits = 0
@@ -70,11 +81,11 @@ class DosGuard:
             entry.penalized_until = now + cfg.ttl_penalty
         if entry.penalized_until is not None:
             self.denials += 1
-            return Admission(False, cfg.penalty_action)
+            return self._denied
         entry.pending += 1
         self._idle.pop(uid, None)
         self.admits += 1
-        return Admission(True)
+        return _ADMITTED
 
     def on_delivered(self, uid: int, now: int) -> None:
         """A snapshot for uid left the pipeline (scanned or dropped)."""
@@ -91,14 +102,15 @@ class DosGuard:
 
         Reads only idle uids, in idle-since order, and stops at the first
         one still too young; this order holds because `now` never decreases.
-        With no idle uid it returns at once, so the per-event call costs
-        one dict test.
+        While the oldest idle uid is too young it returns at once, so the
+        per-event call costs a dict test and a look at that one uid.
         """
-        if not self._idle:
+        idle, ttl = self._idle, self.config.ttl_evict
+        if not idle or now - next(iter(idle.values())) < ttl:
             return []
         evicted: list[int] = []
-        for uid, since in self._idle.items():
-            if now - since < self.config.ttl_evict:
+        for uid, since in idle.items():
+            if now - since < ttl:
                 break
             evicted.append(uid)
         for uid in evicted:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import bisect
 import enum
 import operator
-from dataclasses import dataclass, field
 
 DEFAULT_PAGE_SIZE = 4096
 
@@ -69,7 +68,6 @@ class AccessResult(str, enum.Enum):
     BLOCKED = "blocked"
 
 
-@dataclass(slots=True)
 class PageTableEntry:
     """One present page's physical flags, the two spare shadow bits and its bytes.
 
@@ -84,24 +82,23 @@ class PageTableEntry:
     cached at its last walk of the page.
     """
 
-    frame: bytearray
-    writable: bool = False
-    exec_disabled: bool = False
-    orig_write: bool = False
-    orig_exe: bool = False
-    written: list[tuple[int, int]] | None = None
-    tlb: dict[int, tuple[bool, bool]] = field(default_factory=dict)
+    __slots__ = ("frame", "writable", "exec_disabled", "orig_write", "orig_exe", "written", "tlb")
+
+    def __init__(self, frame: bytearray):
+        self.frame, self.written, self.tlb = frame, None, {}
+        self.writable = self.exec_disabled = self.orig_write = self.orig_exe = False
 
 
-@dataclass
 class VmArea:
-    """A contiguous mapping with logical (requested) permissions."""
+    """A contiguous mapping with logical (requested) permissions; never edited."""
 
-    start_vpage: int
-    n_pages: int
-    logical_r: bool
-    logical_w: bool
-    logical_x: bool
+    __slots__ = ("start_vpage", "n_pages", "logical_r", "logical_w", "logical_x")
+
+    def __init__(
+        self, start_vpage: int, n_pages: int, logical_r: bool, logical_w: bool, logical_x: bool,
+    ):
+        self.start_vpage, self.n_pages = start_vpage, n_pages
+        self.logical_r, self.logical_w, self.logical_x = logical_r, logical_w, logical_x
 
     @property
     def end_vpage(self) -> int:
@@ -127,7 +124,6 @@ class VmArea:
         )
 
 
-@dataclass
 class AddressSpace:
     """One process's areas, initial page images and page table.
 
@@ -136,14 +132,15 @@ class AddressSpace:
     until the page is first touched; ``ptes`` holds the present pages.
     """
 
-    pid: int
-    uid: int
-    areas: list[VmArea] = field(default_factory=list)
-    images: dict[int, memoryview] = field(default_factory=dict)
-    ptes: dict[int, PageTableEntry] = field(default_factory=dict)
-    alive: bool = True
-    blocked: bool = False
-    mmap_cursor: int = 16  # next auto-placed area start, in vpages: past every area
+    __slots__ = ("pid", "uid", "areas", "images", "ptes", "alive", "blocked", "mmap_cursor")
+
+    def __init__(self, pid: int, uid: int):
+        self.pid, self.uid = pid, uid
+        self.areas: list[VmArea] = []
+        self.images: dict[int, memoryview] = {}
+        self.ptes: dict[int, PageTableEntry] = {}
+        self.alive, self.blocked = True, False
+        self.mmap_cursor = 16  # next auto-placed area start, in vpages: past every area
 
     def find_area(self, vpage: int) -> VmArea | None:
         i = bisect.bisect_right(self.areas, vpage, key=_start)
@@ -351,7 +348,9 @@ class Machine:
         are invalid regardless of page state (unknown or dead pid,
         malformed write payload).
         """
-        space = self.space(pid)
+        space = self.spaces.get(pid)
+        if space is None or not space.alive:
+            self.space(pid)  # raises the unknown or dead pid's error
         if space.blocked:
             return AccessResult.BLOCKED
         if kind is AccessKind.WRITE:

@@ -16,29 +16,31 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import deque
-from dataclasses import dataclass, field
 
 DEFAULT_BUCKETS = 64
 
 
-@dataclass
 class PageSnapshot:
-    content: bytes  # full page copy at fault time
-    offset: int  # in-page offset of the faulting address
-    vaddr: int
-    vpage: int
-    pid: int
-    tid: int
-    uid: int
-    seq: int = -1  # stamped by the table
-    # [lo, hi) spans written since the page's previous snapshot; None: whole page
-    spans: list[tuple[int, int]] | None = None
+    """A whole page copied at a checked fetch; ``offset`` is the faulting address's
+    in-page offset, ``seq`` is stamped by the table and ``spans`` are the [lo, hi)
+    spans written since the page's previous snapshot (None: the whole page)."""
+
+    __slots__ = ("content", "offset", "vaddr", "vpage", "pid", "tid", "uid", "seq", "spans")
+
+    def __init__(
+        self, content: bytes, offset: int, vaddr: int, vpage: int, pid: int, tid: int, uid: int,
+        spans: list[tuple[int, int]] | None = None,
+    ):
+        self.content, self.offset, self.vaddr, self.vpage = content, offset, vaddr, vpage
+        self.pid, self.tid, self.uid, self.seq, self.spans = pid, tid, uid, -1, spans
 
 
-@dataclass
 class _Bucket:
-    lock: threading.Lock = field(default_factory=threading.Lock)
-    items: deque[PageSnapshot] = field(default_factory=deque)
+    __slots__ = ("lock", "items")
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.items: deque[PageSnapshot] = deque()
 
 
 class SnapshotTable:

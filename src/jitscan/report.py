@@ -11,7 +11,7 @@ byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 def encode_record(record: dict) -> str:
@@ -19,8 +19,7 @@ def encode_record(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass
-class Detection:
+class Detection(NamedTuple):
     pid: int
     uid: int
     vpage: int
@@ -33,8 +32,7 @@ class Detection:
     action: str  # "kill" | "block" | "alert"
 
 
-@dataclass
-class ActionTaken:
+class ActionTaken(NamedTuple):
     pid: int
     uid: int
     action: str  # "kill" | "block"
@@ -43,12 +41,14 @@ class ActionTaken:
     path: str | None = None
 
 
-@dataclass
 class Report:
-    outcomes: dict[str, int] = field(default_factory=dict)  # event result -> count
-    detections: list[Detection] = field(default_factory=list)
-    actions: list[ActionTaken] = field(default_factory=list)
-    metrics: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("outcomes", "detections", "actions", "metrics")
+
+    def __init__(self):
+        self.outcomes: dict[str, int] = {}  # event result -> count
+        self.detections: list[Detection] = []
+        self.actions: list[ActionTaken] = []
+        self.metrics: dict[str, int] = {}
 
     @property
     def any_kill_detection(self) -> bool:
@@ -57,8 +57,7 @@ class Report:
     def emit(self, fmt: str = "jsonl") -> bytes:
         if fmt != "jsonl":
             raise ValueError(f"unknown report format: {fmt!r}")
-        # vars, not dataclasses.asdict: asdict deep-copies and costs ~30x more per record
-        records = [{"record": "detection", **vars(d)} for d in self.detections]
-        records += [{"record": "action", **vars(a)} for a in self.actions]
+        records = [{"record": "detection", **d._asdict()} for d in self.detections]
+        records += [{"record": "action", **a._asdict()} for a in self.actions]
         records.append({"record": "summary", "outcomes": self.outcomes, **self.metrics})
         return ("\n".join(map(encode_record, records)) + "\n").encode("utf-8")

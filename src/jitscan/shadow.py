@@ -219,10 +219,7 @@ class ShadowEngine:
             # with its checked fetches, and spans are the bytes written
             # since the page's previous snapshot.
             self.pipeline.enqueue(
-                PageSnapshot(
-                    content=content, offset=vaddr % machine.page_size, vaddr=vaddr,
-                    vpage=vpage, pid=pid, tid=tid, uid=uid, spans=spans,
-                )
+                PageSnapshot(content, vaddr % machine.page_size, vaddr, vpage, pid, tid, uid, spans)
             )
         return AccessResult.OK
 

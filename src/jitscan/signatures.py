@@ -28,7 +28,7 @@ a match it scans the whole page again.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple
 
 from .mmu import DEFAULT_PAGE_SIZE
 
@@ -48,25 +48,14 @@ class RuleSyntaxError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class SignatureRule:
+class SignatureRule(NamedTuple):
+    """One rule as written; a RuleSet validates it (see _admit)."""
+
     name: str
     family: str
     severity: str  # "kill" | "alert"
     sync: bool
     atoms: tuple[int | None, ...]
-
-    def __post_init__(self) -> None:
-        if self.severity not in ("kill", "alert"):
-            raise ValueError(
-                f"rule {self.name}: severity must be kill or alert, got {self.severity!r}"
-            )
-        if not self.atoms:
-            raise ValueError(f"rule {self.name}: empty pattern")
-        if all(a is None for a in self.atoms):
-            raise ValueError(f"rule {self.name}: pattern needs at least one literal byte")
-        if self.sync and self.severity != "kill":
-            raise ValueError(f"rule {self.name}: sync rules must have severity=kill")
 
     def anchor(self) -> tuple[int, bytes]:
         """(offset, bytes) of the longest run of consecutive literals."""
@@ -83,8 +72,7 @@ class SignatureRule:
         return best_off, best
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(NamedTuple):
     rule: str
     offset: int
 
@@ -172,25 +160,36 @@ class _MultiPattern:
 
 
 def _admit(rule: SignatureRule, names: set[str], page_size: int) -> None:
-    """Add rule.name to names; ValueError if taken or the rule overruns a page."""
-    if rule.name in names:
-        raise ValueError(f"duplicate rule name {rule.name!r}")
-    if len(rule.atoms) > page_size:
-        raise ValueError(f"rule {rule.name}: pattern longer than page size {page_size}")
-    names.add(rule.name)
+    """Add rule.name to names; ValueError if the rule is bad, taken or overruns a page."""
+    name, _, severity, sync, atoms = rule
+    if severity not in ("kill", "alert"):
+        raise ValueError(f"rule {name}: severity must be kill or alert, got {severity!r}")
+    if not atoms:
+        raise ValueError(f"rule {name}: empty pattern")
+    if atoms.count(None) == len(atoms):
+        raise ValueError(f"rule {name}: pattern needs at least one literal byte")
+    if sync and severity != "kill":
+        raise ValueError(f"rule {name}: sync rules must have severity=kill")
+    if name in names:
+        raise ValueError(f"duplicate rule name {name!r}")
+    if len(atoms) > page_size:
+        raise ValueError(f"rule {name}: pattern longer than page size {page_size}")
+    names.add(name)
 
 
 class RuleSet:
     """Parsed rules plus compiled indexes for full and sync-only scans.
 
+    Each rule is validated (see _admit) before the next one is taken.
     ``zero_page_clean`` is True when no rule matches an all-zero page.
     """
 
-    def __init__(self, rules: list[SignatureRule], page_size: int = DEFAULT_PAGE_SIZE):
+    def __init__(self, rules: Iterable[SignatureRule], page_size: int = DEFAULT_PAGE_SIZE):
         names: set[str] = set()
+        self.rules: list[SignatureRule] = []
         for rule in rules:
             _admit(rule, names, page_size)
-        self.rules = list(rules)
+            self.rules.append(rule)
         self.page_size = page_size
         self.by_name = {r.name: r for r in self.rules}
         self.sync_rules = [r for r in self.rules if r.sync]
@@ -203,12 +202,25 @@ class RuleSet:
         return len(self.rules)
 
 
-def parse_rules(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> RuleSet:
-    """Parse a rule file; raises RuleSyntaxError with line and column."""
-    rules: list[SignatureRule] = []
-    names: set[str] = set()
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.removesuffix("\r").split("#", 1)[0]
+# A canonical rule line takes one regex match, not the token loop: single
+# spaces, severity kill or alert, an atom or more, nothing after the '}' but
+# a \r.  Groups: name, family, severity, " sync", atoms; any other line is ``.*``.
+_LINE = re.compile(
+    r"^(?:rule (\w+) family=([^\s#]+) severity=(kill|alert)( sync)?"
+    r" \{((?: (?:[0-9a-fA-F]{2}|\?\?))+) \}\r?|.*)$", re.M,
+)
+
+
+def _rules(text: str, where: list[int]) -> Iterator[SignatureRule]:
+    """The rules in line order, unvalidated; each first sets where to its line and column."""
+    for line_no, match in enumerate(_LINE.finditer(text), start=1):
+        name, family, severity, sync, body = match.groups()
+        if name is not None:
+            where[:] = line_no, len("rule ") + 1
+            atoms = tuple(None if atom == "??" else int(atom, 16) for atom in body.split())
+            yield SignatureRule(name, family, severity, sync is not None, atoms)
+            continue
+        line = match.group().removesuffix("\r").split("#", 1)[0]
         if not line.strip():
             continue
         tokens = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
@@ -271,13 +283,20 @@ def parse_rules(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> RuleSet:
             raise RuleSyntaxError(
                 f"trailing input after '}}': {tokens[pos][1]!r}", line_no, tokens[pos][0]
             )
-        try:
-            rule = SignatureRule(name, family, severity, sync, tuple(atoms))
-            _admit(rule, names, page_size)
-        except ValueError as err:
-            raise RuleSyntaxError(str(err), line_no, name_col) from None
-        rules.append(rule)
-    return RuleSet(rules, page_size=page_size)
+        where[:] = line_no, name_col
+        yield SignatureRule(name, family, severity, sync, tuple(atoms))
+
+
+def parse_rules(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> RuleSet:
+    """Parse a rule file; raises RuleSyntaxError with line and column.  The RuleSet
+    checks each rule before the next line is read, so the first bad line wins."""
+    where = [0, 0]
+    try:
+        return RuleSet(_rules(text, where), page_size=page_size)
+    except RuleSyntaxError:
+        raise
+    except ValueError as err:
+        raise RuleSyntaxError(str(err), *where) from None
 
 
 def scan_page(

@@ -4,10 +4,11 @@ The oracles here deliberately know nothing about the implementation:
 the scanner oracle is a literal sliding window, the snapshot oracle is
 a two-variable recurrence over one page's history, the W^X checker
 inspects raw PTE and TLB state, the guard oracle sweeps its whole uid
-table on every tick, and the trace oracle reads each line through a
-per-line field object with one method per field kind.  Tests compare
-engine output against these instead of trusting the engine's own
-bookkeeping.
+table on every tick, the trace oracle reads each line through a
+per-line field object with one method per field kind, and the rule
+oracle reads every line with one token loop and checks each rule
+there.  Tests compare engine output against these instead of trusting
+the engine's own bookkeeping.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import re
 
 from jitscan.guard import Admission
 from jitscan.mmu import Machine
+from jitscan.signatures import RuleSyntaxError, SignatureRule
 from jitscan.trace import (
     FetchEvent,
     MmapEvent,
@@ -289,6 +291,105 @@ def reference_parse_trace(text: str, page_size: int = 4096) -> list[TraceLine]:
         line.done()
         out.append(TraceLine(line_no, event))
     return out
+
+
+def _ref_rule_error(
+    name: str, severity: str, sync: bool, atoms: tuple, names: set[str], page_size: int,
+) -> str | None:
+    """What is wrong with a well-formed rule, or None."""
+    if severity not in ("kill", "alert"):
+        return f"rule {name}: severity must be kill or alert, got {severity!r}"
+    if not atoms:
+        return f"rule {name}: empty pattern"
+    if all(a is None for a in atoms):
+        return f"rule {name}: pattern needs at least one literal byte"
+    if sync and severity != "kill":
+        return f"rule {name}: sync rules must have severity=kill"
+    if name in names:
+        return f"duplicate rule name {name!r}"
+    if len(atoms) > page_size:
+        return f"rule {name}: pattern longer than page size {page_size}"
+    return None
+
+
+def reference_parse_rules(text: str, page_size: int = 4096) -> list[SignatureRule]:
+    """Reference rule parser: one token loop for every line, no fast path.
+
+    Each rule is checked as soon as its line is read, so the first bad
+    line wins; an error in a well-formed rule points at its name.
+    """
+    rules: list[SignatureRule] = []
+    names: set[str] = set()
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.removesuffix("\r").split("#", 1)[0]
+        if not line.strip():
+            continue
+        tokens = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
+
+        def fail(msg: str, at: int = 0) -> RuleSyntaxError:
+            col = tokens[at][0] if at < len(tokens) else len(line) + 1
+            return RuleSyntaxError(msg, line_no, col)
+
+        pos = 0
+
+        def take(expect: str | None = None) -> tuple[int, str]:
+            nonlocal pos
+            if pos >= len(tokens):
+                raise fail(f"expected {expect or 'more input'}, got end of line", pos)
+            tok = tokens[pos]
+            pos += 1
+            return tok
+
+        col, word = take("'rule'")
+        if word != "rule":
+            raise RuleSyntaxError(f"expected 'rule', got {word!r}", line_no, col)
+        name_col, name = take("rule name")
+        if not re.fullmatch(r"\w+", name):
+            raise RuleSyntaxError(f"bad rule name {name!r}", line_no, name_col)
+        col, fam = take("family=<label>")
+        if not fam.startswith("family="):
+            raise RuleSyntaxError(f"expected family=<label>, got {fam!r}", line_no, col)
+        family = fam[len("family="):]
+        if not family:
+            raise RuleSyntaxError("empty family label", line_no, col)
+        col, sev = take("severity=<kill|alert>")
+        if not sev.startswith("severity="):
+            raise RuleSyntaxError(f"expected severity=..., got {sev!r}", line_no, col)
+        severity = sev[len("severity="):]
+        sync = False
+        col, word = take("'sync' or '{'")
+        if word == "sync":
+            sync = True
+            col, word = take("'{'")
+        if word != "{":
+            raise RuleSyntaxError(f"expected '{{', got {word!r}", line_no, col)
+        atoms: list[int | None] = []
+        closed = False
+        while pos < len(tokens):
+            col, word = take()
+            if word == "}":
+                closed = True
+                break
+            if word == "??":
+                atoms.append(None)
+            elif re.fullmatch(r"[0-9a-fA-F]{2}", word):
+                atoms.append(int(word, 16))
+            else:
+                raise RuleSyntaxError(
+                    f"expected hex pair, ?? or '}}', got {word!r}", line_no, col
+                )
+        if not closed:
+            raise fail("expected '}' before end of line", pos)
+        if pos < len(tokens):
+            raise RuleSyntaxError(
+                f"trailing input after '}}': {tokens[pos][1]!r}", line_no, tokens[pos][0]
+            )
+        error = _ref_rule_error(name, severity, sync, tuple(atoms), names, page_size)
+        if error is not None:
+            raise RuleSyntaxError(error, line_no, name_col)
+        names.add(name)
+        rules.append(SignatureRule(name, family, severity, sync, tuple(atoms)))
+    return rules
 
 
 def wx_violations(machine: Machine) -> list[tuple[int, int]]:

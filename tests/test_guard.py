@@ -169,11 +169,18 @@ class TestConfig:
         cfg = GuardConfig()
         assert (cfg.threshold, cfg.ttl_penalty, cfg.ttl_evict) == (256, 1000, 5000)
         assert cfg.penalty_action == "kill"
+        # the command line reads them on the class, as its option defaults
+        assert (GuardConfig.threshold, GuardConfig.ttl_penalty, GuardConfig.ttl_evict) == (
+            256, 1000, 5000,
+        )
 
     def test_bad_values_rejected(self):
-        with pytest.raises(ValueError):
-            GuardConfig(threshold=0)
-        with pytest.raises(ValueError):
-            GuardConfig(penalty_action="shame")
-        with pytest.raises(ValueError):
-            GuardConfig(ttl_penalty=0)
+        for kwargs, message in [
+            ({"threshold": 0}, "threshold must be >= 1"),
+            ({"penalty_action": "shame"}, "penalty_action must be 'kill' or 'block'"),
+            ({"ttl_penalty": 0}, "TTLs must be >= 1"),
+            ({"ttl_evict": 0}, "TTLs must be >= 1"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                GuardConfig(**kwargs)
+            assert str(err.value) == message

@@ -20,7 +20,7 @@ from jitscan.signatures import (
     sync_check,
 )
 
-from conftest import naive_scan
+from conftest import naive_scan, reference_parse_rules
 
 
 def ruleset(*rules: SignatureRule, page_size: int = 4096) -> RuleSet:
@@ -110,6 +110,43 @@ class TestParse:
         body = " ".join(["00"] * 65)
         with pytest.raises(RuleSyntaxError):
             parse_rules(f"rule r family=f severity=alert {{ {body} }}", page_size=64)
+
+
+class TestRuleSetValidates:
+    """A bare SignatureRule is only data; a RuleSet checks each rule it takes."""
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            (("maim", False, (0,)), "rule r: severity must be kill or alert, got 'maim'"),
+            (("kill", False, ()), "rule r: empty pattern"),
+            (("kill", False, (None, None)), "rule r: pattern needs at least one literal byte"),
+            (("alert", True, (0,)), "rule r: sync rules must have severity=kill"),
+            (("kill", False, (0,) * 65), "rule r: pattern longer than page size 64"),
+        ],
+    )
+    def test_a_bad_rule_raises_its_message(self, fields, message):
+        bad = SignatureRule("r", "f", *fields)
+        with pytest.raises(ValueError) as err:
+            RuleSet([bad], page_size=64)
+        assert str(err.value) == message
+
+    def test_a_taken_name_raises(self):
+        with pytest.raises(ValueError) as err:
+            RuleSet([rule("r", "00"), rule("r", "01")])
+        assert str(err.value) == "duplicate rule name 'r'"
+
+    def test_rules_are_checked_in_order_and_taken_one_at_a_time(self):
+        taken = []
+
+        def rules():
+            for r in (rule("a", "00"), rule("b", "??"), rule("c", "01")):
+                taken.append(r.name)
+                yield r
+
+        with pytest.raises(ValueError, match="rule b:"):
+            RuleSet(rules())
+        assert taken == ["a", "b"]
 
 
 class TestScan:
@@ -507,3 +544,116 @@ class TestZeroPageClean:
         monkeypatch.setattr(signatures_module._MultiPattern, "scan", no_scan)
         rs = ruleset(rule("z", "00 00", severity="kill", sync=True), page_size=2**21)
         assert not rs.zero_page_clean
+
+
+_SOUP_NAMES = ("a", "b", "stub_1")
+_HEX = "0123456789abcdefABCDEF"
+
+
+def _soup_rule_line(rng: random.Random, ps: int) -> str:
+    """One rule line: canonical, near-canonical, or with a defect in its
+    content (severity, sync, pattern, length, name) or its syntax."""
+    severity = rng.choice(["kill", "alert"]) if rng.random() < 0.95 else rng.choice(
+        ["maim", "KILL", ""]
+    )
+    sync = rng.random() < (0.3 if severity == "kill" else 0.05)
+    length = rng.randint(1, 4) if rng.random() < 0.9 else rng.choice([0, ps, ps + 1])
+    wild = 1.0 if rng.random() < 0.04 else rng.choice([0.1, 0.3])
+    atoms = [
+        "??" if rng.random() < wild else rng.choice(_HEX) + rng.choice(_HEX)
+        for _ in range(length)
+    ]
+    family = "f" if rng.random() < 0.95 else rng.choice(["", "a=b", "x86"])
+    tokens = ["rule", rng.choice(_SOUP_NAMES), f"family={family}", f"severity={severity}"]
+    tokens += ["sync"] * sync + ["{", *atoms, "}"]
+    if rng.random() < 0.12:  # one syntax defect
+        roll = rng.random()
+        if roll < 0.15:
+            tokens.pop()  # no closing brace
+        elif roll < 0.3:
+            tokens.append("00")  # trailing input
+        elif roll < 0.45 and atoms:
+            tokens[tokens.index("{") + 1] = rng.choice(["zz", "0", "abc", "?"])
+        elif roll < 0.6:
+            tokens[rng.randrange(4)] = rng.choice(["walk", "a-b", "family", "severity"])
+        elif roll < 0.75:
+            tokens[tokens.index("{")] = rng.choice(["(", "{00"])
+        elif roll < 0.9:
+            del tokens[rng.randint(1, tokens.index("{") + 1):]  # cut short
+        else:
+            del tokens[rng.randrange(1, 4)]
+    if rng.random() < 0.75:
+        line = " ".join(tokens)
+    else:
+        line = tokens[0]
+        for tok in tokens[1:]:
+            line += rng.choice([" ", " ", "  ", "\t", " \t", "\x85"]) + tok
+    if rng.random() < 0.05:
+        line = rng.choice([" ", "\t"]) + line
+    if rng.random() < 0.25:
+        line += rng.choice([" ", "\t", "\r", " \r", " # note", "#x", "\r\r"])
+    return line
+
+
+def _rule_soup(rng: random.Random, ps: int) -> str:
+    """A short rule file: mostly rule lines, some blank or comment lines,
+    some rules broken in two; names come from a small pool, so duplicates
+    are common."""
+    lines = []
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "   ", "# note", "\r"]))
+        elif rng.random() < 0.05:  # a rule broken across a line break
+            head, _, tail = _soup_rule_line(rng, ps).rpartition(rng.choice(" {"))
+            lines += [head, tail]
+        else:
+            lines.append(_soup_rule_line(rng, ps))
+    return rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])
+
+
+# a fragment of each error message the soup must reach
+_SOUP_KINDS = (
+    "severity must", "empty pattern", "literal byte", "sync rules", "duplicate",
+    "longer than page", "empty family", "expected hex pair", "before end of line",
+    "trailing input", "expected 'rule'", "bad rule name", "expected family",
+    "expected severity", "got end of line", "expected '{'",
+)
+
+
+def _rules_outcome(parse, text: str, ps: int):
+    try:
+        result = parse(text, page_size=ps)
+    except RuleSyntaxError as err:
+        return ("error", str(err), err.line, err.column)
+    return list(getattr(result, "rules", result))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_same_rules_as_the_reference_parser_on_token_soup(seed):
+    rng = random.Random(seed)
+    seen: set[str] = set()
+    for _ in range(500):
+        ps = rng.choice([4, 64])
+        text = _rule_soup(rng, ps)
+        got = _rules_outcome(parse_rules, text, ps)
+        assert got == _rules_outcome(reference_parse_rules, text, ps), text
+        message = "parsed" if isinstance(got, list) else got[1]
+        seen.add(next((kind for kind in _SOUP_KINDS if kind in message), message))
+    assert seen == {"parsed", *_SOUP_KINDS}, seen
+
+
+@pytest.mark.parametrize("line,fast", [
+    ("rule r family=f severity=kill { 00 ?? AB }", True),
+    ("rule r_2 family=a=b severity=alert { ?? 7f }\r", True),
+    ("rule r family=f severity=kill sync { 00 }", True),
+    ("rule  r family=f severity=kill { 00 }", False),
+    ("rule r family=f severity=kill\t{ 00 }", False),
+    ("rule r family=f severity=kill { 00 } ", False),
+    ("rule r family=f severity=kill { 00 } # note", False),
+    ("rule r family=f severity=maim { 00 }", False),
+    ("rule r family=f severity=kill { }", False),
+    (" rule r family=f severity=kill { 00 }", False),
+])
+def test_only_canonical_lines_take_the_one_match_path(line, fast):
+    match = signatures_module._LINE.match(line)
+    assert match.end() == len(line) and (match.group(1) is not None) == fast
