@@ -69,7 +69,8 @@ class Agent:
         self._matched: set[tuple[int, int]] = set()
 
     def step(self, batch: int = 0) -> int:
-        """Scan up to `batch` pending snapshots (all of them when 0)."""
+        """Scan up to `batch` pending snapshots (all of them when 0);
+        ``replay`` calls this only when a snapshot is pending."""
         snaps = self.pipeline.drain(batch if batch > 0 else None)
         for snap in snaps:
             self.scans_run += 1
@@ -158,13 +159,16 @@ def replay(
     """Replay a trace to a Report. Deterministic in (trace, rules, config).
 
     Each event's result is counted into ``Report.outcomes`` as it ends;
-    no per-event record is kept.
+    no per-event record is kept.  On every ``drain_every``-th event the
+    agent runs only when a snapshot is pending: a step over an empty
+    pipeline does nothing, so it is skipped.
     """
     config = config or SimConfig()
     lines = parse_trace(trace, config.page_size) if isinstance(trace, str) else trace
     ctx = build_run(config, rules)
     machine, report, guard, agent = ctx.machine, ctx.report, ctx.guard, ctx.agent
     outcomes, drain_every, tick, step = report.outcomes, config.drain_every, guard.tick, agent.step
+    ready = ctx.pipeline._ready  # empty exactly when nothing is pending (see pipeline.py)
     for index, line in enumerate(lines, start=1):
         event = line.event
         machine.now += event.n if isinstance(event, TickEvent) else 1
@@ -174,7 +178,7 @@ def replay(
             result = "error"
         outcomes[result] = outcomes.get(result, 0) + 1
         tick(machine.now)
-        if drain_every > 0 and index % drain_every == 0:
+        if ready and drain_every > 0 and index % drain_every == 0:
             step()
     if drain_every > 0:
         while ctx.pipeline.pending_count() > 0:

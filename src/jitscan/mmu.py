@@ -77,7 +77,7 @@ class PageTableEntry:
     check found a match, or it took more than MAX_WRITTEN_SPANS writes.
     A blank page of an executable area starts at ``[]`` instead when the
     rule set cannot match a zero page: its zeros are a clean check.
-    Only ``Machine._apply`` adds a span, and only to a list.
+    Only ``Machine._write`` adds a span, and only to a list.
     ``tlb`` maps a CPU id to the (writable, exec_disabled) pair that CPU
     cached at its last walk of the page.
     """
@@ -92,17 +92,14 @@ class PageTableEntry:
 class VmArea:
     """A contiguous mapping with logical (requested) permissions; never edited."""
 
-    __slots__ = ("start_vpage", "n_pages", "logical_r", "logical_w", "logical_x")
+    __slots__ = ("start_vpage", "n_pages", "end_vpage", "logical_r", "logical_w", "logical_x")
 
     def __init__(
         self, start_vpage: int, n_pages: int, logical_r: bool, logical_w: bool, logical_x: bool,
     ):
         self.start_vpage, self.n_pages = start_vpage, n_pages
+        self.end_vpage = start_vpage + n_pages
         self.logical_r, self.logical_w, self.logical_x = logical_r, logical_w, logical_x
-
-    @property
-    def end_vpage(self) -> int:
-        return self.start_vpage + self.n_pages
 
     def permits(self, kind: AccessKind) -> bool:
         # x86-flavored: a writable mapping is implicitly readable
@@ -344,9 +341,11 @@ class Machine:
     ) -> AccessResult:
         """One memory access: TLB lookup, walk, fault dispatch, retry.
 
-        Returns how the access ended; raises SimError for requests that
-        are invalid regardless of page state (unknown or dead pid,
-        malformed write payload).
+        A read that hits the CPU's TLB entry returns at once (present
+        implies readable); only a write touches the page.  Returns how
+        the access ended; raises SimError for requests that are invalid
+        regardless of page state (unknown or dead pid, malformed write
+        payload).
         """
         space = self.spaces.get(pid)
         if space is None or not space.alive:
@@ -362,10 +361,15 @@ class Machine:
         pte = space.ptes.get(vpage)
         cached = pte.tlb.get(cpu_id) if pte is not None else None
         if cached is not None:
+            # stale flags honored: no walk, no refill
+            if kind is AccessKind.READ:
+                return AccessResult.OK
             writable, exec_disabled = cached
-            if _permits(kind, writable, exec_disabled):
-                # stale flags honored: no walk, no refill
-                self._apply(pte, vaddr, kind, data)
+            if kind is AccessKind.WRITE:
+                if writable:
+                    self._write(pte, vaddr, data)
+                    return AccessResult.OK
+            elif not exec_disabled:
                 return AccessResult.OK
             # a trapping access drops the local entry (the walk redoes it)
             del pte.tlb[cpu_id]
@@ -387,18 +391,18 @@ class Machine:
                 f"fault engine allowed {kind.value} of pid {pid} vpage {vpage}"
                 " but left it impermissible"
             )
-        self._apply(pte, vaddr, kind, data)
+        if kind is AccessKind.WRITE:
+            self._write(pte, vaddr, data)
         pte.tlb[cpu_id] = (pte.writable, pte.exec_disabled)
         return AccessResult.OK
 
-    def _apply(self, pte: PageTableEntry, vaddr: int, kind: AccessKind, data: bytes | None) -> None:
-        if kind is AccessKind.WRITE:
-            off = vaddr % self.page_size
-            end = off + len(data)
-            pte.frame[off:end] = data
-            written = pte.written
-            if written is not None:
-                if len(written) < MAX_WRITTEN_SPANS:
-                    written.append((off, end))
-                else:
-                    pte.written = None
+    def _write(self, pte: PageTableEntry, vaddr: int, data: bytes) -> None:
+        off = vaddr % self.page_size
+        end = off + len(data)
+        pte.frame[off:end] = data
+        written = pte.written
+        if written is not None:
+            if len(written) < MAX_WRITTEN_SPANS:
+                written.append((off, end))
+            else:
+                pte.written = None

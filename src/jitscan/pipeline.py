@@ -7,7 +7,10 @@ independently.  A ready ring holds the index of each non-empty bucket
 exactly once, in the order the buckets became non-empty; a drain
 serves the bucket at its front and requeues it at the back while it
 still holds items, so the cost of a drain follows what is pending, not
-the bucket count.  A global counter stamps every snapshot with a
+the bucket count.  The ring is also the "anything pending" signal:
+outside a drain in progress it is empty exactly when no snapshot is
+pending, and ``replay`` reads it on every event, with no lock or call,
+to skip the agent.  A global counter stamps every snapshot with a
 strictly increasing sequence number at enqueue time.
 """
 

@@ -14,9 +14,9 @@ import json
 from typing import NamedTuple
 
 
-def encode_record(record: dict) -> str:
-    """One JSONL record: sorted keys and no spaces, so equal records encode to equal bytes."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+# One JSONL record: sorted keys and no spaces, so equal records encode to
+# equal bytes.  One shared encoder; json.dumps with options builds a new one per call.
+encode_record = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class Detection(NamedTuple):

@@ -20,8 +20,12 @@ from jitscan import shadow as shadow_module
 from jitscan.agent import SimConfig, build_run, replay
 from jitscan.cli import main
 from jitscan.guard import GuardConfig
+from jitscan.mmu import SimError
+from jitscan.pipeline import SnapshotTable
+from jitscan.report import encode_record
 from jitscan.shadow import ShadowEngine
 from jitscan.signatures import parse_rules, scan_page, sync_check
+from jitscan.trace import TickEvent, parse_trace
 
 from conftest import SYNC_RULES_TEXT, SYNC_STUB
 
@@ -484,6 +488,115 @@ class TestWrittenSpans:
         assert all(not alive or blocked for alive, blocked in unpaired)
 
 
+def _flood_history(
+    rng: random.Random, page_size: int, perms: tuple[str, ...] = ("wx", "rx", "rwx", "rw"),
+) -> str:
+    """A few pids over one to three uids, each with two areas of the given
+    perms: writes from AB, reads, fetches, mprotects and TICKs."""
+    n_pids = rng.randint(1, 6)
+    lines = [f"PROC uid={1000 + rng.randrange(rng.randint(1, 3))}" for _ in range(n_pids)]
+    for pid in range(1, n_pids + 1):
+        for at in (16, 20):
+            lines.append(
+                f"MMAP pid={pid} perms={rng.choice(perms)} pages={rng.randint(1, 2)} at={at}"
+            )
+    for _ in range(rng.randint(20, 80)):
+        pid, cpu, roll = rng.randint(1, n_pids), rng.randrange(2), rng.random()
+        addr = rng.choice((16, 20)) * page_size + rng.randrange(page_size)
+        if roll < 0.3:
+            lines.append(f"FETCH pid={pid} tid=1 cpu={cpu} addr={addr}")
+        elif roll < 0.35:
+            lines.append(
+                f"MPROTECT pid={pid} start={rng.choice((16, 20))} pages=1"
+                f" perms={rng.choice(perms)}"
+            )
+        elif roll < 0.45:
+            lines.append(f"READ pid={pid} tid=1 cpu={cpu} addr={addr}")
+        elif roll < 0.5:
+            lines.append(f"TICK n={rng.randint(1, 40)}")
+        else:
+            data = bytes(rng.choice(b"AB") for _ in range(rng.randint(1, 3)))
+            addr -= max(0, addr % page_size + len(data) - page_size)
+            lines.append(f"WRITE pid={pid} tid=1 cpu={cpu} addr={addr} bytes={data.hex()}")
+    return "\n".join(lines) + "\n"
+
+
+def _plain_loop(trace: str, rs, config: SimConfig) -> bytes:
+    """The replay loop without the drain skip: the agent steps on every
+    drain_every-th event whether or not anything is pending."""
+    lines = parse_trace(trace, config.page_size)
+    ctx = build_run(config, rs)
+    machine, report, pipeline = ctx.machine, ctx.report, ctx.pipeline
+    for index, line in enumerate(lines, start=1):
+        event = line.event
+        machine.now += event.n if isinstance(event, TickEvent) else 1
+        try:
+            result = agent_module._apply_event(machine, event)
+        except (SimError, ValueError):
+            result = "error"
+        report.outcomes[result] = report.outcomes.get(result, 0) + 1
+        ctx.guard.tick(machine.now)
+        if config.drain_every > 0 and index % config.drain_every == 0:
+            ctx.agent.step()
+    if config.drain_every > 0:
+        while pipeline.pending_count() > 0:
+            ctx.agent.step()
+    actions = [a.action for a in report.actions]
+    report.metrics = {
+        "events": len(lines), "snapshots_emitted": pipeline.enqueued_total,
+        "pending_high_watermark": pipeline.high_watermark,
+        "pending_final": pipeline.pending_count(), "scans_run": ctx.agent.scans_run,
+        "evictions": ctx.guard.evictions, "admits": ctx.guard.admits,
+        "denials": ctx.guard.denials, "detections": len(report.detections),
+        "kills": actions.count("kill"), "blocks": actions.count("block"), "clock": machine.now,
+    }
+    return report.emit()
+
+
+class TestDrainSkip:
+    """replay runs the agent only while a snapshot is pending."""
+
+    def test_reports_equal_the_plain_loop(self):
+        rng = random.Random(2024)
+        page_size = 64
+        seen = dict.fromkeys(["detections", "kills", "blocks", "denials", "evictions"], 0)
+        for _ in range(100):
+            trace = _flood_history(rng, page_size)
+            rs = parse_rules(_ab_rules(rng), page_size)
+            guard = GuardConfig(
+                threshold=rng.randint(1, 3), penalty_action=rng.choice(["kill", "block"]),
+                ttl_penalty=rng.randint(1, 50), ttl_evict=rng.randint(1, 50),
+            )
+            for drain_every in (0, 1, 3, 16):
+                for sync in (True, False):
+                    for action in ("kill", "block", "alert"):
+                        config = SimConfig(page_size=page_size, sync_check=sync,
+                                           detection_action=action, drain_every=drain_every,
+                                           guard=guard)
+                        report = replay(trace, rs, config)
+                        assert report.emit() == _plain_loop(trace, rs, config)
+                        for key in seen:
+                            seen[key] += bool(report.metrics[key])
+        assert min(seen.values()) > 400  # the traces reach every path
+
+    def test_no_executable_page_never_drains(self, monkeypatch):
+        drains = []
+        drain = SnapshotTable.drain
+        monkeypatch.setattr(
+            SnapshotTable, "drain", lambda self, *a: drains.append(1) or drain(self, *a),
+        )
+        rng = random.Random(11)
+        for _ in range(20):
+            trace = _flood_history(rng, 64, perms=("rw", "r"))
+            rs = parse_rules(_ab_rules(rng), 64)
+            for drain_every in (1, 3):
+                report = replay(trace, rs, SimConfig(page_size=64, drain_every=drain_every))
+                assert report.outcomes.get("segv_delivered", 0) > 0  # fetches trapped
+        assert drains == []
+        replay(PACKER_TRACE, rules())
+        assert drains  # the wrapper does count
+
+
 class TestEmit:
     def test_report_bytes_are_stable_across_runs(self):
         a = replay(PACKER_TRACE, rules()).emit()
@@ -511,6 +624,18 @@ class TestEmit:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             replay("PROC uid=1\n", rules()).emit("xml")
+
+    def test_shared_encoder_equals_json_dumps(self):
+        records = [
+            {"record": "summary", "outcomes": {"ok": 3, "error": 0}, "z": {"b": [1, {"y": None}]}},
+            {"rule": "caf\u00e9 \u2603 \U0001f600", "path": None, "action": "kill"},
+            {"rule": 'quote" back\\ tab\t nl\n nul\x00 del\x7f', "n": -1, "f": 0.5},
+            {"b": True, "a": False, "": [], "k": {}},
+        ]
+        for record in records:
+            assert encode_record(record) == json.dumps(
+                record, sort_keys=True, separators=(",", ":")
+            )
 
 
 class TestCli:

@@ -177,6 +177,35 @@ class TestTlb:
         assert machine.access(pid, 1, 1, 16 * PS, AccessKind.WRITE, b"\x41") is AccessResult.OK
         assert wx_violations(machine) == [(pid, 16)]
 
+    def test_hits_are_served_from_the_cached_pair(self):
+        machine = plain_machine()
+        pid = machine.create_process(uid=0)
+        machine.mmap(pid, "rwx", 1, at=16)
+        machine.access(pid, 1, 0, 16 * PS, AccessKind.READ)
+        pte = machine.spaces[pid].ptes[16]
+        assert (pte.writable, pte.exec_disabled) == (True, False)
+        # a read hit returns at once, whatever the pair: present implies readable
+        pte.tlb[0], pte.written = (False, True), [(1, 2)]
+        frame = bytes(pte.frame)
+        assert machine.access(pid, 1, 0, 16 * PS + 5, AccessKind.READ) is AccessResult.OK
+        assert (bytes(pte.frame), pte.written, pte.tlb) == (frame, [(1, 2)], {0: (False, True)})
+        # a write hit writes and adds its span, with no walk and no refill
+        pte.tlb[0] = (True, True)
+        assert machine.access(pid, 1, 0, 16 * PS + 8, AccessKind.WRITE, b"AB") is AccessResult.OK
+        assert pte.frame[8:10] == b"AB"
+        assert (pte.written, pte.tlb) == ([(1, 2), (8, 10)], {0: (True, True)})
+        # a fetch hit that the pair allows does nothing else
+        pte.tlb[0] = (False, False)
+        assert machine.access(pid, 1, 0, 16 * PS, AccessKind.FETCH) is AccessResult.OK
+        assert (pte.written, pte.tlb) == ([(1, 2), (8, 10)], {0: (False, False)})
+        # a write or fetch its cached pair denies drops the entry and walks
+        pte.tlb[0] = (False, True)
+        assert machine.access(pid, 1, 0, 16 * PS + 3, AccessKind.WRITE, b"C") is AccessResult.OK
+        assert (pte.frame[3], pte.written[-1], pte.tlb) == (ord("C"), (3, 4), {0: (True, False)})
+        pte.tlb[0] = (True, True)
+        assert machine.access(pid, 1, 0, 16 * PS, AccessKind.FETCH) is AccessResult.OK
+        assert pte.tlb == {0: (True, False)}  # refilled by the walk
+
     def test_faulting_cpu_drops_its_own_stale_entry(self):
         machine = shadow_machine(suppress_tlb_flush=True)
         pid = machine.create_process(uid=0)
