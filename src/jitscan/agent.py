@@ -37,6 +37,8 @@ class SimConfig:
         detection_action: str = "kill", shadow: bool = True, drain_every: int = 1,
         guard: GuardConfig | None = None,
     ):
+        if drain_every < 0:
+            raise ValueError("drain_every must be >= 0")
         self.page_size, self.sync_check = page_size, sync_check
         self.detection_action = detection_action  # response to signature hits: kill|block|alert
         self.shadow = shadow  # False runs the plain baseline engine
@@ -167,7 +169,7 @@ def replay(
     lines = parse_trace(trace, config.page_size) if isinstance(trace, str) else trace
     ctx = build_run(config, rules)
     machine, report, guard, agent = ctx.machine, ctx.report, ctx.guard, ctx.agent
-    outcomes, drain_every, tick, step = report.outcomes, config.drain_every, guard.tick, agent.step
+    outcomes, drain_every, step = report.outcomes, config.drain_every, agent.step
     ready = ctx.pipeline._ready  # empty exactly when nothing is pending (see pipeline.py)
     for index, line in enumerate(lines, start=1):
         event = line.event
@@ -177,12 +179,11 @@ def replay(
         except (SimError, ValueError):
             result = "error"
         outcomes[result] = outcomes.get(result, 0) + 1
-        tick(machine.now)
         if ready and drain_every > 0 and index % drain_every == 0:
             step()
-    if drain_every > 0:
-        while ctx.pipeline.pending_count() > 0:
-            agent.step()
+    if drain_every > 0 and ready:
+        step()  # drains everything: a scan never enqueues
+    guard.tick(machine.now)
     report.metrics = {
         "events": len(lines),
         "snapshots_emitted": ctx.pipeline.enqueued_total,

@@ -5,8 +5,8 @@ delivered one.  Pushing the counter past the threshold starts a penalty
 window during which every admission for that uid is denied, whatever
 pid it comes from (a fork bomb churning through pids still shares the
 uid).  Entries that sit at zero long enough are evicted so setuid churn
-cannot grow the table without bound; eviction reads only the idle uids,
-oldest first, and relies on time never running backwards.
+cannot grow the table without bound; the owner sweeps them (``tick``)
+before each admission and once at the end, not on every event.
 """
 
 from __future__ import annotations
@@ -102,12 +102,9 @@ class DosGuard:
 
         Reads only idle uids, in idle-since order, and stops at the first
         one still too young; this order holds because `now` never decreases.
-        While the oldest idle uid is too young it returns at once, so the
-        per-event call costs a dict test and a look at that one uid.
+        One sweep at `now` evicts what sweeps at every tick up to `now` would.
         """
         idle, ttl = self._idle, self.config.ttl_evict
-        if not idle or now - next(iter(idle.values())) < ttl:
-            return []
         evicted: list[int] = []
         for uid, since in idle.items():
             if now - since < ttl:

@@ -210,7 +210,8 @@ class Machine:
 
     A fault engine must be attached before accesses run.  Per trap,
     ``access`` calls on_materialize(space, area, vpage, vaddr, tid, kind)
-    for a page not present, handle_write_fault(space, area, pte, vpage) for
+    for a not-present page whose area permits the access (else the access
+    ends SEGV_DELIVERED), handle_write_fault(space, area, pte, vpage) for
     a denied write or handle_exec_fault(space, area, pte, vpage, vaddr, tid)
     for a denied fetch.  Each applies any kill or block (see the shadow
     module) and returns the AccessResult of the access, OK to proceed.
@@ -377,6 +378,8 @@ class Machine:
         area = space.find_area(vpage)
         result = AccessResult.OK
         if area is None or pte is None:
+            if area is None or not area.permits(kind):
+                return AccessResult.SEGV_DELIVERED  # nothing materializes
             result = self.engine.on_materialize(space, area, vpage, vaddr, tid, kind)
         elif kind is AccessKind.WRITE and not pte.writable:
             result = self.engine.handle_write_fault(space, area, pte, vpage)

@@ -13,10 +13,11 @@ violation.  On a shadow write trap the page flips to write mode and the
 write proceeds.  On a shadow fetch trap the page content is checked
 (synchronous signature check, then flood-guard admission, then a
 snapshot for the asynchronous scanner) before the page flips to exec
-mode and the fetch proceeds.  Every flag edit is followed by a
-cross-CPU flush of that page's TLB entry; without it a stale entry on
-another CPU would let writes land on a page that is currently
-executable.
+mode and the fetch proceeds; the guard is swept just before each
+admission, at the previous event's tick.  Every flag edit is followed
+by a cross-CPU flush of that page's TLB entry; without it a stale
+entry on another CPU would let writes land on a page that is
+currently executable.
 
 Every executable page starts in write mode, whatever touched it first,
 so its first fetch checks it; a page of an area without execute rights
@@ -145,12 +146,10 @@ class ShadowEngine:
     # ---- fault hooks ---------------------------------------------------
 
     def on_materialize(
-        self, space: AddressSpace, area: VmArea | None, vpage: int, vaddr: int, tid: int,
+        self, space: AddressSpace, area: VmArea, vpage: int, vaddr: int, tid: int,
         kind: AccessKind,
     ) -> AccessResult:
         """Not-present fault: install the page unchecked; a fetch then checks it."""
-        if area is None or not area.permits(kind):
-            return AccessResult.SEGV_DELIVERED  # nothing materializes
         blank = area.logical_x and vpage not in space.images  # tested before the pop
         pte = self.machine.install_page(space, vpage)
         if blank and self.rules is not None and self.rules.zero_page_clean:
@@ -210,6 +209,7 @@ class ShadowEngine:
                 if result is not AccessResult.OK:
                     return result
         if self.guard is not None:
+            self.guard.tick(machine.now - 1)  # as sweeps after each earlier event would
             admission = self.guard.admit(uid, pid, machine.now)
             if not admission.admitted:
                 return respond(machine, self.report, pid, uid, admission.action, "throttle")
@@ -236,11 +236,9 @@ class BaselineEngine:
         self.machine = machine
 
     def on_materialize(
-        self, space: AddressSpace, area: VmArea | None, vpage: int, vaddr: int, tid: int,
+        self, space: AddressSpace, area: VmArea, vpage: int, vaddr: int, tid: int,
         kind: AccessKind,
     ) -> AccessResult:
-        if area is None or not area.permits(kind):
-            return AccessResult.SEGV_DELIVERED
         _plain_relabel(self.machine.install_page(space, vpage), area)
         return AccessResult.OK
 

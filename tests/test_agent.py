@@ -19,7 +19,7 @@ from jitscan import agent as agent_module
 from jitscan import shadow as shadow_module
 from jitscan.agent import SimConfig, build_run, replay
 from jitscan.cli import main
-from jitscan.guard import GuardConfig
+from jitscan.guard import DosGuard, GuardConfig
 from jitscan.mmu import SimError
 from jitscan.pipeline import SnapshotTable
 from jitscan.report import encode_record
@@ -305,6 +305,11 @@ class TestBuildRun:
         assert replay(trace, parse_rules(ASYNC_RULES, 64), SimConfig(page_size=64)).outcomes == {
             "ok": 3
         }
+
+    def test_negative_drain_every_is_rejected(self):
+        with pytest.raises(ValueError, match="drain_every must be >= 0"):
+            SimConfig(drain_every=-1)
+        assert SimConfig(drain_every=0).drain_every == 0
 
 
 def _ab_rules(rng: random.Random) -> str:
@@ -595,6 +600,67 @@ class TestDrainSkip:
         assert drains == []
         replay(PACKER_TRACE, rules())
         assert drains  # the wrapper does count
+
+
+class TestGuardSweep:
+    """The shadow engine sweeps the guard at the previous event's tick just
+    before each admission, and replay sweeps once after the last event."""
+
+    @pytest.mark.parametrize("k, evictions", [(4, 0), (5, 1)])
+    def test_eviction_boundary(self, k, evictions):
+        trace = (
+            "PROC uid=1\n"
+            "MMAP pid=1 perms=rx pages=2 at=16\n"
+            f"FETCH pid=1 tid=1 cpu=0 addr={16 * PS}\n"  # tick 3, delivered at 3
+            f"TICK n={k}\n"
+            f"FETCH pid=1 tid=1 cpu=0 addr={17 * PS}\n"  # tick 4 + k
+        )
+        config = SimConfig(guard=GuardConfig(ttl_evict=5))
+        report = replay(trace, rules(), config)
+        assert report.outcomes == {"ok": 5}
+        assert report.metrics["admits"] == 2
+        assert report.metrics["evictions"] == evictions
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_a_penalty_ends_with_its_eviction_not_before(self, k):
+        trace = (
+            "PROC uid=1\nPROC uid=1\n"
+            "MMAP pid=1 perms=rx pages=2 at=16\n"
+            "MMAP pid=2 perms=rx pages=1 at=16\n"
+            f"FETCH pid=1 tid=1 cpu=0 addr={16 * PS}\n"  # tick 5: admitted
+            f"FETCH pid=2 tid=1 cpu=0 addr={16 * PS}\n"  # tick 6: denied; pid 1's delivered
+            f"TICK n={k}\n"
+            f"FETCH pid=1 tid=1 cpu=0 addr={17 * PS}\n"  # tick 7 + k, idle for 1 + k
+        )
+        guard = GuardConfig(threshold=1, ttl_penalty=100, ttl_evict=5)
+        report = replay(trace, rules(), SimConfig(drain_every=6, guard=guard))
+        throttled = [a.pid for a in report.actions if a.cause == "throttle"]
+        if k == 4:  # idle exactly ttl_evict ticks at the readmission: still penalized
+            assert throttled == [2, 1]
+            assert report.outcomes == {"ok": 6, "killed": 2}
+            # the final sweep, at tick 11, evicts the idle entry
+            assert [report.metrics[m] for m in ("admits", "denials", "evictions")] == [1, 2, 1]
+        else:  # one tick later the entry, and its penalty, are gone
+            assert throttled == [2]
+            assert report.outcomes == {"ok": 7, "killed": 1}
+            assert [report.metrics[m] for m in ("admits", "denials", "evictions")] == [2, 1, 1]
+
+    def test_no_executable_page_sweeps_once(self, monkeypatch):
+        calls = []
+        tick = DosGuard.tick
+        monkeypatch.setattr(
+            DosGuard, "tick", lambda self, now: calls.append(now) or tick(self, now),
+        )
+        rng = random.Random(5)
+        for _ in range(10):
+            trace = _flood_history(rng, 64, perms=("rw", "r"))
+            report = replay(trace, parse_rules(_ab_rules(rng), 64), SimConfig(page_size=64))
+            assert report.outcomes.get("segv_delivered", 0) > 0  # fetches trapped
+            assert calls == [report.metrics["clock"]]
+            calls.clear()
+        report = replay(PACKER_TRACE, rules())
+        assert report.metrics["admits"] == 1
+        assert calls == [3, 4]  # before the admission at tick 4, then the final sweep
 
 
 class TestEmit:

@@ -608,5 +608,20 @@ class TestFaultEngineContract:
         assert all(call[3] is pte for call in stub.calls)
 
 
+    def test_a_forbidding_or_missing_area_never_reaches_the_engine(self):
+        machine = Machine(page_size=PS)
+        stub = PermissiveStub()
+        machine.attach_engine(stub)
+        pid = machine.create_process(uid=0)
+        machine.mmap(pid, "r", 1, at=16)
+        space = machine.spaces[pid]
+        result = machine.access(pid, 1, 0, 16 * PS, AccessKind.WRITE, b"w")
+        assert result is AccessResult.SEGV_DELIVERED
+        result = machine.access(pid, 1, 0, 40 * PS, AccessKind.FETCH)  # unmapped hole
+        assert result is AccessResult.SEGV_DELIVERED
+        assert stub.calls == []
+        assert space.ptes == {}
+
+
 def test_every_public_name_resolves():
     assert [n for n in jitscan.__all__ if not hasattr(jitscan, n)] == []
