@@ -129,17 +129,16 @@ def build_run(config: SimConfig | None = None, rules: RuleSet | None = None) -> 
     return RunContext(machine, pipeline, guard, agent, report)
 
 
+_WRITE = AccessKind.WRITE  # bound once: see the bindings in mmu.py
 # READ, WRITE and FETCH are nearly every event, so they skip the isinstance ladder
-_ACCESS_KINDS = {
-    ReadEvent: AccessKind.READ, WriteEvent: AccessKind.WRITE, FetchEvent: AccessKind.FETCH,
-}
+_ACCESS_KINDS = {ReadEvent: AccessKind.READ, WriteEvent: _WRITE, FetchEvent: AccessKind.FETCH}
 
 
 def _apply_event(machine: Machine, event) -> str:
     """Run one event; returns its result for the report's outcome counts."""
     kind = _ACCESS_KINDS.get(type(event))
     if kind is not None:
-        data = event.data if kind is AccessKind.WRITE else None
+        data = event.data if kind is _WRITE else None
         result = machine.access(event.pid, event.tid, event.cpu, event.addr, kind, data)
         return result._value_  # the plain string, without the .value property's call
     if isinstance(event, ProcEvent):

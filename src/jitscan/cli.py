@@ -4,13 +4,15 @@
     jitscan scan --rules FILE --page FILE             one-shot page scan
     jitscan check-trace FILE                          parse and validate
 
-Exit codes: 0 clean, 1 a kill-severity signature matched, 2 bad input.
+Exit codes: 0 clean, 1 a kill-severity signature matched, 2 bad input or
+unwritable output.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from .agent import SimConfig, replay
@@ -22,7 +24,7 @@ from .trace import parse_trace
 
 
 class _BadInput(Exception):
-    """Malformed input; main prints it on one line and exits 2."""
+    """Malformed input or an unwritable report; main prints it on one line and exits 2."""
 
 
 # the largest --page-size, x86-64's 2 MiB huge page: a page is allocated whole
@@ -68,7 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--threshold", type=_positive, default=GuardConfig.threshold,
                      help="pending snapshots per uid before a penalty")
     run.add_argument("--ttl-penalty", type=_positive, default=GuardConfig.ttl_penalty,
-                     help="penalty window in ticks")
+                     help="penalty window in ticks; it ends early if the uid is "
+                     "evicted first (see --ttl-evict)")
     run.add_argument("--ttl-evict", type=_positive, default=GuardConfig.ttl_evict,
                      help="ticks at zero pending before an entry is evicted")
     run.add_argument("--penalty-action", choices=["kill", "block"], default="kill",
@@ -119,10 +122,15 @@ def _cmd_run(args) -> int:
             sink = open(args.report, "wb")
         except OSError as exc:
             raise _BadInput(f"report: {exc}") from None
-    with sink as out:
-        report = replay(lines, rules, config)
-        out.write(report.emit("jsonl"))
-        out.flush()
+    try:
+        with sink as out:
+            report = replay(lines, rules, config)
+            out.write(report.emit("jsonl"))
+            out.flush()
+    except OSError as exc:
+        if not args.report:
+            raise  # stdout: main reports it
+        raise _BadInput(f"report: {exc}") from None
     if args.report:
         print(
             f"jitscan: {report.metrics['events']} events, "
@@ -168,10 +176,28 @@ _COMMANDS = {"run": _cmd_run, "scan": _cmd_scan, "check-trace": _cmd_check}
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except _BadInput as exc:
         print(f"jitscan: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # inputs and the report file are handled above: stdout failed
+        print(f"jitscan: output: {exc}", file=sys.stderr)
+        _discard_stdout()
+        return 2
+
+
+def _discard_stdout() -> None:
+    """Point stdout's fd at the null device, so the exit-time flush of what
+    stdout still buffers succeeds instead of printing "Exception ignored"."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # not backed by a file descriptor: nothing flushes to one
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 if __name__ == "__main__":

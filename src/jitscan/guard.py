@@ -6,7 +6,10 @@ window during which every admission for that uid is denied, whatever
 pid it comes from (a fork bomb churning through pids still shares the
 uid).  Entries that sit at zero long enough are evicted so setuid churn
 cannot grow the table without bound; the owner sweeps them (``tick``)
-before each admission and once at the end, not on every event.
+before each admission and once at the end, not on every event.  An
+eviction drops the entry with its penalty, so a penalty lasts
+``ttl_penalty`` ticks or until the uid has sat idle ``ttl_evict`` ticks,
+whichever ends first.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ class GuardConfig:
 
     threshold = 256
     penalty_action = "kill"  # "kill" | "block"
-    ttl_penalty = 1000  # ticks a penalty lasts
+    ttl_penalty = 1000  # ticks a penalty lasts, unless an eviction (ttl_evict) ends it first
     ttl_evict = 5000  # ticks at pending==0 before the entry is dropped
 
     def __init__(

@@ -68,6 +68,15 @@ class AccessResult(str, enum.Enum):
     BLOCKED = "blocked"
 
 
+# Members bound once for the per-event paths.  On CPython 3.11 EnumType
+# defines __getattr__, so every AccessKind.X read takes the slow attribute
+# hook even when X is found: about 5x a plain class attribute, and spent
+# in no Python frame, so cProfile charges it to no layer.
+_READ, _WRITE, _FETCH = AccessKind.READ, AccessKind.WRITE, AccessKind.FETCH
+_OK, _SEGV_DELIVERED = AccessResult.OK, AccessResult.SEGV_DELIVERED
+_BLOCKED = AccessResult.BLOCKED
+
+
 class PageTableEntry:
     """One present page's physical flags, the two spare shadow bits and its bytes.
 
@@ -103,9 +112,9 @@ class VmArea:
 
     def permits(self, kind: AccessKind) -> bool:
         # x86-flavored: a writable mapping is implicitly readable
-        if kind is AccessKind.READ:
+        if kind is _READ:
             return self.logical_r or self.logical_w
-        if kind is AccessKind.WRITE:
+        if kind is _WRITE:
             return self.logical_w
         return self.logical_x
 
@@ -198,9 +207,9 @@ _perms = operator.attrgetter("logical_r", "logical_w", "logical_x")
 
 
 def _permits(kind: AccessKind, writable: bool, exec_disabled: bool) -> bool:
-    if kind is AccessKind.WRITE:
+    if kind is _WRITE:
         return writable
-    if kind is AccessKind.FETCH:
+    if kind is _FETCH:
         return not exec_disabled
     return True  # present implies readable
 
@@ -352,8 +361,8 @@ class Machine:
         if space is None or not space.alive:
             self.space(pid)  # raises the unknown or dead pid's error
         if space.blocked:
-            return AccessResult.BLOCKED
-        if kind is AccessKind.WRITE:
+            return _BLOCKED
+        if kind is _WRITE:
             if not data:
                 raise ValueError("write access requires payload bytes")
             if (vaddr % self.page_size) + len(data) > self.page_size:
@@ -363,29 +372,29 @@ class Machine:
         cached = pte.tlb.get(cpu_id) if pte is not None else None
         if cached is not None:
             # stale flags honored: no walk, no refill
-            if kind is AccessKind.READ:
-                return AccessResult.OK
+            if kind is _READ:
+                return _OK
             writable, exec_disabled = cached
-            if kind is AccessKind.WRITE:
+            if kind is _WRITE:
                 if writable:
                     self._write(pte, vaddr, data)
-                    return AccessResult.OK
+                    return _OK
             elif not exec_disabled:
-                return AccessResult.OK
+                return _OK
             # a trapping access drops the local entry (the walk redoes it)
             del pte.tlb[cpu_id]
 
         area = space.find_area(vpage)
-        result = AccessResult.OK
+        result = _OK
         if area is None or pte is None:
             if area is None or not area.permits(kind):
-                return AccessResult.SEGV_DELIVERED  # nothing materializes
+                return _SEGV_DELIVERED  # nothing materializes
             result = self.engine.on_materialize(space, area, vpage, vaddr, tid, kind)
-        elif kind is AccessKind.WRITE and not pte.writable:
+        elif kind is _WRITE and not pte.writable:
             result = self.engine.handle_write_fault(space, area, pte, vpage)
-        elif kind is AccessKind.FETCH and pte.exec_disabled:
+        elif kind is _FETCH and pte.exec_disabled:
             result = self.engine.handle_exec_fault(space, area, pte, vpage, vaddr, tid)
-        if result is not AccessResult.OK:
+        if result is not _OK:
             return result
 
         pte = space.ptes.get(vpage)
@@ -394,10 +403,10 @@ class Machine:
                 f"fault engine allowed {kind.value} of pid {pid} vpage {vpage}"
                 " but left it impermissible"
             )
-        if kind is AccessKind.WRITE:
+        if kind is _WRITE:
             self._write(pte, vaddr, data)
         pte.tlb[cpu_id] = (pte.writable, pte.exec_disabled)
-        return AccessResult.OK
+        return _OK
 
     def _write(self, pte: PageTableEntry, vaddr: int, data: bytes) -> None:
         off = vaddr % self.page_size

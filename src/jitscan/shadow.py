@@ -47,6 +47,12 @@ from .pipeline import PageSnapshot, SnapshotTable
 from .report import ActionTaken, Detection, Report
 from .signatures import RuleSet, SignatureRule, sync_check
 
+# bound once: a read through the enum class pays 3.11's EnumType.__getattr__
+# hook on every call (see the bindings in mmu.py)
+_FETCH = AccessKind.FETCH
+_OK, _SEGV_DELIVERED = AccessResult.OK, AccessResult.SEGV_DELIVERED
+_KILLED, _BLOCKED = AccessResult.KILLED, AccessResult.BLOCKED
+
 
 def respond(
     machine: Machine, report: Report, pid: int, uid: int, action: str, cause: str,
@@ -64,7 +70,7 @@ def respond(
         else:
             space.blocked = True
         report.actions.append(ActionTaken(pid, uid, action, cause, rule=rule, path=path))
-    return AccessResult.KILLED if action == "kill" else AccessResult.BLOCKED
+    return _KILLED if action == "kill" else _BLOCKED
 
 
 def signature_hit(
@@ -86,7 +92,7 @@ def signature_hit(
         )
     )
     if action == "alert":
-        return AccessResult.OK
+        return _OK
     return respond(machine, report, pid, uid, action, "signature", rule.name, path)
 
 
@@ -155,20 +161,20 @@ class ShadowEngine:
         if blank and self.rules is not None and self.rules.zero_page_clean:
             pte.written = []
         _set_mode(pte, area, checked=False)
-        if kind is AccessKind.FETCH:
+        if kind is _FETCH:
             # materialize-then-check in one step: a single snapshot
             return self.handle_exec_fault(space, area, pte, vpage, vaddr, tid)
-        return AccessResult.OK
+        return _OK
 
     def handle_write_fault(
         self, space: AddressSpace, area: VmArea, pte: PageTableEntry, vpage: int,
     ) -> AccessResult:
         """Write trap: shadow-induced ones flip the page to write mode."""
         if not area.logical_w or not pte.orig_write:
-            return AccessResult.SEGV_DELIVERED
+            return _SEGV_DELIVERED
         _set_mode(pte, area, checked=False)
         self.machine.tlb_flush_one(space.pid, vpage)
-        return AccessResult.OK
+        return _OK
 
     def handle_exec_fault(
         self, space: AddressSpace, area: VmArea, pte: PageTableEntry, vpage: int, vaddr: int,
@@ -176,13 +182,13 @@ class ShadowEngine:
     ) -> AccessResult:
         """Fetch trap: check content, snapshot it, flip to exec mode."""
         if not pte.orig_exe:
-            return AccessResult.SEGV_DELIVERED
+            return _SEGV_DELIVERED
         result = self._checked_fetch(space, pte, vpage, vaddr, tid)
-        if result is not AccessResult.OK:
+        if result is not _OK:
             return result
         _set_mode(pte, area, checked=True)
         self.machine.tlb_flush_one(space.pid, vpage)
-        return AccessResult.OK
+        return _OK
 
     def on_mprotect(self, pid: int, start_vpage: int, n_pages: int, perms: str) -> None:
         """Update logical permissions and each present page's mode."""
@@ -206,7 +212,7 @@ class ShadowEngine:
                     machine, self.report, self.rules.by_name[hit.rule], pid, uid,
                     vpage, hit.offset, "sync", self.detection_action,
                 )
-                if result is not AccessResult.OK:
+                if result is not _OK:
                     return result
         if self.guard is not None:
             self.guard.tick(machine.now - 1)  # as sweeps after each earlier event would
@@ -221,7 +227,7 @@ class ShadowEngine:
             self.pipeline.enqueue(
                 PageSnapshot(content, vaddr % machine.page_size, vaddr, vpage, pid, tid, uid, spans)
             )
-        return AccessResult.OK
+        return _OK
 
 
 class BaselineEngine:
@@ -240,18 +246,18 @@ class BaselineEngine:
         kind: AccessKind,
     ) -> AccessResult:
         _plain_relabel(self.machine.install_page(space, vpage), area)
-        return AccessResult.OK
+        return _OK
 
     def handle_write_fault(
         self, space: AddressSpace, area: VmArea, pte: PageTableEntry, vpage: int,
     ) -> AccessResult:
-        return AccessResult.SEGV_DELIVERED
+        return _SEGV_DELIVERED
 
     def handle_exec_fault(
         self, space: AddressSpace, area: VmArea, pte: PageTableEntry, vpage: int, vaddr: int,
         tid: int,
     ) -> AccessResult:
-        return AccessResult.SEGV_DELIVERED
+        return _SEGV_DELIVERED
 
     def on_mprotect(self, pid: int, start_vpage: int, n_pages: int, perms: str) -> None:
         self.machine.relabel(pid, start_vpage, n_pages, perms, _plain_relabel)

@@ -8,6 +8,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
@@ -37,6 +39,9 @@ ASYNC_RULES = (
 )
 DROPPER = bytes.fromhex("4831c0415a504889e7b03b0f059090")
 PROBE = bytes.fromhex("90909090c3" * 2)  # two copies -> two matches
+
+DEV_FULL = "/dev/full"  # every write to it fails with ENOSPC
+needs_dev_full = pytest.mark.skipif(not os.path.exists(DEV_FULL), reason="no /dev/full")
 
 PACKER_TRACE = f"""\
 PROC uid=1000
@@ -815,6 +820,39 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err == f"jitscan: trace: line 2: addr must be an integer, got {addr!r}\n"
+
+    @needs_dev_full
+    def test_unwritable_report_file_exits_2(self, files, capsys):
+        trace, rule_file, _ = files
+        code = main(["run", "--trace", str(trace), "--rules", str(rule_file),
+                     "--report", DEV_FULL])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("jitscan: report: ") and err.count("\n") == 1
+
+    @needs_dev_full
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("command", ["run", "scan", "check-trace"])
+    def test_unwritable_stdout_exits_2_on_one_line(self, files, command, buffered):
+        trace, rule_file, tmp = files
+        page = tmp / "page.bin"
+        page.write_bytes(DROPPER)
+        argv = {"run": ["run", "--trace", str(trace), "--rules", str(rule_file)],
+                "scan": ["scan", "--rules", str(rule_file), "--page", str(page)],
+                "check-trace": ["check-trace", str(trace)]}[command]
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        env.pop("PYTHONUNBUFFERED", None)  # buffered: the exit-time flush has data left
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open(DEV_FULL, "wb") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "jitscan.cli", *argv], stdout=full,
+                stderr=subprocess.PIPE, text=True, timeout=60, env=env,
+            )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("jitscan: output: ") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
 
     @pytest.mark.parametrize(
         "argv",

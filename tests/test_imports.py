@@ -1,10 +1,14 @@
-"""Import checks: dead imports, and no class code generated at import.
+"""Import checks: dead imports, no class code generated at import, and
+no enum member read through its class at run time.
 
 Every module of the package uses each name it imports; ``__init__.py``
 is exempt, since its imports are the package's re-exports, and so is
 ``from __future__``.  Importing the package loads neither
 ``dataclasses`` nor the ``inspect`` it pulls in, so every record is a
-plain class or a ``typing.NamedTuple``.  Standard library only.
+plain class or a ``typing.NamedTuple``.  No function body reads
+``AccessKind.X`` or ``AccessResult.X``: on CPython 3.11 each such read
+pays EnumType's ``__getattr__`` hook, so modules bind the members once
+at import.  Standard library only.
 """
 
 from __future__ import annotations
@@ -18,10 +22,13 @@ from pathlib import Path
 import pytest
 
 from jitscan import (
-    AddressSpace, Admission, Match, PageSnapshot, PageTableEntry, Report, SignatureRule,
-    ThrottleEntry, VmArea,
+    AccessKind, AccessResult, AddressSpace, Admission, Machine, Match, PageSnapshot,
+    PageTableEntry, Report, ShadowEngine, SignatureRule, SnapshotTable, ThrottleEntry, VmArea,
+    parse_rules,
 )
 from jitscan.pipeline import _Bucket
+
+from conftest import SYNC_RULES_TEXT, SYNC_STUB
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jitscan"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -109,3 +116,78 @@ def test_immutable_records_compare_by_value():
     assert rule == SignatureRule("r", "f", "kill", True, (1, None))
     assert rule != rule._replace(sync=False)
     assert len({rule, SignatureRule("r", "f", "kill", True, (1, None))}) == 1
+
+
+ACCESS_ENUMS = {"AccessKind", "AccessResult"}
+
+
+def enum_member_reads(source: str) -> list[str]:
+    """``AccessKind.X`` and ``AccessResult.X`` reads inside function or lambda
+    bodies, as "line: Class.X"; module level, class bodies and defaults run once."""
+    found: dict[tuple[int, int], str] = {}
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = fn.body
+        elif isinstance(fn, ast.Lambda):
+            body = [fn.body]
+        else:
+            continue
+        for node in (n for stmt in body for n in ast.walk(stmt)):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in ACCESS_ENUMS):
+                found[node.lineno, node.col_offset] = f"{node.lineno}: {node.value.id}.{node.attr}"
+    return [found[key] for key in sorted(found)]
+
+
+def test_checker_finds_an_enum_member_read_in_a_function_body():
+    source = (
+        "from .mmu import AccessKind, AccessResult\n"
+        "_WRITE = AccessKind.WRITE\n"
+        "class A:\n    kind = AccessKind.READ\n"
+        "def f(kind, ok=AccessResult.OK):\n"
+        "    if kind is AccessKind.WRITE:\n        return AccessResult.OK\n"
+        "    def g():\n        return AccessResult.BLOCKED\n"
+        "    return kind.value, _WRITE\n"
+        "h = lambda k: k is AccessKind.FETCH\n"
+    )
+    assert enum_member_reads(source) == [
+        "6: AccessKind.WRITE", "7: AccessResult.OK", "9: AccessResult.BLOCKED",
+        "11: AccessKind.FETCH",
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_reads_an_access_enum_member_through_its_class(module):
+    assert enum_member_reads((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_access_returns_access_result_members():
+    """A str enum equals its string, so == would also pass a plain string."""
+    ps = 4096
+    machine = Machine(page_size=ps)
+    rules = parse_rules(SYNC_RULES_TEXT, page_size=ps)
+    engine = ShadowEngine(machine, rules=rules, pipeline=SnapshotTable())
+    machine.attach_engine(engine)
+    read, write, fetch = AccessKind.READ, AccessKind.WRITE, AccessKind.FETCH
+    pid = machine.create_process(uid=1)
+    machine.mmap(pid, "wx", 1, at=16)
+    machine.mmap(pid, "rw", 1, at=17)
+    machine.mmap(pid, "rx", 1, at=18)
+    got = [
+        (machine.access(pid, 1, 0, 16 * ps, write, b"\x90"), AccessResult.OK),
+        (machine.access(pid, 1, 0, 16 * ps, fetch), AccessResult.OK),  # a clean check
+        (machine.access(pid, 1, 0, 17 * ps, read), AccessResult.OK),
+        (machine.access(pid, 1, 0, 17 * ps, fetch), AccessResult.SEGV_DELIVERED),  # exec hook
+        (machine.access(pid, 1, 0, 18 * ps, read), AccessResult.OK),
+        (machine.access(pid, 1, 0, 18 * ps, write, b"\x90"), AccessResult.SEGV_DELIVERED),
+        (machine.access(pid, 1, 0, 40 * ps, read), AccessResult.SEGV_DELIVERED),  # no area
+    ]
+    for action, stopped in (("kill", AccessResult.KILLED), ("block", AccessResult.BLOCKED)):
+        engine.detection_action = action
+        victim = machine.create_process(uid=2)
+        machine.mmap(victim, "wx", 1, at=16)
+        machine.access(victim, 1, 0, 16 * ps, write, SYNC_STUB)
+        got.append((machine.access(victim, 1, 0, 16 * ps, fetch), stopped))
+    got.append((machine.access(victim, 1, 0, 16 * ps, read), AccessResult.BLOCKED))
+    for result, expected in got:
+        assert type(result) is AccessResult and result is expected
