@@ -143,14 +143,12 @@ def _cmd_run(args) -> int:
 def _cmd_scan(args) -> int:
     rules = _load("rules", parse_rules, args.rules, args.page_size)
     try:
-        with open(args.page, "rb") as handle:
-            image = handle.read()
+        with open(args.page, "rb") as handle:  # one byte past a page tells it is too large
+            image = handle.read(args.page_size + 1)
     except OSError as exc:
         raise _BadInput(f"page: {exc}") from None
     if len(image) > args.page_size:
-        raise _BadInput(
-            f"page image is {len(image)} bytes, larger than one {args.page_size}-byte page"
-        )
+        raise _BadInput(f"page image is larger than one {args.page_size}-byte page")
     matches = scan_page(image.ljust(args.page_size, b"\x00"), rules)
     exit_kill = False
     for match in matches:

@@ -59,17 +59,16 @@ class SignatureRule(NamedTuple):
 
     def anchor(self) -> tuple[int, bytes]:
         """(offset, bytes) of the longest run of consecutive literals."""
-        best_off, best = 0, b""
-        run_off, run = 0, []
-        for i, atom in enumerate(list(self.atoms) + [None]):
+        atoms = self.atoms
+        best_off = best_len = run_off = 0
+        for i, atom in enumerate(atoms):
             if atom is None:
-                if len(run) > len(best):
-                    best_off, best = run_off, bytes(run)
-                run = []
+                if i - run_off > best_len:
+                    best_off, best_len = run_off, i - run_off
                 run_off = i + 1
-            else:
-                run.append(atom)
-        return best_off, best
+        if len(atoms) - run_off > best_len:
+            best_off, best_len = run_off, len(atoms) - run_off
+        return best_off, bytes(atoms[best_off : best_off + best_len])
 
 
 class Match(NamedTuple):
@@ -102,14 +101,14 @@ class _MultiPattern:
     hit is found twice.
     """
 
-    def __init__(self, rules: list[SignatureRule]):
+    def __init__(self, anchored: list[tuple[SignatureRule, tuple[int, bytes]]]):
+        """anchored: each rule with its anchor()."""
         self._find = None
-        if not rules:
+        if not anchored:
             return
-        anchors = [rule.anchor() for rule in rules]
-        k = self._k = min(_PREFIX, min(len(anchor) for _, anchor in anchors))
+        k = self._k = min(_PREFIX, min(len(anchor) for _, (_, anchor) in anchored))
         self._buckets: dict[bytes, list[tuple[bytes, int, str, int, tuple]]] = {}
-        for rule, (anchor_off, anchor) in zip(rules, anchors):
+        for rule, (anchor_off, anchor) in anchored:
             checks = tuple(
                 (i, a) for i, a in enumerate(rule.atoms)
                 if a is not None and not anchor_off <= i < anchor_off + len(anchor)
@@ -123,7 +122,7 @@ class _MultiPattern:
         ]
         lookahead = b"(?=" + b"".join(classes[1:]) + b")" if k > 1 else b""
         self._find = re.compile(classes[0] + lookahead).finditer
-        self._reach = max(len(rule.atoms) for rule in rules) - 1
+        self._reach = max(len(rule.atoms) for rule, _ in anchored) - 1
 
     def scan(self, data: bytes, spans: list[tuple[int, int]] | None = None) -> list[Match]:
         """Matches in data; with spans, only those overlapping some span."""
@@ -193,8 +192,9 @@ class RuleSet:
         self.page_size = page_size
         self.by_name = {r.name: r for r in self.rules}
         self.sync_rules = [r for r in self.rules if r.sync]
-        self._full = _MultiPattern(self.rules)
-        self._sync = _MultiPattern(self.sync_rules)
+        anchored = [(rule, rule.anchor()) for rule in self.rules]  # one anchor for both indexes
+        self._full = _MultiPattern(anchored)
+        self._sync = _MultiPattern([pair for pair in anchored if pair[0].sync])
         # a rule fits a page (_admit), so it matches zeros iff every literal is 00
         self.zero_page_clean = not any(all(a in (None, 0) for a in r.atoms) for r in self.rules)
 

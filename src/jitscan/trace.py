@@ -29,18 +29,21 @@ Lines are read one at a time from the text; no list of them is built.
 A canonical READ, FETCH or WRITE line (the upper-case op, then its
 fields in ``_GRAMMAR`` order, one space apart, nothing else on the
 line) whose values are well formed and whose pid exists is read with
-one regex match.  Every other line goes through the token loop, which
-is the one source of error text: a fast-path candidate it cannot take
-falls to the loop, and both paths end in ``done()``'s whole-line
-checks.  Events and ``TraceLine`` are immutable named tuples compared
-by kind: a ReadEvent never equals a FetchEvent with the same fields,
-nor the plain tuple of them.
+one regex match.  The three ops share one alternative of that regex,
+whose six groups (op, pid, tid, cpu, addr, an optional bytes) one
+``groups()`` call reads; the match is taken only if bytes are there
+exactly when the op is WRITE.  Every other line goes through the token
+loop, which is the one source of error text: a fast-path candidate it
+cannot take falls to the loop, and both paths end in ``done()``'s
+whole-line checks.  Events and ``TraceLine`` are immutable named
+tuples compared by kind: a ReadEvent never equals a FetchEvent with
+the same fields, nor the plain tuple of them.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import permutations, repeat
+from itertools import permutations
 from typing import NamedTuple
 
 from .mmu import DEFAULT_PAGE_SIZE
@@ -158,39 +161,36 @@ _GRAMMAR: dict[str, tuple[type, tuple[tuple[str, str, int], ...]]] = {
 
 
 # Canonical READ/FETCH/WRITE lines, nearly every line of a trace, take
-# one regex match instead of the token loop: the upper-case op, then
-# every field of its _GRAMMAR spec in order as key=value, one space
-# apart, and nothing else on the line but a \r (no comment).  An integer
+# one regex match instead of the token loop: the upper-case op, then the
+# _ACCESS fields in order as key=value, one space apart, then WRITE's
+# bytes, and nothing else on the line but a \r (no comment).  An integer
 # is 0x and hex digits or ASCII decimal digits ([0-9], not \d, which
-# matches ١٢); WRITE's bytes are hex digits, and bytes.fromhex refuses
-# an odd count.  Each op's alternative is a named group around its value
-# groups, so ``lastgroup`` names the op; any other line is ``.*``.
+# matches ١٢); bytes are hex digits, and bytes.fromhex refuses an odd
+# count.  The three ops share one alternative, so a match has six groups:
+# op, pid, tid, cpu, addr and the bytes, which are optional in the
+# pattern; any other line is ``.*``, all six None.
 _FAST_OPS = ("READ", "FETCH", "WRITE")
 _INT_RE = "(0x[0-9a-fA-F]+|[0-9]+)"
 
 
-def _fast_pattern(op: str) -> str:
-    _, spec = _GRAMMAR[op]
-    values = "".join(
-        f" {key}={'([0-9a-fA-F]+)' if kind == 'hex' else _INT_RE}" for key, kind, _ in spec
-    )
-    return rf"(?P<{op}>{op}{values})\r?"
+def _fast_pattern() -> str:
+    ints = "".join(f" {key}={_INT_RE}" for key, _, _ in _ACCESS)
+    key, _, _ = _GRAMMAR["WRITE"][1][-1]  # bytes, hex
+    return rf"({'|'.join(_FAST_OPS)}){ints}(?: {key}=([0-9a-fA-F]+))?\r?"
 
 
-_LINE = re.compile("^(?:" + "|".join(map(_fast_pattern, _FAST_OPS)) + "|.*)$", re.M)
-
-
-def _fast_entry(op: str) -> tuple[type, tuple[int, ...], int | None]:
-    """(event class, its integer groups in _LINE, the group of a last hex field)."""
-    cls, spec = _GRAMMAR[op]
-    first = _LINE.groupindex[op] + 1
-    n_ints = sum(kind != "hex" for _, kind, _ in spec)
-    return cls, tuple(range(first, first + n_ints)), first + n_ints if n_ints < len(spec) else None
-
-
-_FAST = {op: _fast_entry(op) for op in _FAST_OPS}
-_BASE_0 = repeat(0)  # int(value, 0) reads both 0x hex and decimal
+_LINE = re.compile(f"^(?:{_fast_pattern()}|.*)$", re.M)
+_FAST_CLASS = {op: _GRAMMAR[op][0] for op in _FAST_OPS}
 _new = tuple.__new__  # builds a tuple subclass without its __new__'s Python call
+
+
+class _Ints(dict):
+    """Integer text -> its value, read by int(value, 0) on first sight: 0x
+    hex or decimal, and a ValueError for 010 or 5,000 digits."""
+
+    def __missing__(self, value: str) -> int:
+        number = self[value] = int(value, 0)
+        return number
 
 
 def done(line_no: int, event: TraceEvent, unknown: dict, page_size: int) -> TraceLine:
@@ -218,20 +218,25 @@ def parse_trace(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> list[TraceLine
     """Parse and validate a trace; raises TraceError with the line number."""
     out: list[TraceLine] = []
     n_pids = 0
+    ints = _Ints()  # pid, tid and cpu repeat from line to line
     for line_no, match in enumerate(_LINE.finditer(text), start=1):
-        op = match.lastgroup
-        if op is not None:
-            cls, int_groups, hex_group = _FAST[op]
+        # one groups() call reads every field, where a group() call per field
+        # costs a method call each; a READ or FETCH with bytes or a WRITE
+        # without them is the loop's, which names the field at fault
+        op, pid, tid, cpu, addr, data = match.groups()
+        if op is not None and (data is None) == (op != "WRITE"):
             try:  # a value these refuse, such as 010 or 5,000 digits, is the loop's to read
-                args = list(map(int, match.group(*int_groups), _BASE_0))
-                if hex_group:
-                    args.append(bytes.fromhex(match.group(hex_group)))
+                pid = ints[pid]
+                values = (
+                    (pid, ints[tid], ints[cpu], int(addr, 0)) if data is None
+                    else (pid, ints[tid], ints[cpu], int(addr, 0), bytes.fromhex(data))
+                )
             except ValueError:
                 pass
             else:
                 # every other field's least value is 0, which a match always meets
-                if 0 < args[0] <= n_pids:
-                    out.append(done(line_no, _new(cls, args), {}, page_size))
+                if 0 < pid <= n_pids:
+                    out.append(done(line_no, _new(_FAST_CLASS[op], values), {}, page_size))
                     continue
         stripped = match.group().split("#", 1)[0].strip()
         if not stripped:

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import tempfile
@@ -42,6 +43,7 @@ PROBE = bytes.fromhex("90909090c3" * 2)  # two copies -> two matches
 
 DEV_FULL = "/dev/full"  # every write to it fails with ENOSPC
 needs_dev_full = pytest.mark.skipif(not os.path.exists(DEV_FULL), reason="no /dev/full")
+DEV_ZERO = "/dev/zero"  # reads from it never end
 
 PACKER_TRACE = f"""\
 PROC uid=1000
@@ -786,6 +788,27 @@ class TestCli:
         page = tmp / "page.bin"
         page.write_bytes(b"\x00" * (PS + 1))
         assert main(["scan", "--rules", str(rule_file), "--page", str(page)]) == 2
+        assert capsys.readouterr().err == (
+            f"jitscan: page image is larger than one {PS}-byte page\n"
+        )
+
+    @pytest.mark.skipif(not os.path.exists(DEV_ZERO), reason="no /dev/zero")
+    def test_scan_of_an_endless_page_reads_one_page_and_exits_2(self, files):
+        _, rule_file, _ = files
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+
+        def cap_memory():  # runs in the child only: an unbounded read dies of it
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "jitscan.cli", "scan", "--rules", str(rule_file),
+             "--page", DEV_ZERO], capture_output=True, text=True, timeout=60, env=env,
+            preexec_fn=cap_memory,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == f"jitscan: page image is larger than one {PS}-byte page\n"
+        assert done.stdout == ""
 
     def test_check_trace_ok(self, files, capsys):
         trace, _, _ = files

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+import jitscan.trace as trace_module
 from jitscan.trace import (
     FetchEvent,
     MmapEvent,
@@ -190,17 +191,54 @@ def test_parsing_streams_lines_instead_of_splitting_the_text():
 
 
 def test_crlf_access_lines_take_the_regex_path():
-    assert _LINE.match("READ pid=1 tid=1 cpu=0 addr=0\r\n").lastgroup == "READ"
+    # groups: op, pid, tid, cpu, addr, bytes; a line off the fast path has only Nones
+    assert _LINE.match("READ pid=1 tid=1 cpu=0 addr=0\r\n").groups() == (
+        "READ", "1", "1", "0", "0", None,
+    )
+    assert _LINE.match("WRITE pid=1 tid=2 cpu=3 addr=0x10 bytes=c3\r\n").groups() == (
+        "WRITE", "1", "2", "3", "0x10", "c3",
+    )
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_crlf_trace_parses_as_its_lf_form(seed):
     lf = random_benign_trace(random.Random(seed))
     crlf = lf.replace("\n", "\r\n")
-    fast = [m.lastgroup for m in _LINE.finditer(lf)]
-    assert [m.lastgroup for m in _LINE.finditer(crlf)] == fast
-    assert fast.count(None) < len(fast) // 2  # most lines are canonical access lines
+    fast = [m.groups() for m in _LINE.finditer(lf)]
+    assert [m.groups() for m in _LINE.finditer(crlf)] == fast
+    ops = [groups[0] for groups in fast]
+    assert ops.count(None) < len(ops) // 2  # most lines are canonical access lines
     assert parse_trace(crlf) == parse_trace(lf)
+
+
+def test_done_runs_once_per_event_line(monkeypatch):
+    """The bench counts parsed event lines by calls to ``done``, so every
+    line that yields a TraceLine passes through it, on either path."""
+    calls = []
+    real_done = trace_module.done
+
+    def counting_done(*args):
+        calls.append(args[0])
+        return real_done(*args)
+
+    monkeypatch.setattr(trace_module, "done", counting_done)
+    text = (
+        "# a comment\r\n"
+        "PROC uid=1000\r\n"
+        "\n"
+        "MMAP pid=1 perms=rw pages=2 at=16\n"
+        "READ pid=1 tid=1 cpu=0 addr=0x10000\r\n"
+        "WRITE pid=1 tid=1 cpu=0 addr=0x10008 bytes=c3c3\n"
+        "   \n"
+        "FETCH pid=1 tid=010 cpu=0 addr=65536\n"  # int(value, 0) refuses 010
+        "read pid=1 tid=1 cpu=0 addr=0x10000 # lower case\n"
+        "READ  pid=1 tid=1 cpu=0 addr=0x10000\r\n"
+        "TICK n=5\n"
+    )
+    lines = parse_trace(text)
+    assert [line.line_no for line in lines] == [2, 4, 5, 6, 8, 9, 10, 11]
+    assert lines[4].event == FetchEvent(1, 10, 0, 65536)
+    assert calls == [line.line_no for line in lines]
 
 
 # --- the table-driven parser against the reference parser in conftest ---
@@ -288,7 +326,8 @@ _FAST_EDGE_HEX = ("", "abc", "c3c", "0xc3", "C3", "c3 ")
 def _canonical_access(rng: random.Random, n_pids: int, ps: int) -> str:
     """A READ/FETCH/WRITE line in the parser's fast-path shape: the upper-case
     op, then every field in grammar order, one space apart.  Now and then a
-    field takes an edge value, or the pid 0 or one not created yet; ``_fields``
+    field takes an edge value, or the pid 0 or one not created yet, and now and
+    then a READ or FETCH ends with bytes or a WRITE lacks them; ``_fields``
     already ends some WRITEs one byte past the page."""
     op = rng.choice(("READ", "FETCH", "WRITE"))
     fields = _fields(rng, op, n_pids, ps)
@@ -300,6 +339,11 @@ def _canonical_access(rng: random.Random, n_pids: int, ps: int) -> str:
             field[1] = rng.choice([str(n_pids + 1), "0"])
         else:
             field[1] = rng.choice(_FAST_EDGE_INTS)
+    if rng.random() < 0.05:  # bytes where the grammar has none, or none where it needs them
+        if op == "WRITE":
+            fields.pop()
+        else:
+            fields.append(["bytes", rng.choice(["c3", "90c3", "00"])])
     return " ".join([op] + ["=".join(field) for field in fields])
 
 
