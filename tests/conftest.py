@@ -4,7 +4,8 @@ The oracles here deliberately know nothing about the implementation:
 the scanner oracle is a literal sliding window, the snapshot oracle is
 a two-variable recurrence over one page's history, the W^X checker
 inspects raw PTE and TLB state, the guard oracle sweeps its whole uid
-table on every tick, the trace oracle reads each line through a
+table on every tick, the replay oracle keeps one dict of permissions
+per page and no TLB, the trace oracle reads each line through a
 per-line field object with one method per field kind, and the rule
 oracle reads every line with one token loop and checks each rule
 there.  Tests compare engine output against these instead of trusting
@@ -18,6 +19,7 @@ import re
 
 from jitscan.guard import Admission
 from jitscan.mmu import Machine
+from jitscan.report import encode_record
 from jitscan.signatures import RuleSyntaxError, SignatureRule
 from jitscan.trace import (
     FetchEvent,
@@ -291,6 +293,183 @@ def reference_parse_trace(text: str, page_size: int = 4096) -> list[TraceLine]:
         line.done()
         out.append(TraceLine(line_no, event))
     return out
+
+
+def reference_replay(trace_text: str, rules, config) -> bytes:
+    """Reference replay: the report bytes of the whole stack, written the
+    slow obvious way.
+
+    Permissions live in one dict per (pid, vpage), with no areas.  There
+    is no TLB: with flushes on, every CPU's cached entry equals its page's
+    bits, so a hit ends as a walk would.  A present page holds its bytes
+    and whether it is in exec mode (checked); the shadow rules are the
+    shadow module's docstring.  Every check scans the whole page with
+    ``naive_scan``.  The guard is a ``SweepGuard`` ticked after every
+    event.  The pipeline is one list per pid bucket, drained whole, round
+    robin over the buckets in the order they became non-empty.
+    """
+    ps, shadow, action = config.page_size, config.shadow, config.detection_action
+    rule_list = [] if rules is None else rules.rules
+    by_name = {r.name: r for r in rule_list}
+    full = [(r.name, r.atoms) for r in rule_list]
+    sync = [(r.name, r.atoms) for r in rule_list if r.sync]
+    guard = SweepGuard(config.guard)
+    uid_of: dict[int, int] = {}
+    status: dict[int, str] = {}  # pid -> "running" | "blocked" | "dead"
+    cursor: dict[int, int] = {}  # pid -> next auto-placed vpage
+    perms: dict[tuple[int, int], str] = {}  # mapped (pid, vpage) -> its perms
+    images: dict[tuple[int, int], bytes] = {}  # mmap content of a page not yet touched
+    pages: dict[tuple[int, int], list] = {}  # present (pid, vpage) -> [bytes, exec mode]
+    buckets: dict[int, list] = {}
+    order: list[int] = []  # non-empty buckets, in the order they became so
+    detections: list[dict] = []
+    actions: list[dict] = []
+    outcomes: dict[str, int] = {}
+    counts = dict.fromkeys(["snapshots", "pending", "high", "scans"], 0)
+    now = 0
+
+    def respond(pid, what, cause, rule=None, path=None) -> str:
+        if status[pid] == "running" or (status[pid] == "blocked" and what == "kill"):
+            status[pid] = "dead" if what == "kill" else "blocked"
+            actions.append({"record": "action", "pid": pid, "uid": uid_of[pid],
+                            "action": what, "cause": cause, "rule": rule, "path": path})
+        return "killed" if what == "kill" else "blocked"
+
+    def hit(name, pid, vpage, offset, path) -> str:
+        rule = by_name[name]
+        what = action if rule.severity == "kill" else "alert"
+        detections.append({
+            "record": "detection", "pid": pid, "uid": uid_of[pid], "vpage": vpage,
+            "offset": offset, "vaddr": vpage * ps + offset, "rule": name,
+            "family": rule.family, "severity": rule.severity, "path": path, "action": what,
+        })
+        return "ok" if what == "alert" else respond(pid, what, "signature", name, path)
+
+    def checked_fetch(pid, vpage, content) -> str:
+        if config.sync_check and rules is not None:
+            hits = naive_scan(content, sync)
+            if hits:
+                result = hit(hits[0][1], pid, vpage, hits[0][0], "sync")
+                if result != "ok":
+                    return result
+        admission = guard.admit(uid_of[pid], pid, now)
+        if not admission.admitted:
+            return respond(pid, admission.action, "throttle")
+        bucket = hash(pid) % 64
+        if not buckets.get(bucket):
+            order.append(bucket)
+        buckets.setdefault(bucket, []).append((pid, vpage, content))
+        counts["snapshots"] += 1
+        counts["pending"] += 1
+        counts["high"] = max(counts["high"], counts["pending"])
+        return "ok"
+
+    def drain() -> None:
+        out = []
+        while order:
+            for bucket in order:  # one round: each non-empty bucket once
+                out.append(buckets[bucket].pop(0))
+            order[:] = [bucket for bucket in order if buckets[bucket]]
+        counts["pending"] -= len(out)
+        for pid, _, _ in out:
+            guard.on_delivered(uid_of[pid], now)
+        for pid, vpage, content in out:
+            counts["scans"] += 1
+            if rules is not None:
+                for offset, name in naive_scan(content, full):
+                    hit(name, pid, vpage, offset, "async")
+
+    def access(pid, addr, kind, data=None) -> str:
+        if status[pid] != "running":
+            return "error" if status[pid] == "dead" else "blocked"
+        key = (pid, addr // ps)
+        allowed, page = perms.get(key), pages.get(key)
+        if page is None:
+            need = {"read": "rw", "write": "w", "fetch": "x"}[kind]
+            if allowed is None or not any(p in allowed for p in need):
+                return "segv_delivered"
+            frame = bytearray(ps)
+            image = images.pop(key, b"")
+            frame[: len(image)] = image
+            page = pages[key] = [frame, False]
+        if kind == "write":
+            if "w" not in allowed:
+                return "segv_delivered"
+            page[1] = False  # a write to a checked page flips it back to write mode
+            page[0][addr % ps : addr % ps + len(data)] = data
+        elif kind == "fetch" and not page[1]:
+            if "x" not in allowed:
+                return "segv_delivered"
+            if shadow:
+                result = checked_fetch(pid, key[1], bytes(page[0]))
+                if result != "ok":
+                    return result
+                page[1] = True
+        return "ok"
+
+    def mmap(pid, prm, n, content, at) -> str:
+        if status[pid] == "dead":
+            return "error"
+        start = cursor[pid] if at is None else at
+        if any((pid, v) in perms for v in range(start, start + n)):
+            return "error"
+        cursor[pid] = max(cursor[pid], start + n)
+        for i in range(n):
+            perms[(pid, start + i)] = prm
+            if content and content[i * ps : (i + 1) * ps]:
+                images[(pid, start + i)] = content[i * ps : (i + 1) * ps]
+        return "ok"
+
+    def mprotect(pid, start, n, prm) -> str:
+        span = [(pid, v) for v in range(start, start + n)]
+        if status[pid] == "dead" or any(key not in perms for key in span):
+            return "error"
+        for key in span:
+            old, perms[key] = perms[key], prm
+            page = pages.get(key)
+            if page is not None:
+                # exec mode survives unless the edit takes x away or grants a new w
+                page[1] = page[1] and "x" in prm and ("w" in old or "w" not in prm)
+        return "ok"
+
+    lines = reference_parse_trace(trace_text, ps)
+    for index, line in enumerate(lines, start=1):
+        event = line.event
+        now += event.n if isinstance(event, TickEvent) else 1
+        if isinstance(event, ProcEvent):
+            pid = len(uid_of) + 1
+            uid_of[pid], status[pid], cursor[pid] = event.uid, "running", 16
+            result = "ok"
+        elif isinstance(event, MmapEvent):
+            result = mmap(event.pid, event.perms, event.n_pages, event.content, event.at)
+        elif isinstance(event, MprotectEvent):
+            result = mprotect(event.pid, event.start_vpage, event.n_pages, event.perms)
+        elif isinstance(event, ReadEvent):
+            result = access(event.pid, event.addr, "read")
+        elif isinstance(event, FetchEvent):
+            result = access(event.pid, event.addr, "fetch")
+        elif isinstance(event, WriteEvent):
+            result = access(event.pid, event.addr, "write", event.data)
+        else:
+            result = "ok"
+        outcomes[result] = outcomes.get(result, 0) + 1
+        guard.tick(now)
+        if config.drain_every > 0 and index % config.drain_every == 0:
+            drain()
+    if config.drain_every > 0:
+        drain()
+    guard.tick(now)
+    kinds = [a["action"] for a in actions]
+    summary = {
+        "record": "summary", "outcomes": outcomes, "events": len(lines),
+        "snapshots_emitted": counts["snapshots"], "pending_high_watermark": counts["high"],
+        "pending_final": counts["pending"], "scans_run": counts["scans"],
+        "evictions": guard.evictions, "admits": guard.admits, "denials": guard.denials,
+        "detections": len(detections), "kills": kinds.count("kill"),
+        "blocks": kinds.count("block"), "clock": now,
+    }
+    records = [*detections, *actions, summary]
+    return ("\n".join(map(encode_record, records)) + "\n").encode()
 
 
 def _ref_rule_error(

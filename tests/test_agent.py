@@ -30,7 +30,7 @@ from jitscan.shadow import ShadowEngine
 from jitscan.signatures import parse_rules, scan_page, sync_check
 from jitscan.trace import TickEvent, parse_trace
 
-from conftest import SYNC_RULES_TEXT, SYNC_STUB
+from conftest import SYNC_RULES_TEXT, SYNC_STUB, reference_replay
 
 PS = 4096
 
@@ -607,6 +607,90 @@ class TestDrainSkip:
         assert drains == []
         replay(PACKER_TRACE, rules())
         assert drains  # the wrapper does count
+
+
+def _mixed_history(rng: random.Random, page_size: int) -> str:
+    """Pids over one to three uids, each with wx, rx, rwx or rw areas, some
+    auto-placed (so some MMAPs overlap) and some with an image of A, B and
+    zero bytes; then writes from AB00, reads, fetches across three CPUs,
+    mprotects (now and then of an unmapped range), stray addresses and TICKs."""
+    n_pids = rng.randint(1, 5)
+    lines = [f"PROC uid={1000 + rng.randrange(rng.randint(1, 3))}" for _ in range(n_pids)]
+    starts = (16, 18, 20)
+    for pid in range(1, n_pids + 1):
+        for _ in range(rng.randint(1, 3)):
+            pages = rng.randint(1, 2)
+            line = f"MMAP pid={pid} perms={rng.choice(('wx', 'rx', 'rwx', 'rw'))} pages={pages}"
+            if rng.random() < 0.8:
+                line += f" at={rng.choice(starts)}"
+            if rng.random() < 0.4:
+                size = rng.randint(1, pages * page_size)
+                image = bytes(rng.choice(b"AB\0") for _ in range(size))
+                line += f" content={image.hex()}"
+            lines.append(line)
+    for _ in range(rng.randint(20, 80)):
+        pid, cpu, roll = rng.randint(1, n_pids), rng.randrange(3), rng.random()
+        vpage = rng.choice(starts) + rng.randrange(3 if rng.random() < 0.9 else 40)
+        addr = vpage * page_size + rng.randrange(page_size)
+        if roll < 0.3:
+            lines.append(f"FETCH pid={pid} tid=1 cpu={cpu} addr={addr}")
+        elif roll < 0.37:
+            lines.append(
+                f"MPROTECT pid={pid} start={vpage} pages={rng.randint(1, 2)}"
+                f" perms={rng.choice(('wx', 'rx', 'rwx', 'rw', 'r', 'x'))}"
+            )
+        elif roll < 0.47:
+            lines.append(f"READ pid={pid} tid=1 cpu={cpu} addr={addr}")
+        elif roll < 0.52:
+            lines.append(f"TICK n={rng.randint(1, 8)}")
+        else:
+            data = bytes(rng.choice(b"AB\0") for _ in range(rng.randint(1, 3)))
+            addr -= max(0, addr % page_size + len(data) - page_size)
+            lines.append(f"WRITE pid={pid} tid=1 cpu={cpu} addr={addr} bytes={data.hex()}")
+    return "\n".join(lines) + "\n"
+
+
+class TestReferenceReplay:
+    """replay's report equals the reference replay's in conftest, which has
+    no areas, no TLB, no written spans and no drain ring."""
+
+    def test_reports_equal_the_reference(self):
+        rng = random.Random(21)
+        page_size = 64
+        seen = dict.fromkeys(
+            ["sync", "async", "kills", "blocks", "denials", "evictions", "error", "segv"], 0,
+        )
+        for _ in range(60):
+            trace = _mixed_history(rng, page_size)
+            rs = parse_rules(rng.choice([_ab_rules, _zero_rules])(rng), page_size)
+            guard = GuardConfig(
+                threshold=rng.randint(1, 3), penalty_action=rng.choice(["kill", "block"]),
+                ttl_penalty=rng.randint(1, 30), ttl_evict=rng.randint(1, 12),
+            )
+            for drain_every in (0, 1, 3, 16):
+                for sync in (True, False):
+                    for action in ("kill", "block", "alert"):
+                        config = SimConfig(page_size=page_size, sync_check=sync,
+                                           detection_action=action, drain_every=drain_every,
+                                           guard=guard)
+                        report = replay(trace, rs, config)
+                        assert report.emit() == reference_replay(trace, rs, config), trace
+                        paths = {d.path for d in report.detections}
+                        seen["sync"] += "sync" in paths
+                        seen["async"] += "async" in paths
+                        for key in ("kills", "blocks", "denials", "evictions"):
+                            seen[key] += bool(report.metrics[key])
+                        seen["error"] += "error" in report.outcomes
+                        seen["segv"] += "segv_delivered" in report.outcomes
+        assert min(seen.values()) > 50, seen  # the traces reach every path
+
+    def test_plain_engine_equals_the_reference(self):
+        rng = random.Random(22)
+        for _ in range(40):
+            trace = _mixed_history(rng, 64)
+            rs = parse_rules(_zero_rules(rng), 64)
+            config = SimConfig(page_size=64, shadow=False)
+            assert replay(trace, rs, config).emit() == reference_replay(trace, rs, config)
 
 
 class TestGuardSweep:
