@@ -36,7 +36,7 @@ from .signatures import (
     scan_page,
     sync_check,
 )
-from .trace import TraceError, TraceLine, parse_trace
+from .trace import TraceError, parse_trace
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "SnapshotTable",
     "ThrottleEntry",
     "TraceError",
-    "TraceLine",
     "UnknownProcessError",
     "UnmappedRangeError",
     "VmArea",

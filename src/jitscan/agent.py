@@ -16,19 +16,9 @@ from .guard import DosGuard, GuardConfig
 from .mmu import DEFAULT_PAGE_SIZE, AccessKind, Machine, SimError
 from .pipeline import SnapshotTable
 from .report import Report
-from .shadow import BaselineEngine, ShadowEngine, signature_hit
+from .shadow import DETECTION_ACTIONS, BaselineEngine, ShadowEngine, signature_hit
 from .signatures import RuleSet, scan_page
-from .trace import (
-    FetchEvent,
-    MmapEvent,
-    MprotectEvent,
-    ProcEvent,
-    ReadEvent,
-    TickEvent,
-    TraceLine,
-    WriteEvent,
-    parse_trace,
-)
+from .trace import FETCH, MMAP, MPROTECT, PROC, READ, TICK, WRITE, parse_trace
 
 
 class SimConfig:
@@ -39,6 +29,8 @@ class SimConfig:
     ):
         if drain_every < 0:
             raise ValueError("drain_every must be >= 0")
+        if detection_action not in DETECTION_ACTIONS:  # checked here for either engine
+            raise ValueError(f"bad detection action {detection_action!r}")
         self.page_size, self.sync_check = page_size, sync_check
         self.detection_action = detection_action  # response to signature hits: kill|block|alert
         self.shadow = shadow  # False runs the plain baseline engine
@@ -129,35 +121,43 @@ def build_run(config: SimConfig | None = None, rules: RuleSet | None = None) -> 
     return RunContext(machine, pipeline, guard, agent, report)
 
 
-_WRITE = AccessKind.WRITE  # bound once: see the bindings in mmu.py
-# READ, WRITE and FETCH are nearly every event, so they skip the isinstance ladder
-_ACCESS_KINDS = {ReadEvent: AccessKind.READ, WriteEvent: _WRITE, FetchEvent: AccessKind.FETCH}
+# the AccessKind of each access op code, bound once: see the bindings in mmu.py
+_KINDS = {READ: AccessKind.READ, FETCH: AccessKind.FETCH, WRITE: AccessKind.WRITE}
 
 
-def _apply_event(machine: Machine, event) -> str:
-    """Run one event; returns its result for the report's outcome counts."""
-    kind = _ACCESS_KINDS.get(type(event))
-    if kind is not None:
-        data = event.data if kind is _WRITE else None
-        result = machine.access(event.pid, event.tid, event.cpu, event.addr, kind, data)
+def _apply_event(machine: Machine, event: tuple) -> str:
+    """Advance the clock and run one parsed event (see trace.py for its
+    layout); returns its result for the report's outcome counts."""
+    op = event[0]
+    if op <= WRITE:  # READ, FETCH and WRITE are nearly every event
+        machine.now += 1
+        result = machine.access(
+            event[2], event[3], event[4], event[5], _KINDS[op],
+            event[6] if op == WRITE else None,
+        )
         return result._value_  # the plain string, without the .value property's call
-    if isinstance(event, ProcEvent):
-        machine.create_process(event.uid)
-    elif isinstance(event, MmapEvent):
-        machine.mmap(event.pid, event.perms, event.n_pages, event.content, event.at)
-    elif isinstance(event, MprotectEvent):
-        machine.mprotect(event.pid, event.start_vpage, event.n_pages, event.perms)
-    elif not isinstance(event, TickEvent):
-        raise TypeError(f"unknown event type {type(event).__name__}")
+    if op == TICK:
+        machine.now += event[2]
+        return "ok"
+    machine.now += 1
+    if op == PROC:
+        machine.create_process(event[2])
+    elif op == MMAP:
+        machine.mmap(event[2], event[3], event[4], event[5], event[6])
+    elif op == MPROTECT:
+        machine.mprotect(event[2], event[3], event[4], event[5])
+    else:
+        raise TypeError(f"unknown op code {op!r}")
     return "ok"
 
 
 def replay(
-    trace: str | list[TraceLine],
+    trace: str | list[tuple],
     rules: RuleSet | None = None,
     config: SimConfig | None = None,
 ) -> Report:
-    """Replay a trace to a Report. Deterministic in (trace, rules, config).
+    """Replay a trace, its text or ``parse_trace``'s events, to a Report.
+    Deterministic in (trace, rules, config).
 
     Each event's result is counted into ``Report.outcomes`` as it ends;
     no per-event record is kept.  On every ``drain_every``-th event the
@@ -165,14 +165,12 @@ def replay(
     pipeline does nothing, so it is skipped.
     """
     config = config or SimConfig()
-    lines = parse_trace(trace, config.page_size) if isinstance(trace, str) else trace
+    events = parse_trace(trace, config.page_size) if isinstance(trace, str) else trace
     ctx = build_run(config, rules)
     machine, report, guard, agent = ctx.machine, ctx.report, ctx.guard, ctx.agent
     outcomes, drain_every, step = report.outcomes, config.drain_every, agent.step
     ready = ctx.pipeline._ready  # empty exactly when nothing is pending (see pipeline.py)
-    for index, line in enumerate(lines, start=1):
-        event = line.event
-        machine.now += event.n if isinstance(event, TickEvent) else 1
+    for index, event in enumerate(events, start=1):
         try:
             result = _apply_event(machine, event)
         except (SimError, ValueError):
@@ -184,7 +182,7 @@ def replay(
         step()  # drains everything: a scan never enqueues
     guard.tick(machine.now)
     report.metrics = {
-        "events": len(lines),
+        "events": len(events),
         "snapshots_emitted": ctx.pipeline.enqueued_total,
         "pending_high_watermark": ctx.pipeline.high_watermark,
         "pending_final": ctx.pipeline.pending_count(),

@@ -53,6 +53,8 @@ _FETCH = AccessKind.FETCH
 _OK, _SEGV_DELIVERED = AccessResult.OK, AccessResult.SEGV_DELIVERED
 _KILLED, _BLOCKED = AccessResult.KILLED, AccessResult.BLOCKED
 
+DETECTION_ACTIONS = ("kill", "block", "alert")  # responses to a kill-severity match
+
 
 def respond(
     machine: Machine, report: Report, pid: int, uid: int, action: str, cause: str,
@@ -139,7 +141,7 @@ class ShadowEngine:
         detection_action: str = "kill",
         report: Report | None = None,
     ):
-        if detection_action not in ("kill", "block", "alert"):
+        if detection_action not in DETECTION_ACTIONS:
             raise ValueError(f"bad detection action {detection_action!r}")
         self.machine = machine
         self.rules = rules

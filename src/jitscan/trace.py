@@ -35,16 +35,21 @@ whose six groups (op, pid, tid, cpu, addr, an optional bytes) one
 exactly when the op is WRITE.  Every other line goes through the token
 loop, which is the one source of error text: a fast-path candidate it
 cannot take falls to the loop, and both paths end in ``done()``'s
-whole-line checks.  Events and ``TraceLine`` are immutable named
-tuples compared by kind: a ReadEvent never equals a FetchEvent with
-the same fields, nor the plain tuple of them.
+whole-line checks.
+
+An event is an exact tuple: its op code (``READ`` ... ``TICK``), its
+line number, then its fields in ``_GRAMMAR`` order, for example
+``(READ, line_no, pid, tid, cpu, addr)``, or ``(WRITE, ..., addr,
+data)``.  It holds only ints, strs, bytes and None, so the cyclic GC
+stops tracking it at its first collection, and a replay's collections
+do not walk the parsed trace.  A READ and a FETCH with equal fields
+differ by their op code.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import permutations
-from typing import NamedTuple
 
 from .mmu import DEFAULT_PAGE_SIZE
 
@@ -55,83 +60,8 @@ class TraceError(ValueError):
         self.line = line
 
 
-def _compared_by_kind(cls: type) -> type:
-    """Equal, unequal and hashed as the same class and fields: a READ never
-    equals a FETCH with the same fields, nor the plain tuple of them."""
-    def __eq__(self, other):
-        return type(self) is type(other) and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return type(self) is not type(other) or tuple.__ne__(self, other)
-
-    def __hash__(self):
-        return hash((type(self), tuple.__hash__(self)))
-
-    cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, __hash__
-    return cls
-
-
-@_compared_by_kind
-class ProcEvent(NamedTuple):
-    uid: int
-
-
-@_compared_by_kind
-class MmapEvent(NamedTuple):
-    pid: int
-    perms: str
-    n_pages: int
-    content: bytes | None = None
-    at: int | None = None
-
-
-@_compared_by_kind
-class MprotectEvent(NamedTuple):
-    pid: int
-    start_vpage: int
-    n_pages: int
-    perms: str
-
-
-@_compared_by_kind
-class WriteEvent(NamedTuple):
-    pid: int
-    tid: int
-    cpu: int
-    addr: int
-    data: bytes
-
-
-@_compared_by_kind
-class FetchEvent(NamedTuple):
-    pid: int
-    tid: int
-    cpu: int
-    addr: int
-
-
-@_compared_by_kind
-class ReadEvent(NamedTuple):
-    pid: int
-    tid: int
-    cpu: int
-    addr: int
-
-
-@_compared_by_kind
-class TickEvent(NamedTuple):
-    n: int
-
-
-TraceEvent = (
-    ProcEvent | MmapEvent | MprotectEvent | WriteEvent | FetchEvent | ReadEvent | TickEvent
-)
-
-
-@_compared_by_kind
-class TraceLine(NamedTuple):
-    line_no: int
-    event: TraceEvent
+# op codes, item 0 of every event; the three access ops come first
+READ, FETCH, WRITE, PROC, MMAP, MPROTECT, TICK = range(7)
 
 
 # every non-empty subset of rwx, each letter at most once, in any order
@@ -140,23 +70,23 @@ _HEX_DIGITS = "0123456789abcdefABCDEF"
 _INTEGER = frozenset({"pid", "int", "int?"})
 _OPTIONAL = frozenset({"int?", "hex?"})
 
-# op -> (event class, its fields in constructor order as (key, kind, minimum));
+# op -> (op code, its fields in event order as (key, kind, minimum));
 # kinds: "pid" (an int naming a created pid), "int", "perms", "hex", and
 # "int?" / "hex?", which are None when the field is absent
 _ACCESS = (("pid", "pid", 1), ("tid", "int", 0), ("cpu", "int", 0), ("addr", "int", 0))
-_GRAMMAR: dict[str, tuple[type, tuple[tuple[str, str, int], ...]]] = {
-    "PROC": (ProcEvent, (("uid", "int", 0),)),
-    "MMAP": (MmapEvent, (
+_GRAMMAR: dict[str, tuple[int, tuple[tuple[str, str, int], ...]]] = {
+    "PROC": (PROC, (("uid", "int", 0),)),
+    "MMAP": (MMAP, (
         ("pid", "pid", 1), ("perms", "perms", 0), ("pages", "int", 1),
         ("content", "hex?", 0), ("at", "int?", 0),
     )),
-    "MPROTECT": (MprotectEvent, (
+    "MPROTECT": (MPROTECT, (
         ("pid", "pid", 1), ("start", "int", 0), ("pages", "int", 1), ("perms", "perms", 0),
     )),
-    "WRITE": (WriteEvent, _ACCESS + (("bytes", "hex", 0),)),
-    "FETCH": (FetchEvent, _ACCESS),
-    "READ": (ReadEvent, _ACCESS),
-    "TICK": (TickEvent, (("n", "int", 1),)),
+    "WRITE": (WRITE, _ACCESS + (("bytes", "hex", 0),)),
+    "FETCH": (FETCH, _ACCESS),
+    "READ": (READ, _ACCESS),
+    "TICK": (TICK, (("n", "int", 1),)),
 }
 
 
@@ -180,8 +110,6 @@ def _fast_pattern() -> str:
 
 
 _LINE = re.compile(f"^(?:{_fast_pattern()}|.*)$", re.M)
-_FAST_CLASS = {op: _GRAMMAR[op][0] for op in _FAST_OPS}
-_new = tuple.__new__  # builds a tuple subclass without its __new__'s Python call
 
 
 class _Ints(dict):
@@ -193,30 +121,33 @@ class _Ints(dict):
         return number
 
 
-def done(line_no: int, event: TraceEvent, unknown: dict, page_size: int) -> TraceLine:
-    """The whole-line checks once every field is read, then the line.
+def done(event: tuple, unknown: dict, page_size: int) -> tuple:
+    """The whole-line checks once every field is read, then the event.
 
     ``bench/layers.py`` counts parsed event lines by calls to this name.
     """
-    if type(event) is MmapEvent and event.content is not None:
-        if len(event.content) > event.n_pages * page_size:
-            raise TraceError(
-                f"content is {len(event.content)} bytes, more than"
-                f" {event.n_pages} page(s) of {page_size}", line_no,
-            )
-    elif type(event) is WriteEvent:
-        if not event.data:
+    op, line_no = event[0], event[1]
+    if op == WRITE:
+        addr, data = event[5], event[6]
+        if not data:
             raise TraceError("bytes must not be empty", line_no)
-        if (event.addr % page_size) + len(event.data) > page_size:
+        if (addr % page_size) + len(data) > page_size:
             raise TraceError("write payload crosses a page boundary", line_no)
+    elif op == MMAP and event[5] is not None:
+        n_pages, content = event[4], event[5]
+        if len(content) > n_pages * page_size:
+            raise TraceError(
+                f"content is {len(content)} bytes, more than"
+                f" {n_pages} page(s) of {page_size}", line_no,
+            )
     if unknown:
         raise TraceError(f"unknown field(s): {', '.join(sorted(unknown))}", line_no)
-    return _new(TraceLine, (line_no, event))
+    return event
 
 
-def parse_trace(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> list[TraceLine]:
-    """Parse and validate a trace; raises TraceError with the line number."""
-    out: list[TraceLine] = []
+def parse_trace(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> list[tuple]:
+    """Parse and validate a trace into its events; raises TraceError with the line number."""
+    out: list[tuple] = []
     n_pids = 0
     ints = _Ints()  # pid, tid and cpu repeat from line to line
     for line_no, match in enumerate(_LINE.finditer(text), start=1):
@@ -227,16 +158,18 @@ def parse_trace(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> list[TraceLine
         if op is not None and (data is None) == (op != "WRITE"):
             try:  # a value these refuse, such as 010 or 5,000 digits, is the loop's to read
                 pid = ints[pid]
-                values = (
-                    (pid, ints[tid], ints[cpu], int(addr, 0)) if data is None
-                    else (pid, ints[tid], ints[cpu], int(addr, 0), bytes.fromhex(data))
+                event = (
+                    (_GRAMMAR[op][0], line_no, pid, ints[tid], ints[cpu], int(addr, 0))
+                    if data is None
+                    else (WRITE, line_no, pid, ints[tid], ints[cpu], int(addr, 0),
+                          bytes.fromhex(data))
                 )
             except ValueError:
                 pass
             else:
                 # every other field's least value is 0, which a match always meets
                 if 0 < pid <= n_pids:
-                    out.append(done(line_no, _new(_FAST_CLASS[op], values), {}, page_size))
+                    out.append(done(event, {}, page_size))
                     continue
         stripped = match.group().split("#", 1)[0].strip()
         if not stripped:
@@ -253,8 +186,8 @@ def parse_trace(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> list[TraceLine
         grammar = _GRAMMAR.get(op.upper())
         if grammar is None:
             raise TraceError(f"unknown event {op!r}", line_no)
-        cls, spec = grammar
-        args: list = []
+        code, spec = grammar
+        args: list = [code, line_no]
         for key, kind, minimum in spec:
             value = fields.pop(key, None)
             if value is None:
@@ -286,7 +219,7 @@ def parse_trace(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> list[TraceLine
                     args.append(bytes.fromhex(value))
                 except ValueError:
                     raise TraceError(f"{key} must be hex bytes, got {value!r}", line_no)
-        if cls is ProcEvent:
+        if code == PROC:
             n_pids += 1
-        out.append(done(line_no, cls(*args), fields, page_size))
+        out.append(done(tuple(args), fields, page_size))
     return out

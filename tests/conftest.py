@@ -21,17 +21,7 @@ from jitscan.guard import Admission
 from jitscan.mmu import Machine
 from jitscan.report import encode_record
 from jitscan.signatures import RuleSyntaxError, SignatureRule
-from jitscan.trace import (
-    FetchEvent,
-    MmapEvent,
-    MprotectEvent,
-    ProcEvent,
-    ReadEvent,
-    TickEvent,
-    TraceError,
-    TraceLine,
-    WriteEvent,
-)
+from jitscan.trace import FETCH, MMAP, MPROTECT, PROC, READ, TICK, WRITE, TraceError
 
 # one line per acceptance criterion, echoed after the run
 ACCEPTANCE_RESULTS: list[str] = []
@@ -213,14 +203,15 @@ class _RefLine:
             raise TraceError(f"unknown field(s): {', '.join(sorted(extra))}", self.line_no)
 
 
-def reference_parse_trace(text: str, page_size: int = 4096) -> list[TraceLine]:
+def reference_parse_trace(text: str, page_size: int = 4096) -> list[tuple]:
     """Reference trace parser: one field object per line, one if per event.
 
     Lines end at "\n" only, and an integer is ASCII decimal digits or
     0x and hex digits, checked with a regex; the rest is the per-method
-    parser that the table-driven ``parse_trace`` replaced.
+    parser that the table-driven ``parse_trace`` replaced.  Each event is
+    the tuple (op code, line number, fields in the order trace.py states).
     """
-    out: list[TraceLine] = []
+    out: list[tuple] = []
     n_pids = 0
     for line_no, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -237,61 +228,42 @@ def reference_parse_trace(text: str, page_size: int = 4096) -> list[TraceLine]:
             return pid
 
         if op == "PROC":
-            event = ProcEvent(uid=line.int_("uid", minimum=0))
+            event = (PROC, line_no, line.int_("uid", minimum=0))
             n_pids += 1
         elif op == "MMAP":
-            event = MmapEvent(
-                pid=need_pid(),
-                perms=line.perms(),
-                n_pages=line.int_("pages", minimum=1),
-                content=line.opt_hex("content"),
-                at=line.opt_int("at", minimum=0),
-            )
-            size = event.n_pages * page_size
-            if event.content is not None and len(event.content) > size:
+            pid, perms = need_pid(), line.perms()
+            n_pages = line.int_("pages", minimum=1)
+            content = line.opt_hex("content")
+            event = (MMAP, line_no, pid, perms, n_pages, content, line.opt_int("at", minimum=0))
+            if content is not None and len(content) > n_pages * page_size:
                 raise TraceError(
-                    f"content is {len(event.content)} bytes, more than"
-                    f" {event.n_pages} page(s) of {page_size}", line_no,
+                    f"content is {len(content)} bytes, more than"
+                    f" {n_pages} page(s) of {page_size}", line_no,
                 )
         elif op == "MPROTECT":
-            event = MprotectEvent(
-                pid=need_pid(),
-                start_vpage=line.int_("start", minimum=0),
-                n_pages=line.int_("pages", minimum=1),
-                perms=line.perms(),
+            event = (
+                MPROTECT, line_no, need_pid(), line.int_("start", minimum=0),
+                line.int_("pages", minimum=1), line.perms(),
             )
-        elif op == "WRITE":
-            event = WriteEvent(
-                pid=need_pid(),
-                tid=line.int_("tid", minimum=0),
-                cpu=line.int_("cpu", minimum=0),
-                addr=line.int_("addr", minimum=0),
-                data=line.hex_("bytes"),
+        elif op in ("WRITE", "FETCH", "READ"):
+            code = {"WRITE": WRITE, "FETCH": FETCH, "READ": READ}[op]
+            event = (
+                code, line_no, need_pid(), line.int_("tid", minimum=0),
+                line.int_("cpu", minimum=0), line.int_("addr", minimum=0),
             )
-            if not event.data:
-                raise TraceError("bytes must not be empty", line_no)
-            if (event.addr % page_size) + len(event.data) > page_size:
-                raise TraceError("write payload crosses a page boundary", line_no)
-        elif op == "FETCH":
-            event = FetchEvent(
-                pid=need_pid(),
-                tid=line.int_("tid", minimum=0),
-                cpu=line.int_("cpu", minimum=0),
-                addr=line.int_("addr", minimum=0),
-            )
-        elif op == "READ":
-            event = ReadEvent(
-                pid=need_pid(),
-                tid=line.int_("tid", minimum=0),
-                cpu=line.int_("cpu", minimum=0),
-                addr=line.int_("addr", minimum=0),
-            )
+            if op == "WRITE":
+                data = line.hex_("bytes")
+                if not data:
+                    raise TraceError("bytes must not be empty", line_no)
+                if (event[5] % page_size) + len(data) > page_size:
+                    raise TraceError("write payload crosses a page boundary", line_no)
+                event += (data,)
         elif op == "TICK":
-            event = TickEvent(n=line.int_("n", minimum=1))
+            event = (TICK, line_no, line.int_("n", minimum=1))
         else:
             raise TraceError(f"unknown event {tokens[0]!r}", line_no)
         line.done()
-        out.append(TraceLine(line_no, event))
+        out.append(event)
     return out
 
 
@@ -432,24 +404,23 @@ def reference_replay(trace_text: str, rules, config) -> bytes:
                 page[1] = page[1] and "x" in prm and ("w" in old or "w" not in prm)
         return "ok"
 
-    lines = reference_parse_trace(trace_text, ps)
-    for index, line in enumerate(lines, start=1):
-        event = line.event
-        now += event.n if isinstance(event, TickEvent) else 1
-        if isinstance(event, ProcEvent):
+    events = reference_parse_trace(trace_text, ps)
+    for index, (op, _, *fields) in enumerate(events, start=1):
+        now += fields[0] if op == TICK else 1
+        if op == PROC:
             pid = len(uid_of) + 1
-            uid_of[pid], status[pid], cursor[pid] = event.uid, "running", 16
+            uid_of[pid], status[pid], cursor[pid] = fields[0], "running", 16
             result = "ok"
-        elif isinstance(event, MmapEvent):
-            result = mmap(event.pid, event.perms, event.n_pages, event.content, event.at)
-        elif isinstance(event, MprotectEvent):
-            result = mprotect(event.pid, event.start_vpage, event.n_pages, event.perms)
-        elif isinstance(event, ReadEvent):
-            result = access(event.pid, event.addr, "read")
-        elif isinstance(event, FetchEvent):
-            result = access(event.pid, event.addr, "fetch")
-        elif isinstance(event, WriteEvent):
-            result = access(event.pid, event.addr, "write", event.data)
+        elif op == MMAP:
+            result = mmap(*fields)
+        elif op == MPROTECT:
+            result = mprotect(*fields)
+        elif op == READ:
+            result = access(fields[0], fields[3], "read")
+        elif op == FETCH:
+            result = access(fields[0], fields[3], "fetch")
+        elif op == WRITE:
+            result = access(fields[0], fields[3], "write", fields[4])
         else:
             result = "ok"
         outcomes[result] = outcomes.get(result, 0) + 1
@@ -461,7 +432,7 @@ def reference_replay(trace_text: str, rules, config) -> bytes:
     guard.tick(now)
     kinds = [a["action"] for a in actions]
     summary = {
-        "record": "summary", "outcomes": outcomes, "events": len(lines),
+        "record": "summary", "outcomes": outcomes, "events": len(events),
         "snapshots_emitted": counts["snapshots"], "pending_high_watermark": counts["high"],
         "pending_final": counts["pending"], "scans_run": counts["scans"],
         "evictions": guard.evictions, "admits": guard.admits, "denials": guard.denials,

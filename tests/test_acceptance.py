@@ -399,9 +399,9 @@ def test_10_shadow_engine_is_invisible_to_benign_workloads():
     def run(trace_text: str, shadow: bool):
         ctx = build_run(SimConfig(shadow=shadow), rules=None)
         outcomes = []
-        for line in parse_trace(trace_text, PS):
+        for event in parse_trace(trace_text, PS):
             try:
-                outcomes.append(_apply_event(ctx.machine, line.event))
+                outcomes.append(_apply_event(ctx.machine, event))
             except (SimError, ValueError) as exc:
                 outcomes.append(("error", str(exc)))
             ctx.agent.step()

@@ -28,7 +28,7 @@ from jitscan.pipeline import SnapshotTable
 from jitscan.report import encode_record
 from jitscan.shadow import ShadowEngine
 from jitscan.signatures import parse_rules, scan_page, sync_check
-from jitscan.trace import TickEvent, parse_trace
+from jitscan.trace import parse_trace
 
 from conftest import SYNC_RULES_TEXT, SYNC_STUB, reference_replay
 
@@ -318,6 +318,14 @@ class TestBuildRun:
             SimConfig(drain_every=-1)
         assert SimConfig(drain_every=0).drain_every == 0
 
+    @pytest.mark.parametrize("shadow", [True, False])
+    def test_unknown_detection_action_is_rejected(self, shadow):
+        with pytest.raises(ValueError, match="bad detection action 'bogus'"):
+            SimConfig(shadow=shadow, detection_action="bogus")
+        for action in ("kill", "block", "alert"):
+            config = SimConfig(shadow=shadow, detection_action=action)
+            assert replay(PACKER_TRACE, rules(), config).outcomes == {"ok": 4}
+
 
 def _ab_rules(rng: random.Random) -> str:
     """Rules over the bytes A and B, sync and not, of different lengths."""
@@ -536,12 +544,10 @@ def _flood_history(
 def _plain_loop(trace: str, rs, config: SimConfig) -> bytes:
     """The replay loop without the drain skip: the agent steps on every
     drain_every-th event whether or not anything is pending."""
-    lines = parse_trace(trace, config.page_size)
+    events = parse_trace(trace, config.page_size)
     ctx = build_run(config, rs)
     machine, report, pipeline = ctx.machine, ctx.report, ctx.pipeline
-    for index, line in enumerate(lines, start=1):
-        event = line.event
-        machine.now += event.n if isinstance(event, TickEvent) else 1
+    for index, event in enumerate(events, start=1):
         try:
             result = agent_module._apply_event(machine, event)
         except (SimError, ValueError):
@@ -555,7 +561,7 @@ def _plain_loop(trace: str, rs, config: SimConfig) -> bytes:
             ctx.agent.step()
     actions = [a.action for a in report.actions]
     report.metrics = {
-        "events": len(lines), "snapshots_emitted": pipeline.enqueued_total,
+        "events": len(events), "snapshots_emitted": pipeline.enqueued_total,
         "pending_high_watermark": pipeline.high_watermark,
         "pending_final": pipeline.pending_count(), "scans_run": ctx.agent.scans_run,
         "evictions": ctx.guard.evictions, "admits": ctx.guard.admits,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import tracemalloc
 
@@ -9,15 +10,14 @@ import pytest
 
 import jitscan.trace as trace_module
 from jitscan.trace import (
-    FetchEvent,
-    MmapEvent,
-    MprotectEvent,
-    ProcEvent,
-    ReadEvent,
-    TickEvent,
+    FETCH,
+    MMAP,
+    MPROTECT,
+    PROC,
+    READ,
+    TICK,
+    WRITE,
     TraceError,
-    TraceLine,
-    WriteEvent,
     _LINE,
     parse_trace,
 )
@@ -38,29 +38,24 @@ TICK n=50
 
 
 def test_parses_every_event_kind():
-    lines = parse_trace(GOOD)
-    kinds = [type(l.event) for l in lines]
-    assert kinds == [
-        ProcEvent, ProcEvent, MmapEvent, MprotectEvent,
-        WriteEvent, FetchEvent, ReadEvent, TickEvent,
-    ]
-    mmap = lines[2].event
-    assert (mmap.pid, mmap.perms, mmap.n_pages, mmap.at) == (1, "wx", 2, 16)
-    assert mmap.content == b"\x90\xc3"
-    write = lines[4].event
-    assert (write.addr, write.data) == (0x10010, b"\xde\xad\xbe\xef")
-    assert lines[7].event.n == 50
+    events = parse_trace(GOOD)
+    assert [event[0] for event in events] == [PROC, PROC, MMAP, MPROTECT, WRITE, FETCH, READ, TICK]
+    # (op, line, pid, perms, pages, content, at)
+    assert events[2] == (MMAP, 4, 1, "wx", 2, b"\x90\xc3", 16)
+    # (op, line, pid, tid, cpu, addr, data)
+    assert events[4] == (WRITE, 6, 2, 3, 1, 0x10010, b"\xde\xad\xbe\xef")
+    assert events[7] == (TICK, 9, 50)
 
 
 def test_line_numbers_point_at_source_lines():
-    lines = parse_trace(GOOD)
-    assert lines[0].line_no == 2  # header comment is line 1
-    assert lines[-1].line_no == 9
+    events = parse_trace(GOOD)
+    assert events[0][1] == 2  # header comment is line 1
+    assert events[-1][1] == 9
 
 
 def test_hex_and_decimal_integers_both_work():
-    lines = parse_trace("PROC uid=0\nMMAP pid=1 perms=r pages=1 at=0x20\n")
-    assert lines[1].event.at == 32
+    events = parse_trace("PROC uid=0\nMMAP pid=1 perms=r pages=1 at=0x20\n")
+    assert events[1] == (MMAP, 2, 1, "r", 1, None, 32)
 
 
 @pytest.mark.parametrize(
@@ -70,7 +65,7 @@ def test_hex_and_decimal_integers_both_work():
 )
 def test_integer_grammar_accepts_ascii_decimal_and_0x_hex(text, value):
     # leading zeros stay decimal: 010 is ten, never octal eight
-    assert parse_trace(f"PROC uid={text}")[0].event.uid == value
+    assert parse_trace(f"PROC uid={text}")[0] == (PROC, 1, value)
 
 
 @pytest.mark.parametrize(
@@ -91,8 +86,9 @@ def test_line_breaks_other_than_newline_keep_line_numbers(brk):
     with pytest.raises(TraceError) as err:
         parse_trace(text)
     assert str(err.value) == "line 2: pid 7 not created yet"
-    lines = parse_trace(f"PROC{brk}uid=1\r\n# a{brk}b\r\nTICK n=2\r\n")
-    assert [(l.line_no, l.event) for l in lines] == [(1, ProcEvent(1)), (3, TickEvent(2))]
+    assert parse_trace(f"PROC{brk}uid=1\r\n# a{brk}b\r\nTICK n=2\r\n") == [
+        (PROC, 1, 1), (TICK, 3, 2),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -147,32 +143,29 @@ def test_parse_is_deterministic():
     assert parse_trace(GOOD) == parse_trace(GOOD)
 
 
-def test_events_and_lines_are_frozen_and_slotted():
-    lines = parse_trace(GOOD)
-    assert {type(line.event) for line in lines} == {
-        ProcEvent, MmapEvent, MprotectEvent, WriteEvent, FetchEvent, ReadEvent, TickEvent,
-    }
-    for obj in [lines[0], *(line.event for line in lines)]:
-        for field in obj._fields:
-            with pytest.raises(AttributeError):
-                setattr(obj, field, 0)
-        assert not hasattr(obj, "__dict__")
+def test_events_are_exact_tuples():
+    events = parse_trace(GOOD)
+    assert {event[0] for event in events} == {PROC, MMAP, MPROTECT, WRITE, FETCH, READ, TICK}
+    assert all(type(event) is tuple for event in events)
 
 
-def test_events_of_different_kinds_never_compare_equal():
-    read, fetch = ReadEvent(1, 1, 0, 64), FetchEvent(1, 1, 0, 64)
-    assert read != fetch and fetch != read
-    assert not read == fetch and not fetch == read
-    assert read == ReadEvent(1, 1, 0, 64) and not read != ReadEvent(1, 1, 0, 64)
-    # nor the plain tuple of their fields, from either side
-    assert read != (1, 1, 0, 64) and (1, 1, 0, 64) != read
-    assert not read == (1, 1, 0, 64) and not (1, 1, 0, 64) == read
-    line = TraceLine(3, read)
-    assert line != (3, read) and (3, read) != line
-    assert not line == (3, read) and not (3, read) == line
-    assert line == TraceLine(3, ReadEvent(1, 1, 0, 64))
-    assert len({read, fetch}) == 2 and len({read, ReadEvent(1, 1, 0, 64)}) == 1
-    assert hash(read) != hash(fetch) and hash(read) == hash(ReadEvent(1, 1, 0, 64))
+def test_the_gc_stops_tracking_parsed_events():
+    # ints, strs, bytes and None only: a collection untracks each event,
+    # so later collections in the replay do not walk the trace
+    events = parse_trace(GOOD + "read pid=1 tid=1 cpu=0 addr=0 # the token loop's\n")
+    gc.collect()
+    assert [event for event in events if gc.is_tracked(event)] == []
+
+
+def test_a_read_and_a_fetch_with_equal_fields_differ_by_op_code():
+    head = "PROC uid=1\n"
+    read = parse_trace(head + "READ pid=1 tid=1 cpu=0 addr=64\n")[1]
+    fetch = parse_trace(head + "FETCH pid=1 tid=1 cpu=0 addr=64\n")[1]
+    assert read[1:] == fetch[1:] and (read[0], fetch[0]) == (READ, FETCH)
+    assert read != fetch and not read == fetch
+    assert len({read, fetch}) == 2
+    # the token loop builds the same event as the regex path
+    assert parse_trace(head + "read addr=64 cpu=0 tid=1 pid=1\n")[1] == read
 
 
 def test_parsing_streams_lines_instead_of_splitting_the_text():
@@ -213,13 +206,13 @@ def test_crlf_trace_parses_as_its_lf_form(seed):
 
 def test_done_runs_once_per_event_line(monkeypatch):
     """The bench counts parsed event lines by calls to ``done``, so every
-    line that yields a TraceLine passes through it, on either path."""
+    line that yields an event passes through it, on either path."""
     calls = []
     real_done = trace_module.done
 
-    def counting_done(*args):
-        calls.append(args[0])
-        return real_done(*args)
+    def counting_done(event, *args):
+        calls.append(event[1])
+        return real_done(event, *args)
 
     monkeypatch.setattr(trace_module, "done", counting_done)
     text = (
@@ -235,10 +228,10 @@ def test_done_runs_once_per_event_line(monkeypatch):
         "READ  pid=1 tid=1 cpu=0 addr=0x10000\r\n"
         "TICK n=5\n"
     )
-    lines = parse_trace(text)
-    assert [line.line_no for line in lines] == [2, 4, 5, 6, 8, 9, 10, 11]
-    assert lines[4].event == FetchEvent(1, 10, 0, 65536)
-    assert calls == [line.line_no for line in lines]
+    events = parse_trace(text)
+    assert [event[1] for event in events] == [2, 4, 5, 6, 8, 9, 10, 11]
+    assert events[4] == (FETCH, 8, 1, 10, 0, 65536)
+    assert calls == [event[1] for event in events]
 
 
 # --- the table-driven parser against the reference parser in conftest ---
