@@ -364,6 +364,7 @@ def reference_replay(trace_text: str, rules, config) -> bytes:
             image = images.pop(key, b"")
             frame[: len(image)] = image
             page = pages[key] = [frame, False]
+        # a present page is readable whatever its perms
         if kind == "write":
             if "w" not in allowed:
                 return "segv_delivered"
@@ -388,8 +389,9 @@ def reference_replay(trace_text: str, rules, config) -> bytes:
         cursor[pid] = max(cursor[pid], start + n)
         for i in range(n):
             perms[(pid, start + i)] = prm
-            if content and content[i * ps : (i + 1) * ps]:
-                images[(pid, start + i)] = content[i * ps : (i + 1) * ps]
+            image = (content or b"")[i * ps : (i + 1) * ps]
+            if image:
+                images[(pid, start + i)] = image
         return "ok"
 
     def mprotect(pid, start, n, prm) -> str:
