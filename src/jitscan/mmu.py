@@ -111,9 +111,10 @@ class VmArea:
         self.logical_r, self.logical_w, self.logical_x = logical_r, logical_w, logical_x
 
     def permits(self, kind: AccessKind) -> bool:
-        # x86-flavored: a writable mapping is implicitly readable
+        # x86-flavored: every mapping is readable (no execute-only pages),
+        # as every present page is (see _permits)
         if kind is _READ:
-            return self.logical_r or self.logical_w
+            return True
         if kind is _WRITE:
             return self.logical_w
         return self.logical_x

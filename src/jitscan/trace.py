@@ -26,16 +26,19 @@ logical clock by one tick except TICK, which advances by exactly n.
 A WRITE payload must stay inside one page.
 
 Lines are read one at a time from the text; no list of them is built.
-A canonical READ, FETCH or WRITE line (the upper-case op, then its
-fields in ``_GRAMMAR`` order, one space apart, nothing else on the
-line) whose values are well formed and whose pid exists is read with
-one regex match.  The three ops share one alternative of that regex,
-whose six groups (op, pid, tid, cpu, addr, an optional bytes) one
-``groups()`` call reads; the match is taken only if bytes are there
-exactly when the op is WRITE.  Every other line goes through the token
-loop, which is the one source of error text: a fast-path candidate it
-cannot take falls to the loop, and both paths end in ``done()``'s
-whole-line checks.
+A canonical line (the upper-case op, then its fields in ``_GRAMMAR``
+order, one space apart, MMAP's optional ``content`` and ``at`` either
+there or not, and nothing else on the line but a ``\r``) whose values
+are well formed and whose pid exists is read with one regex match.  The
+three access ops share one alternative of ``_LINE``, whose six groups
+(op, pid, tid, cpu, addr, an optional bytes) one ``groups()`` call
+reads; the match is taken only if bytes are there exactly when the op
+is WRITE.  A line that misses that alternative and starts with PROC,
+MMAP, MPROTECT or TICK tries one ``fullmatch`` of its op's own pattern
+in ``_SETUP``.  Every other line goes through the token loop, which is
+the one source of error text: a fast-path candidate it cannot take
+falls to the loop, and both paths end in ``done()``'s whole-line
+checks.
 
 An event is an exact tuple: its op code (``READ`` ... ``TICK``), its
 line number, then its fields in ``_GRAMMAR`` order, for example
@@ -111,6 +114,28 @@ def _fast_pattern() -> str:
 
 _LINE = re.compile(f"^(?:{_fast_pattern()}|.*)$", re.M)
 
+# Canonical PROC, MMAP, MPROTECT and TICK lines, which miss _LINE's access
+# alternative, take one fullmatch of their op's own pattern instead: its
+# fields in _GRAMMAR order, an optional field's " key=value" either there
+# or not, then a \r at most.  Perms are [rwx]+ and must be in _PERMS; a
+# value the pattern lets through and the grammar refuses (rr, pages=0, an
+# odd hex count) sends the line to the loop.  The patterns are compiled
+# here, at import, so that no parse pays for their compiles.
+_VALUE_RE = {"perms": "([rwx]+)", "hex?": "([0-9a-fA-F]+)"}
+
+
+def _setup_pattern(op: str) -> re.Pattern:
+    fields = ""
+    for key, kind, _ in _GRAMMAR[op][1]:
+        field = f" {key}={_VALUE_RE.get(kind, _INT_RE)}"
+        fields += f"(?:{field})?" if kind in _OPTIONAL else field
+    return re.compile(rf"{op}{fields}\r?")
+
+
+_SETUP = {
+    op: (_GRAMMAR[op][0], _setup_pattern(op)) for op in ("PROC", "MMAP", "MPROTECT", "TICK")
+}
+
 
 class _Ints(dict):
     """Integer text -> its value, read by int(value, 0) on first sight: 0x
@@ -149,7 +174,7 @@ def parse_trace(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> list[tuple]:
     """Parse and validate a trace into its events; raises TraceError with the line number."""
     out: list[tuple] = []
     n_pids = 0
-    ints = _Ints()  # pid, tid and cpu repeat from line to line
+    ints = _Ints()  # pids, tids, cpus, uids and page counts repeat from line to line
     for line_no, match in enumerate(_LINE.finditer(text), start=1):
         # one groups() call reads every field, where a group() call per field
         # costs a method call each; a READ or FETCH with bytes or a WRITE
@@ -171,7 +196,40 @@ def parse_trace(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> list[tuple]:
                 if 0 < pid <= n_pids:
                     out.append(done(event, {}, page_size))
                     continue
-        stripped = match.group().split("#", 1)[0].strip()
+        line = match.group()
+        setup = _SETUP.get(line[:line.find(" ")]) if op is None else None
+        if setup is not None and (found := setup[1].fullmatch(line)) is not None:
+            # each op converts its own fields; None where the loop must read the line
+            code, event = setup[0], None
+            try:
+                if code == PROC:  # uid >= 0 always holds
+                    event = (PROC, line_no, ints[found[1]])
+                elif code == MMAP:
+                    pid, perms, pages, content, at = found.groups()
+                    pid, pages = ints[pid], ints[pages]
+                    if 0 < pid <= n_pids and perms in _PERMS and pages >= 1:
+                        event = (
+                            MMAP, line_no, pid, perms, pages,
+                            None if content is None else bytes.fromhex(content),
+                            None if at is None else ints[at],
+                        )
+                elif code == MPROTECT:
+                    pid, start, pages, perms = found.groups()
+                    pid, pages = ints[pid], ints[pages]
+                    if 0 < pid <= n_pids and perms in _PERMS and pages >= 1:
+                        event = (MPROTECT, line_no, pid, ints[start], pages, perms)
+                else:  # TICK
+                    ticks = ints[found[1]]
+                    if ticks >= 1:
+                        event = (TICK, line_no, ticks)
+            except ValueError:
+                pass
+            if event is not None:
+                if code == PROC:
+                    n_pids += 1
+                out.append(done(event, {}, page_size))
+                continue
+        stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         op, *tokens = stripped.split()

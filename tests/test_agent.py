@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from jitscan.cli import main
 from jitscan.guard import DosGuard, GuardConfig
 from jitscan.mmu import SimError
 from jitscan.pipeline import SnapshotTable
-from jitscan.report import encode_record
+from jitscan.report import ActionTaken, Detection, Report, encode_record
 from jitscan.shadow import ShadowEngine
 from jitscan.signatures import parse_rules, scan_page, sync_check
 from jitscan.trace import parse_trace
@@ -79,6 +80,20 @@ class TestReplay:
         assert det.offset == 32 and det.vpage == 16
         assert [a.cause for a in report.actions] == ["signature"]
         assert report.any_kill_detection
+
+    @pytest.mark.parametrize("shadow", [True, False])
+    def test_an_execute_only_page_is_readable_present_or_not(self, shadow):
+        # x86 has no execute-only pages: the first READ materializes the page,
+        # as the second finds it present after the FETCH
+        access = f"pid=1 tid=1 cpu=0 addr={16 * PS:#x}\n"
+        trace = (
+            "PROC uid=1\nMMAP pid=1 perms=x pages=1 at=16\n"
+            f"READ {access}FETCH {access}READ {access}"
+        )
+        config = SimConfig(shadow=shadow)
+        report = replay(trace, rules(), config)
+        assert report.outcomes == {"ok": 5}
+        assert report.emit() == reference_replay(trace, rules(), config)
 
     def test_kill_mid_trace_turns_later_events_into_errors(self):
         trace = PACKER_TRACE + f"FETCH pid=1 tid=1 cpu=0 addr={17 * PS}\n"
@@ -800,6 +815,29 @@ class TestEmit:
                 record, sort_keys=True, separators=(",", ":")
             )
 
+
+    def test_detection_and_action_records_equal_encode_record(self):
+        # every field set, from the record type's own field list, so a field
+        # added to a type and not to its template fails here
+        texts = iter(['a"b\\c', "règle", "tab\tnul\x00 del\x7f", "caf\u00e9 \u2603 \U0001f600",
+                      "back\\slash", "", "kill"] * 4)
+        numbers = iter(range(0, 10**12, 10**12 // 50))
+
+        def filled(cls, **fixed):
+            hints = typing.get_type_hints(cls)
+            values = {name: next(numbers) if hints[name] is int else next(texts)
+                      for name in cls._fields}
+            return cls(**{**values, **fixed})
+
+        report = Report()
+        report.detections = [filled(Detection), filled(Detection, family='a"b\\c', rule="règle")]
+        report.actions = [filled(ActionTaken), filled(ActionTaken, rule=None, path=None),
+                          filled(ActionTaken, rule="règle", path=None)]
+        lines = report.emit().decode("ascii").split("\n")
+        records = [("detection", d) for d in report.detections]
+        records += [("action", a) for a in report.actions]
+        assert lines[:-2] == [encode_record({"record": kind, **r._asdict()}) for kind, r in records]
+        assert json.loads(lines[-2])["record"] == "summary" and lines[-1] == ""
 
 class TestCli:
     @pytest.fixture()

@@ -19,6 +19,7 @@ from jitscan.trace import (
     WRITE,
     TraceError,
     _LINE,
+    _SETUP,
     parse_trace,
 )
 
@@ -193,6 +194,27 @@ def test_crlf_access_lines_take_the_regex_path():
     )
 
 
+@pytest.mark.parametrize(
+    "line,groups",
+    [
+        ("PROC uid=1000", ("1000",)),
+        ("MMAP pid=1 perms=wx pages=0x2", ("1", "wx", "0x2", None, None)),
+        ("MMAP pid=1 perms=rx pages=1 content=90c3 at=16", ("1", "rx", "1", "90c3", "16")),
+        ("MMAP pid=1 perms=r pages=1 at=0x20", ("1", "r", "1", None, "0x20")),
+        ("MPROTECT pid=1 start=16 pages=1 perms=rx", ("1", "16", "1", "rx")),
+        ("TICK n=50", ("50",)),
+    ],
+)
+def test_crlf_setup_lines_take_their_ops_pattern(line, groups):
+    # such a line misses _LINE's access alternative, then fullmatches its op's own pattern
+    assert _LINE.match(line + "\r\n").groups() == (None,) * 6
+    code, pattern = _SETUP[line.split()[0]]
+    assert pattern.fullmatch(line + "\r").groups() == groups
+    head = "PROC uid=1\n" if line.startswith("M") else ""
+    events = parse_trace(head + line + "\r\n")
+    assert events == parse_trace(head + line + "\n") and events[-1][0] == code
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_crlf_trace_parses_as_its_lf_form(seed):
     lf = random_benign_trace(random.Random(seed))
@@ -206,7 +228,7 @@ def test_crlf_trace_parses_as_its_lf_form(seed):
 
 def test_done_runs_once_per_event_line(monkeypatch):
     """The bench counts parsed event lines by calls to ``done``, so every
-    line that yields an event passes through it, on either path."""
+    line that yields an event passes through it, on any path."""
     calls = []
     real_done = trace_module.done
 
@@ -227,10 +249,16 @@ def test_done_runs_once_per_event_line(monkeypatch):
         "read pid=1 tid=1 cpu=0 addr=0x10000 # lower case\n"
         "READ  pid=1 tid=1 cpu=0 addr=0x10000\r\n"
         "TICK n=5\n"
+        "MPROTECT pid=1 start=16 pages=1 perms=r\r\n"
+        + "PROC uid=7\n" * 9
+        + "MMAP pid=010 perms=rx pages=1\r\n"  # the loop's: it reads 010 as ten
+        "TICK n=0x2\r\n"
     )
     events = parse_trace(text)
-    assert [event[1] for event in events] == [2, 4, 5, 6, 8, 9, 10, 11]
+    assert [event[1] for event in events] == [2, 4, 5, 6, 8, 9, 10, 11, 12, *range(13, 24)]
     assert events[4] == (FETCH, 8, 1, 10, 0, 65536)
+    assert events[8] == (MPROTECT, 12, 1, 16, 1, "r")
+    assert events[-2:] == [(MMAP, 22, 10, "rx", 1, None, None), (TICK, 23, 2)]
     assert calls == [event[1] for event in events]
 
 
@@ -340,14 +368,51 @@ def _canonical_access(rng: random.Random, n_pids: int, ps: int) -> str:
     return " ".join([op] + ["=".join(field) for field in fields])
 
 
+# values a canonical setup line may carry that only the token loop reads, or
+# that it refuses: 010 (ten), 5,000 digits, pid 0, rr, pages=0, odd or 0x hex
+_SETUP_EDGE_INTS = ("010", "9" * 5000, "0X1f", "١٢", "0", "0x0", "00")
+_SETUP_EDGE_PERMS = ("rr", "RW", "wxw", "")
+_SETUP_EDGE_HEX = ("c3c", "0xc3", "C3", "abc")
+
+
+def _canonical_setup(rng: random.Random, n_pids: int, ps: int) -> str:
+    """A PROC, MMAP, MPROTECT or TICK line in the parser's fast-path shape:
+    the upper-case op, then its fields in grammar order, one space apart,
+    MMAP's content and at each there or not.  Now and then a field takes an
+    edge value, the pid is 0 or one not created yet, the content is longer
+    than the area, or the line ends in a \\r."""
+    op = rng.choice(("PROC", "MMAP", "MPROTECT", "TICK"))
+    if not n_pids and rng.random() < 0.9:
+        op = "PROC"
+    fields = _fields(rng, op, n_pids, ps)
+    if rng.random() < 0.15:
+        field = rng.choice(fields)
+        if field[0] == "perms":
+            field[1] = rng.choice(_SETUP_EDGE_PERMS)
+        elif field[0] == "content":  # or more than the area's (at most 2) pages
+            field[1] = rng.choice(_SETUP_EDGE_HEX + ("00" * (2 * ps + 1),))
+        elif field[0] == "pid" and rng.random() < 0.5:
+            field[1] = rng.choice([str(n_pids + 1), "0"])
+        else:
+            field[1] = rng.choice(_SETUP_EDGE_INTS)
+    line = " ".join([op] + ["=".join(field) for field in fields])
+    return line + "\r" if rng.random() < 0.1 else line
+
+
 def _token_soup(rng: random.Random, ps: int) -> str:
     """A short trace: mostly valid lines, some with one defect, odd spacing,
     mixed-case ops, comments and line-break characters other than "\\n";
-    about half the lines are canonical access lines."""
+    about half the lines are canonical access lines, and about one in six a
+    canonical setup line."""
     lines, n_pids = [], 0
     for _ in range(rng.randint(1, 10)):
         if rng.random() < 0.65 and (n_pids or rng.random() < 0.1):
             lines.append(_canonical_access(rng, n_pids, ps))
+            continue
+        if rng.random() < 0.5:
+            line = _canonical_setup(rng, n_pids, ps)
+            n_pids += line.startswith("PROC")
+            lines.append(line)
             continue
         roll = rng.random()
         if roll < 0.08:
