@@ -24,8 +24,13 @@ from __future__ import annotations
 import bisect
 import enum
 import operator
+from itertools import permutations
 
 DEFAULT_PAGE_SIZE = 4096
+
+# the perms an area may have: every non-empty subset of rwx, each letter at
+# most once, in any order (the trace grammar takes the same set)
+_PERMS = frozenset("".join(p) for n in (1, 2, 3) for p in permutations("rwx", n))
 
 # most written spans a page keeps before its next check goes whole-page
 MAX_WRITTEN_SPANS = 8
@@ -82,10 +87,12 @@ class PageTableEntry:
 
     ``written`` lists the in-page ``[lo, hi)`` spans written since the
     page's last clean content check, in write order.  None means the next
-    check must cover the whole page: the page was never checked, its last
-    check found a match, or it took more than MAX_WRITTEN_SPANS writes.
-    A blank page of an executable area starts at ``[]`` instead when the
-    rule set cannot match a zero page: its zeros are a clean check.
+    check must cover the whole page: nothing has checked its content, its
+    last check found a match, or it took more than MAX_WRITTEN_SPANS writes.
+    A page of an executable area starts at ``[]`` when its content is known
+    clean: its mmap image found nothing when walked at install, or, with
+    no image, the rule set cannot match a zero page.  A data page made
+    executable by mprotect is walked then, and starts at ``[]`` the same way.
     Only ``Machine._write`` adds a span, and only to a list.
     ``tlb`` maps a CPU id to the (writable, exec_disabled) pair that CPU
     cached at its last walk of the page.
@@ -207,6 +214,14 @@ _start = operator.attrgetter("start_vpage")
 _perms = operator.attrgetter("logical_r", "logical_w", "logical_x")
 
 
+def _check_request(perms: str, n_pages: int) -> None:
+    """ValueError unless an mmap or mprotect asks for _PERMS over one page or more."""
+    if perms not in _PERMS:
+        raise ValueError(f"bad perms {perms!r} (subset of rwx)")
+    if n_pages < 1:
+        raise ValueError("n_pages must be >= 1")
+
+
 def _permits(kind: AccessKind, writable: bool, exec_disabled: bool) -> bool:
     if kind is _WRITE:
         return writable
@@ -266,8 +281,7 @@ class Machine:
         backing: bytes | None = None,
         at: int | None = None,
     ) -> VmArea:
-        if n_pages < 1:
-            raise ValueError("n_pages must be >= 1")
+        _check_request(perms, n_pages)
         space = self.space(pid)
         start = space.mmap_cursor if at is None else at
         area = space.insert(VmArea(start, n_pages, "r" in perms, "w" in perms, "x" in perms))
@@ -278,8 +292,7 @@ class Machine:
         return area
 
     def mprotect(self, pid: int, start_vpage: int, n_pages: int, perms: str) -> None:
-        if n_pages < 1:
-            raise ValueError("n_pages must be >= 1")
+        _check_request(perms, n_pages)
         self.engine.on_mprotect(pid, start_vpage, n_pages, perms)
 
     def relabel(self, pid: int, start_vpage: int, n_pages: int, perms: str, rule) -> None:

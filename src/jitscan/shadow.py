@@ -29,10 +29,16 @@ checked.  Each hook takes the space, area and page entry
 A content check costs what was written, not the page: the sync check
 and the snapshot's async scan look only at windows around the spans
 written since the page's last checked fetch (``PageTableEntry.written``),
-and go back to the whole page after a match.  A blank page (no mmap
-image) of an executable area starts with an empty span list when no rule
-matches a zero page (``RuleSet.zero_page_clean``), so even its first
-check covers only the bytes written; any other page's is whole.
+and go back to the whole page after a match.  Content nothing has
+checked yet is walked once, with the full rule set, when it becomes
+checkable: an executable area's page with an mmap image at install
+(its whole zero-padded frame), and a data page when mprotect moves it
+into an executable area.  The sync rules are a subset of the full set,
+so a walk that finds nothing starts the page's span list empty, and
+its first fetch checks only the bytes written since; a walk that finds
+a match leaves it whole.  A blank page (no mmap image) of an executable
+area is not walked: it starts empty when no rule matches a zero page
+(``RuleSet.zero_page_clean``).
 
 ``respond`` is the single point where a process is killed or blocked,
 for the sync check, the flood guard and the async agent alike;
@@ -45,7 +51,7 @@ from .guard import DosGuard
 from .mmu import AccessKind, AccessResult, AddressSpace, Machine, PageTableEntry, VmArea
 from .pipeline import PageSnapshot, SnapshotTable
 from .report import ActionTaken, Detection, Report
-from .signatures import RuleSet, SignatureRule, sync_check
+from .signatures import RuleSet, SignatureRule, scan_page, sync_check
 
 # bound once: a read through the enum class pays 3.11's EnumType.__getattr__
 # hook on every call (see the bindings in mmu.py)
@@ -112,16 +118,6 @@ def _set_mode(pte: PageTableEntry, area: VmArea, checked: bool) -> None:
     pte.orig_write = checked and area.logical_w
 
 
-def _shadow_relabel(pte: PageTableEntry, area: VmArea) -> None:
-    """Shadow bits of a present page whose area now has area's permissions.
-
-    A page stays checked only if it is in exec mode and the edit grants no
-    w that orig_write, its area's w when it was checked, lacks; a new x
-    cannot reach a page in exec mode, which only an executable area holds.
-    """
-    _set_mode(pte, area, not pte.exec_disabled and (pte.orig_write or not area.logical_w))
-
-
 def _plain_relabel(pte: PageTableEntry, area: VmArea) -> None:
     pte.writable = area.logical_w
     pte.exec_disabled = not area.logical_x
@@ -158,10 +154,13 @@ class ShadowEngine:
         kind: AccessKind,
     ) -> AccessResult:
         """Not-present fault: install the page unchecked; a fetch then checks it."""
-        blank = area.logical_x and vpage not in space.images  # tested before the pop
+        image = vpage in space.images  # tested before the pop
         pte = self.machine.install_page(space, vpage)
-        if blank and self.rules is not None and self.rules.zero_page_clean:
-            pte.written = []
+        if area.logical_x:
+            if image:
+                self._walk_unknown(pte)
+            elif self.rules is not None and self.rules.zero_page_clean:
+                pte.written = []
         _set_mode(pte, area, checked=False)
         if kind is _FETCH:
             # materialize-then-check in one step: a single snapshot
@@ -194,7 +193,25 @@ class ShadowEngine:
 
     def on_mprotect(self, pid: int, start_vpage: int, n_pages: int, perms: str) -> None:
         """Update logical permissions and each present page's mode."""
-        self.machine.relabel(pid, start_vpage, n_pages, perms, _shadow_relabel)
+        self.machine.relabel(pid, start_vpage, n_pages, perms, self._relabel)
+
+    def _relabel(self, pte: PageTableEntry, area: VmArea) -> None:
+        """Shadow bits of a present page whose area now has area's permissions.
+
+        A page stays checked only if it is in exec mode and the edit grants no
+        w that orig_write, its area's w when it was checked, lacks; a new x
+        cannot reach a page in exec mode, which only an executable area holds.
+        A data page (exec_disabled, orig_exe clear) that the edit makes
+        executable is walked first if its content is unknown.
+        """
+        if area.logical_x and pte.written is None and pte.exec_disabled and not pte.orig_exe:
+            self._walk_unknown(pte)
+        _set_mode(pte, area, not pte.exec_disabled and (pte.orig_write or not area.logical_w))
+
+    def _walk_unknown(self, pte: PageTableEntry) -> None:
+        """Scan a page's whole frame with the full set; if clean, its span list starts empty."""
+        if self.rules is not None and not scan_page(bytes(pte.frame), self.rules):
+            pte.written = []
 
     # ---- the exec-side content check ------------------------------------
 

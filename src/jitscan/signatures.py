@@ -27,6 +27,7 @@ a match it scans the whole page again.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Iterable, Iterator, NamedTuple
 
@@ -74,6 +75,9 @@ class SignatureRule(NamedTuple):
 class Match(NamedTuple):
     rule: str
     offset: int
+
+
+_BY_OFFSET_RULE = operator.attrgetter("offset", "rule")  # the order scans return
 
 
 class _MultiPattern:
@@ -129,9 +133,13 @@ class _MultiPattern:
         if self._find is None:
             return []
         k, buckets, size, reach = self._k, self._buckets, len(data), self._reach
-        windows = [(0, size)]
-        if spans is not None:
-            # a match overlapping [lo, hi) starts in [lo - reach, hi)
+        # a match overlapping [lo, hi) starts in [lo - reach, hi)
+        if spans is None:
+            windows = [(0, size)]
+        elif len(spans) == 1:
+            ((lo, hi),) = spans
+            windows = [(lo - reach if lo > reach else 0, hi)]
+        else:
             windows = []
             for lo, hi in sorted(spans):
                 lo = max(0, lo - reach)
@@ -142,7 +150,8 @@ class _MultiPattern:
         hits: list[Match] = []
         for lo, hi in windows:
             # a match starting before hi ends by hi + reach, and its anchor with it
-            for candidate in self._find(data, lo, min(size, hi + reach)):
+            # (finditer stops at the end of data whatever endpos says)
+            for candidate in self._find(data, lo, hi + reach):
                 pos = candidate.start()
                 for anchor, anchor_off, name, length, checks in buckets.get(
                     data[pos : pos + k], ()
@@ -154,7 +163,8 @@ class _MultiPattern:
                         data[start + i] == b for i, b in checks
                     ):
                         hits.append(Match(name, start))
-        hits.sort(key=lambda m: (m.offset, m.rule))
+        if len(hits) > 1:
+            hits.sort(key=_BY_OFFSET_RULE)
         return hits
 
 

@@ -52,9 +52,8 @@ differ by their op code.
 from __future__ import annotations
 
 import re
-from itertools import permutations
 
-from .mmu import DEFAULT_PAGE_SIZE
+from .mmu import _PERMS, DEFAULT_PAGE_SIZE
 
 
 class TraceError(ValueError):
@@ -67,8 +66,6 @@ class TraceError(ValueError):
 READ, FETCH, WRITE, PROC, MMAP, MPROTECT, TICK = range(7)
 
 
-# every non-empty subset of rwx, each letter at most once, in any order
-_PERMS = frozenset("".join(p) for n in (1, 2, 3) for p in permutations("rwx", n))
 _HEX_DIGITS = "0123456789abcdefABCDEF"
 _INTEGER = frozenset({"pid", "int", "int?"})
 _OPTIONAL = frozenset({"int?", "hex?"})

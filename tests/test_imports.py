@@ -8,7 +8,8 @@ is exempt, since its imports are the package's re-exports, and so is
 plain class or a ``typing.NamedTuple``.  No function body reads
 ``AccessKind.X`` or ``AccessResult.X``: on CPython 3.11 each such read
 pays EnumType's ``__getattr__`` hook, so modules bind the members once
-at import.  Standard library only.
+at import.  Every function the bench counts calls of by name exists, so a
+rename cannot silently zero a count.  Standard library only.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from jitscan.pipeline import _Bucket
 from conftest import SYNC_RULES_TEXT, SYNC_STUB
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jitscan"
+BENCH_LAYERS = PACKAGE.parent.parent / "bench" / "layers.py"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -191,3 +193,42 @@ def test_access_returns_access_result_members():
     got.append((machine.access(victim, 1, 0, 16 * ps, read), AccessResult.BLOCKED))
     for result, expected in got:
         assert type(result) is AccessResult and result is expected
+
+
+def call_counts(source: str) -> tuple:
+    """The value of the source's module-level ``CALL_COUNTS`` assignment."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "CALL_COUNTS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no CALL_COUNTS assignment")
+
+
+def defined_functions(source: str) -> set[str]:
+    """Names of every function and method the source defines, nested ones included."""
+    return {
+        node.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def test_every_function_the_bench_counts_exists():
+    """bench/layers.py counts profiler calls by (module, function name); a
+    name no module defines would read 0 instead of failing."""
+    counts = call_counts(BENCH_LAYERS.read_text(encoding="utf-8"))
+    assert counts and all(len(entry) == 3 for entry in counts)
+    missing = [
+        (metric, module, name) for metric, module, name in counts
+        if name not in defined_functions((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    ]
+    assert missing == []
+
+
+def test_checker_finds_functions_and_call_counts():
+    source = (
+        "X = 1\nCALL_COUNTS = ((\"a.b\", \"mmu\", \"f\"),)\n"
+        "def f():\n    def g():\n        pass\nclass C:\n    async def h(self):\n        pass\n"
+    )
+    assert call_counts(source) == (("a.b", "mmu", "f"),)
+    assert defined_functions(source) == {"f", "g", "h"}

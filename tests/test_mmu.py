@@ -8,6 +8,8 @@ import time
 import pytest
 
 import jitscan
+from jitscan import mmu as mmu_module
+from jitscan import trace as trace_module
 from jitscan.mmu import (
     AccessKind,
     AccessResult,
@@ -123,6 +125,20 @@ class TestAccess:
         machine.mmap(pid, "rw", 2, at=16)
         with pytest.raises(ValueError):
             machine.access(pid, 1, 0, 17 * PS - 1, AccessKind.WRITE, b"ab")
+
+    @pytest.mark.parametrize("perms", ["", "rr"])
+    def test_perms_the_trace_grammar_refuses_are_refused(self, perms):
+        machine = plain_machine()
+        pid = machine.create_process(uid=0)
+        machine.mmap(pid, "rw", 2, at=16)
+        space = machine.spaces[pid]
+        before = list(space.areas)
+        with pytest.raises(ValueError, match="bad perms"):
+            machine.mmap(pid, perms, 1, at=32)
+        with pytest.raises(ValueError, match="bad perms"):
+            machine.mprotect(pid, 16, 1, perms)
+        assert space.areas == before and space.mmap_cursor == 18
+        assert trace_module._PERMS is mmu_module._PERMS  # one set for the whole program
 
     def test_backing_image_copied_on_materialize(self):
         machine = plain_machine()
@@ -474,11 +490,18 @@ def _area_map_step(rng, machine, pid, perms_model, bytes_model, ps):
         start = space.mmap_cursor if at is None else at
         if any(v in perms_model for v in range(start, start + n)):
             before = list(space.areas)
-            with pytest.raises(OverlapError):
-                machine.mmap(pid, rng.choice(PERMS), n, backing=backing, at=at)
+            perms = rng.choice(PERMS)
+            with pytest.raises(ValueError if perms == "" else OverlapError):
+                machine.mmap(pid, perms, n, backing=backing, at=at)
             assert space.areas == before
             return
         perms = rng.choice(PERMS)
+        if perms == "":  # the trace grammar's refusal, made by the machine too
+            before, cursor = list(space.areas), space.mmap_cursor
+            with pytest.raises(ValueError, match="bad perms"):
+                machine.mmap(pid, perms, n, backing=backing, at=at)
+            assert space.areas == before and space.mmap_cursor == cursor
+            return
         area = machine.mmap(pid, perms, n, backing=backing, at=at)
         assert any(a is area for a in space.areas) and area.perms() == perms
         assert area.start_vpage <= start and start + n <= area.end_vpage
@@ -501,6 +524,12 @@ def _area_map_step(rng, machine, pid, perms_model, bytes_model, ps):
             start = rng.randrange(area.start_vpage, area.end_vpage)
             end = start + rng.randint(1, 12)
         perms = rng.choice(PERMS)
+        if perms == "":
+            before = list(space.areas)
+            with pytest.raises(ValueError, match="bad perms"):
+                machine.mprotect(pid, start, end - start, perms)
+            assert space.areas == before
+            return
         if any(v not in perms_model for v in range(start, end)):
             before = list(space.areas)
             snapshot = [(a.start_vpage, a.n_pages, a.perms()) for a in before]

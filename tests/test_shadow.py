@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jitscan import shadow as shadow_module
+from jitscan import signatures as signatures_module
 from jitscan.agent import SimConfig, replay
 from jitscan.guard import DosGuard, GuardConfig
 from jitscan.mmu import AccessKind, AccessResult, Machine
@@ -371,7 +372,9 @@ def write_16(off: int) -> str:
 
 
 class TestFirstCheckSpans:
-    """Only a blank page of an executable area starts its first check narrow."""
+    """A page's first check is narrow once its content is known clean: a blank
+    page by the zero-page rule, an image page by a walk at install, a data page
+    by a walk when mprotect makes it executable."""
 
     def first_fetch_spans(self, monkeypatch, lines: list[str], rules_text: str):
         seen = []
@@ -390,21 +393,71 @@ class TestFirstCheckSpans:
         spans = self.first_fetch_spans(monkeypatch, lines, SYNC_RULES_TEXT)
         assert spans == [(0x100, 0x110), (0x800, 0x810)]
 
-    def test_page_with_an_mmap_image_is_checked_whole(self, monkeypatch):
+    def test_page_with_a_clean_mmap_image_gets_only_its_writes(self, monkeypatch):
         lines = ["MMAP pid=1 perms=wx pages=1 content=c3 at=16", write_16(0x100)]
+        assert self.first_fetch_spans(monkeypatch, lines, SYNC_RULES_TEXT) == [(0x100, 0x110)]
+
+    def test_image_holding_a_sync_match_is_checked_whole(self, monkeypatch):
+        lines = [f"MMAP pid=1 perms=wx pages=1 content={SYNC_STUB.hex()} at=16", write_16(0x100)]
         assert self.first_fetch_spans(monkeypatch, lines, SYNC_RULES_TEXT) is None
+
+    def test_image_holding_an_async_match_is_checked_whole(self, monkeypatch):
+        # the install walk uses the full set: a sync-only walk would miss this
+        image = bytes.fromhex("feedc0dedeadbeefcafebabe")
+        lines = [f"MMAP pid=1 perms=wx pages=1 content={image.hex()} at=16", write_16(0x100)]
+        rules_text = SYNC_RULES_TEXT + ASYNC_ALERT_RULES
+        assert self.first_fetch_spans(monkeypatch, lines, rules_text) is None
+
+    def test_image_whose_match_needs_the_zero_padding_is_checked_whole(self, monkeypatch):
+        # c3 00 00 matches the frame at 0, not the one-byte image alone
+        rules_text = SYNC_RULES_TEXT + "rule tail family=t severity=alert { c3 00 00 }\n"
+        lines = ["MMAP pid=1 perms=wx pages=1 content=c3 at=16", write_16(0x100)]
+        assert self.first_fetch_spans(monkeypatch, lines, rules_text) is None
 
     def test_rules_that_match_a_zero_page_check_it_whole(self, monkeypatch):
         rules_text = SYNC_RULES_TEXT + "rule zeros family=t severity=alert { 00 ?? 00 }\n"
         lines = ["MMAP pid=1 perms=wx pages=1 at=16", write_16(0x100)]
         assert self.first_fetch_spans(monkeypatch, lines, rules_text) is None
 
-    def test_data_page_made_executable_is_checked_whole(self, monkeypatch):
+    def test_data_page_made_executable_gets_only_later_writes(self, monkeypatch):
         lines = [
             "MMAP pid=1 perms=rw pages=1 at=16", write_16(0x100),
+            "MPROTECT pid=1 start=16 pages=1 perms=rwx", write_16(0x800),
+        ]
+        assert self.first_fetch_spans(monkeypatch, lines, SYNC_RULES_TEXT) == [(0x800, 0x810)]
+
+    def test_data_page_written_with_a_match_then_made_executable_is_checked_whole(
+        self, monkeypatch,
+    ):
+        lines = [
+            "MMAP pid=1 perms=rw pages=1 at=16",
+            f"WRITE pid=1 tid=1 cpu=0 addr={STUB_AT} bytes={SYNC_STUB.hex()}",
             "MPROTECT pid=1 start=16 pages=1 perms=rx",
         ]
         assert self.first_fetch_spans(monkeypatch, lines, SYNC_RULES_TEXT) is None
+
+
+class TestWholePageWalks:
+    """Unknown content is walked once, with the full set, before its first fetch."""
+
+    @pytest.mark.parametrize("lines,walks", [
+        (["MMAP pid=1 perms=wx pages=1 content=c3 at=16", write_16(0x100)], 1),
+        (["MMAP pid=1 perms=rw pages=1 at=16", write_16(0x100),
+          "MPROTECT pid=1 start=16 pages=1 perms=rx"], 1),
+        (["MMAP pid=1 perms=wx pages=1 at=16", write_16(0x100)], 0),
+    ], ids=["image", "rw-then-rx", "blank-wx"])
+    def test_first_fetch_walks(self, monkeypatch, lines, walks):
+        whole = []
+        scan = signatures_module._MultiPattern.scan
+
+        def spy(self, data, spans=None):
+            whole.append(spans is None)
+            return scan(self, data, spans)
+
+        monkeypatch.setattr(signatures_module._MultiPattern, "scan", spy)
+        report = replay_lines(["PROC uid=7", *lines, FETCH_STUB], SYNC_RULES_TEXT)
+        assert report.metrics["scans_run"] == 1 and report.outcomes == {"ok": len(lines) + 2}
+        assert len(whole) == 2 + walks and sum(whole) == walks  # sync check, async scan, walks
 
 
 def mode_bits(perms: str, checked: bool) -> tuple[bool, bool, bool, bool]:
