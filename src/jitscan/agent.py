@@ -50,7 +50,7 @@ class Agent:
         self,
         machine: Machine,
         pipeline: SnapshotTable,
-        rules: RuleSet | None,
+        rules: RuleSet,
         report: Report,
         detection_action: str = "kill",
     ):
@@ -68,8 +68,6 @@ class Agent:
         snaps = self.pipeline.drain(batch if batch > 0 else None)
         for snap in snaps:
             self.scans_run += 1
-            if self.rules is None:
-                continue
             page = (snap.pid, snap.vpage)
             spans = None if page in self._matched else snap.spans
             matches = scan_page(snap.content, self.rules, spans)
@@ -94,9 +92,10 @@ class RunContext(NamedTuple):
 
 
 def build_run(config: SimConfig | None = None, rules: RuleSet | None = None) -> RunContext:
-    """Wire a machine, engine, pipeline, guard, and agent from config."""
+    """Wire a machine, engine, pipeline, guard, and agent from config; no rules is the empty set."""
     config = config or SimConfig()
-    if rules is not None and rules.page_size != config.page_size:
+    rules = RuleSet((), config.page_size) if rules is None else rules
+    if rules.page_size != config.page_size:
         raise ValueError(
             f"rules are for page size {rules.page_size}, the run's is {config.page_size}"
         )

@@ -16,9 +16,10 @@ import os
 import sys
 
 from .agent import SimConfig, replay
-from .guard import GuardConfig
+from .guard import PENALTY_ACTIONS, GuardConfig
 from .mmu import DEFAULT_PAGE_SIZE
 from .report import encode_record
+from .shadow import DETECTION_ACTIONS
 from .signatures import parse_rules, scan_page
 from .trace import parse_trace
 
@@ -65,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--rules", required=True, help="signature rule file")
     run.add_argument("--sync-check", choices=["on", "off"], default="on",
                      help="in-fault-path check of sync rules (default on)")
-    run.add_argument("--action", choices=["kill", "block", "alert"], default="kill",
+    run.add_argument("--action", choices=DETECTION_ACTIONS, default="kill",
                      help="response to signature detections (default kill)")
     run.add_argument("--threshold", type=_positive, default=GuardConfig.threshold,
                      help="pending snapshots per uid before a penalty")
@@ -74,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      "evicted first (see --ttl-evict)")
     run.add_argument("--ttl-evict", type=_positive, default=GuardConfig.ttl_evict,
                      help="ticks at zero pending before an entry is evicted")
-    run.add_argument("--penalty-action", choices=["kill", "block"], default="kill",
+    run.add_argument("--penalty-action", choices=PENALTY_ACTIONS, default="kill",
                      help="what a throttle denial does to the process")
     run.add_argument("--page-size", type=_page_size, default=DEFAULT_PAGE_SIZE)
     run.add_argument("--drain-every", type=_in_range(0), default=1, metavar="N",

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+PENALTY_ACTIONS = ("kill", "block")  # what a throttle denial does to the process
+
 
 class GuardConfig:
     """Guard settings; the class attributes are the defaults."""
 
     threshold = 256
-    penalty_action = "kill"  # "kill" | "block"
+    penalty_action = "kill"  # one of PENALTY_ACTIONS
     ttl_penalty = 1000  # ticks a penalty lasts, unless an eviction (ttl_evict) ends it first
     ttl_evict = 5000  # ticks at pending==0 before the entry is dropped
 
@@ -31,7 +33,7 @@ class GuardConfig:
     ):
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
-        if penalty_action not in ("kill", "block"):
+        if penalty_action not in PENALTY_ACTIONS:
             raise ValueError("penalty_action must be 'kill' or 'block'")
         if ttl_penalty < 1 or ttl_evict < 1:
             raise ValueError("TTLs must be >= 1")

@@ -9,8 +9,10 @@ only the pages involved.  Stale entries are honored on purpose; a
 permission edit becomes visible to a CPU only once the page's entry is
 flushed or the access traps.  Fault handling is delegated to a
 pluggable engine, the shadow W^X engine or a plain baseline, whose
-hooks take the space, area and page entry the access walk resolved and
-return the AccessResult the access ends with, OK meaning it proceeds.
+hooks act on one page the machine resolved: a fault hook takes the space,
+area and page entry of the access and returns the AccessResult it ends
+with, OK meaning it proceeds; on_mprotect(pte, area) takes one present
+page of an mprotect's range.
 
 An address space keeps its areas sorted, disjoint and merged after every
 mmap and mprotect: no two touching areas have equal permissions, so an
@@ -240,6 +242,7 @@ class Machine:
     a denied write or handle_exec_fault(space, area, pte, vpage, vaddr, tid)
     for a denied fetch.  Each applies any kill or block (see the shadow
     module) and returns the AccessResult of the access, OK to proceed.
+    ``mprotect`` calls on_mprotect(pte, area) per present page in range, then flushes it.
     """
 
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE, suppress_tlb_flush: bool = False):
@@ -282,26 +285,28 @@ class Machine:
         at: int | None = None,
     ) -> VmArea:
         _check_request(perms, n_pages)
+        ps = self.page_size
+        if backing is not None and len(backing) > n_pages * ps:
+            raise ValueError(f"content is {len(backing)} bytes, more than {n_pages} page(s) of {ps}")
+        if at is not None and at < 0:
+            raise ValueError(f"at must be >= 0, got {at}")
         space = self.space(pid)
         start = space.mmap_cursor if at is None else at
         area = space.insert(VmArea(start, n_pages, "r" in perms, "w" in perms, "x" in perms))
         if backing is not None:
-            image, ps = memoryview(backing), self.page_size
-            for off in range(0, min(len(image), n_pages * ps), ps):
+            image = memoryview(backing)
+            for off in range(0, len(image), ps):
                 space.images[start + off // ps] = image[off : off + ps]
         return area
 
     def mprotect(self, pid: int, start_vpage: int, n_pages: int, perms: str) -> None:
-        _check_request(perms, n_pages)
-        self.engine.on_mprotect(pid, start_vpage, n_pages, perms)
-
-    def relabel(self, pid: int, start_vpage: int, n_pages: int, perms: str, rule) -> None:
         """Set the logical perms of vpages [start, start+n) of pid.
 
-        rule(pte, area) re-derives each present page's bits from the area
-        now holding the range (a page in exec mode still carries its former
-        area's w in orig_write), then the page is flushed from every TLB.
+        on_mprotect(pte, area) re-derives each present page's bits from the
+        area now holding the range (a page in exec mode still carries its
+        former area's w in orig_write), then the page is flushed from every TLB.
         """
+        _check_request(perms, n_pages)
         space = self.space(pid)
         area = space.protect(start_vpage, n_pages, perms)
         end, ptes = start_vpage + n_pages, space.ptes
@@ -309,7 +314,7 @@ class Machine:
         for vpage in range(start_vpage, end) if n_pages <= len(ptes) else ptes:
             pte = ptes.get(vpage)
             if pte is not None and start_vpage <= vpage < end:
-                rule(pte, area)
+                self.engine.on_mprotect(pte, area)
                 self.tlb_flush_one(pid, vpage)
 
     def kill_process(self, pid: int) -> None:

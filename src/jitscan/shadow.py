@@ -23,8 +23,8 @@ Every executable page starts in write mode, whatever touched it first,
 so its first fetch checks it; a page of an area without execute rights
 is plain data, with both orig_* bits clear.  ``_set_mode`` is the one
 place a page's four bits are set, from its area and whether it is
-checked.  Each hook takes the space, area and page entry
-``Machine.access`` resolved.
+checked.  Each hook takes one page the machine resolved: a faulting
+access's space, area and page entry, or an mprotected page and its area.
 
 A content check costs what was written, not the page: the sync check
 and the snapshot's async scan look only at windows around the spans
@@ -124,7 +124,7 @@ def _plain_relabel(pte: PageTableEntry, area: VmArea) -> None:
 
 
 class ShadowEngine:
-    """Fault hooks implementing the shadow state machine."""
+    """Fault hooks implementing the shadow state machine; no rules is the empty set."""
 
     def __init__(
         self,
@@ -140,7 +140,7 @@ class ShadowEngine:
         if detection_action not in DETECTION_ACTIONS:
             raise ValueError(f"bad detection action {detection_action!r}")
         self.machine = machine
-        self.rules = rules
+        self.rules = RuleSet((), machine.page_size) if rules is None else rules
         self.pipeline = pipeline
         self.guard = guard
         self.sync_check_enabled = sync_check_enabled
@@ -159,7 +159,7 @@ class ShadowEngine:
         if area.logical_x:
             if image:
                 self._walk_unknown(pte)
-            elif self.rules is not None and self.rules.zero_page_clean:
+            elif self.rules.zero_page_clean:
                 pte.written = []
         _set_mode(pte, area, checked=False)
         if kind is _FETCH:
@@ -191,12 +191,8 @@ class ShadowEngine:
         self.machine.tlb_flush_one(space.pid, vpage)
         return _OK
 
-    def on_mprotect(self, pid: int, start_vpage: int, n_pages: int, perms: str) -> None:
-        """Update logical permissions and each present page's mode."""
-        self.machine.relabel(pid, start_vpage, n_pages, perms, self._relabel)
-
-    def _relabel(self, pte: PageTableEntry, area: VmArea) -> None:
-        """Shadow bits of a present page whose area now has area's permissions.
+    def on_mprotect(self, pte: PageTableEntry, area: VmArea) -> None:
+        """Shadow bits of one present page of an mprotect's range, whose area is now area.
 
         A page stays checked only if it is in exec mode and the edit grants no
         w that orig_write, its area's w when it was checked, lacks; a new x
@@ -210,7 +206,7 @@ class ShadowEngine:
 
     def _walk_unknown(self, pte: PageTableEntry) -> None:
         """Scan a page's whole frame with the full set; if clean, its span list starts empty."""
-        if self.rules is not None and not scan_page(bytes(pte.frame), self.rules):
+        if not scan_page(bytes(pte.frame), self.rules):
             pte.written = []
 
     # ---- the exec-side content check ------------------------------------
@@ -223,7 +219,7 @@ class ShadowEngine:
         pid, uid = space.pid, space.uid
         content = bytes(pte.frame)
         spans, pte.written = pte.written, []
-        if self.sync_check_enabled and self.rules is not None:
+        if self.sync_check_enabled:
             hit = sync_check(content, self.rules, spans)
             if hit is not None:
                 pte.written = None  # the next check must see this match again
@@ -278,5 +274,4 @@ class BaselineEngine:
     ) -> AccessResult:
         return _SEGV_DELIVERED
 
-    def on_mprotect(self, pid: int, start_vpage: int, n_pages: int, perms: str) -> None:
-        self.machine.relabel(pid, start_vpage, n_pages, perms, _plain_relabel)
+    on_mprotect = staticmethod(_plain_relabel)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import gc
 import io
@@ -22,13 +23,13 @@ from hypothesis import strategies as st
 from jitscan import agent as agent_module
 from jitscan import shadow as shadow_module
 from jitscan.agent import SimConfig, build_run, replay
-from jitscan.cli import main
-from jitscan.guard import DosGuard, GuardConfig
-from jitscan.mmu import SimError
+from jitscan.cli import _build_parser, main
+from jitscan.guard import PENALTY_ACTIONS, DosGuard, GuardConfig
+from jitscan.mmu import Machine, SimError
 from jitscan.pipeline import SnapshotTable
 from jitscan.report import ActionTaken, Detection, Report, encode_record
-from jitscan.shadow import ShadowEngine
-from jitscan.signatures import parse_rules, scan_page, sync_check
+from jitscan.shadow import DETECTION_ACTIONS, ShadowEngine
+from jitscan.signatures import RuleSet, parse_rules, scan_page, sync_check
 from jitscan.trace import parse_trace
 
 from conftest import SYNC_RULES_TEXT, SYNC_STUB, reference_replay
@@ -714,6 +715,25 @@ class TestReferenceReplay:
             assert replay(trace, rs, config).emit() == reference_replay(trace, rs, config)
 
 
+class TestNoRulesIsTheEmptySet:
+    def test_none_and_the_empty_set_give_equal_reports(self):
+        rng = random.Random(23)
+        for _ in range(20):
+            trace = _mixed_history(rng, 64)
+            for shadow in (True, False):
+                for drain_every, sync in ((1, True), (0, False)):
+                    config = SimConfig(page_size=64, shadow=shadow, drain_every=drain_every,
+                                       sync_check=sync)
+                    empty = replay(trace, RuleSet((), 64), config).emit()
+                    assert replay(trace, None, config).emit() == empty, trace
+
+    def test_the_engine_and_agent_hold_an_empty_set(self):
+        ctx = build_run(SimConfig(page_size=64))
+        engine = ShadowEngine(Machine(page_size=64))
+        for rules in (engine.rules, ctx.machine.engine.rules, ctx.agent.rules):
+            assert isinstance(rules, RuleSet) and len(rules) == 0 and rules.page_size == 64
+
+
 class TestGuardSweep:
     """The shadow engine sweeps the guard at the previous event's tick just
     before each admission, and replay sweeps once after the last event."""
@@ -847,6 +867,18 @@ class TestCli:
         rule_file = tmp_path / "r.rules"
         rule_file.write_text(ASYNC_RULES)
         return trace, rule_file, tmp_path
+
+    def test_action_flags_offer_the_shared_action_tuples(self, files, capsys):
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        choices = {a.dest: a.choices for a in sub.choices["run"]._actions}
+        assert choices["action"] is DETECTION_ACTIONS == ("kill", "block", "alert")
+        assert choices["penalty_action"] is PENALTY_ACTIONS == ("kill", "block")
+        trace, rule_file, _ = files
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--trace", str(trace), "--rules", str(rule_file),
+                  "--penalty-action", "alert"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'alert' (choose from 'kill', 'block')" in capsys.readouterr().err
 
     def test_run_emits_report_and_exit_code(self, files, capsys):
         trace, rule_file, _ = files

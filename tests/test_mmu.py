@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 
@@ -139,6 +140,29 @@ class TestAccess:
             machine.mprotect(pid, 16, 1, perms)
         assert space.areas == before and space.mmap_cursor == 18
         assert trace_module._PERMS is mmu_module._PERMS  # one set for the whole program
+
+    def test_content_longer_than_the_pages_is_refused(self):
+        machine = plain_machine(page_size=64)
+        pid = machine.create_process(uid=0)
+        space = machine.spaces[pid]
+        with pytest.raises(ValueError, match=r"content is 100 bytes, more than 1 page\(s\) of 64"):
+            machine.mmap(pid, "rw", 1, backing=bytes(100), at=16)
+        assert (space.areas, space.images, space.mmap_cursor) == ([], {}, 16)
+        machine.mmap(pid, "rw", 2, backing=bytes(range(100)), at=16)  # two pages hold it all
+        assert {vpage: bytes(image) for vpage, image in space.images.items()} == {
+            16: bytes(range(64)), 17: bytes(range(64, 100)),
+        }
+
+    def test_a_negative_start_is_refused(self):
+        machine = plain_machine(page_size=64)
+        pid = machine.create_process(uid=0)
+        space = machine.spaces[pid]
+        with pytest.raises(ValueError, match="at must be >= 0, got -2"):
+            machine.mmap(pid, "rw", 1, at=-2)
+        assert (space.areas, space.mmap_cursor) == ([], 16)
+        result = machine.access(pid, 1, 0, -2 * 64, AccessKind.WRITE, b"x")
+        assert result is AccessResult.SEGV_DELIVERED
+        assert space.ptes == {}
 
     def test_backing_image_copied_on_materialize(self):
         machine = plain_machine()
@@ -600,6 +624,64 @@ class PermissiveStub:
     def handle_exec_fault(self, space, area, pte, vpage, vaddr, tid):
         self.calls.append(("handle_exec_fault", space, area, pte, vpage, vaddr, tid))
         return AccessResult.OK
+
+
+class RecordingPlainEngine(BaselineEngine):
+    """The plain engine, recording each on_mprotect call."""
+
+    def __init__(self, machine):
+        super().__init__(machine)
+        self.mprotects = []
+
+    def on_mprotect(self, pte, area):
+        self.mprotects.append((pte, area))
+        super().on_mprotect(pte, area)
+
+
+class TestPerPageMprotect:
+    """Machine.mprotect hands the engine one present page of its range at a
+    time, with the area now holding it, and flushes that page after."""
+
+    def _machine(self):
+        machine = Machine(page_size=PS)
+        engine = RecordingPlainEngine(machine)
+        machine.attach_engine(engine)
+        pid = machine.create_process(uid=0)
+        machine.mmap(pid, "rw", 8, at=16)
+        machine.mmap(pid, "rw", 1, at=30)
+        for vpage in (16, 17, 19, 22, 30):
+            assert machine.access(pid, 1, 1, vpage * PS, AccessKind.READ) is AccessResult.OK
+        return machine, engine, machine.spaces[pid]
+
+    def _check(self, machine, engine, space, start, n, perms):
+        machine.mprotect(space.pid, start, n, perms)
+        vpage_of = {id(pte): vpage for vpage, pte in space.ptes.items()}
+        seen = sorted(vpage_of[id(pte)] for pte, _ in engine.mprotects)
+        in_range = sorted(v for v in space.ptes if start <= v < start + n)
+        assert seen == in_range  # once each, none outside the range
+        for pte, area in engine.mprotects:
+            assert area is space.find_area(vpage_of[id(pte)]) and area.perms() == perms
+        for vpage, pte in space.ptes.items():
+            assert pte.tlb == ({} if vpage in in_range else {1: (True, True)}), vpage
+
+    def test_a_range_shorter_than_the_present_pages(self):
+        machine, engine, space = self._machine()
+        self._check(machine, engine, space, 17, 2, "r")  # 2 vpages, 5 present
+        assert len(engine.mprotects) == 1
+
+    def test_fewer_present_pages_than_the_range(self):
+        machine, engine, space = self._machine()
+        self._check(machine, engine, space, 16, 8, "rx")  # 8 vpages, 5 present
+        assert len(engine.mprotects) == 4
+
+    def test_both_engines_expose_the_hooks_with_equal_signatures(self):
+        machine = Machine(page_size=PS)
+        shadow, plain = ShadowEngine(machine), BaselineEngine(machine)
+        for hook in ("on_materialize", "handle_write_fault", "handle_exec_fault", "on_mprotect"):
+            assert inspect.signature(getattr(shadow, hook)) == inspect.signature(
+                getattr(plain, hook)
+            ), hook
+        assert list(inspect.signature(shadow.on_mprotect).parameters) == ["pte", "area"]
 
 
 class TestFaultEngineContract:
