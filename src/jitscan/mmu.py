@@ -7,12 +7,14 @@ walk last produced, and that entry is stored on the page entry it
 caches, keyed by CPU id, so a hit, fill, trap, flush or kill touches
 only the pages involved.  Stale entries are honored on purpose; a
 permission edit becomes visible to a CPU only once the page's entry is
-flushed or the access traps.  Fault handling is delegated to a
-pluggable engine, the shadow W^X engine or a plain baseline, whose
-hooks act on one page the machine resolved: a fault hook takes the space,
-area and page entry of the access and returns the AccessResult it ends
-with, OK meaning it proceeds; on_mprotect(pte, area) takes one present
-page of an mprotect's range.
+flushed or the access traps.  A TLB miss walks the page entry alone, as
+a hardware walk does: a present page whose bits permit the access fills
+the TLB at once, and the areas are read only when the walk faults.
+Fault handling is delegated to a pluggable engine, the shadow W^X engine
+or a plain baseline, whose hooks act on one page the machine resolved: a
+fault hook takes the space, area and page entry of the access and
+returns the AccessResult it ends with, OK meaning it proceeds;
+on_mprotect(pte, area) takes one present page of an mprotect's range.
 
 An address space keeps its areas sorted, disjoint and merged after every
 mmap and mprotect: no two touching areas have equal permissions, so an
@@ -95,6 +97,8 @@ class PageTableEntry:
     clean: its mmap image found nothing when walked at install, or, with
     no image, the rule set cannot match a zero page.  A data page made
     executable by mprotect is walked then, and starts at ``[]`` the same way.
+    With a rule set that cannot match a zero page, such a walk covers only
+    the frame's nonzero extent (see the shadow module).
     Only ``Machine._write`` adds a span, and only to a list.
     ``tlb`` maps a CPU id to the (writable, exec_disabled) pair that CPU
     cached at its last walk of the page.
@@ -232,11 +236,18 @@ def _permits(kind: AccessKind, writable: bool, exec_disabled: bool) -> bool:
     return True  # present implies readable
 
 
+# The four TLB entries, indexed [writable][exec_disabled]: a fill shares
+# one instead of building a GC-tracked tuple per miss.
+_TLB_ENTRIES = (((False, False), (False, True)), ((True, False), (True, True)))
+
+
 class Machine:
     """The simulated machine: processes, frames, logical clock.
 
-    A fault engine must be attached before accesses run.  Per trap,
-    ``access`` calls on_materialize(space, area, vpage, vaddr, tid, kind)
+    A fault engine must be attached before accesses run.  A TLB miss on
+    a present page whose bits permit the access reads neither the areas
+    nor the engine.  Per trap, ``access`` reads the page's area, then calls
+    on_materialize(space, area, vpage, vaddr, tid, kind)
     for a not-present page whose area permits the access (else the access
     ends SEGV_DELIVERED), handle_write_fault(space, area, pte, vpage) for
     a denied write or handle_exec_fault(space, area, pte, vpage, vaddr, tid)
@@ -261,8 +272,16 @@ class Machine:
     # ---- processes and mappings -------------------------------------
 
     def create_process(self, uid: int, image: list[VmArea] | None = None) -> int:
+        """A new process mapping image's areas; raises, taking no pid, if one is bad."""
         space = AddressSpace(pid=self._next_pid, uid=uid)
         for area in image or []:
+            # bool flags: a page's bits, copied from them, index _TLB_ENTRIES
+            flags = {type(flag) for flag in _perms(area)}
+            if area.start_vpage < 0 or area.n_pages < 1 or flags != {bool}:
+                raise ValueError(
+                    f"image area [{area.start_vpage}, {area.end_vpage}) must start at"
+                    " vpage >= 0, span a page or more and have bool permissions"
+                )
             space.insert(area)
         self._next_pid += 1
         self.spaces[space.pid] = space
@@ -315,7 +334,7 @@ class Machine:
             pte = ptes.get(vpage)
             if pte is not None and start_vpage <= vpage < end:
                 self.engine.on_mprotect(pte, area)
-                self.tlb_flush_one(pid, vpage)
+                self.tlb_flush_one(pte)
 
     def kill_process(self, pid: int) -> None:
         space = self.space(pid, require_alive=False)
@@ -343,10 +362,9 @@ class Machine:
             raise PageNotPresentError(f"pid {pid}: vpage {vpage} not present")
         return bytes(pte.frame)
 
-    def tlb_flush_one(self, pid: int, vpage: int) -> None:
+    def tlb_flush_one(self, pte: PageTableEntry) -> None:
         """Drop the page's entry on every CPU that holds one."""
-        pte = self.space(pid, require_alive=False).ptes.get(vpage)
-        if pte is not None and not self.suppress_tlb_flush:
+        if not self.suppress_tlb_flush:
             pte.tlb.clear()
 
     def memory_map(self) -> dict[tuple[int, int], bytes]:
@@ -371,8 +389,12 @@ class Machine:
         """One memory access: TLB lookup, walk, fault dispatch, retry.
 
         A read that hits the CPU's TLB entry returns at once (present
-        implies readable); only a write touches the page.  Returns how
-        the access ended; raises SimError for requests that are invalid
+        implies readable); only a write touches the page.  A miss walks
+        the page entry: if the page is present and its bits permit the
+        access, the TLB is filled with no area lookup and no engine call.
+        Only a fault, a page not present or bits that deny the access,
+        reads the area and dispatches to the engine.  Returns how the
+        access ended; raises SimError for requests that are invalid
         regardless of page state (unknown or dead pid, malformed write
         payload).
         """
@@ -403,28 +425,28 @@ class Machine:
             # a trapping access drops the local entry (the walk redoes it)
             del pte.tlb[cpu_id]
 
-        area = space.find_area(vpage)
-        result = _OK
-        if area is None or pte is None:
-            if area is None or not area.permits(kind):
-                return _SEGV_DELIVERED  # nothing materializes
-            result = self.engine.on_materialize(space, area, vpage, vaddr, tid, kind)
-        elif kind is _WRITE and not pte.writable:
-            result = self.engine.handle_write_fault(space, area, pte, vpage)
-        elif kind is _FETCH and pte.exec_disabled:
-            result = self.engine.handle_exec_fault(space, area, pte, vpage, vaddr, tid)
-        if result is not _OK:
-            return result
-
-        pte = space.ptes.get(vpage)
         if pte is None or not _permits(kind, pte.writable, pte.exec_disabled):
-            raise SimError(
-                f"fault engine allowed {kind.value} of pid {pid} vpage {vpage}"
-                " but left it impermissible"
-            )
+            # the walk faults: only now is the area read
+            area = space.find_area(vpage)
+            if area is None or pte is None:
+                if area is None or not area.permits(kind):
+                    return _SEGV_DELIVERED  # nothing materializes
+                result = self.engine.on_materialize(space, area, vpage, vaddr, tid, kind)
+            elif kind is _WRITE:
+                result = self.engine.handle_write_fault(space, area, pte, vpage)
+            else:  # a fetch of an exec-disabled page
+                result = self.engine.handle_exec_fault(space, area, pte, vpage, vaddr, tid)
+            if result is not _OK:
+                return result
+            pte = space.ptes.get(vpage)
+            if pte is None or not _permits(kind, pte.writable, pte.exec_disabled):
+                raise SimError(
+                    f"fault engine allowed {kind.value} of pid {pid} vpage {vpage}"
+                    " but left it impermissible"
+                )
         if kind is _WRITE:
             self._write(pte, vaddr, data)
-        pte.tlb[cpu_id] = (pte.writable, pte.exec_disabled)
+        pte.tlb[cpu_id] = _TLB_ENTRIES[pte.writable][pte.exec_disabled]
         return _OK
 
     def _write(self, pte: PageTableEntry, vaddr: int, data: bytes) -> None:

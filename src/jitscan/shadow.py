@@ -32,13 +32,17 @@ written since the page's last checked fetch (``PageTableEntry.written``),
 and go back to the whole page after a match.  Content nothing has
 checked yet is walked once, with the full rule set, when it becomes
 checkable: an executable area's page with an mmap image at install
-(its whole zero-padded frame), and a data page when mprotect moves it
-into an executable area.  The sync rules are a subset of the full set,
-so a walk that finds nothing starts the page's span list empty, and
-its first fetch checks only the bytes written since; a walk that finds
-a match leaves it whole.  A blank page (no mmap image) of an executable
-area is not walked: it starts empty when no rule matches a zero page
-(``RuleSet.zero_page_clean``).
+(its zero-padded frame), and a data page when mprotect moves it into
+an executable area.  When no rule matches a zero page
+(``RuleSet.zero_page_clean``), every match overlaps a nonzero byte, so
+the walk covers only the frame's nonzero extent, from its first nonzero
+byte to its last, and an all-zero frame is clean without a scan;
+otherwise it covers the whole frame.  The sync rules are a subset of
+the full set, so a walk that finds nothing starts the page's span list
+empty, and its first fetch checks only the bytes written since; a walk
+that finds a match leaves it whole.  A blank page (no mmap image) of an
+executable area is not walked: it starts empty when no rule matches a
+zero page.
 
 ``respond`` is the single point where a process is killed or blocked,
 for the sync check, the flood guard and the async agent alike;
@@ -60,6 +64,11 @@ _OK, _SEGV_DELIVERED = AccessResult.OK, AccessResult.SEGV_DELIVERED
 _KILLED, _BLOCKED = AccessResult.KILLED, AccessResult.BLOCKED
 
 DETECTION_ACTIONS = ("kill", "block", "alert")  # responses to a kill-severity match
+
+# maps every nonzero byte to 1, so a frame's nonzero extent is where its
+# translation holds 1s: C-speed at any density, where bytearray.strip
+# takes a memchr call per byte it strips
+_NONZERO = bytes(1) + b"\1" * 255
 
 
 def respond(
@@ -174,7 +183,7 @@ class ShadowEngine:
         if not area.logical_w or not pte.orig_write:
             return _SEGV_DELIVERED
         _set_mode(pte, area, checked=False)
-        self.machine.tlb_flush_one(space.pid, vpage)
+        self.machine.tlb_flush_one(pte)
         return _OK
 
     def handle_exec_fault(
@@ -188,7 +197,7 @@ class ShadowEngine:
         if result is not _OK:
             return result
         _set_mode(pte, area, checked=True)
-        self.machine.tlb_flush_one(space.pid, vpage)
+        self.machine.tlb_flush_one(pte)
         return _OK
 
     def on_mprotect(self, pte: PageTableEntry, area: VmArea) -> None:
@@ -205,8 +214,22 @@ class ShadowEngine:
         _set_mode(pte, area, not pte.exec_disabled and (pte.orig_write or not area.logical_w))
 
     def _walk_unknown(self, pte: PageTableEntry) -> None:
-        """Scan a page's whole frame with the full set; if clean, its span list starts empty."""
-        if not scan_page(bytes(pte.frame), self.rules):
+        """Scan a page's frame with the full set; if clean, its span list starts empty.
+
+        When no rule matches a zero page, every match overlaps a nonzero
+        byte: the walk covers the nonzero extent only, and an all-zero
+        frame is clean unscanned.  A frame nonzero at both ends is its own
+        extent, walked whole without the search.
+        """
+        frame, spans = pte.frame, None
+        if self.rules.zero_page_clean and not (frame[0] and frame[-1]):
+            marks = frame.translate(_NONZERO)
+            end = marks.rfind(1) + 1
+            if not end:
+                pte.written = []
+                return
+            spans = [(marks.find(1), end)]
+        if not scan_page(bytes(frame), self.rules, spans):
             pte.written = []
 
     # ---- the exec-side content check ------------------------------------

@@ -23,7 +23,9 @@ from jitscan.mmu import (
     UnmappedRangeError,
     VmArea,
 )
+from jitscan.agent import SimConfig, _apply_event, build_run
 from jitscan.shadow import BaselineEngine, ShadowEngine
+from jitscan.trace import parse_trace
 
 from conftest import wx_violations
 
@@ -65,6 +67,21 @@ class TestCreateProcess:
                 uid=0,
                 image=[VmArea(16, 4, True, True, False), VmArea(18, 1, True, False, False)],
             )
+
+    @pytest.mark.parametrize("bad", [
+        VmArea(-2, 1, True, True, False), VmArea(16, 0, True, True, False),
+        VmArea(16, 1, True, 2, False),
+    ], ids=["negative-start", "no-pages", "non-bool-perms"])
+    def test_bad_image_area_rejected_before_a_pid_is_taken(self, bad):
+        machine = Machine(page_size=64)
+        machine.attach_engine(BaselineEngine(machine))
+        with pytest.raises(ValueError, match="image area"):
+            machine.create_process(uid=0, image=[VmArea(40, 1, True, False, False), bad])
+        assert (machine.spaces, machine._next_pid) == ({}, 1)
+        pid = machine.create_process(uid=0)
+        assert pid == 1
+        result = machine.access(pid, 1, 0, -128, AccessKind.WRITE, b"w")
+        assert result is AccessResult.SEGV_DELIVERED
 
     def test_no_pages_present_before_first_touch(self):
         machine = plain_machine()
@@ -192,8 +209,8 @@ class TestTlb:
         for cpu in (0, 1, 2):
             machine.access(pid, 1, cpu, 16 * PS, AccessKind.READ)
             machine.access(pid, 1, cpu, 17 * PS, AccessKind.READ)
-        machine.tlb_flush_one(pid, 16)
         ptes = machine.spaces[pid].ptes
+        machine.tlb_flush_one(ptes[16])
         for cpu in (0, 1, 2):
             assert cpu not in ptes[16].tlb
             assert cpu in ptes[17].tlb
@@ -201,7 +218,12 @@ class TestTlb:
     def test_flush_of_uncached_page_is_a_noop(self):
         machine = plain_machine()
         pid = machine.create_process(uid=0)
-        machine.tlb_flush_one(pid, 12345)  # nothing cached, nothing raised
+        machine.mmap(pid, "rw", 1, at=16)
+        machine.access(pid, 1, 0, 16 * PS, AccessKind.READ)
+        pte = machine.spaces[pid].ptes[16]
+        machine.tlb_flush_one(pte)
+        machine.tlb_flush_one(pte)  # nothing cached, nothing raised
+        assert pte.tlb == {}
 
     def test_stale_entry_is_honored_until_flushed(self):
         # write perms are revoked behind cpu 1's back; with the flush
@@ -682,6 +704,84 @@ class TestPerPageMprotect:
                 getattr(plain, hook)
             ), hook
         assert list(inspect.signature(shadow.on_mprotect).parameters) == ["pte", "area"]
+
+
+class TestWalk:
+    """A TLB miss walks the page entry; only a fault reads the area or calls the engine."""
+
+    TRACE = (
+        "PROC uid=1\n"
+        "MMAP pid=1 perms=wx pages=1 at=16\n"
+        "MMAP pid=1 perms=rw pages=2 at=17\n"
+        "WRITE pid=1 tid=1 cpu=0 addr=0x10000 bytes=90\n"  # not present: materialize
+        "WRITE pid=1 tid=1 cpu=1 addr=0x10001 bytes=90\n"  # miss, write mode permits
+        "READ pid=1 tid=1 cpu=1 addr=0x10000\n"  # hit
+        "READ pid=1 tid=1 cpu=2 addr=0x10000\n"  # miss, present implies readable
+        "FETCH pid=1 tid=1 cpu=0 addr=0x10000\n"  # hit denies: exec fault, flip, flush
+        "FETCH pid=1 tid=1 cpu=1 addr=0x10000\n"  # miss (flushed), exec mode permits
+        "READ pid=1 tid=1 cpu=2 addr=0x10000\n"  # miss (flushed)
+        "WRITE pid=1 tid=1 cpu=1 addr=0x10002 bytes=90\n"  # hit denies: write fault, flush
+        "WRITE pid=1 tid=1 cpu=2 addr=0x10003 bytes=90\n"  # miss, write mode permits
+        "READ pid=1 tid=1 cpu=0 addr=0x11000\n"  # not present: materialize
+        "WRITE pid=1 tid=1 cpu=1 addr=0x11000 bytes=41\n"  # miss, writable
+        "FETCH pid=1 tid=1 cpu=2 addr=0x11000\n"  # exec disabled: exec fault, segv
+        "MPROTECT pid=1 start=16 pages=3 perms=rx\n"  # two of three pages present
+        "READ pid=1 tid=1 cpu=1 addr=0x11000\n"  # miss (flushed)
+        "FETCH pid=1 tid=1 cpu=0 addr=0x11000\n"  # exec fault: checked, flip, flush
+        "FETCH pid=1 tid=1 cpu=1 addr=0x11000\n"  # miss, exec mode permits
+    )
+
+    def test_a_permitted_miss_reads_no_area_and_calls_no_hook(self, monkeypatch):
+        calls = []
+
+        def spy(cls, name):
+            real = getattr(cls, name)
+
+            def recording(self, *args):
+                calls.append(name)
+                return real(self, *args)
+
+            monkeypatch.setattr(cls, name, recording)
+
+        spy(mmu_module.AddressSpace, "find_area")
+        for hook in ("on_materialize", "handle_write_fault", "handle_exec_fault", "on_mprotect"):
+            spy(ShadowEngine, hook)
+        machine = build_run(SimConfig()).machine
+        per_event = []
+        for event in parse_trace(self.TRACE):
+            calls.clear()
+            per_event.append((_apply_event(machine, event), calls[:]))
+        area_fault = ["find_area", "on_materialize"]
+        exec_fault = ["find_area", "handle_exec_fault"]
+        assert per_event == [
+            ("ok", []), ("ok", []), ("ok", []),
+            ("ok", area_fault), ("ok", []), ("ok", []), ("ok", []),
+            ("ok", exec_fault), ("ok", []), ("ok", []),
+            ("ok", ["find_area", "handle_write_fault"]), ("ok", []),
+            ("ok", area_fault), ("ok", []), ("segv_delivered", exec_fault),
+            ("ok", ["on_mprotect", "on_mprotect"]),
+            ("ok", []), ("ok", exec_fault), ("ok", []),
+        ]
+
+    def test_tlb_flush_one_runs_once_per_flushed_page(self, monkeypatch):
+        flushed = []
+        real = Machine.tlb_flush_one
+
+        def recording(self, pte):
+            flushed.append(pte)
+            return real(self, pte)
+
+        monkeypatch.setattr(Machine, "tlb_flush_one", recording)
+        ctx = build_run(SimConfig())
+        lines = []
+        for event in parse_trace(self.TRACE):
+            before = len(flushed)
+            _apply_event(ctx.machine, event)
+            lines += [event[1]] * (len(flushed) - before)
+        ptes = ctx.machine.spaces[1].ptes
+        # the exec flip, the write flip, the two present pages mprotected, the exec flip
+        assert lines == [8, 11, 16, 16, 18]
+        assert flushed == [ptes[16], ptes[16], ptes[16], ptes[17], ptes[17]]
 
 
 class TestFaultEngineContract:

@@ -12,13 +12,15 @@ from jitscan import shadow as shadow_module
 from jitscan import signatures as signatures_module
 from jitscan.agent import SimConfig, replay
 from jitscan.guard import DosGuard, GuardConfig
-from jitscan.mmu import AccessKind, AccessResult, Machine
+from jitscan.mmu import AccessKind, AccessResult, Machine, PageTableEntry
 from jitscan.pipeline import SnapshotTable
 from jitscan.report import Report
 from jitscan.shadow import BaselineEngine, ShadowEngine
 from jitscan.signatures import parse_rules, sync_check
 
-from conftest import SYNC_RULES_TEXT, SYNC_STUB, snapshot_reference, wx_violations
+from conftest import (
+    SYNC_RULES_TEXT, SYNC_STUB, naive_scan, snapshot_reference, wx_violations,
+)
 
 PS = 4096
 W = AccessKind.WRITE
@@ -441,23 +443,81 @@ class TestWholePageWalks:
     """Unknown content is walked once, with the full set, before its first fetch."""
 
     @pytest.mark.parametrize("lines,walks", [
-        (["MMAP pid=1 perms=wx pages=1 content=c3 at=16", write_16(0x100)], 1),
+        (["MMAP pid=1 perms=wx pages=1 content=c3 at=16", write_16(0x100)], [[(0, 1)]]),
         (["MMAP pid=1 perms=rw pages=1 at=16", write_16(0x100),
-          "MPROTECT pid=1 start=16 pages=1 perms=rx"], 1),
-        (["MMAP pid=1 perms=wx pages=1 at=16", write_16(0x100)], 0),
+          "MPROTECT pid=1 start=16 pages=1 perms=rx"], [[(0x100, 0x110)]]),
+        (["MMAP pid=1 perms=wx pages=1 at=16", write_16(0x100)], []),
     ], ids=["image", "rw-then-rx", "blank-wx"])
     def test_first_fetch_walks(self, monkeypatch, lines, walks):
-        whole = []
+        seen = []
         scan = signatures_module._MultiPattern.scan
 
         def spy(self, data, spans=None):
-            whole.append(spans is None)
+            seen.append(None if spans is None else list(spans))
             return scan(self, data, spans)
 
         monkeypatch.setattr(signatures_module._MultiPattern, "scan", spy)
         report = replay_lines(["PROC uid=7", *lines, FETCH_STUB], SYNC_RULES_TEXT)
         assert report.metrics["scans_run"] == 1 and report.outcomes == {"ok": len(lines) + 2}
-        assert len(whole) == 2 + walks and sum(whole) == walks  # sync check, async scan, walks
+        # the rules match no zero page, so a walk covers the nonzero extent;
+        # then the fetch's sync check and async scan see the writes since
+        since = [] if "MPROTECT" in lines[-1] else [(0x100, 0x110)]
+        assert seen == [*walks, since, since]
+
+    def test_narrowed_walks_find_what_whole_and_naive_scans_find(self, monkeypatch):
+        """A walk over the nonzero extent, or none over an all-zero frame, decides
+        as the whole-frame walk does, on pages with zero runs and rule sets that
+        do and do not match a zero page."""
+        walks = []
+        real_scan = shadow_module.scan_page
+
+        def spy(content, rules, spans=None):
+            hits = real_scan(content, rules, spans)
+            walks.append((spans, hits))
+            return hits
+
+        monkeypatch.setattr(shadow_module, "scan_page", spy)
+        rng, page_size = random.Random(2525), 64
+        seen = dict.fromkeys(["narrowed", "unscanned", "whole", "matched"], 0)
+        for _ in range(400):
+            rules_text = ""
+            for i in range(rng.randint(1, 4)):
+                atoms = [
+                    rng.choice(["41", "42", "00", "00", "??"]) for _ in range(rng.randint(1, 5))
+                ]
+                if all(a == "??" for a in atoms):
+                    atoms[0] = "00"
+                rules_text += f"rule r{i} family=t severity=alert {{ {' '.join(atoms)} }}\n"
+            rules = parse_rules(rules_text, page_size=page_size)
+            frame = bytearray(page_size)
+            for _ in range(rng.choice([0, 0, 1, 2, 4])):  # runs of bytes between runs of zeros
+                lo = rng.randrange(page_size)
+                for i in range(lo, min(page_size, lo + rng.randint(1, 12))):
+                    frame[i] = rng.choice([0x41, 0x42, 0x00])
+            content = bytes(frame)
+            whole = signatures_module.scan_page(content, rules)
+            assert [(m.offset, m.rule) for m in whole] == naive_scan(
+                content, [(r.name, r.atoms) for r in rules.rules]
+            )
+            pte = PageTableEntry(frame)
+            walks.clear()
+            ShadowEngine(Machine(page_size=page_size), rules=rules)._walk_unknown(pte)
+            assert pte.written == ([] if not whole else None)
+            if not walks:
+                assert rules.zero_page_clean and not any(content)
+                seen["unscanned"] += 1
+                continue
+            ((spans, hits),) = walks
+            assert hits == whole
+            if rules.zero_page_clean and not (content[0] and content[-1]):
+                nonzero = [i for i, b in enumerate(content) if b]
+                assert spans == [(nonzero[0], nonzero[-1] + 1)]
+                seen["narrowed"] += 1
+            else:
+                assert spans is None
+                seen["whole"] += 1
+            seen["matched"] += bool(hits)
+        assert min(seen.values()) >= 20, seen
 
 
 def mode_bits(perms: str, checked: bool) -> tuple[bool, bool, bool, bool]:
