@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .guard import DosGuard, GuardConfig
-from .mmu import DEFAULT_PAGE_SIZE, AccessKind, Machine, SimError
+from .mmu import DEFAULT_PAGE_SIZE, AccessKind, DeadProcessError, Machine, SimError, check_page_size
 from .pipeline import SnapshotTable
 from .report import Report
 from .shadow import DETECTION_ACTIONS, BaselineEngine, ShadowEngine, signature_hit
@@ -27,6 +27,7 @@ class SimConfig:
         detection_action: str = "kill", shadow: bool = True, drain_every: int = 1,
         guard: GuardConfig | None = None,
     ):
+        check_page_size(page_size)
         if drain_every < 0:
             raise ValueError("drain_every must be >= 0")
         if detection_action not in DETECTION_ACTIONS:  # checked here for either engine
@@ -174,6 +175,8 @@ def replay(
     for index, event in enumerate(events, start=1):
         try:
             result = _apply_event(machine, event)
+        except DeadProcessError:  # a pid the run already killed
+            result = "dead"
         except (SimError, ValueError):
             result = "error"
         if result == "ok":

@@ -12,7 +12,7 @@ a hardware walk does: a present page whose bits permit the access fills
 the TLB at once, and the areas are read only when the walk faults.
 Fault handling is delegated to a pluggable engine, the shadow W^X engine
 or a plain baseline, whose hooks act on one page the machine resolved: a
-fault hook takes the space, area and page entry of the access and
+fault hook takes the parts of the access it reads (see Machine) and
 returns the AccessResult it ends with, OK meaning it proceeds;
 on_mprotect(pte, area) takes one present page of an mprotect's range.
 
@@ -220,6 +220,12 @@ _start = operator.attrgetter("start_vpage")
 _perms = operator.attrgetter("logical_r", "logical_w", "logical_x")
 
 
+def check_page_size(page_size: int) -> None:
+    """ValueError unless page_size is 1 or more: the one check of every entry point."""
+    if page_size < 1:
+        raise ValueError(f"page_size must be positive, got {page_size}")
+
+
 def _check_request(perms: str, n_pages: int) -> None:
     """ValueError unless an mmap or mprotect asks for _PERMS over one page or more."""
     if perms not in _PERMS:
@@ -247,18 +253,17 @@ class Machine:
     A fault engine must be attached before accesses run.  A TLB miss on
     a present page whose bits permit the access reads neither the areas
     nor the engine.  Per trap, ``access`` reads the page's area, then calls
-    on_materialize(space, area, vpage, vaddr, tid, kind)
-    for a not-present page whose area permits the access (else the access
-    ends SEGV_DELIVERED), handle_write_fault(space, area, pte, vpage) for
-    a denied write or handle_exec_fault(space, area, pte, vpage, vaddr, tid)
-    for a denied fetch.  Each applies any kill or block (see the shadow
-    module) and returns the AccessResult of the access, OK to proceed.
+    on_materialize(space, area, vpage, kind) for a not-present page whose
+    area permits the access (else the access ends SEGV_DELIVERED),
+    handle_write_fault(area, pte) for a denied write or
+    handle_exec_fault(space, area, pte, vpage) for a denied fetch.  Each
+    applies any kill or block (see the shadow module) and returns the
+    AccessResult of the access, OK to proceed.
     ``mprotect`` calls on_mprotect(pte, area) per present page in range, then flushes it.
     """
 
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE, suppress_tlb_flush: bool = False):
-        if page_size < 1:
-            raise ValueError("page_size must be positive")
+        check_page_size(page_size)
         self.page_size = page_size
         self.suppress_tlb_flush = suppress_tlb_flush
         self.spaces: dict[int, AddressSpace] = {}
@@ -431,11 +436,11 @@ class Machine:
             if area is None or pte is None:
                 if area is None or not area.permits(kind):
                     return _SEGV_DELIVERED  # nothing materializes
-                result = self.engine.on_materialize(space, area, vpage, vaddr, tid, kind)
+                result = self.engine.on_materialize(space, area, vpage, kind)
             elif kind is _WRITE:
-                result = self.engine.handle_write_fault(space, area, pte, vpage)
+                result = self.engine.handle_write_fault(area, pte)
             else:  # a fetch of an exec-disabled page
-                result = self.engine.handle_exec_fault(space, area, pte, vpage, vaddr, tid)
+                result = self.engine.handle_exec_fault(space, area, pte, vpage)
             if result is not _OK:
                 return result
             pte = space.ptes.get(vpage)

@@ -24,18 +24,18 @@ DEFAULT_BUCKETS = 64
 
 
 class PageSnapshot:
-    """A whole page copied at a checked fetch; ``offset`` is the faulting address's
-    in-page offset, ``seq`` is stamped by the table and ``spans`` are the [lo, hi)
-    spans written since the page's previous snapshot (None: the whole page)."""
+    """A whole page copied at a checked fetch; ``seq`` is stamped by the table and
+    ``spans`` are the [lo, hi) spans written since the page's previous snapshot
+    (None: the whole page)."""
 
-    __slots__ = ("content", "offset", "vaddr", "vpage", "pid", "tid", "uid", "seq", "spans")
+    __slots__ = ("content", "vpage", "pid", "uid", "seq", "spans")
 
     def __init__(
-        self, content: bytes, offset: int, vaddr: int, vpage: int, pid: int, tid: int, uid: int,
+        self, content: bytes, vpage: int, pid: int, uid: int,
         spans: list[tuple[int, int]] | None = None,
     ):
-        self.content, self.offset, self.vaddr, self.vpage = content, offset, vaddr, vpage
-        self.pid, self.tid, self.uid, self.seq, self.spans = pid, tid, uid, -1, spans
+        self.content, self.vpage, self.pid, self.uid = content, vpage, pid, uid
+        self.seq, self.spans = -1, spans
 
 
 class _Bucket:

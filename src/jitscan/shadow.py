@@ -23,8 +23,9 @@ Every executable page starts in write mode, whatever touched it first,
 so its first fetch checks it; a page of an area without execute rights
 is plain data, with both orig_* bits clear.  ``_set_mode`` is the one
 place a page's four bits are set, from its area and whether it is
-checked.  Each hook takes one page the machine resolved: a faulting
-access's space, area and page entry, or an mprotected page and its area.
+checked.  Each hook takes one page the machine resolved and only what
+it reads of it: the area and page entry, with the space and vpage where
+a page is installed or checked, or an mprotected page and its area.
 
 A content check costs what was written, not the page: the sync check
 and the snapshot's async scan look only at windows around the spans
@@ -159,8 +160,7 @@ class ShadowEngine:
     # ---- fault hooks ---------------------------------------------------
 
     def on_materialize(
-        self, space: AddressSpace, area: VmArea, vpage: int, vaddr: int, tid: int,
-        kind: AccessKind,
+        self, space: AddressSpace, area: VmArea, vpage: int, kind: AccessKind,
     ) -> AccessResult:
         """Not-present fault: install the page unchecked; a fetch then checks it."""
         image = vpage in space.images  # tested before the pop
@@ -173,12 +173,10 @@ class ShadowEngine:
         _set_mode(pte, area, checked=False)
         if kind is _FETCH:
             # materialize-then-check in one step: a single snapshot
-            return self.handle_exec_fault(space, area, pte, vpage, vaddr, tid)
+            return self.handle_exec_fault(space, area, pte, vpage)
         return _OK
 
-    def handle_write_fault(
-        self, space: AddressSpace, area: VmArea, pte: PageTableEntry, vpage: int,
-    ) -> AccessResult:
+    def handle_write_fault(self, area: VmArea, pte: PageTableEntry) -> AccessResult:
         """Write trap: shadow-induced ones flip the page to write mode."""
         if not area.logical_w or not pte.orig_write:
             return _SEGV_DELIVERED
@@ -187,13 +185,12 @@ class ShadowEngine:
         return _OK
 
     def handle_exec_fault(
-        self, space: AddressSpace, area: VmArea, pte: PageTableEntry, vpage: int, vaddr: int,
-        tid: int,
+        self, space: AddressSpace, area: VmArea, pte: PageTableEntry, vpage: int,
     ) -> AccessResult:
         """Fetch trap: check content, snapshot it, flip to exec mode."""
         if not pte.orig_exe:
             return _SEGV_DELIVERED
-        result = self._checked_fetch(space, pte, vpage, vaddr, tid)
+        result = self._checked_fetch(space, pte, vpage)
         if result is not _OK:
             return result
         _set_mode(pte, area, checked=True)
@@ -234,9 +231,7 @@ class ShadowEngine:
 
     # ---- the exec-side content check ------------------------------------
 
-    def _checked_fetch(
-        self, space: AddressSpace, pte: PageTableEntry, vpage: int, vaddr: int, tid: int,
-    ) -> AccessResult:
+    def _checked_fetch(self, space: AddressSpace, pte: PageTableEntry, vpage: int) -> AccessResult:
         """Sync check, flood-guard admission, snapshot emission."""
         machine = self.machine
         pid, uid = space.pid, space.uid
@@ -262,9 +257,7 @@ class ShadowEngine:
             # never traps again), so a page's snapshots pair one to one
             # with its checked fetches, and spans are the bytes written
             # since the page's previous snapshot.
-            self.pipeline.enqueue(
-                PageSnapshot(content, vaddr % machine.page_size, vaddr, vpage, pid, tid, uid, spans)
-            )
+            self.pipeline.enqueue(PageSnapshot(content, vpage, pid, uid, spans))
         return _OK
 
 
@@ -280,20 +273,16 @@ class BaselineEngine:
         self.machine = machine
 
     def on_materialize(
-        self, space: AddressSpace, area: VmArea, vpage: int, vaddr: int, tid: int,
-        kind: AccessKind,
+        self, space: AddressSpace, area: VmArea, vpage: int, kind: AccessKind,
     ) -> AccessResult:
         _plain_relabel(self.machine.install_page(space, vpage), area)
         return _OK
 
-    def handle_write_fault(
-        self, space: AddressSpace, area: VmArea, pte: PageTableEntry, vpage: int,
-    ) -> AccessResult:
+    def handle_write_fault(self, area: VmArea, pte: PageTableEntry) -> AccessResult:
         return _SEGV_DELIVERED
 
     def handle_exec_fault(
-        self, space: AddressSpace, area: VmArea, pte: PageTableEntry, vpage: int, vaddr: int,
-        tid: int,
+        self, space: AddressSpace, area: VmArea, pte: PageTableEntry, vpage: int,
     ) -> AccessResult:
         return _SEGV_DELIVERED
 

@@ -31,7 +31,7 @@ import operator
 import re
 from typing import Iterable, Iterator, NamedTuple
 
-from .mmu import DEFAULT_PAGE_SIZE
+from .mmu import DEFAULT_PAGE_SIZE, check_page_size
 
 Atom = int | None  # one pattern position: literal byte or wildcard
 
@@ -194,6 +194,7 @@ class RuleSet:
     """
 
     def __init__(self, rules: Iterable[SignatureRule], page_size: int = DEFAULT_PAGE_SIZE):
+        check_page_size(page_size)
         names: set[str] = set()
         self.rules: list[SignatureRule] = []
         for rule in rules:
@@ -201,15 +202,11 @@ class RuleSet:
             self.rules.append(rule)
         self.page_size = page_size
         self.by_name = {r.name: r for r in self.rules}
-        self.sync_rules = [r for r in self.rules if r.sync]
         anchored = [(rule, rule.anchor()) for rule in self.rules]  # one anchor for both indexes
         self._full = _MultiPattern(anchored)
         self._sync = _MultiPattern([pair for pair in anchored if pair[0].sync])
         # a rule fits a page (_admit), so it matches zeros iff every literal is 00
         self.zero_page_clean = not any(all(a in (None, 0) for a in r.atoms) for r in self.rules)
-
-    def __len__(self) -> int:
-        return len(self.rules)
 
 
 # A canonical rule line takes one regex match, not the token loop: single
@@ -299,7 +296,9 @@ def _rules(text: str, where: list[int]) -> Iterator[SignatureRule]:
 
 def parse_rules(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> RuleSet:
     """Parse a rule file; raises RuleSyntaxError with line and column.  The RuleSet
-    checks each rule before the next line is read, so the first bad line wins."""
+    checks each rule before the next line is read, so the first bad line wins.
+    A page size below 1 is a plain ValueError, raised before any line is read."""
+    check_page_size(page_size)
     where = [0, 0]
     try:
         return RuleSet(_rules(text, where), page_size=page_size)

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import re
 
-from .mmu import _PERMS, DEFAULT_PAGE_SIZE
+from .mmu import _PERMS, DEFAULT_PAGE_SIZE, check_page_size
 
 
 class TraceError(ValueError):
@@ -168,7 +168,9 @@ def done(event: tuple, unknown: dict, page_size: int) -> tuple:
 
 
 def parse_trace(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> list[tuple]:
-    """Parse and validate a trace into its events; raises TraceError with the line number."""
+    """Parse and validate a trace into its events; raises TraceError with the line number
+    (a page size below 1 is a plain ValueError, raised before any line is read)."""
+    check_page_size(page_size)
     out: list[tuple] = []
     n_pids = 0
     ints = _Ints()  # pids, tids, cpus, uids and page counts repeat from line to line

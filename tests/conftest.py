@@ -353,7 +353,7 @@ def reference_replay(trace_text: str, rules, config) -> bytes:
 
     def access(pid, addr, kind, data=None) -> str:
         if status[pid] != "running":
-            return "error" if status[pid] == "dead" else "blocked"
+            return "dead" if status[pid] == "dead" else "blocked"
         key = (pid, addr // ps)
         allowed, page = perms.get(key), pages.get(key)
         if page is None:
@@ -383,7 +383,7 @@ def reference_replay(trace_text: str, rules, config) -> bytes:
 
     def mmap(pid, prm, n, content, at) -> str:
         if status[pid] == "dead":
-            return "error"
+            return "dead"
         start = cursor[pid] if at is None else at
         if any((pid, v) in perms for v in range(start, start + n)):
             return "error"
@@ -397,7 +397,9 @@ def reference_replay(trace_text: str, rules, config) -> bytes:
 
     def mprotect(pid, start, n, prm) -> str:
         span = [(pid, v) for v in range(start, start + n)]
-        if status[pid] == "dead" or any(key not in perms for key in span):
+        if status[pid] == "dead":
+            return "dead"
+        if any(key not in perms for key in span):
             return "error"
         for key in span:
             old, perms[key] = perms[key], prm

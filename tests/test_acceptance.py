@@ -314,8 +314,7 @@ def test_08_pipeline_loses_and_duplicates_nothing_under_contention():
         def produce(pid: int):
             for i in range(per_producer):
                 table.enqueue(
-                    PageSnapshot(content=b"x", offset=0, vaddr=0, vpage=i,
-                                 pid=pid, tid=1, uid=1)
+                    PageSnapshot(content=b"x", vpage=i, pid=pid, uid=1)
                 )
 
         def consume():

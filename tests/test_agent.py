@@ -25,7 +25,7 @@ from jitscan import shadow as shadow_module
 from jitscan.agent import SimConfig, build_run, replay
 from jitscan.cli import _build_parser, main
 from jitscan.guard import PENALTY_ACTIONS, DosGuard, GuardConfig
-from jitscan.mmu import Machine, SimError
+from jitscan.mmu import DeadProcessError, Machine, SimError
 from jitscan.pipeline import SnapshotTable
 from jitscan.report import ActionTaken, Detection, Report, encode_record
 from jitscan.shadow import DETECTION_ACTIONS, ShadowEngine
@@ -99,7 +99,7 @@ class TestReplay:
     def test_kill_mid_trace_turns_later_events_into_errors(self):
         trace = PACKER_TRACE + f"FETCH pid=1 tid=1 cpu=0 addr={17 * PS}\n"
         report = replay(trace, rules())
-        assert report.outcomes == {"ok": 4, "error": 1}
+        assert report.outcomes == {"ok": 4, "dead": 1}
         assert report.metrics["kills"] == 1
 
     @pytest.mark.parametrize(
@@ -200,8 +200,8 @@ class TestReplay:
         )
         report = replay("\n".join(lines) + "\n", rules(), config)
         # 4 setup events and 8 admitted fetches; pid 1 dies at its 9th fetch,
-        # its last 3 fail, and pid 2 (same uid) dies in the penalty window
-        assert report.outcomes == {"ok": 12, "killed": 2, "error": 3}
+        # its last 3 name a dead pid, and pid 2 (same uid) dies in the penalty window
+        assert report.outcomes == {"ok": 12, "killed": 2, "dead": 3}
         throttle_actions = [a for a in report.actions if a.cause == "throttle"]
         assert [a.pid for a in throttle_actions] == [1, 2]
         assert report.metrics["admits"] == 8
@@ -501,9 +501,9 @@ class TestWrittenSpans:
         checked = ShadowEngine._checked_fetch
         unpaired = []
 
-        def spy(self, space, pte, vpage, vaddr, tid):
+        def spy(self, space, pte, vpage):
             before = self.pipeline.enqueued_total
-            result = checked(self, space, pte, vpage, vaddr, tid)
+            result = checked(self, space, pte, vpage)
             if self.pipeline.enqueued_total == before:
                 unpaired.append((space.alive, space.blocked))
             return result
@@ -566,6 +566,8 @@ def _plain_loop(trace: str, rs, config: SimConfig) -> bytes:
     for index, event in enumerate(events, start=1):
         try:
             result = agent_module._apply_event(machine, event)
+        except DeadProcessError:
+            result = "dead"
         except (SimError, ValueError):
             result = "error"
         report.outcomes[result] = report.outcomes.get(result, 0) + 1
@@ -680,7 +682,8 @@ class TestReferenceReplay:
         rng = random.Random(21)
         page_size = 64
         seen = dict.fromkeys(
-            ["sync", "async", "kills", "blocks", "denials", "evictions", "error", "segv"], 0,
+            ["sync", "async", "kills", "blocks", "denials", "evictions", "dead", "error", "segv"],
+            0,
         )
         for _ in range(60):
             trace = _mixed_history(rng, page_size)
@@ -702,6 +705,7 @@ class TestReferenceReplay:
                         seen["async"] += "async" in paths
                         for key in ("kills", "blocks", "denials", "evictions"):
                             seen[key] += bool(report.metrics[key])
+                        seen["dead"] += "dead" in report.outcomes
                         seen["error"] += "error" in report.outcomes
                         seen["segv"] += "segv_delivered" in report.outcomes
         assert min(seen.values()) > 50, seen  # the traces reach every path
@@ -731,7 +735,7 @@ class TestNoRulesIsTheEmptySet:
         ctx = build_run(SimConfig(page_size=64))
         engine = ShadowEngine(Machine(page_size=64))
         for rules in (engine.rules, ctx.machine.engine.rules, ctx.agent.rules):
-            assert isinstance(rules, RuleSet) and len(rules) == 0 and rules.page_size == 64
+            assert isinstance(rules, RuleSet) and len(rules.rules) == 0 and rules.page_size == 64
 
 
 class TestGuardSweep:

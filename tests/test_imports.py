@@ -9,23 +9,27 @@ plain class or a ``typing.NamedTuple``.  No function body reads
 ``AccessKind.X`` or ``AccessResult.X``: on CPython 3.11 each such read
 pays EnumType's ``__getattr__`` hook, so modules bind the members once
 at import.  Every function the bench counts calls of by name exists, so a
-rename cannot silently zero a count.  Standard library only.
+rename cannot silently zero a count.  Every parameter of a fault engine
+hook is read by the shadow or the baseline engine's version, so a hook
+carries nothing no engine uses.  Standard library only.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 from jitscan import (
-    AccessKind, AccessResult, AddressSpace, Admission, Machine, Match, PageSnapshot,
-    PageTableEntry, Report, ShadowEngine, SignatureRule, SnapshotTable, ThrottleEntry, VmArea,
-    parse_rules,
+    AccessKind, AccessResult, AddressSpace, Admission, BaselineEngine, Machine, Match,
+    PageSnapshot, PageTableEntry, Report, ShadowEngine, SignatureRule, SnapshotTable,
+    ThrottleEntry, VmArea, parse_rules,
 )
 from jitscan.pipeline import _Bucket
 
@@ -103,7 +107,7 @@ def test_per_event_records_are_slotted():
     """Records built or read on the per-event path keep no instance dict."""
     records = [
         PageTableEntry(bytearray(4)), VmArea(16, 1, True, True, False), AddressSpace(1, 0),
-        PageSnapshot(b"x", 0, 0, 0, 1, 1, 0), _Bucket(), ThrottleEntry(), Report(),
+        PageSnapshot(b"x", 0, 1, 0), _Bucket(), ThrottleEntry(), Report(),
     ]
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
@@ -232,3 +236,23 @@ def test_checker_finds_functions_and_call_counts():
     )
     assert call_counts(source) == (("a.b", "mmu", "f"),)
     assert defined_functions(source) == {"f", "g", "h"}
+
+
+def names_read(func) -> set[str]:
+    """The names func's body reads; its signature's annotations are left out."""
+    (node,) = ast.parse(textwrap.dedent(inspect.getsource(func))).body
+    return {
+        n.id for stmt in node.body for n in ast.walk(stmt)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+
+
+@pytest.mark.parametrize(
+    "hook", ["on_materialize", "handle_write_fault", "handle_exec_fault", "on_mprotect"],
+)
+def test_every_hook_parameter_is_read_by_an_engine(hook):
+    # BaselineEngine.on_mprotect is the module function _plain_relabel
+    versions = [getattr(ShadowEngine, hook), getattr(BaselineEngine, hook)]
+    read = set().union(*map(names_read, versions))
+    params = [p for p in inspect.signature(versions[0]).parameters if p != "self"]
+    assert [p for p in params if p not in read] == []

@@ -23,9 +23,10 @@ from jitscan.mmu import (
     UnmappedRangeError,
     VmArea,
 )
-from jitscan.agent import SimConfig, _apply_event, build_run
+from jitscan.agent import SimConfig, _apply_event, build_run, replay
 from jitscan.shadow import BaselineEngine, ShadowEngine
-from jitscan.trace import parse_trace
+from jitscan.signatures import RuleSet, RuleSyntaxError, parse_rules
+from jitscan.trace import TraceError, parse_trace
 
 from conftest import wx_violations
 
@@ -635,16 +636,16 @@ class PermissiveStub:
     def __init__(self):
         self.calls = []
 
-    def on_materialize(self, space, area, vpage, vaddr, tid, kind):
-        self.calls.append(("on_materialize", space, area, vpage, vaddr, tid, kind))
+    def on_materialize(self, space, area, vpage, kind):
+        self.calls.append(("on_materialize", space, area, vpage, kind))
         return AccessResult.OK
 
-    def handle_write_fault(self, space, area, pte, vpage):
-        self.calls.append(("handle_write_fault", space, area, pte, vpage))
+    def handle_write_fault(self, area, pte):
+        self.calls.append(("handle_write_fault", area, pte))
         return AccessResult.OK
 
-    def handle_exec_fault(self, space, area, pte, vpage, vaddr, tid):
-        self.calls.append(("handle_exec_fault", space, area, pte, vpage, vaddr, tid))
+    def handle_exec_fault(self, space, area, pte, vpage):
+        self.calls.append(("handle_exec_fault", space, area, pte, vpage))
         return AccessResult.OK
 
 
@@ -699,11 +700,17 @@ class TestPerPageMprotect:
     def test_both_engines_expose_the_hooks_with_equal_signatures(self):
         machine = Machine(page_size=PS)
         shadow, plain = ShadowEngine(machine), BaselineEngine(machine)
-        for hook in ("on_materialize", "handle_write_fault", "handle_exec_fault", "on_mprotect"):
+        params = {
+            "on_materialize": ["space", "area", "vpage", "kind"],
+            "handle_write_fault": ["area", "pte"],
+            "handle_exec_fault": ["space", "area", "pte", "vpage"],
+            "on_mprotect": ["pte", "area"],
+        }
+        for hook, names in params.items():
             assert inspect.signature(getattr(shadow, hook)) == inspect.signature(
                 getattr(plain, hook)
             ), hook
-        assert list(inspect.signature(shadow.on_mprotect).parameters) == ["pte", "area"]
+            assert list(inspect.signature(getattr(shadow, hook)).parameters) == names, hook
 
 
 class TestWalk:
@@ -794,7 +801,7 @@ class TestFaultEngineContract:
         with pytest.raises(SimError, match="left it impermissible"):
             machine.access(pid, 7, 0, 17 * PS + 3, AccessKind.READ)
         space = machine.spaces[pid]
-        assert stub.calls == [("on_materialize", space, area, 17, 17 * PS + 3, 7, AccessKind.READ)]
+        assert stub.calls == [("on_materialize", space, area, 17, AccessKind.READ)]
         assert stub.calls[0][1] is space and stub.calls[0][2] is area
         assert space.ptes == {}
 
@@ -813,10 +820,10 @@ class TestFaultEngineContract:
         with pytest.raises(SimError, match="left it impermissible"):
             machine.access(pid, 3, 1, 16 * PS + 2, AccessKind.FETCH)
         assert stub.calls == [
-            ("handle_write_fault", space, area, pte, 16),
-            ("handle_exec_fault", space, area, pte, 16, 16 * PS + 2, 3),
+            ("handle_write_fault", area, pte),
+            ("handle_exec_fault", space, area, pte, 16),
         ]
-        assert all(call[3] is pte for call in stub.calls)
+        assert stub.calls[0][2] is pte and stub.calls[1][3] is pte
 
 
     def test_a_forbidding_or_missing_area_never_reaches_the_engine(self):
@@ -836,3 +843,23 @@ class TestFaultEngineContract:
 
 def test_every_public_name_resolves():
     assert [n for n in jitscan.__all__ if not hasattr(jitscan, n)] == []
+
+
+@pytest.mark.parametrize("page_size", [0, -1])
+def test_every_entry_point_refuses_a_page_size_below_one(page_size):
+    # one check in mmu.py; parse_rules and parse_trace raise it before reading a line
+    trace = (
+        "PROC uid=1\nMMAP pid=1 perms=rw pages=1\n"
+        "WRITE pid=1 tid=1 cpu=0 addr=0x10000 bytes=41\n"
+    )
+    entry_points = [
+        lambda: Machine(page_size=page_size),
+        lambda: replay(trace, None, SimConfig(page_size=page_size)),
+        lambda: RuleSet((), page_size),
+        lambda: parse_rules("rule r family=f severity=kill { 41 42 }\n", page_size=page_size),
+        lambda: parse_trace(trace, page_size),
+    ]
+    for entry_point in entry_points:
+        with pytest.raises(ValueError, match="page_size must be positive") as caught:
+            entry_point()
+        assert not isinstance(caught.value, (RuleSyntaxError, TraceError))

@@ -14,10 +14,7 @@ from jitscan.pipeline import PageSnapshot, SnapshotTable
 
 
 def snap(pid: int, tag: int, uid: int = 1) -> PageSnapshot:
-    return PageSnapshot(
-        content=bytes([tag % 256]) * 64, offset=0, vaddr=tag, vpage=tag,
-        pid=pid, tid=1, uid=uid,
-    )
+    return PageSnapshot(content=bytes([tag % 256]) * 64, vpage=tag, pid=pid, uid=uid)
 
 
 class TestBasics:
@@ -32,7 +29,7 @@ class TestBasics:
         for i in range(5):
             table.enqueue(snap(7, i))
         drained = table.drain()
-        assert [s.vaddr for s in drained] == [0, 1, 2, 3, 4]
+        assert [s.vpage for s in drained] == [0, 1, 2, 3, 4]
 
     def test_drain_respects_max_items(self):
         table = SnapshotTable(4)
@@ -78,7 +75,7 @@ class TestOrdering:
         table.enqueue(snap(1, 100))
         table.enqueue(snap(5, 200))
         table.enqueue(snap(1, 101))
-        assert [s.vaddr for s in table.drain()] == [100, 200, 101]
+        assert [s.vpage for s in table.drain()] == [100, 200, 101]
 
     def test_every_interleaving_preserves_per_pid_fifo(self):
         # two pids in different buckets, two snapshots each, all
@@ -93,11 +90,11 @@ class TestOrdering:
                 src = ia if which == 0 else ib
                 nxt = next(src)
                 table.enqueue(
-                    snap(nxt.pid, nxt.vaddr)  # fresh objects per run
+                    snap(nxt.pid, nxt.vpage)  # fresh objects per run
                 )
             drained = table.drain()
             for pid in (1, 2):
-                tags = [s.vaddr for s in drained if s.pid == pid]
+                tags = [s.vpage for s in drained if s.pid == pid]
                 assert tags == sorted(tags)
 
     def test_round_robin_serves_all_buckets(self):
@@ -127,8 +124,7 @@ class TestOrdering:
                 if rng.random() < 0.6:
                     pid = rng.randint(1, n_pids)
                     item = PageSnapshot(
-                        content=bytes(rng.randint(1, 32)), offset=0, vaddr=step,
-                        vpage=step, pid=pid, tid=1, uid=pid,
+                        content=bytes(rng.randint(1, 32)), vpage=step, pid=pid, uid=pid,
                     )
                     idx = table.bucket_of(pid)
                     fifo = model.setdefault(idx, deque())
@@ -213,7 +209,7 @@ class TestConcurrency:
         assert sorted(s.seq for s in collected) == list(range(n_threads * per_thread))
         # per-pid FIFO survives concurrency
         for pid in range(1, n_threads + 1):
-            tags = [s.vaddr for s in collected if s.pid == pid]
+            tags = [s.vpage for s in collected if s.pid == pid]
             assert tags == sorted(tags)
 
     def test_concurrent_drains_share_the_ring(self):
@@ -252,7 +248,7 @@ class TestConcurrency:
         assert seqs == list(range(len(pids) * per_thread))
         for out in collected:  # each drainer sees every pid in FIFO order
             for pid in pids:
-                tags = [s.vaddr for s in out if s.pid == pid]
+                tags = [s.vpage for s in out if s.pid == pid]
                 assert tags == sorted(tags)
         assert table.pending_count() == 0
         assert table.pending_bytes() == 0

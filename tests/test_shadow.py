@@ -122,7 +122,6 @@ class TestExecFault:
         snaps = pipeline.drain()
         assert len(snaps) == 1
         assert snaps[0].content[7:9] == b"\xeb\xfe"
-        assert snaps[0].offset == 7
         assert snaps[0].pid == pid and snaps[0].uid == 1
 
     def test_fetch_into_non_executable_page_is_genuine(self):
@@ -354,9 +353,9 @@ class TestReadBeforeFirstFetch:
         assert [(d.path, d.action) for d in read_first.detections] == [("sync", "kill")]
         assert read_first.detections == fetch_first.detections
         assert read_first.actions == fetch_first.actions
-        # after the kill, the fetch-first trace's READ names a dead pid: an error
+        # after the kill, the fetch-first trace's READ names a dead pid
         assert read_first.outcomes == {"ok": len(setup) + 1, "killed": 1}
-        assert fetch_first.outcomes == {"ok": len(setup), "killed": 1, "error": 1}
+        assert fetch_first.outcomes == {"ok": len(setup), "killed": 1, "dead": 1}
 
     def test_async_alert_sees_one_snapshot_after_a_read(self):
         read_first = replay_lines(RX_MMAP + [READ_STUB, FETCH_STUB], ASYNC_ALERT_RULES)

@@ -45,13 +45,13 @@ class TestParse:
             "rule mk_stack family=stager severity=kill sync { 55 48 89 e5 ?? ?? c3 }\n"
             "rule noisy family=probe severity=alert { 90 90 90 }\n"
         )
-        assert len(rs) == 2
+        assert len(rs.rules) == 2
         stack = rs.by_name["mk_stack"]
         assert stack.family == "stager"
         assert stack.severity == "kill"
         assert stack.sync
         assert stack.atoms == (0x55, 0x48, 0x89, 0xE5, None, None, 0xC3)
-        assert rs.sync_rules == [stack]
+        assert [r for r in rs.rules if r.sync] == [stack]
         assert not rs.by_name["noisy"].sync
 
     def test_hex_is_case_insensitive(self):
@@ -60,7 +60,7 @@ class TestParse:
 
     def test_comments_and_blank_lines_ignored(self):
         rs = parse_rules("\n# nothing\n   \nrule r family=f severity=alert { 00 } # tail\n")
-        assert len(rs) == 1
+        assert len(rs.rules) == 1
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -488,7 +488,7 @@ class TestWindowScan:
             want = _naive(content, rules)
             assert [(m.offset, m.rule) for m in scan_page(content, rs, spans)] == want
             assert _scanned(content, rs) == want
-            want_sync = _naive(content, rs.sync_rules)
+            want_sync = _naive(content, [r for r in rs.rules if r.sync])
             assert sync_check(content, rs, spans) == sync_check(content, rs) == (
                 Match(want_sync[0][1], want_sync[0][0]) if want_sync else None
             )
@@ -535,7 +535,7 @@ class TestZeroPageClean:
                      page_size=64)
         assert not rs.zero_page_clean
         # its sync rules alone would be clean: the full set decides
-        assert RuleSet(rs.sync_rules, page_size=64).zero_page_clean
+        assert RuleSet([r for r in rs.rules if r.sync], page_size=64).zero_page_clean
 
     def test_set_up_scans_no_page(self, monkeypatch):
         def no_scan(self, data, spans=None):
