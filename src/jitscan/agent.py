@@ -13,12 +13,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .guard import DosGuard, GuardConfig
-from .mmu import DEFAULT_PAGE_SIZE, AccessKind, DeadProcessError, Machine, SimError, check_page_size
+from .mmu import DEFAULT_PAGE_SIZE, DeadProcessError, Machine, SimError, check_page_size
 from .pipeline import SnapshotTable
 from .report import Report
 from .shadow import DETECTION_ACTIONS, BaselineEngine, ShadowEngine, signature_hit
 from .signatures import RuleSet, scan_page
-from .trace import FETCH, MMAP, MPROTECT, PROC, READ, TICK, WRITE, parse_trace
+from .trace import MMAP, MPROTECT, PROC, TICK, WRITE, parse_trace
 
 
 class SimConfig:
@@ -121,21 +121,15 @@ def build_run(config: SimConfig | None = None, rules: RuleSet | None = None) -> 
     return RunContext(machine, pipeline, guard, agent, report)
 
 
-# the AccessKind of each access op code, bound once: see the bindings in mmu.py
-_KINDS = {READ: AccessKind.READ, FETCH: AccessKind.FETCH, WRITE: AccessKind.WRITE}
-
-
 def _apply_event(machine: Machine, event: tuple) -> str:
     """Advance the clock and run one parsed event (see trace.py for its
     layout); returns its result for the report's outcome counts."""
     op = event[0]
-    if op <= WRITE:  # READ, FETCH and WRITE are nearly every event
+    if op <= WRITE:  # READ, FETCH and WRITE, nearly every event: the op is the kind
         machine.now += 1
-        result = machine.access(
-            event[2], event[3], event[4], event[5], _KINDS[op],
-            event[6] if op == WRITE else None,
+        return machine.access(
+            event[2], event[3], event[4], event[5], op, event[6] if op == WRITE else None,
         )
-        return result._value_  # the plain string, without the .value property's call
     if op == TICK:
         machine.now += event[2]
         return "ok"

@@ -13,8 +13,12 @@ the TLB at once, and the areas are read only when the walk faults.
 Fault handling is delegated to a pluggable engine, the shadow W^X engine
 or a plain baseline, whose hooks act on one page the machine resolved: a
 fault hook takes the parts of the access it reads (see Machine) and
-returns the AccessResult it ends with, OK meaning it proceeds;
+returns the result it ends with, OK meaning it proceeds;
 on_mprotect(pte, area) takes one present page of an mprotect's range.
+
+An access kind is READ, FETCH or WRITE, the trace's first three op codes;
+an access result is OK, SEGV_DELIVERED, KILLED or BLOCKED, the outcome key
+a report counts it under.  ``AccessKind`` and ``AccessResult`` name them.
 
 An address space keeps its areas sorted, disjoint and merged after every
 mmap and mprotect: no two touching areas have equal permissions, so an
@@ -26,7 +30,6 @@ until that page is first touched; an entry in ``ptes`` means it is present.
 from __future__ import annotations
 
 import bisect
-import enum
 import operator
 from itertools import permutations
 
@@ -64,26 +67,18 @@ class PageNotPresentError(SimError):
     pass
 
 
-class AccessKind(str, enum.Enum):
-    READ = "read"
-    WRITE = "write"
-    FETCH = "fetch"
+# the access kinds and results (see the module docstring)
+READ, FETCH, WRITE = range(3)
+OK, SEGV_DELIVERED, KILLED, BLOCKED = "ok", "segv_delivered", "killed", "blocked"
+_KIND_NAMES = ("read", "fetch", "write")  # indexed by kind, for error text
 
 
-class AccessResult(str, enum.Enum):
-    OK = "ok"
-    SEGV_DELIVERED = "segv_delivered"
-    KILLED = "killed"
-    BLOCKED = "blocked"
+class AccessKind:
+    READ, FETCH, WRITE = READ, FETCH, WRITE
 
 
-# Members bound once for the per-event paths.  On CPython 3.11 EnumType
-# defines __getattr__, so every AccessKind.X read takes the slow attribute
-# hook even when X is found: about 5x a plain class attribute, and spent
-# in no Python frame, so cProfile charges it to no layer.
-_READ, _WRITE, _FETCH = AccessKind.READ, AccessKind.WRITE, AccessKind.FETCH
-_OK, _SEGV_DELIVERED = AccessResult.OK, AccessResult.SEGV_DELIVERED
-_BLOCKED = AccessResult.BLOCKED
+class AccessResult:
+    OK, SEGV_DELIVERED, KILLED, BLOCKED = OK, SEGV_DELIVERED, KILLED, BLOCKED
 
 
 class PageTableEntry:
@@ -123,12 +118,12 @@ class VmArea:
         self.end_vpage = start_vpage + n_pages
         self.logical_r, self.logical_w, self.logical_x = logical_r, logical_w, logical_x
 
-    def permits(self, kind: AccessKind) -> bool:
+    def permits(self, kind: int) -> bool:
         # x86-flavored: every mapping is readable (no execute-only pages),
         # as every present page is (see _permits)
-        if kind is _READ:
+        if kind is READ:
             return True
-        if kind is _WRITE:
+        if kind is WRITE:
             return self.logical_w
         return self.logical_x
 
@@ -234,10 +229,10 @@ def _check_request(perms: str, n_pages: int) -> None:
         raise ValueError("n_pages must be >= 1")
 
 
-def _permits(kind: AccessKind, writable: bool, exec_disabled: bool) -> bool:
-    if kind is _WRITE:
+def _permits(kind: int, writable: bool, exec_disabled: bool) -> bool:
+    if kind is WRITE:
         return writable
-    if kind is _FETCH:
+    if kind is FETCH:
         return not exec_disabled
     return True  # present implies readable
 
@@ -258,7 +253,7 @@ class Machine:
     handle_write_fault(area, pte) for a denied write or
     handle_exec_fault(space, area, pte, vpage) for a denied fetch.  Each
     applies any kill or block (see the shadow module) and returns the
-    AccessResult of the access, OK to proceed.
+    result of the access, OK to proceed.
     ``mprotect`` calls on_mprotect(pte, area) per present page in range, then flushes it.
     """
 
@@ -388,9 +383,9 @@ class Machine:
         tid: int,
         cpu_id: int,
         vaddr: int,
-        kind: AccessKind,
+        kind: int,
         data: bytes | None = None,
-    ) -> AccessResult:
+    ) -> str:
         """One memory access: TLB lookup, walk, fault dispatch, retry.
 
         A read that hits the CPU's TLB entry returns at once (present
@@ -399,34 +394,37 @@ class Machine:
         access, the TLB is filled with no area lookup and no engine call.
         Only a fault, a page not present or bits that deny the access,
         reads the area and dispatches to the engine.  Returns how the
-        access ended; raises SimError for requests that are invalid
-        regardless of page state (unknown or dead pid, malformed write
-        payload).
+        access ended, BLOCKED at once for a blocked pid.  An unknown or
+        dead pid raises its SimError subclass; an empty or page-crossing
+        write payload, or a kind other than READ, FETCH and WRITE, raises
+        ValueError.  Each raises before any state changes.
         """
         space = self.spaces.get(pid)
         if space is None or not space.alive:
             self.space(pid)  # raises the unknown or dead pid's error
         if space.blocked:
-            return _BLOCKED
-        if kind is _WRITE:
+            return BLOCKED
+        if kind is WRITE:
             if not data:
                 raise ValueError("write access requires payload bytes")
             if (vaddr % self.page_size) + len(data) > self.page_size:
                 raise ValueError("write payload crosses a page boundary")
+        elif kind is not READ and kind is not FETCH:
+            raise ValueError(f"unknown access kind {kind!r}")
         vpage = vaddr // self.page_size
         pte = space.ptes.get(vpage)
         cached = pte.tlb.get(cpu_id) if pte is not None else None
         if cached is not None:
             # stale flags honored: no walk, no refill
-            if kind is _READ:
-                return _OK
+            if kind is READ:
+                return OK
             writable, exec_disabled = cached
-            if kind is _WRITE:
+            if kind is WRITE:
                 if writable:
                     self._write(pte, vaddr, data)
-                    return _OK
+                    return OK
             elif not exec_disabled:
-                return _OK
+                return OK
             # a trapping access drops the local entry (the walk redoes it)
             del pte.tlb[cpu_id]
 
@@ -435,24 +433,24 @@ class Machine:
             area = space.find_area(vpage)
             if area is None or pte is None:
                 if area is None or not area.permits(kind):
-                    return _SEGV_DELIVERED  # nothing materializes
+                    return SEGV_DELIVERED  # nothing materializes
                 result = self.engine.on_materialize(space, area, vpage, kind)
-            elif kind is _WRITE:
+            elif kind is WRITE:
                 result = self.engine.handle_write_fault(area, pte)
             else:  # a fetch of an exec-disabled page
                 result = self.engine.handle_exec_fault(space, area, pte, vpage)
-            if result is not _OK:
+            if result is not OK:
                 return result
             pte = space.ptes.get(vpage)
             if pte is None or not _permits(kind, pte.writable, pte.exec_disabled):
                 raise SimError(
-                    f"fault engine allowed {kind.value} of pid {pid} vpage {vpage}"
+                    f"fault engine allowed {_KIND_NAMES[kind]} of pid {pid} vpage {vpage}"
                     " but left it impermissible"
                 )
-        if kind is _WRITE:
+        if kind is WRITE:
             self._write(pte, vaddr, data)
         pte.tlb[cpu_id] = _TLB_ENTRIES[pte.writable][pte.exec_disabled]
-        return _OK
+        return OK
 
     def _write(self, pte: PageTableEntry, vaddr: int, data: bytes) -> None:
         off = vaddr % self.page_size

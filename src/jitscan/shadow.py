@@ -53,16 +53,12 @@ for the sync check, the flood guard and the async agent alike;
 from __future__ import annotations
 
 from .guard import DosGuard
-from .mmu import AccessKind, AccessResult, AddressSpace, Machine, PageTableEntry, VmArea
+from .mmu import (
+    BLOCKED, FETCH, KILLED, OK, SEGV_DELIVERED, AddressSpace, Machine, PageTableEntry, VmArea,
+)
 from .pipeline import PageSnapshot, SnapshotTable
 from .report import ActionTaken, Detection, Report
 from .signatures import RuleSet, SignatureRule, scan_page, sync_check
-
-# bound once: a read through the enum class pays 3.11's EnumType.__getattr__
-# hook on every call (see the bindings in mmu.py)
-_FETCH = AccessKind.FETCH
-_OK, _SEGV_DELIVERED = AccessResult.OK, AccessResult.SEGV_DELIVERED
-_KILLED, _BLOCKED = AccessResult.KILLED, AccessResult.BLOCKED
 
 DETECTION_ACTIONS = ("kill", "block", "alert")  # responses to a kill-severity match
 
@@ -75,7 +71,7 @@ _NONZERO = bytes(1) + b"\1" * 255
 def respond(
     machine: Machine, report: Report, pid: int, uid: int, action: str, cause: str,
     rule: str | None = None, path: str | None = None,
-) -> AccessResult:
+) -> str:
     """Kill or block pid, recording the action only if it changed anything.
 
     A kill applies to a process that is still alive; a block to one that
@@ -88,13 +84,13 @@ def respond(
         else:
             space.blocked = True
         report.actions.append(ActionTaken(pid, uid, action, cause, rule=rule, path=path))
-    return _KILLED if action == "kill" else _BLOCKED
+    return KILLED if action == "kill" else BLOCKED
 
 
 def signature_hit(
     machine: Machine, report: Report, rule: SignatureRule, pid: int, uid: int,
     vpage: int, offset: int, path: str, detection_action: str,
-) -> AccessResult:
+) -> str:
     """Record a match of rule at (vpage, offset) and respond to it.
 
     Kill-severity matches get detection_action, alert-severity ones are
@@ -110,7 +106,7 @@ def signature_hit(
         )
     )
     if action == "alert":
-        return _OK
+        return OK
     return respond(machine, report, pid, uid, action, "signature", rule.name, path)
 
 
@@ -160,8 +156,8 @@ class ShadowEngine:
     # ---- fault hooks ---------------------------------------------------
 
     def on_materialize(
-        self, space: AddressSpace, area: VmArea, vpage: int, kind: AccessKind,
-    ) -> AccessResult:
+        self, space: AddressSpace, area: VmArea, vpage: int, kind: int,
+    ) -> str:
         """Not-present fault: install the page unchecked; a fetch then checks it."""
         image = vpage in space.images  # tested before the pop
         pte = self.machine.install_page(space, vpage)
@@ -171,31 +167,31 @@ class ShadowEngine:
             elif self.rules.zero_page_clean:
                 pte.written = []
         _set_mode(pte, area, checked=False)
-        if kind is _FETCH:
+        if kind is FETCH:
             # materialize-then-check in one step: a single snapshot
             return self.handle_exec_fault(space, area, pte, vpage)
-        return _OK
+        return OK
 
-    def handle_write_fault(self, area: VmArea, pte: PageTableEntry) -> AccessResult:
+    def handle_write_fault(self, area: VmArea, pte: PageTableEntry) -> str:
         """Write trap: shadow-induced ones flip the page to write mode."""
         if not area.logical_w or not pte.orig_write:
-            return _SEGV_DELIVERED
+            return SEGV_DELIVERED
         _set_mode(pte, area, checked=False)
         self.machine.tlb_flush_one(pte)
-        return _OK
+        return OK
 
     def handle_exec_fault(
         self, space: AddressSpace, area: VmArea, pte: PageTableEntry, vpage: int,
-    ) -> AccessResult:
+    ) -> str:
         """Fetch trap: check content, snapshot it, flip to exec mode."""
         if not pte.orig_exe:
-            return _SEGV_DELIVERED
+            return SEGV_DELIVERED
         result = self._checked_fetch(space, pte, vpage)
-        if result is not _OK:
+        if result is not OK:
             return result
         _set_mode(pte, area, checked=True)
         self.machine.tlb_flush_one(pte)
-        return _OK
+        return OK
 
     def on_mprotect(self, pte: PageTableEntry, area: VmArea) -> None:
         """Shadow bits of one present page of an mprotect's range, whose area is now area.
@@ -231,7 +227,7 @@ class ShadowEngine:
 
     # ---- the exec-side content check ------------------------------------
 
-    def _checked_fetch(self, space: AddressSpace, pte: PageTableEntry, vpage: int) -> AccessResult:
+    def _checked_fetch(self, space: AddressSpace, pte: PageTableEntry, vpage: int) -> str:
         """Sync check, flood-guard admission, snapshot emission."""
         machine = self.machine
         pid, uid = space.pid, space.uid
@@ -245,7 +241,7 @@ class ShadowEngine:
                     machine, self.report, self.rules.by_name[hit.rule], pid, uid,
                     vpage, hit.offset, "sync", self.detection_action,
                 )
-                if result is not _OK:
+                if result is not OK:
                     return result
         if self.guard is not None:
             self.guard.tick(machine.now - 1)  # as sweeps after each earlier event would
@@ -258,7 +254,7 @@ class ShadowEngine:
             # with its checked fetches, and spans are the bytes written
             # since the page's previous snapshot.
             self.pipeline.enqueue(PageSnapshot(content, vpage, pid, uid, spans))
-        return _OK
+        return OK
 
 
 class BaselineEngine:
@@ -273,17 +269,17 @@ class BaselineEngine:
         self.machine = machine
 
     def on_materialize(
-        self, space: AddressSpace, area: VmArea, vpage: int, kind: AccessKind,
-    ) -> AccessResult:
+        self, space: AddressSpace, area: VmArea, vpage: int, kind: int,
+    ) -> str:
         _plain_relabel(self.machine.install_page(space, vpage), area)
-        return _OK
+        return OK
 
-    def handle_write_fault(self, area: VmArea, pte: PageTableEntry) -> AccessResult:
-        return _SEGV_DELIVERED
+    def handle_write_fault(self, area: VmArea, pte: PageTableEntry) -> str:
+        return SEGV_DELIVERED
 
     def handle_exec_fault(
         self, space: AddressSpace, area: VmArea, pte: PageTableEntry, vpage: int,
-    ) -> AccessResult:
-        return _SEGV_DELIVERED
+    ) -> str:
+        return SEGV_DELIVERED
 
     on_mprotect = staticmethod(_plain_relabel)

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import re
 
-from .mmu import _PERMS, DEFAULT_PAGE_SIZE, check_page_size
+from .mmu import _PERMS, DEFAULT_PAGE_SIZE, FETCH, READ, WRITE, check_page_size
 
 
 class TraceError(ValueError):
@@ -62,8 +62,8 @@ class TraceError(ValueError):
         self.line = line
 
 
-# op codes, item 0 of every event; the three access ops come first
-READ, FETCH, WRITE, PROC, MMAP, MPROTECT, TICK = range(7)
+# op codes, item 0 of every event: the three access ops are mmu's access kinds
+PROC, MMAP, MPROTECT, TICK = range(3, 7)
 
 
 _HEX_DIGITS = "0123456789abcdefABCDEF"

@@ -1,17 +1,17 @@
-"""Import checks: dead imports, no class code generated at import, and
-no enum member read through its class at run time.
+"""Import checks: dead imports and no class code generated at import.
 
 Every module of the package uses each name it imports; ``__init__.py``
 is exempt, since its imports are the package's re-exports, and so is
-``from __future__``.  Importing the package loads neither
-``dataclasses`` nor the ``inspect`` it pulls in, so every record is a
-plain class or a ``typing.NamedTuple``.  No function body reads
-``AccessKind.X`` or ``AccessResult.X``: on CPython 3.11 each such read
-pays EnumType's ``__getattr__`` hook, so modules bind the members once
-at import.  Every function the bench counts calls of by name exists, so a
-rename cannot silently zero a count.  Every parameter of a fault engine
-hook is read by the shadow or the baseline engine's version, so a hook
-carries nothing no engine uses.  Standard library only.
+``from __future__``.  No module imports ``dataclasses`` or ``enum``, and
+importing the package loads neither ``dataclasses`` nor the ``inspect``
+it pulls in, so every record is a plain class or a ``typing.NamedTuple``
+and the access kinds and results are plain module constants, which an
+access returns as they are.  No function body reads ``AccessKind.X`` or
+``AccessResult.X``: the package reads the module constants, and the
+classes are public aliases only.  Every function the bench counts calls of by
+name exists, so a rename cannot silently zero a count.  Every parameter
+of a fault engine hook is read by the shadow or the baseline engine's
+version, so a hook carries nothing no engine uses.  Standard library only.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import pytest
 
 from jitscan import (
     AccessKind, AccessResult, AddressSpace, Admission, BaselineEngine, Machine, Match,
-    PageSnapshot, PageTableEntry, Report, ShadowEngine, SignatureRule, SnapshotTable,
-    ThrottleEntry, VmArea, parse_rules,
+    PageSnapshot, PageTableEntry, Report, ShadowEngine, SignatureRule, SimConfig, SnapshotTable,
+    ThrottleEntry, VmArea, mmu, parse_rules, replay, trace,
 )
 from jitscan.pipeline import _Bucket
 
@@ -90,7 +90,8 @@ def test_no_module_imports_dataclasses():
     }
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert "__init__.py" in sources
-    assert [name for name, src in sources.items() if "dataclasses" in imported_modules(src)] == []
+    forbidden = {"dataclasses", "enum"}
+    assert [name for name, src in sources.items() if forbidden & imported_modules(src)] == []
 
 
 def test_a_fresh_import_loads_neither_dataclasses_nor_inspect():
@@ -153,7 +154,7 @@ def test_checker_finds_an_enum_member_read_in_a_function_body():
         "def f(kind, ok=AccessResult.OK):\n"
         "    if kind is AccessKind.WRITE:\n        return AccessResult.OK\n"
         "    def g():\n        return AccessResult.BLOCKED\n"
-        "    return kind.value, _WRITE\n"
+        "    return kind, _WRITE\n"
         "h = lambda k: k is AccessKind.FETCH\n"
     )
     assert enum_member_reads(source) == [
@@ -164,11 +165,13 @@ def test_checker_finds_an_enum_member_read_in_a_function_body():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_function_reads_an_access_enum_member_through_its_class(module):
+    """The package names each kind and result by its module constant; the
+    classes are public aliases only, so a function body pays no class lookup."""
     assert enum_member_reads((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
 def test_access_returns_access_result_members():
-    """A str enum equals its string, so == would also pass a plain string."""
+    """Each result is the very str object AccessResult names, not an equal copy."""
     ps = 4096
     machine = Machine(page_size=ps)
     rules = parse_rules(SYNC_RULES_TEXT, page_size=ps)
@@ -196,7 +199,28 @@ def test_access_returns_access_result_members():
         got.append((machine.access(victim, 1, 0, 16 * ps, fetch), stopped))
     got.append((machine.access(victim, 1, 0, 16 * ps, read), AccessResult.BLOCKED))
     for result, expected in got:
-        assert type(result) is AccessResult and result is expected
+        assert type(result) is str and result is expected
+
+
+def test_access_kinds_are_op_codes_and_results_are_outcome_keys():
+    assert trace.READ is mmu.READ and trace.FETCH is mmu.FETCH and trace.WRITE is mmu.WRITE
+    assert (trace.PROC, trace.MMAP, trace.MPROTECT, trace.TICK) == (3, 4, 5, 6)
+    ps = 4096
+    text = (
+        "PROC uid=1\nMMAP pid=1 perms=rw pages=1 at=16\nMMAP pid=1 perms=wx pages=1 at=17\n"
+        f"WRITE pid=1 tid=1 cpu=0 addr={16 * ps} bytes=41\n"
+        f"FETCH pid=1 tid=1 cpu=0 addr={16 * ps}\n"  # no x: segv_delivered
+        f"WRITE pid=1 tid=1 cpu=0 addr={17 * ps} bytes={SYNC_STUB.hex()}\n"
+        f"FETCH pid=1 tid=1 cpu=0 addr={17 * ps}\n"  # a sync match: killed or blocked
+    )
+    rules = parse_rules(SYNC_RULES_TEXT, page_size=ps)
+    results = {AccessResult.OK, AccessResult.SEGV_DELIVERED, AccessResult.KILLED,
+               AccessResult.BLOCKED}
+    keys = set()
+    for action, count in (("kill", 0), ("block", 1)):
+        tail = f"READ pid=1 tid=1 cpu=0 addr={16 * ps}\n" * count  # a blocked pid's access
+        keys |= set(replay(text + tail, rules, SimConfig(detection_action=action)).outcomes)
+    assert keys == results
 
 
 def call_counts(source: str) -> tuple:

@@ -182,6 +182,24 @@ class TestAccess:
         assert result is AccessResult.SEGV_DELIVERED
         assert space.ptes == {}
 
+    def test_an_unknown_kind_is_refused_before_any_state_changes(self):
+        machine = shadow_machine(page_size=64)
+        pid = machine.create_process(uid=0)
+        machine.mmap(pid, "rw", 1, at=16)
+        space = machine.spaces[pid]
+        with pytest.raises(ValueError, match="unknown access kind 'write'"):
+            machine.access(pid, 1, 0, 1024, "write", b"A")  # not present
+        assert space.ptes == {}
+        assert machine.access(pid, 1, 0, 1024, AccessKind.WRITE, b"B") is AccessResult.OK
+        pte = space.ptes[16]
+        tlb, frame = dict(pte.tlb), bytes(pte.frame)
+        for kind in ("exec", trace_module.PROC, None):  # on a TLB hit, then a miss
+            with pytest.raises(ValueError, match="unknown access kind"):
+                machine.access(pid, 1, 0, 1024, kind, b"C")
+            with pytest.raises(ValueError, match="unknown access kind"):
+                machine.access(pid, 1, 1, 1024, kind)
+        assert (space.ptes, pte.tlb, bytes(pte.frame)) == ({16: pte}, tlb, frame)
+
     def test_backing_image_copied_on_materialize(self):
         machine = plain_machine()
         pid = machine.create_process(uid=0)
@@ -798,7 +816,7 @@ class TestFaultEngineContract:
         machine.attach_engine(stub)
         pid = machine.create_process(uid=0)
         area = machine.mmap(pid, "rw", 2, at=16)
-        with pytest.raises(SimError, match="left it impermissible"):
+        with pytest.raises(SimError, match="allowed read of pid 1 vpage 17 but left it"):
             machine.access(pid, 7, 0, 17 * PS + 3, AccessKind.READ)
         space = machine.spaces[pid]
         assert stub.calls == [("on_materialize", space, area, 17, AccessKind.READ)]
@@ -815,9 +833,9 @@ class TestFaultEngineContract:
         machine.attach_engine(stub)
         space = machine.spaces[pid]
         pte = space.ptes[16]
-        with pytest.raises(SimError, match="left it impermissible"):
+        with pytest.raises(SimError, match="allowed write of pid 1 vpage 16 but left it"):
             machine.access(pid, 2, 1, 16 * PS + 1, AccessKind.WRITE, b"w")
-        with pytest.raises(SimError, match="left it impermissible"):
+        with pytest.raises(SimError, match="allowed fetch of pid 1 vpage 16 but left it"):
             machine.access(pid, 3, 1, 16 * PS + 2, AccessKind.FETCH)
         assert stub.calls == [
             ("handle_write_fault", area, pte),
