@@ -18,7 +18,7 @@ from .pipeline import SnapshotTable
 from .report import Report
 from .shadow import DETECTION_ACTIONS, BaselineEngine, ShadowEngine, signature_hit
 from .signatures import RuleSet, scan_page
-from .trace import MMAP, MPROTECT, PROC, TICK, WRITE, parse_trace
+from .trace import FETCH, MMAP, MPROTECT, PROC, READ, TICK, WRITE, parse_trace
 
 
 class SimConfig:
@@ -123,25 +123,30 @@ def build_run(config: SimConfig | None = None, rules: RuleSet | None = None) -> 
 
 def _apply_event(machine: Machine, event: tuple) -> str:
     """Advance the clock and run one parsed event (see trace.py for its
-    layout); returns its result for the report's outcome counts."""
+    layout); returns its result for the report's outcome counts.
+
+    Op codes are told apart by identity, as ``Machine.access`` tells kinds
+    apart, so an op code other than READ ... TICK (-1, 1.0, 7, None, True)
+    raises TypeError before the clock moves.
+    """
     op = event[0]
-    if op <= WRITE:  # READ, FETCH and WRITE, nearly every event: the op is the kind
+    if op is READ or op is WRITE or op is FETCH:  # nearly every event: the op is the kind
         machine.now += 1
         return machine.access(
-            event[2], event[3], event[4], event[5], op, event[6] if op == WRITE else None,
+            event[2], event[3], event[4], event[5], op, event[6] if op is WRITE else None,
         )
-    if op == TICK:
+    if op is TICK:
         machine.now += event[2]
         return "ok"
-    machine.now += 1
-    if op == PROC:
-        machine.create_process(event[2])
-    elif op == MMAP:
-        machine.mmap(event[2], event[3], event[4], event[5], event[6])
-    elif op == MPROTECT:
-        machine.mprotect(event[2], event[3], event[4], event[5])
-    else:
+    if op is not PROC and op is not MMAP and op is not MPROTECT:
         raise TypeError(f"unknown op code {op!r}")
+    machine.now += 1
+    if op is PROC:
+        machine.create_process(event[2])
+    elif op is MMAP:
+        machine.mmap(event[2], event[3], event[4], event[5], event[6])
+    else:
+        machine.mprotect(event[2], event[3], event[4], event[5])
     return "ok"
 
 

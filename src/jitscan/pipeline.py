@@ -94,6 +94,7 @@ class SnapshotTable:
         """
         out: list[PageSnapshot] = []
         ready = self._ready
+        drained_bytes = 0
         while ready and (max_items is None or len(out) < max_items):
             try:
                 idx = ready.popleft()
@@ -101,13 +102,15 @@ class SnapshotTable:
                 break
             bucket = self._buckets[idx]
             with bucket.lock:
-                out.append(bucket.items.popleft())
+                snap = bucket.items.popleft()
                 if bucket.items:
                     ready.append(idx)
+            out.append(snap)
+            drained_bytes += len(snap.content)
         if out:
             with self._stats_lock:
                 self._pending -= len(out)
-                self._pending_bytes -= sum(len(snap.content) for snap in out)
+                self._pending_bytes -= drained_bytes
             if self.on_delivered is not None:
                 for snap in out:
                     self.on_delivered(snap.uid)

@@ -27,18 +27,21 @@ A WRITE payload must stay inside one page.
 
 Lines are read one at a time from the text; no list of them is built.
 A canonical line (the upper-case op, then its fields in ``_GRAMMAR``
-order, one space apart, MMAP's optional ``content`` and ``at`` either
-there or not, and nothing else on the line but a ``\r``) whose values
-are well formed and whose pid exists is read with one regex match.  The
-three access ops share one alternative of ``_LINE``, whose six groups
-(op, pid, tid, cpu, addr, an optional bytes) one ``groups()`` call
-reads; the match is taken only if bytes are there exactly when the op
-is WRITE.  A line that misses that alternative and starts with PROC,
-MMAP, MPROTECT or TICK tries one ``fullmatch`` of its op's own pattern
-in ``_SETUP``.  Every other line goes through the token loop, which is
-the one source of error text: a fast-path candidate it cannot take
-falls to the loop, and both paths end in ``done()``'s whole-line
-checks.
+order, one space apart, MMAP's optional ``at`` there or not and its
+optional ``content`` there or not, before or after ``at``, and nothing
+else on the line but a ``\r``) whose values are well formed and whose
+pid exists is read with one regex match.  The three access ops share
+one alternative of ``_LINE``, whose six groups (op, pid, tid, cpu, addr,
+an optional bytes) one ``groups()`` call reads; the match is taken only
+if bytes are there exactly when the op is WRITE.  A line that misses
+that alternative and starts with PROC, MMAP, MPROTECT or TICK tries one
+``fullmatch`` of its op's own pattern in ``_SETUP``.  An MMAP line's
+image is cut out first with str methods and read by one
+``bytes.fromhex``, so the pattern reads only the short fields and an
+image costs about one hex decode.  Every other line goes through the
+token loop, which is the one source of error text: a fast-path
+candidate it cannot take falls to the loop unmodified, and both paths
+end in ``done()``'s whole-line checks.
 
 An event is an exact tuple: its op code (``READ`` ... ``TICK``), its
 line number, then its fields in ``_GRAMMAR`` order, for example
@@ -115,16 +118,20 @@ _LINE = re.compile(f"^(?:{_fast_pattern()}|.*)$", re.M)
 # alternative, take one fullmatch of their op's own pattern instead: its
 # fields in _GRAMMAR order, an optional field's " key=value" either there
 # or not, then a \r at most.  Perms are [rwx]+ and must be in _PERMS; a
-# value the pattern lets through and the grammar refuses (rr, pages=0, an
-# odd hex count) sends the line to the loop.  The patterns are compiled
-# here, at import, so that no parse pays for their compiles.
-_VALUE_RE = {"perms": "([rwx]+)", "hex?": "([0-9a-fA-F]+)"}
+# value the pattern lets through and the grammar refuses (rr, pages=0, a
+# pid not created yet) sends the line to the loop.  MMAP's image, nearly
+# all of a JIT trace's bytes, is not in its pattern: _cut_image takes it
+# out of the line first.  The patterns are compiled here, at import, so
+# that no parse pays for their compiles.
+_IMAGE = " content="
 
 
 def _setup_pattern(op: str) -> re.Pattern:
     fields = ""
     for key, kind, _ in _GRAMMAR[op][1]:
-        field = f" {key}={_VALUE_RE.get(kind, _INT_RE)}"
+        if kind == "hex?":  # MMAP's content, cut out before the match
+            continue
+        field = f" {key}={'([rwx]+)' if kind == 'perms' else _INT_RE}"
         fields += f"(?:{field})?" if kind in _OPTIONAL else field
     return re.compile(rf"{op}{fields}\r?")
 
@@ -132,6 +139,28 @@ def _setup_pattern(op: str) -> re.Pattern:
 _SETUP = {
     op: (_GRAMMAR[op][0], _setup_pattern(op)) for op in ("PROC", "MMAP", "MPROTECT", "TICK")
 }
+
+
+def _cut_image(line: str) -> tuple[str, bytes | None]:
+    """An MMAP line without its first ``content=`` field, and that field's
+    image: the line and None when it has none.
+
+    The token runs to the next space, or to the end of the line less a
+    trailing \r, which belongs to the line.  It is read by one hex decode
+    and its length; a ValueError where it is not exactly hex digits in
+    pairs leaves the line to the loop.
+    """
+    start = line.find(_IMAGE)
+    if start < 0:
+        return line, None
+    stop = line.find(" ", start + len(_IMAGE))
+    if stop < 0:
+        stop = len(line) - line.endswith("\r")
+    token = line[start + len(_IMAGE):stop]
+    image = bytes.fromhex(token)
+    if 2 * len(image) != len(token):  # fromhex skips whitespace, which the loop splits at
+        raise ValueError("image is not exactly hex digits")
+    return line[:start] + line[stop:], image
 
 
 class _Ints(dict):
@@ -197,19 +226,22 @@ def parse_trace(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> list[tuple]:
                     continue
         line = match.group()
         setup = _SETUP.get(line[:line.find(" ")]) if op is None else None
-        if setup is not None and (found := setup[1].fullmatch(line)) is not None:
+        if setup is not None:
             # each op converts its own fields; None where the loop must read the line
             code, event = setup[0], None
             try:
-                if code == PROC:  # uid >= 0 always holds
+                rest, image = _cut_image(line) if code == MMAP else (line, None)
+                found = setup[1].fullmatch(rest)
+                if found is None:
+                    pass
+                elif code == PROC:  # uid >= 0 always holds
                     event = (PROC, line_no, ints[found[1]])
                 elif code == MMAP:
-                    pid, perms, pages, content, at = found.groups()
+                    pid, perms, pages, at = found.groups()
                     pid, pages = ints[pid], ints[pages]
                     if 0 < pid <= n_pids and perms in _PERMS and pages >= 1:
                         event = (
-                            MMAP, line_no, pid, perms, pages,
-                            None if content is None else bytes.fromhex(content),
+                            MMAP, line_no, pid, perms, pages, image,
                             None if at is None else ints[at],
                         )
                 elif code == MPROTECT:

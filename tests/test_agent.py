@@ -30,7 +30,7 @@ from jitscan.pipeline import SnapshotTable
 from jitscan.report import ActionTaken, Detection, Report, encode_record
 from jitscan.shadow import DETECTION_ACTIONS, ShadowEngine
 from jitscan.signatures import RuleSet, parse_rules, scan_page, sync_check
-from jitscan.trace import parse_trace
+from jitscan.trace import PROC, parse_trace
 
 from conftest import SYNC_RULES_TEXT, SYNC_STUB, reference_replay
 
@@ -95,6 +95,17 @@ class TestReplay:
         report = replay(trace, rules(), config)
         assert report.outcomes == {"ok": 5}
         assert report.emit() == reference_replay(trace, rules(), config)
+
+    @pytest.mark.parametrize("op", [-1, 1.0, 7, None])
+    def test_an_unknown_op_code_raises_before_the_clock_moves(self, op):
+        # -1 and 1.0 once passed for access kinds, and 7 raised after the clock moved
+        machine = build_run().machine
+        machine.create_process(1)
+        with pytest.raises(TypeError, match=rf"^unknown op code {op!r}$"):
+            agent_module._apply_event(machine, (op, 2, 1, 1, 0, 0))
+        assert machine.now == 0
+        with pytest.raises(TypeError, match=rf"^unknown op code {op!r}$"):
+            replay([(PROC, 1, 0), (op, 2, 1, 1, 0, 0)])
 
     def test_kill_mid_trace_turns_later_events_into_errors(self):
         trace = PACKER_TRACE + f"FETCH pid=1 tid=1 cpu=0 addr={17 * PS}\n"
@@ -248,7 +259,7 @@ class TestReplay:
         assert retained(large) < retained(small) + 16 * 1024
 
     def test_replay_accepts_preparsed_lines(self):
-        from jitscan.trace import parse_trace
+        from jitscan.trace import PROC, parse_trace
 
         lines = parse_trace(PACKER_TRACE, PS)
         report = replay(lines, rules())

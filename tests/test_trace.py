@@ -20,6 +20,7 @@ from jitscan.trace import (
     TraceError,
     _LINE,
     _SETUP,
+    _cut_image,
     parse_trace,
 )
 
@@ -198,21 +199,40 @@ def test_crlf_access_lines_take_the_regex_path():
     "line,groups",
     [
         ("PROC uid=1000", ("1000",)),
-        ("MMAP pid=1 perms=wx pages=0x2", ("1", "wx", "0x2", None, None)),
-        ("MMAP pid=1 perms=rx pages=1 content=90c3 at=16", ("1", "rx", "1", "90c3", "16")),
-        ("MMAP pid=1 perms=r pages=1 at=0x20", ("1", "r", "1", None, "0x20")),
+        ("MMAP pid=1 perms=wx pages=0x2", ("1", "wx", "0x2", None)),
+        ("MMAP pid=1 perms=rx pages=1 content=90c3 at=16", ("1", "rx", "1", "16")),
+        ("MMAP pid=1 perms=r pages=1 at=0x20", ("1", "r", "1", "0x20")),
         ("MPROTECT pid=1 start=16 pages=1 perms=rx", ("1", "16", "1", "rx")),
         ("TICK n=50", ("50",)),
+        ("MMAP pid=1 perms=wx pages=2 at=16 content=90c3", ("1", "wx", "2", "16")),
+        ("MMAP pid=1 perms=rwx pages=1 at=0x10 content=", ("1", "rwx", "1", "0x10")),
     ],
 )
 def test_crlf_setup_lines_take_their_ops_pattern(line, groups):
-    # such a line misses _LINE's access alternative, then fullmatches its op's own pattern
+    # such a line misses _LINE's access alternative; MMAP's image is cut out,
+    # and the rest fullmatches its op's own pattern, with a \r or without
     assert _LINE.match(line + "\r\n").groups() == (None,) * 6
     code, pattern = _SETUP[line.split()[0]]
-    assert pattern.fullmatch(line + "\r").groups() == groups
     head = "PROC uid=1\n" if line.startswith("M") else ""
     events = parse_trace(head + line + "\r\n")
-    assert events == parse_trace(head + line + "\n") and events[-1][0] == code
+    assert events == parse_trace(head + line + "\n") == reference_parse_trace(head + line + "\n")
+    assert events[-1][0] == code
+    for end in ("\r", ""):
+        rest, image = _cut_image(line + end)
+        assert pattern.fullmatch(rest).groups() == groups
+        assert image == (events[-1][5] if code == MMAP else None)
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["90\tc3", "90c3\r", "90c3\x0b", "0x90", "90c", "９０"],
+)
+def test_an_image_token_that_is_not_exactly_hex_is_the_loops(token):
+    # fromhex alone would skip the whitespace; the loop splits at it or refuses the value
+    with pytest.raises(ValueError):
+        _cut_image(f"MMAP pid=1 perms=rx pages=1 content={token} at=16")
+    text = f"PROC uid=1\nMMAP pid=1 perms=rx pages=1 content={token} at=16\n"
+    assert _outcome(parse_trace, text, 4096) == _outcome(reference_parse_trace, text, 4096)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -325,7 +345,9 @@ def _mutate(rng: random.Random, fields: list[list[str]]) -> None:
         key, value = rng.choice(fields)
         fields.insert(rng.randrange(len(fields) + 1), [key, rng.choice([value, "1"])])
     elif kind == 2:
-        fields.append(rng.choice([["foo", "1"], ["extra", ""], ["PID", "1"], ["", "5"]]))
+        fields.append(rng.choice(
+            [["foo", "1"], ["extra", ""], ["PID", "1"], ["", "5"], ["content", "c3"]]
+        ))
     elif kind == 3:
         fields.insert(rng.randrange(len(fields) + 1), [rng.choice(["pid", "x", "42", "="])])
     elif fields:
@@ -373,18 +395,29 @@ def _canonical_access(rng: random.Random, n_pids: int, ps: int) -> str:
 _SETUP_EDGE_INTS = ("010", "9" * 5000, "0X1f", "١٢", "0", "0x0", "00")
 _SETUP_EDGE_PERMS = ("rr", "RW", "wxw", "")
 _SETUP_EDGE_HEX = ("c3c", "0xc3", "C3", "abc")
+# image tokens at the edge of the image cut: whitespace inside, which bytes.fromhex
+# skips and the loop splits at, a \r after the hex, and no hex at all
+_IMAGE_EDGE_HEX = ("c3\tc3", "c3c3\r", "", "c3 c3", "c3\x0b")
 
 
 def _canonical_setup(rng: random.Random, n_pids: int, ps: int) -> str:
     """A PROC, MMAP, MPROTECT or TICK line in the parser's fast-path shape:
     the upper-case op, then its fields in grammar order, one space apart,
-    MMAP's content and at each there or not.  Now and then a field takes an
-    edge value, the pid is 0 or one not created yet, the content is longer
-    than the area, or the line ends in a \\r."""
+    MMAP's content and at each there or not, and now and then at before
+    content, as README writes them.  Now and then a field takes an edge
+    value, the pid is 0 or one not created yet, the content is longer than
+    the area or repeated, or the line ends in a \\r."""
     op = rng.choice(("PROC", "MMAP", "MPROTECT", "TICK"))
     if not n_pids and rng.random() < 0.9:
         op = "PROC"
     fields = _fields(rng, op, n_pids, ps)
+    if op == "MMAP" and rng.random() < 0.5:
+        fields.sort(key=lambda field: field[0] == "content")  # README order
+    image = next((field for field in fields if field[0] == "content"), None)
+    if image is not None and rng.random() < 0.1:
+        fields.insert(rng.randint(3, len(fields)), ["content", rng.choice(["c3", image[1]])])
+    if image is not None and rng.random() < 0.2:
+        image[1] = rng.choice(_IMAGE_EDGE_HEX)
     if rng.random() < 0.15:
         field = rng.choice(fields)
         if field[0] == "perms":
