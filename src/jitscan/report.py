@@ -7,26 +7,35 @@ action, one trailing summary.  Field names are stable and records are
 emitted with sorted keys, so the same trace and config always produce
 byte-identical output.
 
-Detection and action records, hundreds per run under a flood, are
-written by one f-string template each, with the keys in sorted order:
-strings go through ``encode_basestring_ascii``, the function the
-shared encoder itself calls for them, ints through ``str`` and None
-as ``null``.  That skips the dict each record would build and the
-encoder's setup on every call, and gives ``encode_record``'s bytes
-(the test suite compares the two).  The summary, one per run, still
-goes through ``encode_record``.
+Every record ``emit`` writes, the summary included, is written by this
+module's own code with the keys in sorted order, to ``encode_record``'s
+bytes (the test suite compares the two): detection and action records
+by one f-string template each, the summary by ``_object`` over its
+fields and its outcomes.  Strings go through ``_str``, ints through
+``str`` and None as ``null``.  That skips the dict each record would
+build and the encoder's setup on every call, and a run never loads
+``json``: ``_str`` imports ``encode_basestring_ascii``, the function the
+shared encoder calls for strings, only for a string it cannot write
+as it is, and ``encode_record`` imports ``json`` on its first call.
 """
 
 from __future__ import annotations
 
-import json
-from json.encoder import encode_basestring_ascii as _str
 from typing import NamedTuple
 
+_encode = None  # the shared encoder's encode, made on encode_record's first call
 
-# One JSONL record: sorted keys and no spaces, so equal records encode to
-# equal bytes.  One shared encoder; json.dumps with options builds a new one per call.
-encode_record = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+def encode_record(record: dict) -> str:
+    """One JSONL record: sorted keys and no spaces, so equal records encode
+    to equal bytes.  One shared encoder; json.dumps with options builds a
+    new one per call."""
+    global _encode
+    if _encode is None:
+        import json
+
+        _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    return _encode(record)
 
 
 class Detection(NamedTuple):
@@ -69,9 +78,23 @@ class Report:
             raise ValueError(f"unknown report format: {fmt!r}")
         lines = [_detection_line(d) for d in self.detections]
         lines += [_action_line(a) for a in self.actions]
-        summary = {"record": "summary", "outcomes": self.outcomes, **self.metrics}
-        lines.append(encode_record(summary))
+        summary = {"record": '"summary"', "outcomes": _object(self.outcomes), **self.metrics}
+        lines.append(_object(summary))
         return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _str(s: str) -> str:
+    """encode_basestring_ascii(s): printable ASCII with no '"' or '\\' as it is."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(s)
+
+
+def _object(fields: dict) -> str:
+    """A JSON object of str keys and int or already encoded str values, keys sorted."""
+    return "{" + ",".join(f"{_str(key)}:{value}" for key, value in sorted(fields.items())) + "}"
 
 
 # encode_record's bytes for one record of each type, by template (see the

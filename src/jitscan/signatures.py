@@ -35,8 +35,10 @@ from .mmu import DEFAULT_PAGE_SIZE, check_page_size
 
 Atom = int | None  # one pattern position: literal byte or wildcard
 
-_HEX_PAIR = re.compile(r"[0-9a-fA-F]{2}$")
-_NAME = re.compile(r"\w+$")
+# Read only by the token loop, for a line _LINE does not take whole:
+# re.match compiles each on its first use, so a canonical file never does
+_HEX_PAIR = r"[0-9a-fA-F]{2}$"
+_NAME = r"\w+$"
 
 # most leading anchor bytes the prefilter keys a candidate on
 _PREFIX = 4
@@ -250,7 +252,7 @@ def _rules(text: str, where: list[int]) -> Iterator[SignatureRule]:
         if word != "rule":
             raise RuleSyntaxError(f"expected 'rule', got {word!r}", line_no, col)
         name_col, name = take("rule name")
-        if not _NAME.match(name):
+        if not re.match(_NAME, name):
             raise RuleSyntaxError(f"bad rule name {name!r}", line_no, name_col)
         col, fam = take("family=<label>")
         if not fam.startswith("family="):
@@ -278,7 +280,7 @@ def _rules(text: str, where: list[int]) -> Iterator[SignatureRule]:
                 break
             if word == "??":
                 atoms.append(None)
-            elif _HEX_PAIR.match(word):
+            elif re.match(_HEX_PAIR, word):
                 atoms.append(int(word, 16))
             else:
                 raise RuleSyntaxError(

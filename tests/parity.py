@@ -1,4 +1,5 @@
-"""Compare ``jitscan run`` against another revision on the bench workloads.
+"""Compare ``jitscan run`` and ``jitscan scan`` against another revision
+on the bench workloads.
 
     python3 tests/parity.py REV
 
@@ -7,9 +8,14 @@ repository's ``.git`` is only read), generates jit-churn, benign-rw and
 fork-flood for seeds 1, 2 and 9001 with ``bench/workloads.py``, and runs
 ``python -m jitscan.cli run`` with each workload's flags under
 ``--action`` kill, block and alert, once on REV's ``src`` and once on
-this tree's: 27 runs per side, one process at a time.  Prints every run
-whose exit code or report bytes differ and exits 1 if any do, 0 if none.
-Standard library only; pytest does not collect this file.
+this tree's: 27 runs per side.  For each of those rule files it also
+runs ``jitscan scan`` on two pages of the workload's page size, one
+holding the first kill rule's literal bytes at offset 0 (wildcards as
+00), one all zero: 18 more per side, the CLI path that writes through
+``encode_record``.  One process at a time.  Prints every run whose exit
+code or output bytes (the report of ``run``, stdout of ``scan``) differ
+and exits 1 if any do, 0 if none.  Standard library only; pytest does
+not collect this file.
 """
 
 from __future__ import annotations
@@ -43,18 +49,43 @@ def extract(rev: str, into: Path) -> None:
         archive.extractall(into, filter="data")
 
 
+def cli(src: Path, workdir: Path, args: list[str]) -> subprocess.CompletedProcess:
+    """One ``python -m jitscan.cli`` process on ``src``, output captured."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "jitscan.cli", *args], capture_output=True, env=env, cwd=workdir,
+    )
+
+
 def run(src: Path, workdir: Path, flags: list[str], report: Path) -> tuple[int, bytes]:
     """The exit code and report bytes of one ``jitscan run`` on ``src``."""
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "jitscan.cli", "run",
-         "--trace", str(workdir / "trace.txt"), "--rules", str(workdir / "rules.txt"),
-         *flags, "--report", str(report)],
-        capture_output=True, env=env, cwd=workdir,
-    )
+    proc = cli(src, workdir, [
+        "run", "--trace", str(workdir / "trace.txt"), "--rules", str(workdir / "rules.txt"),
+        *flags, "--report", str(report),
+    ])
     data = report.read_bytes() if report.exists() else b""
     report.unlink(missing_ok=True)
     return proc.returncode, data
+
+
+def scan(src: Path, workdir: Path, page: Path) -> tuple[int, bytes]:
+    """The exit code and stdout bytes of one ``jitscan scan`` on ``src``."""
+    proc = cli(src, workdir, [
+        "scan", "--rules", str(workdir / "rules.txt"), "--page", str(page),
+        "--page-size", str(workloads.PAGE_SIZE),
+    ])
+    return proc.returncode, proc.stdout
+
+
+def kill_rule_page(rules_text: str) -> bytes:
+    """A page holding the first kill rule's literal bytes at offset 0, wildcards as 00."""
+    for line in rules_text.splitlines():
+        words = line.split()
+        if words[:1] == ["rule"] and "severity=kill" in words:
+            atoms = words[words.index("{") + 1 : words.index("}")]
+            data = bytes(0 if atom == "??" else int(atom, 16) for atom in atoms)
+            return data.ljust(workloads.PAGE_SIZE, b"\x00")
+    raise ValueError("no kill rule")
 
 
 def with_action(flags: list[str], action: str) -> list[str]:
@@ -76,7 +107,17 @@ def main(argv: list[str]) -> int:
             print(f"parity: git archive {rev}: {err.stderr.decode().strip()}", file=sys.stderr)
             return 2
         report = tmp / "report.jsonl"
-        runs = differ = 0
+        pages = {"kill-rule page": tmp / "kill.page", "zero page": tmp / "zero.page"}
+        pages["zero page"].write_bytes(bytes(workloads.PAGE_SIZE))
+        runs = scans = differ = 0
+
+        def compare(what: str, a: tuple[int, bytes], b: tuple[int, bytes]) -> None:
+            nonlocal differ
+            if a != b:
+                differ += 1
+                print(f"differ: {what}: exit {a[0]} at {rev}, {b[0]} here; output bytes"
+                      f" {'equal' if a[1] == b[1] else 'unequal'}")
+
         for name in WORKLOADS:
             for seed in SEEDS:
                 workdir = workloads.generate(name, seed, tmp / f"{name}-{seed}")
@@ -84,14 +125,18 @@ def main(argv: list[str]) -> int:
                 for action in ACTIONS:
                     runs += 1
                     flags = with_action(flags, action)
-                    code_a, report_a = run(tmp / "rev" / "src", workdir, flags, report)
-                    code_b, report_b = run(ROOT / "src", workdir, flags, report)
-                    if code_a != code_b or report_a != report_b:
-                        differ += 1
-                        print(f"differ: {name} seed {seed} --action {action}: exit {code_a}"
-                              f" at {rev}, {code_b} here; report bytes"
-                              f" {'equal' if report_a == report_b else 'unequal'}")
-        print(f"parity: {runs - differ} of {runs} runs equal to {rev}")
+                    compare(f"run {name} seed {seed} --action {action}",
+                            run(tmp / "rev" / "src", workdir, flags, report),
+                            run(ROOT / "src", workdir, flags, report))
+                pages["kill-rule page"].write_bytes(
+                    kill_rule_page((workdir / "rules.txt").read_text()))
+                for label, page in pages.items():
+                    scans += 1
+                    compare(f"scan {name} seed {seed} {label}",
+                            scan(tmp / "rev" / "src", workdir, page),
+                            scan(ROOT / "src", workdir, page))
+        print(f"parity: {runs + scans - differ} of {runs + scans} runs equal to {rev}"
+              f" ({runs} run, {scans} scan)")
         return 1 if differ else 0
 
 

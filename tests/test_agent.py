@@ -854,8 +854,8 @@ class TestEmit:
     def test_detection_and_action_records_equal_encode_record(self):
         # every field set, from the record type's own field list, so a field
         # added to a type and not to its template fails here
-        texts = iter(['a"b\\c', "règle", "tab\tnul\x00 del\x7f", "caf\u00e9 \u2603 \U0001f600",
-                      "back\\slash", "", "kill"] * 4)
+        texts = iter(['a"b\\c', 'say "hi"', "règle", "tab\tnul\x00 del\x7f",
+                      "caf\u00e9 \u2603 \U0001f600", "back\\slash", "", "kill"] * 4)
         numbers = iter(range(0, 10**12, 10**12 // 50))
 
         def filled(cls, **fixed):
@@ -864,15 +864,29 @@ class TestEmit:
                       for name in cls._fields}
             return cls(**{**values, **fixed})
 
+        def records(report):  # what emit writes, as the dicts json would encode
+            out = [{"record": "detection", **d._asdict()} for d in report.detections]
+            out += [{"record": "action", **a._asdict()} for a in report.actions]
+            return out + [{"record": "summary", "outcomes": report.outcomes, **report.metrics}]
+
         report = Report()
         report.detections = [filled(Detection), filled(Detection, family='a"b\\c', rule="règle")]
         report.actions = [filled(ActionTaken), filled(ActionTaken, rule=None, path=None),
                           filled(ActionTaken, rule="règle", path=None)]
+        report.outcomes = {"ok": 9, "segv_delivered": 3, "killed": 1, "dead": 2, "error": 0}
+        report.metrics = dict(zip(replay(PACKER_TRACE, rules()).metrics, numbers))  # every key
         lines = report.emit().decode("ascii").split("\n")
-        records = [("detection", d) for d in report.detections]
-        records += [("action", a) for a in report.actions]
-        assert lines[:-2] == [encode_record({"record": kind, **r._asdict()}) for kind, r in records]
-        assert json.loads(lines[-2])["record"] == "summary" and lines[-1] == ""
+        assert lines == [encode_record(r) for r in records(report)] + [""]
+
+        # a run from a rule file whose family holds '"' and '\' and whose name is not ASCII
+        text = ASYNC_RULES.replace("rule dropper family=packer", 'rule règle_ω family=pa"ck\\er')
+        run = replay(PACKER_TRACE + f"FETCH pid=1 tid=1 cpu=0 addr={17 * PS}\n", rules(text))
+        assert [d.rule for d in run.detections] == ["règle_ω"]
+        assert run.actions and len(run.outcomes) > 1
+        lines = run.emit().decode("ascii").split("\n")
+        dumps = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records(run)]
+        assert lines == dumps + [""]
+
 
 class TestCli:
     @pytest.fixture()

@@ -6,7 +6,9 @@ is exempt, since its imports are the package's re-exports, and so is
 importing the package loads neither ``dataclasses`` nor the ``inspect``
 it pulls in, so every record is a plain class or a ``typing.NamedTuple``
 and the access kinds and results are plain module constants, which an
-access returns as they are.  No function body reads ``AccessKind.X`` or
+access returns as they are.  Nor does parsing rules, replaying a
+plain-ASCII trace and emitting its report load ``json``: the report
+writes its records itself.  No function body reads ``AccessKind.X`` or
 ``AccessResult.X``: the package reads the module constants, and the
 classes are public aliases only.  Every function the bench counts calls of by
 name exists, so a rename cannot silently zero a count.  Every parameter
@@ -95,7 +97,21 @@ def test_no_module_imports_dataclasses():
 
 
 def test_a_fresh_import_loads_neither_dataclasses_nor_inspect():
-    code = "import sys, jitscan; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    """Nor does a plain-ASCII run, with a detection and an action, load json."""
+    ps = 4096
+    trace_text = (
+        "PROC uid=1\nMMAP pid=1 perms=wx pages=1 at=16\n"
+        f"WRITE pid=1 tid=1 cpu=0 addr={16 * ps} bytes={SYNC_STUB.hex()}\n"
+        f"FETCH pid=1 tid=1 cpu=0 addr={16 * ps}\nREAD pid=1 tid=1 cpu=0 addr={40 * ps}\n"
+    )
+    code = textwrap.dedent(f"""\
+        import sys, jitscan
+        rules = jitscan.parse_rules({SYNC_RULES_TEXT!r}, page_size={ps})
+        report = jitscan.replay({trace_text!r}, rules, jitscan.SimConfig(page_size={ps}))
+        assert report.detections and report.actions and len(report.outcomes) > 1
+        report.emit("jsonl")
+        print(sorted({{'dataclasses', 'inspect', 'json'}} & set(sys.modules)))
+    """)
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
