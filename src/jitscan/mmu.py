@@ -271,18 +271,9 @@ class Machine:
 
     # ---- processes and mappings -------------------------------------
 
-    def create_process(self, uid: int, image: list[VmArea] | None = None) -> int:
-        """A new process mapping image's areas; raises, taking no pid, if one is bad."""
+    def create_process(self, uid: int) -> int:
+        """A new process with no areas mapped; ``mmap`` maps them."""
         space = AddressSpace(pid=self._next_pid, uid=uid)
-        for area in image or []:
-            # bool flags: a page's bits, copied from them, index _TLB_ENTRIES
-            flags = {type(flag) for flag in _perms(area)}
-            if area.start_vpage < 0 or area.n_pages < 1 or flags != {bool}:
-                raise ValueError(
-                    f"image area [{area.start_vpage}, {area.end_vpage}) must start at"
-                    " vpage >= 0, span a page or more and have bool permissions"
-                )
-            space.insert(area)
         self._next_pid += 1
         self.spaces[space.pid] = space
         return space.pid

@@ -14,8 +14,9 @@ holding the first kill rule's literal bytes at offset 0 (wildcards as
 00), one all zero: 18 more per side, the CLI path that writes through
 ``encode_record``.  One process at a time.  Prints every run whose exit
 code or output bytes (the report of ``run``, stdout of ``scan``) differ
-and exits 1 if any do, 0 if none.  Standard library only; pytest does
-not collect this file.
+and exits 1 if any do, 0 if none.  It also prints the ``wc -l`` total
+of ``src/jitscan/*.py`` at REV and in this tree, which leaves the exit
+status alone.  Standard library only; pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -88,6 +89,11 @@ def kill_rule_page(rules_text: str) -> bytes:
     raise ValueError("no kill rule")
 
 
+def line_count(src: Path) -> int:
+    """The ``wc -l`` total of ``src/jitscan/*.py``: newlines in the package's modules."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "jitscan").glob("*.py"))
+
+
 def with_action(flags: list[str], action: str) -> list[str]:
     flags = list(flags)
     flags[flags.index("--action") + 1] = action
@@ -137,6 +143,8 @@ def main(argv: list[str]) -> int:
                             scan(ROOT / "src", workdir, page))
         print(f"parity: {runs + scans - differ} of {runs + scans} runs equal to {rev}"
               f" ({runs} run, {scans} scan)")
+        before, after = line_count(tmp / "rev" / "src"), line_count(ROOT / "src")
+        print(f"lines: src/jitscan/*.py {before} at {rev}, {after} here ({after - before:+d})")
         return 1 if differ else 0
 
 

@@ -33,7 +33,6 @@ from jitscan import (
     PageSnapshot, PageTableEntry, Report, ShadowEngine, SignatureRule, SimConfig, SnapshotTable,
     ThrottleEntry, VmArea, mmu, parse_rules, replay, trace,
 )
-from jitscan.pipeline import _Bucket
 
 from conftest import SYNC_RULES_TEXT, SYNC_STUB
 
@@ -124,7 +123,7 @@ def test_per_event_records_are_slotted():
     """Records built or read on the per-event path keep no instance dict."""
     records = [
         PageTableEntry(bytearray(4)), VmArea(16, 1, True, True, False), AddressSpace(1, 0),
-        PageSnapshot(b"x", 0, 1, 0), _Bucket(), ThrottleEntry(), Report(),
+        PageSnapshot(b"x", 0, 1, 0), SnapshotTable(1)._buckets[0], ThrottleEntry(), Report(),
     ]
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__

@@ -21,7 +21,6 @@ from jitscan.mmu import (
     SimError,
     UnknownProcessError,
     UnmappedRangeError,
-    VmArea,
 )
 from jitscan.agent import SimConfig, _apply_event, build_run, replay
 from jitscan.shadow import BaselineEngine, ShadowEngine
@@ -52,41 +51,10 @@ class TestCreateProcess:
         assert machine.create_process(uid=1000) == 2
         assert machine.spaces[1].uid == 1000
 
-    def test_image_areas_are_kept_sorted(self):
-        machine = plain_machine()
-        pid = machine.create_process(
-            uid=0,
-            image=[VmArea(40, 2, True, False, True), VmArea(16, 4, True, True, False)],
-        )
-        starts = [a.start_vpage for a in machine.spaces[pid].areas]
-        assert starts == [16, 40]
-
-    def test_overlapping_image_rejected(self):
-        machine = plain_machine()
-        with pytest.raises(OverlapError):
-            machine.create_process(
-                uid=0,
-                image=[VmArea(16, 4, True, True, False), VmArea(18, 1, True, False, False)],
-            )
-
-    @pytest.mark.parametrize("bad", [
-        VmArea(-2, 1, True, True, False), VmArea(16, 0, True, True, False),
-        VmArea(16, 1, True, 2, False),
-    ], ids=["negative-start", "no-pages", "non-bool-perms"])
-    def test_bad_image_area_rejected_before_a_pid_is_taken(self, bad):
-        machine = Machine(page_size=64)
-        machine.attach_engine(BaselineEngine(machine))
-        with pytest.raises(ValueError, match="image area"):
-            machine.create_process(uid=0, image=[VmArea(40, 1, True, False, False), bad])
-        assert (machine.spaces, machine._next_pid) == ({}, 1)
-        pid = machine.create_process(uid=0)
-        assert pid == 1
-        result = machine.access(pid, 1, 0, -128, AccessKind.WRITE, b"w")
-        assert result is AccessResult.SEGV_DELIVERED
-
     def test_no_pages_present_before_first_touch(self):
         machine = plain_machine()
-        pid = machine.create_process(uid=0, image=[VmArea(16, 8, True, True, False)])
+        pid = machine.create_process(uid=0)
+        machine.mmap(pid, "rw", 8, at=16)
         assert machine.spaces[pid].ptes == {}
 
 

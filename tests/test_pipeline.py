@@ -160,7 +160,7 @@ class TestOrdering:
             assert len(table.drain()) == pending
             assert table.pending_count() == 0
 
-    def test_drain_locks_only_the_pending_bucket(self):
+    def test_drain_locks_once_and_only_when_pending(self):
         class CountingLock:
             acquired = 0
 
@@ -172,8 +172,7 @@ class TestOrdering:
 
         table = SnapshotTable(64)
         table.enqueue(snap(40, 1))
-        for bucket in table._buckets:
-            bucket.lock = CountingLock()
+        table._lock = CountingLock()
         assert [s.pid for s in table.drain()] == [40]
         assert CountingLock.acquired == 1
         assert table.drain() == []
@@ -253,6 +252,31 @@ class TestConcurrency:
         assert table.pending_count() == 0
         assert table.pending_bytes() == 0
         assert table.drain() == []
+
+    def test_seq_order_is_drain_order(self):
+        # four producers race into one bucket under a short switch interval:
+        # in every round the bucket drains in seq order, with no seq skipped
+        per_thread = 400
+        pids = range(1, 5)
+
+        def producer(table: SnapshotTable, pid: int):
+            for i in range(per_thread):
+                table.enqueue(snap(pid, i, uid=pid))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                table = SnapshotTable(1)
+                producers = [threading.Thread(target=producer, args=(table, pid)) for pid in pids]
+                for t in producers:
+                    t.start()
+                for t in producers:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in producers)
+                assert [s.seq for s in table.drain()] == list(range(len(pids) * per_thread))
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_burst_then_steady_watermark(self):
         # a burst of emissions with a lagging drain peaks, then settles
