@@ -51,6 +51,40 @@ class TestCreateProcess:
         assert machine.create_process(uid=1000) == 2
         assert machine.spaces[1].uid == 1000
 
+    def test_image_areas_are_kept_sorted(self):
+        machine = plain_machine()
+        pid = machine.create_process(uid=0)
+        machine.mmap(pid, "rx", 2, at=40)
+        machine.mmap(pid, "rw", 4, at=16)
+        starts = [a.start_vpage for a in machine.spaces[pid].areas]
+        assert starts == [16, 40]
+
+    def test_overlapping_image_rejected(self):
+        machine = plain_machine()
+        pid = machine.create_process(uid=0)
+        first = machine.mmap(pid, "rw", 4, at=16)
+        with pytest.raises(OverlapError):
+            machine.mmap(pid, "r", 1, at=18)
+        assert machine.spaces[pid].areas == [first]
+
+    @pytest.mark.parametrize("bad", [
+        "MMAP pid=1 perms=rw pages=1 at=-2", "MMAP pid=1 perms=rw pages=0 at=16",
+        "MMAP pid=1 perms=r2 pages=1 at=16",
+    ], ids=["negative-start", "no-pages", "non-bool-perms"])
+    def test_bad_image_area_rejected_before_a_pid_is_taken(self, bad):
+        # parse_trace checks every line before the first is applied, so a
+        # bad area in a process's image leaves the PROC before it unrun
+        machine = build_run(SimConfig(page_size=64)).machine
+        trace = f"PROC uid=0\nMMAP pid=1 perms=rx pages=1 at=40\n{bad}\n"
+        with pytest.raises(TraceError, match="line 3"):
+            for event in parse_trace(trace, 64):
+                _apply_event(machine, event)
+        assert (machine.spaces, machine._next_pid) == ({}, 1)
+        pid = machine.create_process(uid=0)
+        assert pid == 1
+        result = machine.access(pid, 1, 0, -128, AccessKind.WRITE, b"w")
+        assert result is AccessResult.SEGV_DELIVERED
+
     def test_no_pages_present_before_first_touch(self):
         machine = plain_machine()
         pid = machine.create_process(uid=0)
