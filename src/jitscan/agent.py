@@ -40,7 +40,9 @@ class SimConfig:
 
 
 class Agent:
-    """Drains the pipeline and scans each snapshot with the full ruleset.
+    """Drains the pipeline, its only consumer in a run, and for each
+    snapshot calls the guard's ``on_delivered`` at the step's tick, then
+    scans it with the full ruleset.
 
     A snapshot's spans narrow its scan only while the page's previous
     scan found nothing; ``_matched`` holds the (pid, vpage) pages whose
@@ -51,12 +53,14 @@ class Agent:
         self,
         machine: Machine,
         pipeline: SnapshotTable,
+        guard: DosGuard,
         rules: RuleSet,
         report: Report,
-        detection_action: str = "kill",
+        detection_action: str,
     ):
         self.machine = machine
         self.pipeline = pipeline
+        self.guard = guard
         self.rules = rules
         self.report = report
         self.detection_action = detection_action
@@ -67,7 +71,9 @@ class Agent:
         """Scan up to `batch` pending snapshots (all of them when 0);
         ``replay`` calls this only when a snapshot is pending."""
         snaps = self.pipeline.drain(batch if batch > 0 else None)
+        now, on_delivered = self.machine.now, self.guard.on_delivered
         for snap in snaps:
+            on_delivered(snap.uid, now)
             self.scans_run += 1
             page = (snap.pid, snap.vpage)
             spans = None if page in self._matched else snap.spans
@@ -103,7 +109,7 @@ def build_run(config: SimConfig | None = None, rules: RuleSet | None = None) -> 
     machine = Machine(page_size=config.page_size)
     report = Report()
     guard = DosGuard(config.guard)
-    pipeline = SnapshotTable(on_delivered=lambda uid: guard.on_delivered(uid, machine.now))
+    pipeline = SnapshotTable()
     if config.shadow:
         engine = ShadowEngine(
             machine,
@@ -117,7 +123,7 @@ def build_run(config: SimConfig | None = None, rules: RuleSet | None = None) -> 
     else:
         engine = BaselineEngine(machine)
     machine.attach_engine(engine)
-    agent = Agent(machine, pipeline, rules, report, config.detection_action)
+    agent = Agent(machine, pipeline, guard, rules, report, config.detection_action)
     return RunContext(machine, pipeline, guard, agent, report)
 
 

@@ -1,15 +1,15 @@
 """Per-user flood guard for the snapshot pipeline.
 
-Each uid gets a pending counter: +1 per admitted snapshot, -1 per
-delivered one.  Pushing the counter past the threshold starts a penalty
-window during which every admission for that uid is denied, whatever
-pid it comes from (a fork bomb churning through pids still shares the
-uid).  Entries that sit at zero long enough are evicted so setuid churn
-cannot grow the table without bound; the owner sweeps them (``tick``)
-before each admission and once at the end, not on every event.  An
-eviction drops the entry with its penalty, so a penalty lasts
-``ttl_penalty`` ticks or until the uid has sat idle ``ttl_evict`` ticks,
-whichever ends first.
+Each uid gets a pending counter: +1 per admitted snapshot, -1 as the
+agent acknowledges each one it drains (``on_delivered``).  Pushing the
+counter past the threshold starts a penalty window during which every
+admission for that uid is denied, whatever pid it comes from (a fork
+bomb churning through pids still shares the uid).  Entries that sit at
+zero long enough are evicted so setuid churn cannot grow the table
+without bound; the owner sweeps them (``tick``) before each admission
+and once at the end, not on every event.  An eviction drops the entry
+with its penalty, so a penalty lasts ``ttl_penalty`` ticks or until
+the uid has sat idle ``ttl_evict`` ticks, whichever ends first.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class DosGuard:
         return _ADMITTED
 
     def on_delivered(self, uid: int, now: int) -> None:
-        """A snapshot for uid left the pipeline (scanned or dropped)."""
+        """The agent drained a snapshot for uid at tick `now`."""
         entry = self.entries.get(uid)
         if entry is None or entry.pending == 0:
             self.unknown_deliveries += 1

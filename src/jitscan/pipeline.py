@@ -1,17 +1,18 @@
 """Pid-bucketed snapshot pipeline.
 
-Producers (fault hooks) enqueue page snapshots; the agent drains them.
-Snapshots land in hash buckets keyed by pid, each bucket a FIFO.  A
-ready ring holds the index of each non-empty bucket exactly once, in
-the order the buckets became non-empty; a drain serves the bucket at
-its front and requeues it at the back while it still holds items, so
-the cost of a drain follows what is pending, not the bucket count.
-The ring is also the "anything pending" signal: outside a drain in
-progress it is empty exactly when no snapshot is pending, and
-``replay`` reads it on every event, with no lock or call, to skip the
-agent.  One lock guards the buckets, the ring and the counters, so a
-snapshot's ``seq`` is the number of snapshots enqueued before it and
-drain order never disagrees with it within a bucket.
+Producers (fault hooks) enqueue page snapshots; the agent drains them
+and acknowledges each to the flood guard, so the table calls nothing
+back, and it counts snapshots, not bytes.  Snapshots land in hash
+buckets keyed by pid, each bucket a FIFO.  A ready ring holds the index
+of each non-empty bucket exactly once, in the order the buckets became
+non-empty; a drain serves the bucket at its front and requeues it at the
+back while it still holds items, so the cost of a drain follows what is
+pending, not the bucket count.  The ring is also the "anything pending"
+signal: outside a drain in progress it is empty exactly when no snapshot
+is pending, and ``replay`` reads it on every event, with no lock or
+call, to skip the agent.  One lock guards the buckets, the ring and the
+counters, so a snapshot's ``seq`` is the number of snapshots enqueued
+before it and drain order never disagrees with it within a bucket.
 """
 
 from __future__ import annotations
@@ -41,15 +42,14 @@ class SnapshotTable:
     """Fixed bucket array; per-bucket FIFO; round-robin drain over a ring
     of non-empty buckets; one lock over all of it."""
 
-    def __init__(self, n_buckets: int = DEFAULT_BUCKETS, on_delivered=None):
+    def __init__(self, n_buckets: int = DEFAULT_BUCKETS):
         if n_buckets < 1:
             raise ValueError("n_buckets must be >= 1")
         self.n_buckets = n_buckets
-        self.on_delivered = on_delivered  # callable(uid) per drained snapshot
         self._buckets: list[deque[PageSnapshot]] = [deque() for _ in range(n_buckets)]
         self._ready: deque[int] = deque()  # non-empty bucket indices, each once
         self._lock = threading.Lock()
-        self._pending = self._pending_bytes = 0
+        self._pending = 0
         self.high_watermark = self.enqueued_total = 0
 
     def bucket_of(self, pid: int) -> int:
@@ -65,7 +65,6 @@ class SnapshotTable:
                 self._ready.append(idx)
             bucket.append(snap)
             self._pending += 1
-            self._pending_bytes += len(snap.content)
             if self._pending > self.high_watermark:
                 self.high_watermark = self._pending
         return seq
@@ -77,8 +76,8 @@ class SnapshotTable:
         a time, and puts it back at the end while it still holds items:
         buckets are served in the order they became non-empty, and no
         bucket is served twice while another non-empty one waits.
-        Returns at once, with no lock taken, when nothing is pending;
-        calls ``on_delivered`` after releasing the lock.
+        Returns at once, with no lock taken, when nothing is pending,
+        and calls nothing after releasing the lock.
         """
         ready = self._ready
         if not ready:
@@ -93,14 +92,7 @@ class SnapshotTable:
                 if bucket:
                     ready.append(idx)
             self._pending -= len(out)
-            self._pending_bytes -= sum(len(snap.content) for snap in out)
-        if self.on_delivered is not None:
-            for snap in out:
-                self.on_delivered(snap.uid)
         return out
 
     def pending_count(self) -> int:
         return self._pending
-
-    def pending_bytes(self) -> int:
-        return self._pending_bytes

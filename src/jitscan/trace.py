@@ -172,8 +172,8 @@ class _Ints(dict):
         return number
 
 
-def done(event: tuple, unknown: dict, page_size: int) -> tuple:
-    """The whole-line checks once every field is read, then the event.
+def done(event: tuple, page_size: int) -> tuple:
+    """The checks that need the whole event once it is read, then the event.
 
     ``bench/layers.py`` counts parsed event lines by calls to this name.
     """
@@ -191,8 +191,6 @@ def done(event: tuple, unknown: dict, page_size: int) -> tuple:
                 f"content is {len(content)} bytes, more than"
                 f" {n_pages} page(s) of {page_size}", line_no,
             )
-    if unknown:
-        raise TraceError(f"unknown field(s): {', '.join(sorted(unknown))}", line_no)
     return event
 
 
@@ -222,7 +220,7 @@ def parse_trace(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> list[tuple]:
             else:
                 # every other field's least value is 0, which a match always meets
                 if 0 < pid <= n_pids:
-                    out.append(done(event, {}, page_size))
+                    out.append(done(event, page_size))
                     continue
         line = match.group()
         setup = _SETUP.get(line[:line.find(" ")]) if op is None else None
@@ -258,7 +256,7 @@ def parse_trace(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> list[tuple]:
             if event is not None:
                 if code == PROC:
                     n_pids += 1
-                out.append(done(event, {}, page_size))
+                out.append(done(event, page_size))
                 continue
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -310,5 +308,7 @@ def parse_trace(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> list[tuple]:
                     raise TraceError(f"{key} must be hex bytes, got {value!r}", line_no)
         if code == PROC:
             n_pids += 1
-        out.append(done(tuple(args), fields, page_size))
+        out.append(done(tuple(args), page_size))
+        if fields:
+            raise TraceError(f"unknown field(s): {', '.join(sorted(fields))}", line_no)
     return out

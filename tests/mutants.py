@@ -1,0 +1,240 @@
+"""Hand mutants of ``src/jitscan``, kept so that each runs again when the
+code changes.
+
+    python3 tests/mutants.py
+
+Each entry of ``MUTANTS`` names a file under ``src/``, an exact old text
+that occurs there once, its replacement and the pytest node ids that
+must fail once the replacement is made.  The runner copies ``src``,
+``tests`` and ``pyproject.toml`` into a temporary directory, because
+pyproject's ``pythonpath = ["src"]`` would otherwise put this tree's
+unmutated package first on ``sys.path``.  It applies one mutant at a
+time there and runs that entry's node ids, with the copy as pytest's
+rootdir, one process at a time.  It prints each mutant that survives
+(none of its node ids fails) and each node id that passes though it
+must fail, and exits 1 if there is any, 0 if none.  The copy holds no
+``bench/``, so a test that reads it fails under any mutant: name none.
+
+An entry marked ``survives`` is a known survivor: no test can see it
+yet, its node ids are the tests that come nearest, and it fails no run.
+The runner says so when one of them starts to fail it.
+
+Standard library only; pytest does not collect this file.
+``tests/test_mutants.py`` checks that every old text still occurs
+exactly once in its file and every named test exists, so a refactor
+that moves the code or renames a test must update the entry.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+AGENT = "tests/test_agent.py::"
+TRACE = "tests/test_trace.py::"
+PIPELINE = "tests/test_pipeline.py::"
+MMU = "tests/test_mmu.py::"
+SHADOW = "tests/test_shadow.py::"
+ACCEPTANCE = "tests/test_acceptance.py::"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str  # occurs exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # node ids that must fail under the mutant
+    survives: bool = False  # a known survivor: no test sees it yet
+
+
+MUTANTS = (
+    Mutant(
+        "agent skips the guard acknowledgment", "src/jitscan/agent.py",
+        "            on_delivered(snap.uid, now)\n", "",
+        (
+            AGENT + "TestAgentStep::test_step_acknowledges_each_drained_uid_at_its_tick",
+            AGENT + "TestReplay::test_eviction_shows_up_in_metrics",
+            AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
+            AGENT + "TestDrainSkip::test_reports_equal_the_plain_loop",
+            AGENT + "TestGuardSweep::test_a_penalty_ends_with_its_eviction_not_before[4]",
+            AGENT + "TestGuardSweep::test_a_penalty_ends_with_its_eviction_not_before[5]",
+            AGENT + "TestGuardSweep::test_eviction_boundary[5-1]",
+        ),
+    ),
+    Mutant(
+        "image cut without its length check", "src/jitscan/trace.py",
+        "    if 2 * len(image) != len(token):"
+        "  # fromhex skips whitespace, which the loop splits at\n"
+        '        raise ValueError("image is not exactly hex digits")\n',
+        "",
+        (
+            TRACE + "test_an_image_token_that_is_not_exactly_hex_is_the_loops[90\\tc3]",
+            TRACE + "test_an_image_token_that_is_not_exactly_hex_is_the_loops[90c3\\r]",
+            TRACE + "test_an_image_token_that_is_not_exactly_hex_is_the_loops[90c3\\x0b]",
+            TRACE + "test_same_result_as_the_reference_parser_on_token_soup[4]",
+            TRACE + "test_same_result_as_the_reference_parser_on_token_soup[5]",
+        ),
+    ),
+    Mutant(
+        "image cut keeps the line's trailing CR", "src/jitscan/trace.py",
+        '        stop = len(line) - line.endswith("\\r")\n', "        stop = len(line)\n",
+        (
+            TRACE + "test_crlf_setup_lines_take_their_ops_pattern"
+            "[MMAP pid=1 perms=wx pages=2 at=16 content=90c3-groups6]",
+            TRACE + "test_crlf_setup_lines_take_their_ops_pattern"
+            "[MMAP pid=1 perms=rwx pages=1 at=0x10 content=-groups7]",
+        ),
+    ),
+    Mutant(
+        "summary object keys unsorted", "src/jitscan/report.py",
+        "for key, value in sorted(fields.items())", "for key, value in fields.items()",
+        (
+            AGENT + "TestEmit::test_detection_and_action_records_equal_encode_record",
+            AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
+            AGENT + "TestReferenceReplay::test_plain_engine_equals_the_reference",
+            AGENT + "TestDrainSkip::test_reports_equal_the_plain_loop",
+        ),
+    ),
+    Mutant(
+        "_str without its quote check", "src/jitscan/report.py",
+        """s.isprintable() and '"' not in s and""", "s.isprintable() and",
+        (
+            AGENT + "TestEmit::test_detection_and_action_records_equal_encode_record",
+        ),
+    ),
+    Mutant(
+        "drain without the empty-ring early return", "src/jitscan/pipeline.py",
+        "        if not ready:\n            return []\n", "",
+        (
+            PIPELINE + "TestOrdering::test_drain_locks_once_and_only_when_pending",
+        ),
+    ),
+    Mutant(
+        "drain serves a bucket twice in a row", "src/jitscan/pipeline.py",
+        "                if bucket:\n                    ready.append(idx)\n",
+        "                if bucket:\n                    ready.appendleft(idx)\n",
+        (
+            PIPELINE + "TestOrdering::test_round_robin_serves_all_buckets",
+            PIPELINE + "TestOrdering::test_random_histories_match_a_model[0]",
+            PIPELINE + "TestOrdering::test_random_histories_match_a_model[7]",
+            AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
+        ),
+    ),
+    Mutant(
+        "seq stamped outside the lock", "src/jitscan/pipeline.py",
+        "        with self._lock:\n"
+        "            seq = snap.seq = self.enqueued_total\n"
+        "            self.enqueued_total = seq + 1\n",
+        "        seq = snap.seq = self.enqueued_total\n"
+        "        self.enqueued_total = seq + 1\n"
+        "        with self._lock:\n",
+        (
+            PIPELINE + "TestConcurrency::test_seq_order_is_drain_order",
+        ),
+    ),
+    Mutant(
+        "tlb_flush_one does nothing", "src/jitscan/mmu.py",
+        "        if not self.suppress_tlb_flush:\n            pte.tlb.clear()\n",
+        "        pass\n",
+        (
+            MMU + "TestTlb::test_flush_one_is_a_broadcast",
+            SHADOW + "TestWriteFault::test_write_transition_flushes_the_page_entry",
+            ACCEPTANCE + "test_02_write_and_execute_never_jointly_reachable",
+            ACCEPTANCE + "test_05_stale_tlb_entry_defeats_the_state_machine_without_flushes",
+            AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
+        ),
+    ),
+    Mutant(
+        "find_area bisects left", "src/jitscan/mmu.py",
+        "        i = bisect.bisect_right(self.areas, vpage, key=_start)\n",
+        "        i = bisect.bisect_left(self.areas, vpage, key=_start)\n",
+        (
+            MMU + "TestMmapMprotect::test_mprotect_subrange_splits_the_area",
+            MMU + "test_area_map_matches_per_page_model[0]",
+            AGENT + "TestReplay::test_benign_trace_all_ok",
+            ACCEPTANCE + "test_01_snapshot_events_match_the_write_fetch_oracle",
+        ),
+    ),
+    # The snapshot keeps the page's live span list, which later writes
+    # widen: the windows grow, the matches do not, so no report shows it.
+    Mutant(
+        "written spans not reset after a check", "src/jitscan/shadow.py",
+        "        spans, pte.written = pte.written, []\n", "        spans = pte.written\n",
+        (
+            AGENT + "TestWrittenSpans::test_reports_equal_whole_page_checks",
+            AGENT + "TestWrittenSpans::"
+            "test_reports_equal_whole_page_checks_with_zero_rules_and_images",
+            AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
+        ),
+        survives=True,
+    ),
+)
+
+
+def copy_tree(into: Path) -> None:
+    """This tree's ``src``, ``tests`` and ``pyproject.toml``, caches left out."""
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, into / name, ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
+
+
+def failing(root: Path, mutant: Mutant) -> set[str] | None:
+    """The node ids of ``mutant`` that fail with it applied under ``root``;
+    None when pytest could not run them (a bad node id, say)."""
+    target = root / mutant.path
+    text = target.read_text()
+    target.write_text(text.replace(mutant.old, mutant.new, 1))
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+             "--rootdir", str(root), *mutant.tests],
+            cwd=root, env=env, capture_output=True, text=True,
+        )
+    finally:
+        target.write_text(text)
+    if proc.returncode not in (0, 1):
+        print(proc.stdout + proc.stderr, file=sys.stderr)
+        return None
+    return {  # a summary line is "FAILED <node id> - <message>"; an id may hold spaces
+        line.partition(" ")[2].partition(" - ")[0] for line in proc.stdout.splitlines()
+        if line.startswith(("FAILED ", "ERROR "))
+    }
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="jitscan-mutants-") as tmp:
+        root = Path(tmp)
+        copy_tree(root)
+        for mutant in MUTANTS:
+            failed = failing(root, mutant)
+            if failed is None:
+                bad += 1
+                print(f"error: {mutant.name}: pytest could not run its node ids")
+            elif mutant.survives:
+                state = "now killed, drop its survives mark" if failed else "survives, as known"
+                print(f"{state}: {mutant.name}")
+            elif not failed:
+                bad += 1
+                print(f"survivor: {mutant.name}")
+            else:
+                passed = [node for node in mutant.tests if node not in failed]
+                bad += bool(passed)
+                print(f"killed: {mutant.name} ({len(failed)} of {len(mutant.tests)} failed)")
+                for node in passed:
+                    print(f"  passed though it must fail: {node}")
+    print(f"mutants: {len(MUTANTS)}, {bad} with a survivor or a passing node id")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

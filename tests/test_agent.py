@@ -328,6 +328,22 @@ class TestAgentStep:
         assert ctx.agent.step() == 1
         assert ctx.report.detections == []
 
+    def test_step_acknowledges_each_drained_uid_at_its_tick(self):
+        # the agent, not the pipeline, tells the guard of each delivery
+        ctx = build_run(SimConfig(drain_every=0), rules())
+        from jitscan.mmu import AccessKind
+
+        for uid in (10, 20):
+            pid = ctx.machine.create_process(uid=uid)
+            ctx.machine.mmap(pid, "rx", 1, backing=b"\xc3", at=16)
+            ctx.machine.now += 1
+            ctx.machine.access(pid, 1, 0, 16 * PS, AccessKind.FETCH)
+        assert (ctx.guard.pending(10), ctx.guard.pending(20)) == (1, 1)
+        ctx.machine.now = 42
+        assert ctx.agent.step() == 2
+        assert (ctx.guard.pending(10), ctx.guard.pending(20)) == (0, 0)
+        assert ctx.guard._idle == {10: 42, 20: 42}
+
 
 class TestBuildRun:
     def test_rules_for_another_page_size_are_rejected_before_any_event(self):

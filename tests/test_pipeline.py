@@ -49,19 +49,9 @@ class TestBasics:
         for i in range(3):
             table.enqueue(snap(1, i))
         assert table.pending_count() == 3
-        assert table.pending_bytes() == 3 * 64
         table.drain(2)
         assert table.pending_count() == 1
-        assert table.pending_bytes() == 64
         assert table.high_watermark == 3
-
-    def test_delivery_callback_sees_each_uid(self):
-        seen = []
-        table = SnapshotTable(4, on_delivered=seen.append)
-        table.enqueue(snap(1, 0, uid=10))
-        table.enqueue(snap(2, 1, uid=20))
-        table.drain()
-        assert sorted(seen) == [10, 20]
 
     def test_bucket_count_validated(self):
         with pytest.raises(ValueError):
@@ -117,7 +107,7 @@ class TestOrdering:
             model: dict[int, deque[PageSnapshot]] = {}
             nonempty_since: dict[int, int] = {}  # step the bucket last became non-empty
             last_served: dict[int, int] = {}
-            pending = pending_bytes = peak = 0
+            pending = peak = 0
             step = 0
             for _ in range(rng.randint(1, 60)):
                 step += 1
@@ -133,7 +123,6 @@ class TestOrdering:
                     fifo.append(item)
                     table.enqueue(item)
                     pending += 1
-                    pending_bytes += len(item.content)
                     peak = max(peak, pending)
                     continue
                 max_items = rng.choice([None, 1, 2, 3])
@@ -153,9 +142,7 @@ class TestOrdering:
                                 )
                     last_served[idx] = step
                     pending -= 1
-                    pending_bytes -= len(item.content)
                 assert table.pending_count() == pending
-                assert table.pending_bytes() == pending_bytes
                 assert table.high_watermark == peak
             assert len(table.drain()) == pending
             assert table.pending_count() == 0
@@ -250,7 +237,6 @@ class TestConcurrency:
                 tags = [s.vpage for s in out if s.pid == pid]
                 assert tags == sorted(tags)
         assert table.pending_count() == 0
-        assert table.pending_bytes() == 0
         assert table.drain() == []
 
     def test_seq_order_is_drain_order(self):
