@@ -36,12 +36,21 @@ an optional bytes) one ``groups()`` call reads; the match is taken only
 if bytes are there exactly when the op is WRITE.  A line that misses
 that alternative and starts with PROC, MMAP, MPROTECT or TICK tries one
 ``fullmatch`` of its op's own pattern in ``_SETUP``.  An MMAP line's
-image is cut out first with str methods and read by one
-``bytes.fromhex``, so the pattern reads only the short fields and an
-image costs about one hex decode.  Every other line goes through the
-token loop, which is the one source of error text: a fast-path
-candidate it cannot take falls to the loop unmodified, and both paths
-end in ``done()``'s whole-line checks.
+image is cut out first with str methods and read by one hex decode, so
+the pattern reads only the short fields and an image costs about one
+hex decode.  Every other line goes through the token loop, which is the
+one source of error text: a fast-path candidate it cannot take falls to
+the loop unmodified, and both paths end in ``done()``'s whole-line
+checks.
+
+Every hex field, on every path, is read by ``binascii.unhexlify``, the
+C decoder with the least overhead per call.  It takes exactly hex
+digits in pairs and refuses whitespace, which the loop splits at, so a
+token it reads is one token to the loop as well; its refusal, a
+``binascii.Error``, is a ValueError.  The fast paths read op codes from
+a table and ids (pid, tid, cpu, uid, pages, start, at, n) from one
+plain dict per parse, text -> value, because CPython specialises a
+subscript only on an exact dict.
 
 An event is an exact tuple: its op code (``READ`` ... ``TICK``), its
 line number, then its fields in ``_GRAMMAR`` order, for example
@@ -55,6 +64,7 @@ differ by their op code.
 from __future__ import annotations
 
 import re
+from binascii import unhexlify
 
 from .mmu import _PERMS, DEFAULT_PAGE_SIZE, FETCH, READ, WRITE, check_page_size
 
@@ -98,11 +108,12 @@ _GRAMMAR: dict[str, tuple[int, tuple[tuple[str, str, int], ...]]] = {
 # _ACCESS fields in order as key=value, one space apart, then WRITE's
 # bytes, and nothing else on the line but a \r (no comment).  An integer
 # is 0x and hex digits or ASCII decimal digits ([0-9], not \d, which
-# matches ١٢); bytes are hex digits, and bytes.fromhex refuses an odd
+# matches ١٢); bytes are hex digits, and unhexlify refuses an odd
 # count.  The three ops share one alternative, so a match has six groups:
 # op, pid, tid, cpu, addr and the bytes, which are optional in the
 # pattern; any other line is ``.*``, all six None.
 _FAST_OPS = ("READ", "FETCH", "WRITE")
+_FAST_CODES = {op: _GRAMMAR[op][0] for op in _FAST_OPS}  # op -> its op code
 _INT_RE = "(0x[0-9a-fA-F]+|[0-9]+)"
 
 
@@ -146,9 +157,10 @@ def _cut_image(line: str) -> tuple[str, bytes | None]:
     image: the line and None when it has none.
 
     The token runs to the next space, or to the end of the line less a
-    trailing \r, which belongs to the line.  It is read by one hex decode
-    and its length; a ValueError where it is not exactly hex digits in
-    pairs leaves the line to the loop.
+    trailing \r, which belongs to the line.  It is read by one unhexlify,
+    whose ValueError where it is not exactly hex digits in pairs (a tab or
+    form feed inside, say, which the loop splits at) leaves the line to
+    the loop.
     """
     start = line.find(_IMAGE)
     if start < 0:
@@ -157,19 +169,17 @@ def _cut_image(line: str) -> tuple[str, bytes | None]:
     if stop < 0:
         stop = len(line) - line.endswith("\r")
     token = line[start + len(_IMAGE):stop]
-    image = bytes.fromhex(token)
-    if 2 * len(image) != len(token):  # fromhex skips whitespace, which the loop splits at
-        raise ValueError("image is not exactly hex digits")
-    return line[:start] + line[stop:], image
+    return line[:start] + line[stop:], unhexlify(token)
 
 
-class _Ints(dict):
-    """Integer text -> its value, read by int(value, 0) on first sight: 0x
-    hex or decimal, and a ValueError for 010 or 5,000 digits."""
-
-    def __missing__(self, value: str) -> int:
-        number = self[value] = int(value, 0)
-        return number
+def _int(ints: dict[str, int], text: str) -> int:
+    """The value of integer ``text``, read by int(text, 0) on first sight
+    and kept in ``ints``: 0x hex or decimal, and a ValueError for 010 or
+    5,000 digits."""
+    number = ints.get(text)
+    if number is None:
+        number = ints[text] = int(text, 0)
+    return number
 
 
 def done(event: tuple, page_size: int) -> tuple:
@@ -178,13 +188,13 @@ def done(event: tuple, page_size: int) -> tuple:
     ``bench/layers.py`` counts parsed event lines by calls to this name.
     """
     op, line_no = event[0], event[1]
-    if op == WRITE:
+    if op is WRITE:
         addr, data = event[5], event[6]
         if not data:
             raise TraceError("bytes must not be empty", line_no)
         if (addr % page_size) + len(data) > page_size:
             raise TraceError("write payload crosses a page boundary", line_no)
-    elif op == MMAP and event[5] is not None:
+    elif op is MMAP and event[5] is not None:
         n_pages, content = event[4], event[5]
         if len(content) > n_pages * page_size:
             raise TraceError(
@@ -200,7 +210,10 @@ def parse_trace(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> list[tuple]:
     check_page_size(page_size)
     out: list[tuple] = []
     n_pids = 0
-    ints = _Ints()  # pids, tids, cpus, uids and page counts repeat from line to line
+    # pids, tids, cpus, uids and page counts repeat from line to line; an
+    # exact dict, since CPython specialises a subscript only on one (a dict
+    # subclass takes the generic path on every hit)
+    ints: dict[str, int] = {}
     for line_no, match in enumerate(_LINE.finditer(text), start=1):
         # one groups() call reads every field, where a group() call per field
         # costs a method call each; a READ or FETCH with bytes or a WRITE
@@ -208,12 +221,14 @@ def parse_trace(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> list[tuple]:
         op, pid, tid, cpu, addr, data = match.groups()
         if op is not None and (data is None) == (op != "WRITE"):
             try:  # a value these refuse, such as 010 or 5,000 digits, is the loop's to read
-                pid = ints[pid]
+                try:
+                    pid, tid, cpu = ints[pid], ints[tid], ints[cpu]
+                except KeyError:
+                    pid, tid, cpu = _int(ints, pid), _int(ints, tid), _int(ints, cpu)
                 event = (
-                    (_GRAMMAR[op][0], line_no, pid, ints[tid], ints[cpu], int(addr, 0))
+                    (_FAST_CODES[op], line_no, pid, tid, cpu, int(addr, 0))
                     if data is None
-                    else (WRITE, line_no, pid, ints[tid], ints[cpu], int(addr, 0),
-                          bytes.fromhex(data))
+                    else (WRITE, line_no, pid, tid, cpu, int(addr, 0), unhexlify(data))
                 )
             except ValueError:
                 pass
@@ -233,22 +248,22 @@ def parse_trace(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> list[tuple]:
                 if found is None:
                     pass
                 elif code == PROC:  # uid >= 0 always holds
-                    event = (PROC, line_no, ints[found[1]])
+                    event = (PROC, line_no, _int(ints, found[1]))
                 elif code == MMAP:
                     pid, perms, pages, at = found.groups()
-                    pid, pages = ints[pid], ints[pages]
+                    pid, pages = _int(ints, pid), _int(ints, pages)
                     if 0 < pid <= n_pids and perms in _PERMS and pages >= 1:
                         event = (
                             MMAP, line_no, pid, perms, pages, image,
-                            None if at is None else ints[at],
+                            None if at is None else _int(ints, at),
                         )
                 elif code == MPROTECT:
                     pid, start, pages, perms = found.groups()
-                    pid, pages = ints[pid], ints[pages]
+                    pid, pages = _int(ints, pid), _int(ints, pages)
                     if 0 < pid <= n_pids and perms in _PERMS and pages >= 1:
-                        event = (MPROTECT, line_no, pid, ints[start], pages, perms)
+                        event = (MPROTECT, line_no, pid, _int(ints, start), pages, perms)
                 else:  # TICK
-                    ticks = ints[found[1]]
+                    ticks = _int(ints, found[1])
                     if ticks >= 1:
                         event = (TICK, line_no, ticks)
             except ValueError:
@@ -303,7 +318,7 @@ def parse_trace(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> list[tuple]:
                 args.append(value)
             else:
                 try:
-                    args.append(bytes.fromhex(value))
+                    args.append(unhexlify(value))
                 except ValueError:
                     raise TraceError(f"{key} must be hex bytes, got {value!r}", line_no)
         if code == PROC:

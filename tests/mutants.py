@@ -1,9 +1,11 @@
 """Hand mutants of ``src/jitscan``, kept so that each runs again when the
 code changes.
 
-    python3 tests/mutants.py
+    python3 tests/mutants.py [NAME ...]
 
-Each entry of ``MUTANTS`` names a file under ``src/``, an exact old text
+With no NAME it runs every entry; with names, only those entries, and
+an unknown name exits 2 with a one-line message before any runs.  Each
+entry of ``MUTANTS`` names a file under ``src/``, an exact old text
 that occurs there once, its replacement and the pytest node ids that
 must fail once the replacement is made.  The runner copies ``src``,
 ``tests`` and ``pyproject.toml`` into a temporary directory, because
@@ -69,17 +71,51 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "image cut without its length check", "src/jitscan/trace.py",
-        "    if 2 * len(image) != len(token):"
-        "  # fromhex skips whitespace, which the loop splits at\n"
-        '        raise ValueError("image is not exactly hex digits")\n',
-        "",
+        "agent acknowledges each snapshot twice", "src/jitscan/agent.py",
+        "            on_delivered(snap.uid, now)\n",
+        "            on_delivered(snap.uid, now)\n            on_delivered(snap.uid, now)\n",
+        (
+            AGENT + "TestGuardCountsThePipeline::test_pending_per_uid_equals_the_queued_snapshots",
+        ),
+    ),
+    # bytes.fromhex skips ASCII whitespace, which the loop splits at
+    Mutant(
+        "image read by bytes.fromhex", "src/jitscan/trace.py",
+        "    return line[:start] + line[stop:], unhexlify(token)\n",
+        "    return line[:start] + line[stop:], bytes.fromhex(token)\n",
         (
             TRACE + "test_an_image_token_that_is_not_exactly_hex_is_the_loops[90\\tc3]",
             TRACE + "test_an_image_token_that_is_not_exactly_hex_is_the_loops[90c3\\r]",
             TRACE + "test_an_image_token_that_is_not_exactly_hex_is_the_loops[90c3\\x0b]",
+            TRACE + "test_an_image_token_that_is_not_exactly_hex_is_the_loops[90\\x0cc3]",
+            TRACE + "test_same_result_as_the_reference_parser_on_token_soup[1]",
             TRACE + "test_same_result_as_the_reference_parser_on_token_soup[4]",
             TRACE + "test_same_result_as_the_reference_parser_on_token_soup[5]",
+        ),
+    ),
+    Mutant(
+        "op-code table swaps READ and FETCH", "src/jitscan/trace.py",
+        "_FAST_CODES = {op: _GRAMMAR[op][0] for op in _FAST_OPS}",
+        "_FAST_CODES = {op: _GRAMMAR[{'READ': 'FETCH', 'FETCH': 'READ'}.get(op, op)][0]"
+        " for op in _FAST_OPS}",
+        (
+            TRACE + "test_parses_every_event_kind",
+            TRACE + "test_a_read_and_a_fetch_with_equal_fields_differ_by_op_code",
+            TRACE + "test_same_result_as_the_reference_parser_on_token_soup[0]",
+            AGENT + "TestReplay::test_benign_trace_all_ok",
+            AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
+        ),
+    ),
+    Mutant(
+        "id cache keeps a value under the wrong text", "src/jitscan/trace.py",
+        "        number = ints[text] = int(text, 0)\n",
+        "        number = ints[text[:1]] = int(text, 0)\n",
+        (
+            TRACE + "test_parses_every_event_kind",
+            TRACE + "test_same_result_as_the_reference_parser_on_token_soup[0]",
+            TRACE + "test_same_result_as_the_reference_parser_on_token_soup[3]",
+            AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
+            AGENT + "TestReferenceReplay::test_plain_engine_equals_the_reference",
         ),
     ),
     Mutant(
@@ -210,12 +246,18 @@ def failing(root: Path, mutant: Mutant) -> set[str] | None:
     }
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    by_name = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = [name for name in names if name not in by_name]
+    if unknown:
+        print(f"mutants: unknown mutant(s): {', '.join(map(repr, unknown))}", file=sys.stderr)
+        return 2
+    chosen = [by_name[name] for name in dict.fromkeys(names)] if names else MUTANTS
     bad = 0
     with tempfile.TemporaryDirectory(prefix="jitscan-mutants-") as tmp:
         root = Path(tmp)
         copy_tree(root)
-        for mutant in MUTANTS:
+        for mutant in chosen:
             failed = failing(root, mutant)
             if failed is None:
                 bad += 1
@@ -232,9 +274,9 @@ def main() -> int:
                 print(f"killed: {mutant.name} ({len(failed)} of {len(mutant.tests)} failed)")
                 for node in passed:
                     print(f"  passed though it must fail: {node}")
-    print(f"mutants: {len(MUTANTS)}, {bad} with a survivor or a passing node id")
+    print(f"mutants: {len(chosen)}, {bad} with a survivor or a passing node id")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import gc
 import io
@@ -701,40 +702,48 @@ def _mixed_history(rng: random.Random, page_size: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _mixed_runs():
+    """TestReferenceReplay's runs: 60 mixed histories on 64-byte pages, each
+    with its rules and guard, under every drain cadence, sync setting and
+    detection action; yields (trace, rules, config)."""
+    rng = random.Random(21)
+    page_size = 64
+    for _ in range(60):
+        trace = _mixed_history(rng, page_size)
+        rs = parse_rules(rng.choice([_ab_rules, _zero_rules])(rng), page_size)
+        guard = GuardConfig(
+            threshold=rng.randint(1, 3), penalty_action=rng.choice(["kill", "block"]),
+            ttl_penalty=rng.randint(1, 30), ttl_evict=rng.randint(1, 12),
+        )
+        for drain_every in (0, 1, 3, 16):
+            for sync in (True, False):
+                for action in ("kill", "block", "alert"):
+                    yield trace, rs, SimConfig(
+                        page_size=page_size, sync_check=sync, detection_action=action,
+                        drain_every=drain_every, guard=guard,
+                    )
+
+
 class TestReferenceReplay:
     """replay's report equals the reference replay's in conftest, which has
     no areas, no TLB, no written spans and no drain ring."""
 
     def test_reports_equal_the_reference(self):
-        rng = random.Random(21)
-        page_size = 64
         seen = dict.fromkeys(
             ["sync", "async", "kills", "blocks", "denials", "evictions", "dead", "error", "segv"],
             0,
         )
-        for _ in range(60):
-            trace = _mixed_history(rng, page_size)
-            rs = parse_rules(rng.choice([_ab_rules, _zero_rules])(rng), page_size)
-            guard = GuardConfig(
-                threshold=rng.randint(1, 3), penalty_action=rng.choice(["kill", "block"]),
-                ttl_penalty=rng.randint(1, 30), ttl_evict=rng.randint(1, 12),
-            )
-            for drain_every in (0, 1, 3, 16):
-                for sync in (True, False):
-                    for action in ("kill", "block", "alert"):
-                        config = SimConfig(page_size=page_size, sync_check=sync,
-                                           detection_action=action, drain_every=drain_every,
-                                           guard=guard)
-                        report = replay(trace, rs, config)
-                        assert report.emit() == reference_replay(trace, rs, config), trace
-                        paths = {d.path for d in report.detections}
-                        seen["sync"] += "sync" in paths
-                        seen["async"] += "async" in paths
-                        for key in ("kills", "blocks", "denials", "evictions"):
-                            seen[key] += bool(report.metrics[key])
-                        seen["dead"] += "dead" in report.outcomes
-                        seen["error"] += "error" in report.outcomes
-                        seen["segv"] += "segv_delivered" in report.outcomes
+        for trace, rs, config in _mixed_runs():
+            report = replay(trace, rs, config)
+            assert report.emit() == reference_replay(trace, rs, config), trace
+            paths = {d.path for d in report.detections}
+            seen["sync"] += "sync" in paths
+            seen["async"] += "async" in paths
+            for key in ("kills", "blocks", "denials", "evictions"):
+                seen[key] += bool(report.metrics[key])
+            seen["dead"] += "dead" in report.outcomes
+            seen["error"] += "error" in report.outcomes
+            seen["segv"] += "segv_delivered" in report.outcomes
         assert min(seen.values()) > 50, seen  # the traces reach every path
 
     def test_plain_engine_equals_the_reference(self):
@@ -744,6 +753,46 @@ class TestReferenceReplay:
             rs = parse_rules(_zero_rules(rng), 64)
             config = SimConfig(page_size=64, shadow=False)
             assert replay(trace, rs, config).emit() == reference_replay(trace, rs, config)
+
+
+def _assert_guard_counts_the_pipeline(ctx) -> int:
+    """Each uid's guard counter equals its snapshots in the pipeline, and
+    every delivery named a pending uid; returns the snapshots pending."""
+    in_pipeline = collections.Counter(
+        snap.uid for bucket in ctx.pipeline._buckets for snap in bucket
+    )
+    assert ctx.guard.unknown_deliveries == 0
+    for uid in ctx.guard.entries.keys() | in_pipeline.keys():
+        assert ctx.guard.pending(uid) == in_pipeline[uid], uid
+    return sum(in_pipeline.values())
+
+
+class TestGuardCountsThePipeline:
+    """The agent acknowledges exactly what it drains: a run through
+    build_run's parts, as replay runs it, keeps each uid's pending count
+    equal to its snapshots still queued, after every event and at the end."""
+
+    def test_pending_per_uid_equals_the_queued_snapshots(self):
+        held = dict.fromkeys((0, 1, 3, 16), 0)  # drain cadence -> checks with snapshots queued
+        for trace, rs, config in _mixed_runs():
+            ctx = build_run(config, rs)
+            machine, drain_every = ctx.machine, config.drain_every
+            events = parse_trace(trace, config.page_size)
+            for index, event in enumerate(events, start=1):
+                try:
+                    agent_module._apply_event(machine, event)
+                except (SimError, ValueError):
+                    pass
+                if drain_every > 0 and index % drain_every == 0 and ctx.pipeline.pending_count():
+                    ctx.agent.step()
+                held[drain_every] += bool(_assert_guard_counts_the_pipeline(ctx))
+            if drain_every > 0:
+                ctx.agent.step()
+            ctx.guard.tick(machine.now)
+            left = _assert_guard_counts_the_pipeline(ctx)
+            assert left == 0 if drain_every > 0 else left == ctx.pipeline.enqueued_total
+        # snapshots stay queued between steps, except at cadence 1, whose steps drain all
+        assert min(held[0], held[3], held[16]) > 500, held
 
 
 class TestNoRulesIsTheEmptySet:

@@ -206,6 +206,7 @@ def test_crlf_access_lines_take_the_regex_path():
         ("TICK n=50", ("50",)),
         ("MMAP pid=1 perms=wx pages=2 at=16 content=90c3", ("1", "wx", "2", "16")),
         ("MMAP pid=1 perms=rwx pages=1 at=0x10 content=", ("1", "rwx", "1", "0x10")),
+        ("MMAP pid=1 perms=rx pages=1 content=90C3aB at=16", ("1", "rx", "1", "16")),
     ],
 )
 def test_crlf_setup_lines_take_their_ops_pattern(line, groups):
@@ -225,10 +226,13 @@ def test_crlf_setup_lines_take_their_ops_pattern(line, groups):
 
 @pytest.mark.parametrize(
     "token",
-    ["90\tc3", "90c3\r", "90c3\x0b", "0x90", "90c", "９０"],
+    ["90\tc3", "90c3\r", "90c3\x0b", "90\x0cc3", "90\x1cc3", "90\xa0c3", "90\u2028c3",
+     "0x90", "90c", "９０"],
 )
 def test_an_image_token_that_is_not_exactly_hex_is_the_loops(token):
-    # fromhex alone would skip the whitespace; the loop splits at it or refuses the value
+    # unhexlify refuses whitespace (bytes.fromhex would skip the ASCII kinds)
+    # and non-hex or non-ASCII characters; the loop splits at the whitespace
+    # (str.split's, which includes \x1c, \xa0 and \u2028) or refuses the value
     with pytest.raises(ValueError):
         _cut_image(f"MMAP pid=1 perms=rx pages=1 content={token} at=16")
     text = f"PROC uid=1\nMMAP pid=1 perms=rx pages=1 content={token} at=16\n"
@@ -361,9 +365,10 @@ def _mutate(rng: random.Random, fields: list[list[str]]) -> None:
 
 
 # values a canonical access line may carry that only the token loop reads
-# (010, a 5,000-digit decimal) or that must be refused as the loop refuses them
+# (010, a 5,000-digit decimal) or that must be refused as the loop refuses them,
+# and payloads in mixed case, which both read, or with a form feed inside
 _FAST_EDGE_INTS = ("0X1f", "١٢", "9" * 5000, "0", "010", "0x0", "²", "0x")
-_FAST_EDGE_HEX = ("", "abc", "c3c", "0xc3", "C3", "c3 ")
+_FAST_EDGE_HEX = ("", "abc", "c3c", "0xc3", "C3", "c3 ", "c3Ab9F", "c3\x0cc3")
 
 
 def _canonical_access(rng: random.Random, n_pids: int, ps: int) -> str:
@@ -395,8 +400,9 @@ def _canonical_access(rng: random.Random, n_pids: int, ps: int) -> str:
 _SETUP_EDGE_INTS = ("010", "9" * 5000, "0X1f", "١٢", "0", "0x0", "00")
 _SETUP_EDGE_PERMS = ("rr", "RW", "wxw", "")
 _SETUP_EDGE_HEX = ("c3c", "0xc3", "C3", "abc")
-# image tokens at the edge of the image cut: whitespace inside, which bytes.fromhex
-# skips and the loop splits at, a \r after the hex, and no hex at all
+# image tokens at the edge of the image cut: whitespace inside, which unhexlify
+# refuses (bytes.fromhex would skip it) and the loop splits at, a \r after the
+# hex, and no hex at all
 _IMAGE_EDGE_HEX = ("c3\tc3", "c3c3\r", "", "c3 c3", "c3\x0b")
 
 
