@@ -11,11 +11,12 @@ editor shows; other line-break characters are whitespace.
 
 Matching is exact-byte with wildcards, per page, overlapping matches
 included.  Each pattern's longest run of consecutive literal bytes is its
-anchor.  A scan finds anchor candidates with one ``re`` pass over the page
-in C, then verifies each candidate's anchor and remaining literals in
-Python, so its cost is that one pass plus work per candidate.  Result
-order is (offset, rule name), so a scan is a pure function of
-(content, ruleset, spans).
+anchor.  A scan finds anchor candidates with a byte-class table and a few
+shifts and ANDs of the page read as one integer, all in C, then verifies
+each candidate's anchor and remaining literals in Python, so its cost is
+those whole-page operations plus work per candidate.  Result order is
+(offset, rule name), so a scan is a pure function of (content, ruleset,
+spans).
 
 A scan may be given the ``[lo, hi)`` spans written since the page was
 last found clean.  Every new match then overlaps a span, so the scan
@@ -40,7 +41,13 @@ Atom = int | None  # one pattern position: literal byte or wildcard
 _HEX_PAIR = r"[0-9a-fA-F]{2}$"
 _NAME = r"\w+$"
 
-# most leading anchor bytes the prefilter keys a candidate on
+# Most leading anchor bytes the prefilter keys a candidate on.  The class
+# table sets only bits 0..k-1 of a byte, and _MultiPattern.scan ANDs the
+# codes shifted by 9*i for i < k, which moves bit i of byte p+i onto bit 0
+# of byte p.  Bit j >= 1 of a result byte is 0 without a mask: the factor
+# shifted by 9*(k-1) reads bit j+k-1 >= k there, which no table byte sets.
+# A factor reads bit j+i <= 2*(k-1) of its byte, inside the byte while
+# k <= 4, so no bit crosses into a neighbour and each result byte is 0 or 1.
 _PREFIX = 4
 
 
@@ -85,15 +92,21 @@ _BY_OFFSET_RULE = operator.attrgetter("offset", "rule")  # the order scans retur
 class _MultiPattern:
     """Anchor prefilter with exact verification.
 
-    With k = min(_PREFIX, shortest anchor length), one ``re`` pattern
-    matches where the first k bytes of some anchor could start: a class of
-    every anchor's byte 0, then a lookahead of the classes at positions
-    1..k-1.  A dict maps each anchor's k-byte prefix to the rules behind
-    it.  ``finditer`` yields the candidates at C speed; each one costs a
+    With k = min(_PREFIX, shortest anchor length), a dict maps each
+    anchor's k-byte prefix, its bucket key, to the rules behind it.  A
+    256-byte class table sets bit i of ``table[b]`` when b is byte i of
+    some key.  A window's bytes, translated through the table and read as
+    one little-endian integer, are ANDed with themselves shifted by 9*i
+    for i = 1..k-1: bit 0 of byte p survives exactly when byte p+i is in
+    class i for every i < k, and every other bit is 0 (see _PREFIX).  So
+    the marks read back as bytes hold 1 at each candidate and 0 elsewhere,
+    and ``bytes.find`` walks them.  A byte past the window's end reads as
+    0, so the candidates are the positions the regex ``[C0](?=[C1]...)``
+    of those classes finds up to the same end.  Each candidate costs a
     dict lookup, and each rule in the bucket a whole-anchor compare, a
     bounds check and a check of its literals outside the anchor.  Sparse
-    candidates cost almost nothing beyond the C pass; content made of
-    anchor bytes makes every position a candidate.  No rules, no pattern.
+    candidates cost almost nothing beyond the C work; content made of
+    anchor bytes makes every position a candidate.  No rules, no table.
 
     k comes from the shortest anchor in the whole set: one short anchor
     shortens the key, and so widens the candidate stream, for every rule.
@@ -101,15 +114,15 @@ class _MultiPattern:
     Given spans, a scan keeps only matches that overlap one.  With reach
     the longest pattern's length minus one, such a match starts in
     ``[lo - reach, hi)`` of some span ``[lo, hi)``; those ranges, merged
-    where they touch, are the windows.  A window gets one ``finditer``
-    from its start to reach past its end, which holds the anchor of every
-    match starting in it, and keeps the hits that start inside it, so no
-    hit is found twice.
+    where they touch, are the windows.  A window's candidates run from
+    its start to reach past its end, which holds the anchor of every
+    match starting in it; it keeps the verified hits that start inside
+    it, so no hit is found twice, and that overlap a span.
     """
 
     def __init__(self, anchored: list[tuple[SignatureRule, tuple[int, bytes]]]):
         """anchored: each rule with its anchor()."""
-        self._find = None
+        self._table = None
         if not anchored:
             return
         k = self._k = min(_PREFIX, min(len(anchor) for _, (_, anchor) in anchored))
@@ -122,17 +135,18 @@ class _MultiPattern:
             self._buckets.setdefault(anchor[:k], []).append(
                 (anchor, anchor_off, rule.name, len(rule.atoms), checks)
             )
-        classes = [
-            b"[" + re.escape(bytes(sorted({prefix[i] for prefix in self._buckets}))) + b"]"
-            for i in range(k)
-        ]
-        lookahead = b"(?=" + b"".join(classes[1:]) + b")" if k > 1 else b""
-        self._find = re.compile(classes[0] + lookahead).finditer
+        table = bytearray(256)
+        for key in self._buckets:
+            for i, byte in enumerate(key):
+                table[byte] |= 1 << i
+        self._table = bytes(table)
+        self._shifts = tuple(9 * i for i in range(1, k))
         self._reach = max(len(rule.atoms) for rule, _ in anchored) - 1
 
     def scan(self, data: bytes, spans: list[tuple[int, int]] | None = None) -> list[Match]:
         """Matches in data; with spans, only those overlapping some span."""
-        if self._find is None:
+        table = self._table
+        if table is None:
             return []
         k, buckets, size, reach = self._k, self._buckets, len(data), self._reach
         # a match overlapping [lo, hi) starts in [lo - reach, hi)
@@ -152,9 +166,16 @@ class _MultiPattern:
         hits: list[Match] = []
         for lo, hi in windows:
             # a match starting before hi ends by hi + reach, and its anchor with it
-            # (finditer stops at the end of data whatever endpos says)
-            for candidate in self._find(data, lo, hi + reach):
-                pos = candidate.start()
+            chunk = data[lo : hi + reach].translate(table)
+            codes = marks = int.from_bytes(chunk, "little")
+            for shift in self._shifts:
+                marks &= codes >> shift
+            if not marks:
+                continue
+            flags = marks.to_bytes(len(chunk), "little")
+            at = flags.find(1)
+            while at >= 0:
+                pos = lo + at
                 for anchor, anchor_off, name, length, checks in buckets.get(
                     data[pos : pos + k], ()
                 ):
@@ -163,8 +184,11 @@ class _MultiPattern:
                         continue
                     if data.startswith(anchor, pos) and all(
                         data[start + i] == b for i, b in checks
-                    ):
+                    ) and (spans is None or any(
+                        start < span_hi and span_lo < start + length for span_lo, span_hi in spans
+                    )):
                         hits.append(Match(name, start))
+                at = flags.find(1, at + 1)
         if len(hits) > 1:
             hits.sort(key=_BY_OFFSET_RULE)
         return hits

@@ -45,6 +45,7 @@ PIPELINE = "tests/test_pipeline.py::"
 MMU = "tests/test_mmu.py::"
 SHADOW = "tests/test_shadow.py::"
 ACCEPTANCE = "tests/test_acceptance.py::"
+SIGNATURES = "tests/test_signatures.py::"
 
 
 class Mutant(NamedTuple):
@@ -196,6 +197,45 @@ MUTANTS = (
             MMU + "test_area_map_matches_per_page_model[0]",
             AGENT + "TestReplay::test_benign_trace_all_ok",
             ACCEPTANCE + "test_01_snapshot_events_match_the_write_fetch_oracle",
+        ),
+    ),
+    # bit i of byte p+i lands on bit i-1 of byte p+i-1: marks are not 0/1
+    Mutant(
+        "class filter shifts by 8 bits a byte, not 9", "src/jitscan/signatures.py",
+        "self._shifts = tuple(9 * i for i in range(1, k))",
+        "self._shifts = tuple(8 * i for i in range(1, k))",
+        (
+            SIGNATURES + "TestScan::test_single_literal_match",
+            SIGNATURES + "TestPrefilterEdges::test_every_prefix_length[2]",
+            SIGNATURES + "TestPrefilterEdges::test_every_prefix_length[4]",
+            SIGNATURES + "TestOracleEquivalence::test_randomized_against_naive_oracle",
+            SIGNATURES + "TestWindowScan::test_spans_find_what_the_whole_page_scan_finds",
+            SIGNATURES + "TestDensePages::test_bench_shaped_rules_on_full_alphabet_pages",
+            ACCEPTANCE + "test_03_signature_invisible_at_rest_is_caught_at_unpack",
+            ACCEPTANCE + "test_09_scanner_agrees_with_the_sliding_window_oracle",
+        ),
+    ),
+    Mutant(
+        "narrowed scan keeps hits that overlap no span", "src/jitscan/signatures.py",
+        "(spans is None or any(", "(True or any(",
+        (
+            SIGNATURES + "TestSpansKeepOverlaps::test_a_match_just_before_a_span_is_not_kept",
+            SIGNATURES + "TestSpansKeepOverlaps::test_equal_the_naive_matches_that_overlap_a_span",
+            SIGNATURES + "TestDensePages::test_bench_shaped_rules_on_full_alphabet_pages",
+        ),
+    ),
+    Mutant(
+        "window's candidates end at its end, not reach past it", "src/jitscan/signatures.py",
+        "chunk = data[lo : hi + reach].translate(table)", "chunk = data[lo:hi].translate(table)",
+        (
+            SIGNATURES + "TestSpansKeepOverlaps::test_a_match_just_before_a_span_is_not_kept",
+            SIGNATURES + "TestSpansKeepOverlaps::test_equal_the_naive_matches_that_overlap_a_span",
+            SIGNATURES + "TestPrefilterEdges::test_a_window_at_the_buffer_end_shorter_than_the_key",
+            SIGNATURES + "TestDensePages::test_bench_shaped_rules_on_full_alphabet_pages",
+            SHADOW + "TestWholePageWalks::test_narrowed_walks_find_what_whole_and_naive_scans_find",
+            SHADOW + "TestFirstCheckSpans::"
+            "test_image_whose_match_needs_the_zero_padding_is_checked_whole",
+            AGENT + "TestWrittenSpans::test_reports_equal_whole_page_checks",
         ),
     ),
     # The snapshot keeps the page's live span list, which later writes

@@ -9,14 +9,17 @@ fork-flood for seeds 1, 2 and 9001 with ``bench/workloads.py``, and runs
 ``python -m jitscan.cli run`` with each workload's flags under
 ``--action`` kill, block and alert, once on REV's ``src`` and once on
 this tree's: 27 runs per side.  For each of those rule files it also
-runs ``jitscan scan`` on two pages of the workload's page size, one
+runs ``jitscan scan`` on three pages of the workload's page size: one
 holding the first kill rule's literal bytes at offset 0 (wildcards as
-00), one all zero: 18 more per side, the CLI path that writes through
-``encode_record``.  One process at a time.  Prints every run whose exit
-code or output bytes (the report of ``run``, stdout of ``scan``) differ
-and exits 1 if any do, 0 if none.  It also prints the ``wc -l`` total
-of ``src/jitscan/*.py`` at REV and in this tree, which leaves the exit
-status alone.  Standard library only; pytest does not collect this file.
+00), one all zero, and one of seeded bytes from the whole alphabet with
+that rule's literals at a seeded offset, which puts the scanner's
+prefilter on dense content.  That is 27 more per side, the CLI path
+that writes through ``encode_record``.  One process at a time.  Prints
+every run whose exit code or output bytes (the report of ``run``,
+stdout of ``scan``) differ and exits 1 if any do, 0 if none.  It also
+prints the ``wc -l`` total of ``src/jitscan/*.py`` at REV and in this
+tree, which leaves the exit status alone.  Standard library only; pytest
+does not collect this file.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tarfile
@@ -78,15 +82,30 @@ def scan(src: Path, workdir: Path, page: Path) -> tuple[int, bytes]:
     return proc.returncode, proc.stdout
 
 
-def kill_rule_page(rules_text: str) -> bytes:
-    """A page holding the first kill rule's literal bytes at offset 0, wildcards as 00."""
+def kill_rule_atoms(rules_text: str) -> list[int | None]:
+    """The first kill rule's atoms: a byte, or None for ``??``."""
     for line in rules_text.splitlines():
         words = line.split()
         if words[:1] == ["rule"] and "severity=kill" in words:
             atoms = words[words.index("{") + 1 : words.index("}")]
-            data = bytes(0 if atom == "??" else int(atom, 16) for atom in atoms)
-            return data.ljust(workloads.PAGE_SIZE, b"\x00")
+            return [None if atom == "??" else int(atom, 16) for atom in atoms]
     raise ValueError("no kill rule")
+
+
+def kill_rule_page(atoms: list[int | None]) -> bytes:
+    """A page holding the rule's literal bytes at offset 0, wildcards as 00."""
+    return bytes(0 if atom is None else atom for atom in atoms).ljust(workloads.PAGE_SIZE, b"\x00")
+
+
+def dense_page(atoms: list[int | None], seed: int) -> bytes:
+    """Seeded bytes from the whole alphabet, the rule's literals at a seeded offset."""
+    rng = random.Random(seed)
+    page = bytearray(rng.randbytes(workloads.PAGE_SIZE))
+    offset = rng.randrange(workloads.PAGE_SIZE - len(atoms) + 1)
+    for i, atom in enumerate(atoms):
+        if atom is not None:
+            page[offset + i] = atom
+    return bytes(page)
 
 
 def line_count(src: Path) -> int:
@@ -113,7 +132,8 @@ def main(argv: list[str]) -> int:
             print(f"parity: git archive {rev}: {err.stderr.decode().strip()}", file=sys.stderr)
             return 2
         report = tmp / "report.jsonl"
-        pages = {"kill-rule page": tmp / "kill.page", "zero page": tmp / "zero.page"}
+        pages = {"kill-rule page": tmp / "kill.page", "zero page": tmp / "zero.page",
+                 "dense page": tmp / "dense.page"}
         pages["zero page"].write_bytes(bytes(workloads.PAGE_SIZE))
         runs = scans = differ = 0
 
@@ -134,8 +154,9 @@ def main(argv: list[str]) -> int:
                     compare(f"run {name} seed {seed} --action {action}",
                             run(tmp / "rev" / "src", workdir, flags, report),
                             run(ROOT / "src", workdir, flags, report))
-                pages["kill-rule page"].write_bytes(
-                    kill_rule_page((workdir / "rules.txt").read_text()))
+                atoms = kill_rule_atoms((workdir / "rules.txt").read_text())
+                pages["kill-rule page"].write_bytes(kill_rule_page(atoms))
+                pages["dense page"].write_bytes(dense_page(atoms, seed))
                 for label, page in pages.items():
                     scans += 1
                     compare(f"scan {name} seed {seed} {label}",

@@ -235,6 +235,15 @@ class TestSyncCheck:
         rs = ruleset(rule("r", "de ad", severity="kill", sync=True), page_size=64)
         assert sync_check(b"\x00" * 64, rs) is None
 
+    def test_a_buffer_longer_than_the_page_size_is_scanned_to_its_end(self):
+        rs = ruleset(rule("r", "de ad be", severity="kill", sync=True), page_size=64)
+        buffer = bytearray(200)
+        buffer[150:153] = b"\xde\xad\xbe"
+        assert sync_check(bytes(buffer), rs) == Match("r", 150)
+        assert sync_check(bytes(buffer), rs, [(152, 153)]) == Match("r", 150)
+        buffer[197:200] = b"\xde\xad\xbe"  # flush with the buffer's end
+        assert sync_check(bytes(buffer), rs, [(199, 200)]) == Match("r", 197)
+
 
 def _random_case(rng: random.Random):
     page_size = rng.choice([64, 96, 128])
@@ -433,6 +442,33 @@ class TestPrefilterEdges:
         assert sync_check(page, no_sync) is None
         assert _scanned(page, no_sync) == _naive(page, no_sync.rules)
 
+    def test_a_window_at_the_buffer_end_shorter_than_the_key(self):
+        rs = ruleset(rule("s", "aa bb cc dd", severity="kill", sync=True), page_size=16)
+        looked_up = []
+
+        class Recording(dict):
+            def get(self, key, default=None):
+                looked_up.append(key)
+                return super().get(key, default)
+
+        rs._sync._buckets = Recording(rs._sync._buckets)
+        # a key's first bytes, all of it but the last, at the end of the buffer
+        for buffer in (b"\xaa", b"\xaa\xbb", b"\xaa\xbb\xcc", bytes(13) + b"\xaa\xbb\xcc"):
+            end = len(buffer)
+            for spans in (None, [(end - 1, end)], [(0, 1), (end - 1, end)]):
+                assert sync_check(buffer, rs, spans) is None
+        assert looked_up == []  # no candidate short of a whole key
+        buffer = bytes(10) + b"\xaa\xbb\xcc\xdd\xaa\xbb"
+        assert sync_check(buffer, rs) == Match("s", 10)
+        assert sync_check(buffer, rs, [(13, 14)]) == Match("s", 10)
+        assert sync_check(buffer, rs, [(15, 16)]) is None
+        assert looked_up == [b"\xaa\xbb\xcc\xdd"] * 2
+        # the whole key flush with the end, with a window that ends before it
+        for buffer in (b"\xaa\xbb\xcc\xdd", bytes(12) + b"\xaa\xbb\xcc\xdd"):
+            end = len(buffer)
+            for spans in (None, [(end - 1, end)], [(end - 4, end - 3)]):
+                assert sync_check(buffer, rs, spans) == Match("s", end - 4)
+
 
 def _span(rng: random.Random, spans: list[tuple[int, int]], size: int, length: int):
     """A [lo, hi) of the given length: at a page edge, touching, overlapping
@@ -504,6 +540,115 @@ class TestWindowScan:
         # nothing written since a clean check: nothing new can match
         assert scan_page(page, rs, []) == []
         assert sync_check(page, rs, []) is None
+
+
+def _overlapping(hits, spans, rules) -> list[tuple[int, str]]:
+    """The (offset, name) hits whose bytes overlap some [lo, hi) of spans."""
+    length = {r.name: len(r.atoms) for r in rules}
+    return [(off, name) for off, name in hits
+            if any(off < hi and lo < off + length[name] for lo, hi in spans)]
+
+
+class TestSpansKeepOverlaps:
+    """A narrowed scan keeps exactly the matches that overlap a span, on pages
+    that also hold matches outside every span."""
+
+    def test_a_match_just_before_a_span_is_not_kept(self):
+        rules = [rule("short", "aa bb", severity="kill", sync=True), rule("long", "cc " * 20)]
+        rs = ruleset(*rules, page_size=256)
+        page = bytearray(256)
+        page[100:102] = b"\xaa\xbb"
+        page = bytes(page)
+        # long's reach puts offset 100 in the window, but [100, 102) misses [110, 111)
+        assert scan_page(page, rs, [(110, 111)]) == []
+        assert sync_check(page, rs, [(110, 111)]) is None
+        for spans in ([(101, 102)], [(90, 101)], [(0, 1), (101, 110)]):
+            assert scan_page(page, rs, spans) == [Match("short", 100)]
+            assert sync_check(page, rs, spans) == Match("short", 100)
+
+    def test_equal_the_naive_matches_that_overlap_a_span(self):
+        rng = random.Random(34)
+        alphabet = [0xD0, 0xD1, 0xD2, 0x00]
+        size = 128
+        kept = dropped = 0
+        for _ in range(600):
+            rules = [
+                SignatureRule(f"r{i}", "t", "kill", rng.random() < 0.5,
+                              _pattern(rng, alphabet, rng.randint(1, 24)))
+                for i in range(rng.randint(1, 6))
+            ]
+            rs = RuleSet(rules, page_size=size)
+            page = bytearray(rng.choice(alphabet) for _ in range(size))
+            for r in rules:
+                embed(page, rng.randint(0, size - len(r.atoms)), r.atoms)
+            content = bytes(page)
+            want = _naive(content, rules)
+            want_sync = _naive(content, [r for r in rules if r.sync])
+            spans: list[tuple[int, int]] = []
+            for _ in range(rng.randint(1, 4)):
+                spans.append(_span(rng, spans, size, rng.randint(1, 6)))
+                got = [(m.offset, m.rule) for m in scan_page(content, rs, spans)]
+                assert got == _overlapping(want, spans, rules)
+                first = _overlapping(want_sync, spans, rules)[:1]
+                assert sync_check(content, rs, spans) == (
+                    Match(first[0][1], first[0][0]) if first else None
+                )
+                kept += len(got)
+                dropped += len(want) - len(got)
+        assert kept > 1000 and dropped > 1000  # hits both inside and outside the spans
+
+
+def _bench_shaped_rules(rng: random.Random) -> list[SignatureRule]:
+    """200 rules of 8-20 atoms, ~85% literals drawn from the whole alphabet,
+    literal first and last atoms, 4 of them sync."""
+    rules = []
+    for i in range(200):
+        atoms = [rng.randrange(256) if rng.random() < 0.85 else None
+                 for _ in range(rng.randint(8, 20))]
+        atoms[0], atoms[-1] = rng.randrange(256), rng.randrange(256)
+        sync = i % 50 == 7
+        severity = "kill" if sync or rng.random() < 0.5 else "alert"
+        rules.append(SignatureRule(f"r{i:03d}", "t", severity, sync, tuple(atoms)))
+    return rules
+
+
+class TestDensePages:
+    """Full-alphabet pages, where the prefilter meets candidates at most
+    offsets, against the naive oracle: whole pages and 1-3 spans."""
+
+    def test_bench_shaped_rules_on_full_alphabet_pages(self):
+        rng = random.Random(3434)
+        rules = _bench_shaped_rules(rng)
+        sync_rules = [r for r in rules if r.sync]
+        rs = RuleSet(rules, page_size=4096)
+        hits = outside = 0
+        # the naive oracle takes ~0.5 s per page against 200 rules
+        for _ in range(10):
+            page = bytearray(rng.randbytes(4096))
+            for r in rng.sample(rules, 6) + rng.sample(sync_rules, 1):
+                embed(page, rng.randrange(4096 - len(r.atoms) + 1), r.atoms)
+            content = bytes(page)
+            want = _naive(content, rules)
+            assert _scanned(content, rs) == want
+            want_sync = _naive(content, sync_rules)
+            for _ in range(8):
+                spans: list[tuple[int, int]] = []
+                for _ in range(rng.randint(1, 3)):
+                    if rng.random() < 0.5:  # onto a match's bytes
+                        off, name = rng.choice(want)
+                        lo = rng.randrange(off, off + len(rs.by_name[name].atoms))
+                        spans.append((lo, min(4096, lo + rng.randint(1, 40))))
+                    else:
+                        spans.append(_span(rng, spans, 4096, rng.randint(1, 40)))
+                got = [(m.offset, m.rule) for m in scan_page(content, rs, spans)]
+                assert got == _overlapping(want, spans, rules)
+                first = _overlapping(want_sync, spans, rules)[:1]
+                assert sync_check(content, rs, spans) == (
+                    Match(first[0][1], first[0][0]) if first else None
+                )
+                outside += len(want) - len(got)
+            hits += len(want)
+        assert hits >= 60 and outside > 0  # planted hits, some outside the spans
 
 
 class TestZeroPageClean:
