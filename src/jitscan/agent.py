@@ -164,9 +164,11 @@ def replay(
     """Replay a trace, its text or ``parse_trace``'s events, to a Report.
     Deterministic in (trace, rules, config).
 
-    Each event's result is counted into ``Report.outcomes`` (``ok``, nearly
-    every result, in a local written once at the end); no per-event record
-    is kept.  On every ``drain_every``-th event the agent runs only when a
+    The loop runs each READ, FETCH and WRITE event itself, as
+    ``_apply_event`` would, and hands it every other event.  Each event's
+    result is counted into ``Report.outcomes`` (``ok``, nearly every
+    result, in a local written once at the end); no per-event record is
+    kept.  On every ``drain_every``-th event the agent runs only when a
     snapshot is pending: a step over an empty pipeline does nothing, so it
     is skipped.
     """
@@ -176,10 +178,20 @@ def replay(
     machine, report, guard, agent = ctx.machine, ctx.report, ctx.guard, ctx.agent
     outcomes, drain_every, step = report.outcomes, config.drain_every, agent.step
     ready = ctx.pipeline._ready  # empty exactly when nothing is pending (see pipeline.py)
+    access = machine.access
     ok = 0  # nearly every result: counted here, stored once after the loop
     for index, event in enumerate(events, start=1):
+        op = event[0]
         try:
-            result = _apply_event(machine, event)
+            # four subscripts pass the fields faster than *event[2:6]
+            if op is READ or op is FETCH:
+                machine.now += 1
+                result = access(event[2], event[3], event[4], event[5], op)
+            elif op is WRITE:
+                machine.now += 1
+                result = access(event[2], event[3], event[4], event[5], op, event[6])
+            else:
+                result = _apply_event(machine, event)
         except DeadProcessError:  # a pid the run already killed
             result = "dead"
         except (SimError, ValueError):

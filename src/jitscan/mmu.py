@@ -7,9 +7,11 @@ walk last produced, and that entry is stored on the page entry it
 caches, keyed by CPU id, so a hit, fill, trap, flush or kill touches
 only the pages involved.  Stale entries are honored on purpose; a
 permission edit becomes visible to a CPU only once the page's entry is
-flushed or the access traps.  A TLB miss walks the page entry alone, as
-a hardware walk does: a present page whose bits permit the access fills
-the TLB at once, and the areas are read only when the walk faults.
+flushed or the access traps.  As in a software MMU, each access kind
+has its own hit and miss path, and only a fault leaves it: a TLB miss
+walks the page entry alone, as a hardware walk does, so a present page
+whose bits permit the access fills the TLB at once, and the areas are
+read only when the walk faults.
 Fault handling is delegated to a pluggable engine, the shadow W^X engine
 or a plain baseline, whose hooks act on one page the machine resolved: a
 fault hook takes the parts of the access it reads (see Machine) and
@@ -245,11 +247,13 @@ _TLB_ENTRIES = (((False, False), (False, True)), ((True, False), (True, True)))
 class Machine:
     """The simulated machine: processes, frames, logical clock.
 
-    A fault engine must be attached before accesses run.  A TLB miss on
-    a present page whose bits permit the access reads neither the areas
-    nor the engine.  Per trap, ``access`` reads the page's area, then calls
-    on_materialize(space, area, vpage, kind) for a not-present page whose
-    area permits the access (else the access ends SEGV_DELIVERED),
+    A fault engine must be attached before accesses run.  ``access``
+    branches once on the kind, and a TLB hit or a miss on a present page
+    whose bits permit the access stays on that kind's path, reading
+    neither the areas nor the engine.  Per trap, the one shared tail
+    reads the page's area, then calls on_materialize(space, area, vpage,
+    kind) for a not-present page whose area permits the access (else the
+    access ends SEGV_DELIVERED),
     handle_write_fault(area, pte) for a denied write or
     handle_exec_fault(space, area, pte, vpage) for a denied fetch.  Each
     applies any kill or block (see the shadow module) and returns the
@@ -379,72 +383,89 @@ class Machine:
     ) -> str:
         """One memory access: TLB lookup, walk, fault dispatch, retry.
 
-        A read that hits the CPU's TLB entry returns at once (present
-        implies readable); only a write touches the page.  A miss walks
-        the page entry: if the page is present and its bits permit the
-        access, the TLB is filled with no area lookup and no engine call.
-        Only a fault, a page not present or bits that deny the access,
-        reads the area and dispatches to the engine.  Returns how the
-        access ended, BLOCKED at once for a blocked pid.  An unknown or
-        dead pid raises its SimError subclass; an empty or page-crossing
-        write payload, or a kind other than READ, FETCH and WRITE, raises
-        ValueError.  Each raises before any state changes.
+        Each kind takes its own path once the pid and page entry are
+        looked up.  A read of a present page returns OK at once (present
+        implies readable), filling the CPU's TLB entry on a miss.  A write
+        or fetch honours a cached pair that permits it, drops one that
+        denies it, and then walks the page entry: bits that permit it fill
+        the TLB with no area lookup and no engine call.  Only a fault, a
+        page not present or bits that deny the access, reaches the shared
+        tail, which reads the area and dispatches to the engine.  Returns
+        how the access ended, BLOCKED at once for a blocked pid.  An
+        unknown or dead pid raises its SimError subclass; an empty or
+        page-crossing write payload, or a kind other than READ, FETCH and
+        WRITE, raises ValueError.  Each raises before any state changes.
         """
         space = self.spaces.get(pid)
         if space is None or not space.alive:
             self.space(pid)  # raises the unknown or dead pid's error
         if space.blocked:
             return BLOCKED
-        if kind is WRITE:
-            if not data:
-                raise ValueError("write access requires payload bytes")
-            if (vaddr % self.page_size) + len(data) > self.page_size:
-                raise ValueError("write payload crosses a page boundary")
-        elif kind is not READ and kind is not FETCH:
-            raise ValueError(f"unknown access kind {kind!r}")
         vpage = vaddr // self.page_size
         pte = space.ptes.get(vpage)
-        cached = pte.tlb.get(cpu_id) if pte is not None else None
-        if cached is not None:
-            # stale flags honored: no walk, no refill
-            if kind is READ:
+        # stale pairs are honored: a hit neither walks nor refills
+        if kind is READ:
+            if pte is not None:
+                tlb = pte.tlb
+                if cpu_id not in tlb:
+                    tlb[cpu_id] = _TLB_ENTRIES[pte.writable][pte.exec_disabled]
                 return OK
-            writable, exec_disabled = cached
-            if kind is WRITE:
-                if writable:
-                    self._write(pte, vaddr, data)
+        elif kind is WRITE:
+            if not data:
+                raise ValueError("write access requires payload bytes")
+            off = vaddr % self.page_size
+            if off + len(data) > self.page_size:
+                raise ValueError("write payload crosses a page boundary")
+            if pte is not None:
+                tlb = pte.tlb
+                cached = tlb.get(cpu_id)
+                if cached is not None:
+                    if cached[0]:
+                        self._write(pte, off, data)
+                        return OK
+                    del tlb[cpu_id]  # a trapping access drops the local entry
+                if pte.writable:
+                    self._write(pte, off, data)
+                    tlb[cpu_id] = _TLB_ENTRIES[True][pte.exec_disabled]
                     return OK
-            elif not exec_disabled:
-                return OK
-            # a trapping access drops the local entry (the walk redoes it)
-            del pte.tlb[cpu_id]
+        elif kind is FETCH:
+            if pte is not None:
+                tlb = pte.tlb
+                cached = tlb.get(cpu_id)
+                if cached is not None:
+                    if not cached[1]:
+                        return OK
+                    del tlb[cpu_id]
+                if not pte.exec_disabled:
+                    tlb[cpu_id] = _TLB_ENTRIES[pte.writable][False]
+                    return OK
+        else:
+            raise ValueError(f"unknown access kind {kind!r}")
 
+        # the walk faults: only now is the area read
+        area = space.find_area(vpage)
+        if area is None or pte is None:
+            if area is None or not area.permits(kind):
+                return SEGV_DELIVERED  # nothing materializes
+            result = self.engine.on_materialize(space, area, vpage, kind)
+        elif kind is WRITE:
+            result = self.engine.handle_write_fault(area, pte)
+        else:  # a fetch of an exec-disabled page
+            result = self.engine.handle_exec_fault(space, area, pte, vpage)
+        if result is not OK:
+            return result
+        pte = space.ptes.get(vpage)
         if pte is None or not _permits(kind, pte.writable, pte.exec_disabled):
-            # the walk faults: only now is the area read
-            area = space.find_area(vpage)
-            if area is None or pte is None:
-                if area is None or not area.permits(kind):
-                    return SEGV_DELIVERED  # nothing materializes
-                result = self.engine.on_materialize(space, area, vpage, kind)
-            elif kind is WRITE:
-                result = self.engine.handle_write_fault(area, pte)
-            else:  # a fetch of an exec-disabled page
-                result = self.engine.handle_exec_fault(space, area, pte, vpage)
-            if result is not OK:
-                return result
-            pte = space.ptes.get(vpage)
-            if pte is None or not _permits(kind, pte.writable, pte.exec_disabled):
-                raise SimError(
-                    f"fault engine allowed {_KIND_NAMES[kind]} of pid {pid} vpage {vpage}"
-                    " but left it impermissible"
-                )
+            raise SimError(
+                f"fault engine allowed {_KIND_NAMES[kind]} of pid {pid} vpage {vpage}"
+                " but left it impermissible"
+            )
         if kind is WRITE:
-            self._write(pte, vaddr, data)
+            self._write(pte, off, data)
         pte.tlb[cpu_id] = _TLB_ENTRIES[pte.writable][pte.exec_disabled]
         return OK
 
-    def _write(self, pte: PageTableEntry, vaddr: int, data: bytes) -> None:
-        off = vaddr % self.page_size
+    def _write(self, pte: PageTableEntry, off: int, data: bytes) -> None:
         end = off + len(data)
         pte.frame[off:end] = data
         written = pte.written

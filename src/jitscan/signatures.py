@@ -34,8 +34,6 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .mmu import DEFAULT_PAGE_SIZE, check_page_size
 
-Atom = int | None  # one pattern position: literal byte or wildcard
-
 # Read only by the token loop, for a line _LINE does not take whole:
 # re.match compiles each on its first use, so a canonical file never does
 _HEX_PAIR = r"[0-9a-fA-F]{2}$"

@@ -6,9 +6,10 @@ a two-variable recurrence over one page's history, the W^X checker
 inspects raw PTE and TLB state, the guard oracle sweeps its whole uid
 table on every tick, the replay oracle keeps one dict of permissions
 per page and no TLB, the trace oracle reads each line through a
-per-line field object with one method per field kind, and the rule
+per-line field object with one method per field kind, the rule
 oracle reads every line with one token loop and checks each rule
-there.  Tests compare engine output against these instead of trusting
+there, and the access oracle runs every kind down one path with one
+permission test.  Tests compare engine output against these instead of trusting
 the engine's own bookkeeping.
 """
 
@@ -18,7 +19,7 @@ import random
 import re
 
 from jitscan.guard import Admission
-from jitscan.mmu import Machine
+from jitscan.mmu import MAX_WRITTEN_SPANS, AccessResult, Machine, SimError
 from jitscan.report import encode_record
 from jitscan.signatures import RuleSyntaxError, SignatureRule
 from jitscan.trace import FETCH, MMAP, MPROTECT, PROC, READ, TICK, WRITE, TraceError
@@ -567,6 +568,81 @@ def wx_violations(machine: Machine) -> list[tuple[int, int]]:
             if any(w for w, _ in views) and any(not xd for _, xd in views):
                 bad.append((pid, vpage))
     return bad
+
+
+def reference_access(
+    machine: Machine, pid: int, tid: int, cpu_id: int, vaddr: int, kind: int,
+    data: bytes | None = None,
+) -> str:
+    """``Machine.access`` as one path for every kind: check the request,
+    look up the CPU's cached pair, then test the pair and the page's bits
+    with one permission function.
+
+    A read hit returns at once; a write or fetch hit its pair permits
+    proceeds with no walk, and one its pair denies drops the pair.  A miss
+    whose page bits permit the access writes if needed and fills the TLB;
+    anything else is a fault, which reads the area and calls the engine,
+    then the page must permit the access.  ``Machine.access``, which
+    branches on the kind first, must agree with it on every result,
+    exception, frame byte, written span, TLB pair and hook call.
+    """
+    space = machine.spaces.get(pid)
+    if space is None or not space.alive:
+        machine.space(pid)  # raises the unknown or dead pid's error
+    if space.blocked:
+        return AccessResult.BLOCKED
+    ps = machine.page_size
+    if kind is WRITE:
+        if not data:
+            raise ValueError("write access requires payload bytes")
+        if (vaddr % ps) + len(data) > ps:
+            raise ValueError("write payload crosses a page boundary")
+    elif kind is not READ and kind is not FETCH:
+        raise ValueError(f"unknown access kind {kind!r}")
+
+    def permits(pair: tuple[bool, bool]) -> bool:
+        return pair[0] if kind is WRITE else not pair[1] if kind is FETCH else True
+
+    def write(pte) -> None:
+        off = vaddr % ps
+        pte.frame[off : off + len(data)] = data
+        if pte.written is not None:
+            if len(pte.written) < MAX_WRITTEN_SPANS:
+                pte.written.append((off, off + len(data)))
+            else:
+                pte.written = None
+
+    vpage = vaddr // ps
+    pte = space.ptes.get(vpage)
+    if pte is not None and cpu_id in pte.tlb:
+        if permits(pte.tlb[cpu_id]):  # stale pairs are honored
+            if kind is WRITE:
+                write(pte)
+            return AccessResult.OK
+        del pte.tlb[cpu_id]
+    if pte is None or not permits((pte.writable, pte.exec_disabled)):
+        area = space.find_area(vpage)
+        if area is None or pte is None:
+            if area is None or not area.permits(kind):
+                return AccessResult.SEGV_DELIVERED
+            result = machine.engine.on_materialize(space, area, vpage, kind)
+        elif kind is WRITE:
+            result = machine.engine.handle_write_fault(area, pte)
+        else:
+            result = machine.engine.handle_exec_fault(space, area, pte, vpage)
+        if result is not AccessResult.OK:
+            return result
+        pte = space.ptes.get(vpage)
+        if pte is None or not permits((pte.writable, pte.exec_disabled)):
+            name = {READ: "read", FETCH: "fetch", WRITE: "write"}[kind]
+            raise SimError(
+                f"fault engine allowed {name} of pid {pid} vpage {vpage}"
+                " but left it impermissible"
+            )
+    if kind is WRITE:
+        write(pte)
+    pte.tlb[cpu_id] = (pte.writable, pte.exec_disabled)
+    return AccessResult.OK
 
 
 def random_benign_trace(rng: random.Random, page_size: int = 4096) -> str:

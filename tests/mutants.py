@@ -72,6 +72,17 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "replay loop swaps READ and FETCH", "src/jitscan/agent.py",
+        "result = access(event[2], event[3], event[4], event[5], op)\n",
+        "result = access(event[2], event[3], event[4], event[5], READ + FETCH - op)\n",
+        (
+            AGENT + "TestReplay::test_benign_trace_all_ok",
+            AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
+            AGENT + "TestDrainSkip::test_reports_equal_the_plain_loop",
+            ACCEPTANCE + "test_03_signature_invisible_at_rest_is_caught_at_unpack",
+        ),
+    ),
+    Mutant(
         "agent acknowledges each snapshot twice", "src/jitscan/agent.py",
         "            on_delivered(snap.uid, now)\n",
         "            on_delivered(snap.uid, now)\n            on_delivered(snap.uid, now)\n",
@@ -96,8 +107,8 @@ MUTANTS = (
     ),
     Mutant(
         "op-code table swaps READ and FETCH", "src/jitscan/trace.py",
-        "_FAST_CODES = {op: _GRAMMAR[op][0] for op in _FAST_OPS}",
-        "_FAST_CODES = {op: _GRAMMAR[{'READ': 'FETCH', 'FETCH': 'READ'}.get(op, op)][0]"
+        "_FAST_CODES = {op[0]: _GRAMMAR[op][0] for op in _FAST_OPS}",
+        "_FAST_CODES = {op[0]: _GRAMMAR[{'READ': 'FETCH', 'FETCH': 'READ'}.get(op, op)][0]"
         " for op in _FAST_OPS}",
         (
             TRACE + "test_parses_every_event_kind",
@@ -186,6 +197,42 @@ MUTANTS = (
             ACCEPTANCE + "test_02_write_and_execute_never_jointly_reachable",
             ACCEPTANCE + "test_05_stale_tlb_entry_defeats_the_state_machine_without_flushes",
             AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
+        ),
+    ),
+    Mutant(
+        "read miss does not fill the TLB", "src/jitscan/mmu.py",
+        "                if cpu_id not in tlb:\n"
+        "                    tlb[cpu_id] = _TLB_ENTRIES[pte.writable][pte.exec_disabled]\n",
+        "",
+        (
+            MMU + "TestTlb::test_successful_walk_fills_every_referencing_cpu",
+            MMU + "TestTlb::test_flush_one_is_a_broadcast",
+            MMU + "TestReferencePath::test_access_equals_the_reference",
+        ),
+    ),
+    # The kept pair shows only when the write then faults and no flush or
+    # refill replaces it: a segv, or an engine verdict with flushes suppressed.
+    Mutant(
+        "write keeps a cached pair that denies it", "src/jitscan/mmu.py",
+        "                    del tlb[cpu_id]  # a trapping access drops the local entry\n",
+        "                    pass\n",
+        (
+            MMU + "TestReferencePath::test_access_equals_the_reference",
+        ),
+    ),
+    Mutant(
+        "fetch walk ignores exec_disabled", "src/jitscan/mmu.py",
+        "                if not pte.exec_disabled:\n"
+        "                    tlb[cpu_id] = _TLB_ENTRIES[pte.writable][False]\n",
+        "                if True:\n"
+        "                    tlb[cpu_id] = _TLB_ENTRIES[pte.writable][False]\n",
+        (
+            MMU + "TestAccess::test_fetch_from_non_exec_area_delivers_segv",
+            MMU + "TestTlb::test_faulting_cpu_drops_its_own_stale_entry",
+            MMU + "TestWalk::test_a_permitted_miss_reads_no_area_and_calls_no_hook",
+            MMU + "TestReferencePath::test_access_equals_the_reference",
+            ACCEPTANCE + "test_01_snapshot_events_match_the_write_fetch_oracle",
+            ACCEPTANCE + "test_02_write_and_execute_never_jointly_reachable",
         ),
     ),
     Mutant(

@@ -27,7 +27,7 @@ from jitscan.shadow import BaselineEngine, ShadowEngine
 from jitscan.signatures import RuleSet, RuleSyntaxError, parse_rules
 from jitscan.trace import TraceError, parse_trace
 
-from conftest import wx_violations
+from conftest import reference_access, wx_violations
 
 PS = 4096
 
@@ -809,6 +809,139 @@ class TestWalk:
         # the exec flip, the write flip, the two present pages mprotected, the exec flip
         assert lines == [8, 11, 16, 16, 18]
         assert flushed == [ptes[16], ptes[16], ptes[16], ptes[17], ptes[17]]
+
+
+class RecordingEngine:
+    """Wraps an engine and records each fault hook's call by value: pid,
+    area range and perms, vpage and kind, so two machines' calls compare."""
+
+    def __init__(self, machine, engine):
+        self.machine, self.engine, self.calls = machine, engine, []
+
+    def _vpage(self, pte):
+        return next(
+            (space.pid, vpage) for space in self.machine.spaces.values()
+            for vpage, page in space.ptes.items() if page is pte
+        )
+
+    def on_materialize(self, space, area, vpage, kind):
+        self.calls.append(("on_materialize", space.pid, area.start_vpage, area.n_pages,
+                           area.perms(), vpage, kind))
+        return self.engine.on_materialize(space, area, vpage, kind)
+
+    def handle_write_fault(self, area, pte):
+        self.calls.append(("handle_write_fault", area.start_vpage, area.n_pages, area.perms(),
+                           self._vpage(pte)))
+        return self.engine.handle_write_fault(area, pte)
+
+    def handle_exec_fault(self, space, area, pte, vpage):
+        self.calls.append(("handle_exec_fault", space.pid, area.start_vpage, area.n_pages,
+                           area.perms(), self._vpage(pte), vpage))
+        return self.engine.handle_exec_fault(space, area, pte, vpage)
+
+    def on_mprotect(self, pte, area):
+        self.engine.on_mprotect(pte, area)
+
+
+class TestReferencePath:
+    """Machine.access, one path per kind, equals the one-path reference
+    (conftest.reference_access) step by step."""
+
+    PS = 64
+    RULES = "rule s family=t severity=kill sync { 41 42 41 }\n"
+    PAIRS = ((False, False), (False, True), (True, False), (True, True))
+
+    def _machine(self, shape):
+        suppress, plain, action = shape
+        machine = Machine(page_size=self.PS, suppress_tlb_flush=suppress)
+        engine = (
+            BaselineEngine(machine) if plain
+            else ShadowEngine(machine, parse_rules(self.RULES, self.PS), detection_action=action)
+        )
+        recorder = RecordingEngine(machine, engine)
+        machine.attach_engine(recorder)
+        for uid in (0, 1, 1):
+            pid = machine.create_process(uid)
+            machine.mmap(pid, "rw", 2, at=16)
+            machine.mmap(pid, "rwx", 1, backing=b"AB\x90" * 3, at=18)
+            for vpage, perms in ((19, "rx"), (20, "wx"), (21, "r"), (22, "x")):
+                machine.mmap(pid, perms, 1, at=vpage)
+        return machine, recorder
+
+    @staticmethod
+    def _state(machine, recorder):
+        return recorder.calls, [
+            (space.alive, space.blocked, [area.perms() for area in space.areas], {
+                vpage: (bytes(pte.frame), pte.written, dict(pte.tlb),
+                        pte.writable, pte.exec_disabled, pte.orig_write, pte.orig_exe)
+                for vpage, pte in space.ptes.items()
+            })
+            for space in machine.spaces.values()
+        ]
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            return call()
+        except (SimError, ValueError) as err:
+            return type(err), str(err)
+
+    def _access(self, rng, n_cpus):
+        kind = rng.choice([AccessKind.READ, AccessKind.WRITE, AccessKind.FETCH] * 8
+                          + ["exec", None, trace_module.PROC])
+        vaddr = rng.randrange(14, 24) * self.PS + rng.randrange(self.PS)
+        data = bytes(rng.choice(b"AB\x90") for _ in range(rng.randint(1, 3)))
+        if rng.random() < 0.05:
+            data = b""
+        elif rng.random() < 0.05:
+            data *= self.PS  # crosses into the next page
+        if kind is not AccessKind.WRITE and rng.random() < 0.8:
+            data = None
+        return rng.randint(1, 4), rng.randrange(3), rng.randrange(n_cpus), vaddr, kind, data
+
+    def test_access_equals_the_reference(self):
+        rng = random.Random(35)
+        seen = set()  # the results, error types and hooks met
+        for _ in range(60):
+            shape = (rng.random() < 0.5, rng.random() < 0.25, rng.choice(["kill", "block"]))
+            n_cpus = rng.randint(1, 4)
+            fast, fast_rec = self._machine(shape)
+            ref, ref_rec = self._machine(shape)
+            for _ in range(250):
+                roll = rng.random()
+                if roll < 0.8:
+                    args = self._access(rng, n_cpus)
+                    got = self._outcome(lambda: fast.access(*args))
+                    want = self._outcome(lambda: reference_access(ref, *args))
+                    seen.add(got if isinstance(got, str) else got[0])
+                elif roll < 0.9:  # a stale pair on a present page, planted on both
+                    pid, cpu = rng.randint(1, 3), rng.randrange(n_cpus)
+                    vpages = sorted(fast.spaces[pid].ptes)
+                    if vpages:
+                        vpage, pair = rng.choice(vpages), rng.choice(self.PAIRS)
+                        for machine in (fast, ref):
+                            machine.spaces[pid].ptes[vpage].tlb[cpu] = pair
+                    got = want = None
+                elif roll < 0.97:
+                    args = (rng.randint(1, 3), rng.randrange(15, 23), rng.randint(1, 3),
+                            rng.choice(["r", "rw", "rx", "wx", "rwx", "x"]))
+                    got = self._outcome(lambda: fast.mprotect(*args))
+                    want = self._outcome(lambda: ref.mprotect(*args))
+                elif roll < 0.985:
+                    pid = rng.randint(1, 3)
+                    got, want = fast.kill_process(pid), ref.kill_process(pid)
+                else:
+                    pid = rng.randint(1, 3)
+                    fast.spaces[pid].blocked = ref.spaces[pid].blocked = True
+                    got = want = None
+                assert got == want
+                assert self._state(fast, fast_rec) == self._state(ref, ref_rec)
+            seen.update(call[0] for call in fast_rec.calls)
+        assert seen >= {
+            "on_materialize", "handle_write_fault", "handle_exec_fault",
+            AccessResult.OK, AccessResult.SEGV_DELIVERED, AccessResult.KILLED,
+            AccessResult.BLOCKED, ValueError, DeadProcessError,
+        }
 
 
 class TestFaultEngineContract:
