@@ -31,11 +31,9 @@ order, one space apart, MMAP's optional ``at`` there or not and its
 optional ``content`` there or not, before or after ``at``, and nothing
 else on the line but a ``\r``) whose values are well formed and whose
 pid exists is read with one regex match.  The three access ops share
-one alternative of ``_LINE``, whose six groups (the op's first letter,
-pid, tid, cpu, addr, an optional bytes) one ``groups()`` call reads; the
-match is taken only if bytes are there exactly when the op is WRITE.
-The letter is a one-character string, which CPython keeps cached, so
-no op string is built or hashed per access line.  A line that misses
+one alternative of ``_LINE``, whose six groups (op, pid, tid, cpu, addr,
+an optional bytes) one ``groups()`` call reads; the match is taken only
+if bytes are there exactly when the op is WRITE.  A line that misses
 that alternative and starts with PROC, MMAP, MPROTECT or TICK tries one
 ``fullmatch`` of its op's own pattern in ``_SETUP``.  An MMAP line's
 image is cut out first with str methods and read by one hex decode, so
@@ -50,10 +48,9 @@ C decoder with the least overhead per call.  It takes exactly hex
 digits in pairs and refuses whitespace, which the loop splits at, so a
 token it reads is one token to the loop as well; its refusal, a
 ``binascii.Error``, is a ValueError.  The fast paths read op codes from
-a table, by the op's first letter on the access path, and ids (pid,
-tid, cpu, uid, pages, start, at, n) from one plain dict per parse,
-text -> value, because CPython specialises a subscript only on an
-exact dict.
+a table and ids (pid, tid, cpu, uid, pages, start, at, n) from one
+plain dict per parse, text -> value, because CPython specialises a
+subscript only on an exact dict.
 
 An event is an exact tuple: its op code (``READ`` ... ``TICK``), its
 line number, then its fields in ``_GRAMMAR`` order, for example
@@ -113,20 +110,17 @@ _GRAMMAR: dict[str, tuple[int, tuple[tuple[str, str, int], ...]]] = {
 # is 0x and hex digits or ASCII decimal digits ([0-9], not \d, which
 # matches ١٢); bytes are hex digits, and unhexlify refuses an odd
 # count.  The three ops share one alternative, so a match has six groups:
-# the op's first letter, pid, tid, cpu, addr and the bytes, which are
-# optional in the pattern; any other line is ``.*``, all six None.  A
-# lookahead captures the letter before the op is matched whole.
+# op, pid, tid, cpu, addr and the bytes, which are optional in the
+# pattern; any other line is ``.*``, all six None.
 _FAST_OPS = ("READ", "FETCH", "WRITE")
-_FAST_CODES = {op[0]: _GRAMMAR[op][0] for op in _FAST_OPS}  # op's letter -> its op code
-assert len(_FAST_CODES) == len(_FAST_OPS), "the access ops' first letters must differ"
+_FAST_CODES = {op: _GRAMMAR[op][0] for op in _FAST_OPS}  # op -> its op code
 _INT_RE = "(0x[0-9a-fA-F]+|[0-9]+)"
 
 
 def _fast_pattern() -> str:
     ints = "".join(f" {key}={_INT_RE}" for key, _, _ in _ACCESS)
     key, _, _ = _GRAMMAR["WRITE"][1][-1]  # bytes, hex
-    ops = f"(?=([{''.join(_FAST_CODES)}]))(?:{'|'.join(_FAST_OPS)})"
-    return rf"{ops}{ints}(?: {key}=([0-9a-fA-F]+))?\r?"
+    return rf"({'|'.join(_FAST_OPS)}){ints}(?: {key}=([0-9a-fA-F]+))?\r?"
 
 
 _LINE = re.compile(f"^(?:{_fast_pattern()}|.*)$", re.M)
@@ -225,7 +219,7 @@ def parse_trace(text: str, page_size: int = DEFAULT_PAGE_SIZE) -> list[tuple]:
         # costs a method call each; a READ or FETCH with bytes or a WRITE
         # without them is the loop's, which names the field at fault
         op, pid, tid, cpu, addr, data = match.groups()
-        if op is not None and (data is None) == (op != "W"):
+        if op is not None and (data is None) == (op != "WRITE"):
             try:  # a value these refuse, such as 010 or 5,000 digits, is the loop's to read
                 try:
                     pid, tid, cpu = ints[pid], ints[tid], ints[cpu]

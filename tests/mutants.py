@@ -107,8 +107,8 @@ MUTANTS = (
     ),
     Mutant(
         "op-code table swaps READ and FETCH", "src/jitscan/trace.py",
-        "_FAST_CODES = {op[0]: _GRAMMAR[op][0] for op in _FAST_OPS}",
-        "_FAST_CODES = {op[0]: _GRAMMAR[{'READ': 'FETCH', 'FETCH': 'READ'}.get(op, op)][0]"
+        "_FAST_CODES = {op: _GRAMMAR[op][0] for op in _FAST_OPS}",
+        "_FAST_CODES = {op: _GRAMMAR[{'READ': 'FETCH', 'FETCH': 'READ'}.get(op, op)][0]"
         " for op in _FAST_OPS}",
         (
             TRACE + "test_parses_every_event_kind",

@@ -80,7 +80,7 @@ def verdicts(metric: dict, before: list[float], after: list[float]) -> str:
     after_median = statistics.median(after)
     gap = sign * (after_median - median)  # > 0: this tree is better
     gain = wins * 10 >= 9 * len(before) and gap > q3 - q1
-    if sign * min(sign * a for a in after) > sign * max(sign * b for b in before):
+    if min(sign * a for a in after) > max(sign * b for b in before):
         bound = "within"  # every run of this tree reads better than every run of REV
     elif (q3 - q1) / median > metric["bound"]:
         bound = "unresolved"

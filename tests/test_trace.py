@@ -186,13 +186,12 @@ def test_parsing_streams_lines_instead_of_splitting_the_text():
 
 
 def test_crlf_access_lines_take_the_regex_path():
-    # groups: the op's first letter, pid, tid, cpu, addr, bytes; a line off
-    # the fast path has only Nones
+    # groups: op, pid, tid, cpu, addr, bytes; a line off the fast path has only Nones
     assert _LINE.match("READ pid=1 tid=1 cpu=0 addr=0\r\n").groups() == (
-        "R", "1", "1", "0", "0", None,
+        "READ", "1", "1", "0", "0", None,
     )
     assert _LINE.match("WRITE pid=1 tid=2 cpu=3 addr=0x10 bytes=c3\r\n").groups() == (
-        "W", "1", "2", "3", "0x10", "c3",
+        "WRITE", "1", "2", "3", "0x10", "c3",
     )
 
 
