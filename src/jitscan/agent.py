@@ -29,7 +29,7 @@ class SimConfig:
     ):
         check_page_size(page_size)
         if drain_every < 0:
-            raise ValueError("drain_every must be >= 0")
+            raise ValueError(f"drain_every must be >= 0, got {drain_every}")
         if detection_action not in DETECTION_ACTIONS:  # checked here for either engine
             raise ValueError(f"bad detection action {detection_action!r}")
         self.page_size, self.sync_check = page_size, sync_check

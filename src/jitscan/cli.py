@@ -17,7 +17,7 @@ import sys
 
 from .agent import SimConfig, replay
 from .guard import PENALTY_ACTIONS, GuardConfig
-from .mmu import DEFAULT_PAGE_SIZE
+from .mmu import DEFAULT_PAGE_SIZE, check_page_size
 from .report import encode_record
 from .shadow import DETECTION_ACTIONS
 from .signatures import parse_rules, scan_page
@@ -25,36 +25,23 @@ from .trace import parse_trace
 
 
 class _BadInput(Exception):
-    """Malformed input or an unwritable report; main prints it on one line and exits 2."""
+    """Malformed input, a setting out of range or an unwritable report; main
+    prints it on one line and exits 2."""
 
 
 # the largest --page-size, x86-64's 2 MiB huge page: a page is allocated whole
 MAX_PAGE_SIZE = 2**21
 
 
-def _in_range(minimum: int, maximum: int | None = None):
-    """argparse type: an integer no smaller than minimum and no larger than maximum."""
+class _Parser(argparse.ArgumentParser):
+    """Prints a usage error as one `jitscan: ...` line and exits 2; subparsers inherit it."""
 
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
-        return value
-
-    return parse
-
-
-_positive = _in_range(1)
-_page_size = _in_range(1, MAX_PAGE_SIZE)
+    def error(self, message: str):
+        self.exit(2, f"jitscan: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jitscan",
         description="Replay memory traces under W^X shadow paging and scan "
         "executable pages against byte signatures.",
@@ -68,28 +55,28 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="in-fault-path check of sync rules (default on)")
     run.add_argument("--action", choices=DETECTION_ACTIONS, default="kill",
                      help="response to signature detections (default kill)")
-    run.add_argument("--threshold", type=_positive, default=GuardConfig.threshold,
+    run.add_argument("--threshold", type=int, default=GuardConfig.threshold,
                      help="pending snapshots per uid before a penalty")
-    run.add_argument("--ttl-penalty", type=_positive, default=GuardConfig.ttl_penalty,
+    run.add_argument("--ttl-penalty", type=int, default=GuardConfig.ttl_penalty,
                      help="penalty window in ticks; it ends early if the uid is "
                      "evicted first (see --ttl-evict)")
-    run.add_argument("--ttl-evict", type=_positive, default=GuardConfig.ttl_evict,
+    run.add_argument("--ttl-evict", type=int, default=GuardConfig.ttl_evict,
                      help="ticks at zero pending before an entry is evicted")
     run.add_argument("--penalty-action", choices=PENALTY_ACTIONS, default="kill",
                      help="what a throttle denial does to the process")
-    run.add_argument("--page-size", type=_page_size, default=DEFAULT_PAGE_SIZE)
-    run.add_argument("--drain-every", type=_in_range(0), default=1, metavar="N",
+    run.add_argument("--page-size", type=int, default=DEFAULT_PAGE_SIZE)
+    run.add_argument("--drain-every", type=int, default=1, metavar="N",
                      help="agent drains after every Nth event; 0 disables")
     run.add_argument("--report", help="write the report here instead of stdout")
 
     scan = sub.add_parser("scan", help="scan one page image against the rules")
     scan.add_argument("--rules", required=True)
     scan.add_argument("--page", required=True, help="page image (at most one page)")
-    scan.add_argument("--page-size", type=_page_size, default=DEFAULT_PAGE_SIZE)
+    scan.add_argument("--page-size", type=int, default=DEFAULT_PAGE_SIZE)
 
     check = sub.add_parser("check-trace", help="parse and validate a trace file")
     check.add_argument("trace", help="trace file")
-    check.add_argument("--page-size", type=_page_size, default=DEFAULT_PAGE_SIZE)
+    check.add_argument("--page-size", type=int, default=DEFAULT_PAGE_SIZE)
     return parser
 
 
@@ -103,20 +90,16 @@ def _load(what: str, parse, path: str, page_size: int):
 
 
 def _cmd_run(args) -> int:
+    try:  # the configs hold the flags' ranges, checked before any file is read
+        guard = GuardConfig(threshold=args.threshold, penalty_action=args.penalty_action,
+                            ttl_penalty=args.ttl_penalty, ttl_evict=args.ttl_evict)
+        config = SimConfig(page_size=args.page_size, sync_check=args.sync_check == "on",
+                           detection_action=args.action, drain_every=args.drain_every,
+                           guard=guard)
+    except ValueError as exc:
+        raise _BadInput(str(exc)) from None
     rules = _load("rules", parse_rules, args.rules, args.page_size)
     lines = _load("trace", parse_trace, args.trace, args.page_size)
-    config = SimConfig(
-        page_size=args.page_size,
-        sync_check=args.sync_check == "on",
-        detection_action=args.action,
-        drain_every=args.drain_every,
-        guard=GuardConfig(
-            threshold=args.threshold,
-            penalty_action=args.penalty_action,
-            ttl_penalty=args.ttl_penalty,
-            ttl_evict=args.ttl_evict,
-        ),
-    )
     sink = contextlib.nullcontext(sys.stdout.buffer)
     if args.report:  # opened first, so a bad path fails before the replay
         try:
@@ -175,6 +158,12 @@ _COMMANDS = {"run": _cmd_run, "scan": _cmd_scan, "check-trace": _cmd_check}
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.page_size > MAX_PAGE_SIZE:  # checked before any read allocates a page
+            raise _BadInput(f"page_size must be <= {MAX_PAGE_SIZE}, got {args.page_size}")
+        try:
+            check_page_size(args.page_size)
+        except ValueError as exc:
+            raise _BadInput(str(exc)) from None
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()
         return code

@@ -35,8 +35,10 @@ class GuardConfig:
             raise ValueError("threshold must be >= 1")
         if penalty_action not in PENALTY_ACTIONS:
             raise ValueError("penalty_action must be 'kill' or 'block'")
-        if ttl_penalty < 1 or ttl_evict < 1:
-            raise ValueError("TTLs must be >= 1")
+        if ttl_penalty < 1:
+            raise ValueError(f"ttl_penalty must be >= 1, got {ttl_penalty}")
+        if ttl_evict < 1:
+            raise ValueError(f"ttl_evict must be >= 1, got {ttl_evict}")
         self.threshold, self.penalty_action = threshold, penalty_action
         self.ttl_penalty, self.ttl_evict = ttl_penalty, ttl_evict
 

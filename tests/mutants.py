@@ -46,6 +46,7 @@ MMU = "tests/test_mmu.py::"
 SHADOW = "tests/test_shadow.py::"
 ACCEPTANCE = "tests/test_acceptance.py::"
 SIGNATURES = "tests/test_signatures.py::"
+GUARD = "tests/test_guard.py::"
 
 
 class Mutant(NamedTuple):
@@ -283,6 +284,25 @@ MUTANTS = (
             SHADOW + "TestFirstCheckSpans::"
             "test_image_whose_match_needs_the_zero_padding_is_checked_whole",
             AGENT + "TestWrittenSpans::test_reports_equal_whole_page_checks",
+        ),
+    ),
+    # The configs are the only range checks of the CLI's flags.
+    Mutant(
+        "GuardConfig accepts threshold 0", "src/jitscan/guard.py",
+        "        if threshold < 1:\n", "        if threshold < 0:\n",
+        (
+            GUARD + "TestConfig::test_bad_values_rejected",
+            AGENT + "TestCli::test_every_malformed_flag_exits_2_on_one_line[threshold=0]",
+            AGENT + "TestCli::test_malformed_input_exits_2_without_traceback[argv0]",
+        ),
+    ),
+    Mutant(
+        "SimConfig accepts a negative drain_every", "src/jitscan/agent.py",
+        "        if drain_every < 0:\n", "        if drain_every < -1:\n",
+        (
+            AGENT + "TestBuildRun::test_negative_drain_every_is_rejected",
+            AGENT + "TestCli::test_every_malformed_flag_exits_2_on_one_line[drain-every=-1]",
+            AGENT + "TestCli::test_malformed_input_exits_2_without_traceback[argv4]",
         ),
     ),
     # The snapshot keeps the page's live span list, which later writes

@@ -953,6 +953,29 @@ class TestEmit:
         assert lines == dumps + [""]
 
 
+_RUN = ["run", "--trace", "{absent}", "--rules", "{rules}"]
+
+# three pids under two uids: pid 1 runs the dropper, pid 2 the probe and
+# then a third snapshot of uid 1000 that threshold 1 denies
+_PIDS_TRACE = f"""\
+PROC uid=1000
+PROC uid=1000
+PROC uid=2000
+MMAP pid=1 perms=wx pages=2 at=16
+MMAP pid=2 perms=wx pages=2 at=16
+MMAP pid=3 perms=wx pages=1 at=32
+WRITE pid=1 tid=1 cpu=0 addr={16 * PS} bytes={DROPPER.hex()}
+FETCH pid=1 tid=1 cpu=0 addr={16 * PS}
+WRITE pid=2 tid=2 cpu=1 addr={16 * PS + 64} bytes=9090909090c3
+FETCH pid=2 tid=2 cpu=1 addr={16 * PS + 64}
+WRITE pid=2 tid=2 cpu=1 addr={17 * PS} bytes=c3
+FETCH pid=2 tid=2 cpu=1 addr={17 * PS}
+WRITE pid=3 tid=3 cpu=0 addr={32 * PS} bytes=90c3
+FETCH pid=3 tid=3 cpu=0 addr={32 * PS}
+TICK n=2
+"""
+
+
 class TestCli:
     @pytest.fixture()
     def files(self, tmp_path):
@@ -1168,7 +1191,61 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert "Traceback" not in err
-        assert err.strip().splitlines()[-1].startswith("jitscan")
+        assert err.startswith("jitscan: ") and err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize(
+        ("argv", "setting"),
+        [
+            pytest.param([*_RUN, flag, value], setting, id=f"{flag[2:]}={value}")
+            for flag, value, setting in [
+                ("--threshold", "0", "threshold"), ("--ttl-penalty", "0", "ttl_penalty"),
+                ("--ttl-evict", "0", "ttl_evict"), ("--drain-every", "-1", "drain_every"),
+                ("--threshold", "x", "--threshold"), ("--action", "shame", "--action"),
+                ("--penalty-action", "alert", "--penalty-action"),
+                ("--sync-check", "maybe", "--sync-check"),
+            ]
+        ] + [
+            pytest.param([*command, "--page-size", size], "page_size",
+                         id=f"{command[0]}-page-size={size}")
+            for command in (_RUN, ["scan", "--rules", "{rules}", "--page", "{absent}"],
+                            ["check-trace", "{absent}"])
+            for size in ("0", "-4", "2097153")
+        ] + [
+            pytest.param(["run", "--trace", "{absent}"], "--rules", id="no-rules"),
+            pytest.param([], "command", id="no-subcommand"),
+        ],
+    )
+    def test_every_malformed_flag_exits_2_on_one_line(self, files, capsys, argv, setting):
+        # the trace or page is absent, so the flag's error must answer before the file's
+        _, rule_file, tmp = files
+        argv = [arg.format(absent=tmp / "absent", rules=rule_file) for arg in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # the parser's own errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("jitscan: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        assert setting in err and "absent" not in err, err  # the message names the setting
+
+    def test_report_does_not_depend_on_the_hash_seed(self, files):
+        _, rule_file, tmp = files
+        trace = tmp / "pids.trace"
+        trace.write_text(_PIDS_TRACE)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        argv = [sys.executable, "-m", "jitscan.cli", "run", "--trace", str(trace),
+                "--rules", str(rule_file), "--threshold", "1", "--drain-every", "4",
+                "--penalty-action", "block"]
+        runs = []
+        for seed in ("0", "12345"):
+            env = {**os.environ, "PYTHONPATH": os.path.abspath(src), "PYTHONHASHSEED": seed}
+            done = subprocess.run(argv, capture_output=True, timeout=60, env=env)
+            runs.append((done.returncode, done.stdout))
+        assert runs[0] == runs[1]
+        code, report = runs[0]
+        assert code == 1, report  # the dropper is a kill-severity detection
+        assert b'"record":"detection"' in report and b'"cause":"throttle"' in report
+        assert b'"pid":1,' in report and b'"pid":2,' in report
 
     def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
         rule_file = tmp_path / "r.rules"
@@ -1287,4 +1364,6 @@ class TestCliFuzz:
         assert code in (0, 1, 2), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
         if code == 2:
-            assert err.getvalue().strip().splitlines()[-1].startswith("jitscan"), argv
+            text = err.getvalue()
+            assert text.startswith("jitscan: ") and text.count("\n") == 1, (argv, text)
+            assert text.endswith("\n"), (argv, text)

@@ -178,8 +178,8 @@ class TestConfig:
         for kwargs, message in [
             ({"threshold": 0}, "threshold must be >= 1"),
             ({"penalty_action": "shame"}, "penalty_action must be 'kill' or 'block'"),
-            ({"ttl_penalty": 0}, "TTLs must be >= 1"),
-            ({"ttl_evict": 0}, "TTLs must be >= 1"),
+            ({"ttl_penalty": 0}, "ttl_penalty must be >= 1, got 0"),
+            ({"ttl_evict": 0}, "ttl_evict must be >= 1, got 0"),
         ]:
             with pytest.raises(ValueError) as err:
                 GuardConfig(**kwargs)
