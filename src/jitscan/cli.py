@@ -18,7 +18,7 @@ import sys
 from .agent import SimConfig, replay
 from .guard import PENALTY_ACTIONS, GuardConfig
 from .mmu import DEFAULT_PAGE_SIZE, check_page_size
-from .report import encode_record
+from .report import scan_lines
 from .shadow import DETECTION_ACTIONS
 from .signatures import parse_rules, scan_page
 from .trace import parse_trace
@@ -62,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      "evicted first (see --ttl-evict)")
     run.add_argument("--ttl-evict", type=int, default=GuardConfig.ttl_evict,
                      help="ticks at zero pending before an entry is evicted")
-    run.add_argument("--penalty-action", choices=PENALTY_ACTIONS, default="kill",
+    run.add_argument("--penalty-action", choices=PENALTY_ACTIONS,
+                     default=GuardConfig.penalty_action,
                      help="what a throttle denial does to the process")
     run.add_argument("--page-size", type=int, default=DEFAULT_PAGE_SIZE)
     run.add_argument("--drain-every", type=int, default=1, metavar="N",
@@ -134,16 +135,8 @@ def _cmd_scan(args) -> int:
     if len(image) > args.page_size:
         raise _BadInput(f"page image is larger than one {args.page_size}-byte page")
     matches = scan_page(image.ljust(args.page_size, b"\x00"), rules)
-    exit_kill = False
-    for match in matches:
-        rule = rules.by_name[match.rule]
-        exit_kill = exit_kill or rule.severity == "kill"
-        print(encode_record(
-            {"record": "match", "rule": rule.name, "family": rule.family,
-             "severity": rule.severity, "offset": match.offset},
-        ))
-    print(encode_record({"record": "summary", "matches": len(matches)}))
-    return 1 if exit_kill else 0
+    print("\n".join(scan_lines(matches, rules.by_name)))
+    return 1 if any(rules.by_name[m.rule].severity == "kill" for m in matches) else 0
 
 
 def _cmd_check(args) -> int:

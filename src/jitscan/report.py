@@ -7,36 +7,23 @@ action, one trailing summary.  Field names are stable and records are
 emitted with sorted keys, so the same trace and config always produce
 byte-identical output.
 
-Every record ``emit`` writes, the summary included, is written by this
-module's own code with the keys in sorted order, to ``encode_record``'s
-bytes (the test suite compares the two): detection and action records
-by one f-string template each, the summary by ``_object`` over its
-fields and its outcomes.  Strings go through ``_str``, ints through
+Every record the package writes is written here: ``emit``'s detection,
+action and summary records for ``jitscan run``, and ``scan_lines``'
+match and summary records for ``jitscan scan``.  Each has its keys in
+sorted order and equals ``json.dumps(record, sort_keys=True,
+separators=(",", ":"))`` of the same record, which the test suite
+checks against its own ``json.dumps`` oracle.  Detection, action and
+match records are written by one f-string template each, the summaries
+by ``_object`` or a template.  Strings go through ``_str``, ints through
 ``str`` and None as ``null``.  That skips the dict each record would
-build and the encoder's setup on every call, and a run never loads
-``json``: ``_str`` imports ``encode_basestring_ascii``, the function the
-shared encoder calls for strings, only for a string it cannot write
-as it is, and ``encode_record`` imports ``json`` on its first call.
+build, and no command loads ``json``: ``_str`` imports
+``encode_basestring_ascii``, the function ``json.dumps`` calls for
+strings, only for a string it cannot write as it is.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
-
-_encode = None  # the shared encoder's encode, made on encode_record's first call
-
-
-def encode_record(record: dict) -> str:
-    """One JSONL record: sorted keys and no spaces, so equal records encode
-    to equal bytes.  One shared encoder; json.dumps with options builds a
-    new one per call."""
-    global _encode
-    if _encode is None:
-        import json
-
-        _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    return _encode(record)
-
 
 class Detection(NamedTuple):
     pid: int
@@ -97,7 +84,7 @@ def _object(fields: dict) -> str:
     return "{" + ",".join(f"{_str(key)}:{value}" for key, value in sorted(fields.items())) + "}"
 
 
-# encode_record's bytes for one record of each type, by template (see the
+# json.dumps's bytes for one record of each type, by template (see the
 # module docstring); a field added to the record type needs its key here too
 def _detection_line(d: Detection) -> str:
     return (
@@ -114,3 +101,17 @@ def _action_line(a: ActionTaken) -> str:
         f'{{"action":{_str(a.action)},"cause":{_str(a.cause)},"path":{path},"pid":{a.pid},'
         f'"record":"action","rule":{rule},"uid":{a.uid}}}'
     )
+
+
+def _match_line(rule, offset: int) -> str:
+    return (
+        f'{{"family":{_str(rule.family)},"offset":{offset},"record":"match",'
+        f'"rule":{_str(rule.name)},"severity":{_str(rule.severity)}}}'
+    )
+
+
+def scan_lines(matches: list, by_name: dict) -> list[str]:
+    """`jitscan scan`'s records: one per ``scan_page`` match, its rule looked
+    up in ``by_name`` (a RuleSet's), then the summary."""
+    lines = [_match_line(by_name[m.rule], m.offset) for m in matches]
+    return lines + [f'{{"matches":{len(matches)},"record":"summary"}}']

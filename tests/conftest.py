@@ -9,18 +9,19 @@ per page and no TLB, the trace oracle reads each line through a
 per-line field object with one method per field kind, the rule
 oracle reads every line with one token loop and checks each rule
 there, and the access oracle runs every kind down one path with one
-permission test.  Tests compare engine output against these instead of trusting
-the engine's own bookkeeping.
+permission test, and the record oracle is ``json.dumps``.  Tests compare
+engine output against these instead of trusting the engine's own
+bookkeeping.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import re
 
 from jitscan.guard import Admission
 from jitscan.mmu import MAX_WRITTEN_SPANS, AccessResult, Machine, SimError
-from jitscan.report import encode_record
 from jitscan.signatures import RuleSyntaxError, SignatureRule
 from jitscan.trace import FETCH, MMAP, MPROTECT, PROC, READ, TICK, WRITE, TraceError
 
@@ -266,6 +267,12 @@ def reference_parse_trace(text: str, page_size: int = 4096) -> list[tuple]:
         line.done()
         out.append(event)
     return out
+
+
+def encode_record(record: dict) -> str:
+    """One JSONL record as json writes it: sorted keys and no spaces.  The
+    oracle every record of report.py is compared against."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 def reference_replay(trace_text: str, rules, config) -> bytes:

@@ -306,17 +306,22 @@ MUTANTS = (
         ),
     ),
     # The snapshot keeps the page's live span list, which later writes
-    # widen: the windows grow, the matches do not, so no report shows it.
+    # widen: the windows grow, the matches do not, so no report shows it;
+    # the page's span list and the snapshots' spans do.
     Mutant(
         "written spans not reset after a check", "src/jitscan/shadow.py",
         "        spans, pte.written = pte.written, []\n", "        spans = pte.written\n",
         (
-            AGENT + "TestWrittenSpans::test_reports_equal_whole_page_checks",
             AGENT + "TestWrittenSpans::"
-            "test_reports_equal_whole_page_checks_with_zero_rules_and_images",
-            AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
+            "test_each_snapshot_holds_only_the_spans_written_since_the_last_check",
         ),
-        survives=True,
+    ),
+    Mutant(
+        "scan match family not escaped", "src/jitscan/report.py",
+        '''{{"family":{_str(rule.family)},''', '''{{"family":"{rule.family}",''',
+        (
+            AGENT + "TestCli::test_scan_records_equal_encode_record",
+        ),
     ),
 )
 

@@ -13,8 +13,11 @@ runs ``jitscan scan`` on three pages of the workload's page size: one
 holding the first kill rule's literal bytes at offset 0 (wildcards as
 00), one all zero, and one of seeded bytes from the whole alphabet with
 that rule's literals at a seeded offset, which puts the scanner's
-prefilter on dense content.  That is 27 more per side, the CLI path
-that writes through ``encode_record``.  One process at a time.  Prints
+prefilter on dense content.  That is 27 more per side.  One more
+``scan`` runs a rule file whose strings take the report's ``json``
+fallback (a non-ASCII rule name, a family holding ``"`` and ``\\``, one
+holding a control character) on a page that matches each of its rules:
+28 scans and 55 runs per side.  One process at a time.  Prints
 every run whose exit code or output bytes (the report of ``run``,
 stdout of ``scan``) differ and exits 1 if any do, 0 if none.  It also
 prints the ``wc -l`` total of ``src/jitscan/*.py`` at REV and in this
@@ -42,6 +45,12 @@ import workloads  # noqa: E402  (bench/workloads.py, found through the path abov
 WORKLOADS = ("jit-churn", "benign-rw", "fork-flood")
 SEEDS = (1, 2, 9001)
 ACTIONS = ("kill", "block", "alert")
+# each rule's strings escaped in its match record; the page matches both rules
+ESCAPED_RULES = (
+    'rule règle_ω family=pa"ck\\er severity=kill { de ad be ef }\n'
+    "rule probe family=ctl\x01 severity=alert { ca fe ?? 90 }\n"
+)
+ESCAPED_PAGE = bytes.fromhex("deadbeef" + "00" * 96 + "cafe0090")
 
 
 def extract(rev: str, into: Path) -> None:
@@ -162,6 +171,13 @@ def main(argv: list[str]) -> int:
                     compare(f"scan {name} seed {seed} {label}",
                             scan(tmp / "rev" / "src", workdir, page),
                             scan(ROOT / "src", workdir, page))
+        workdir = tmp / "escaped"
+        workdir.mkdir()
+        (workdir / "rules.txt").write_text(ESCAPED_RULES, encoding="utf-8")
+        (workdir / "page").write_bytes(ESCAPED_PAGE)
+        scans += 1
+        compare("scan escaped names", scan(tmp / "rev" / "src", workdir, workdir / "page"),
+                scan(ROOT / "src", workdir, workdir / "page"))
         print(f"parity: {runs + scans - differ} of {runs + scans} runs equal to {rev}"
               f" ({runs} run, {scans} scan)")
         before, after = line_count(tmp / "rev" / "src"), line_count(ROOT / "src")

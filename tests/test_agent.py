@@ -28,12 +28,12 @@ from jitscan.cli import _build_parser, main
 from jitscan.guard import PENALTY_ACTIONS, DosGuard, GuardConfig
 from jitscan.mmu import DeadProcessError, Machine, SimError
 from jitscan.pipeline import SnapshotTable
-from jitscan.report import ActionTaken, Detection, Report, encode_record
+from jitscan.report import ActionTaken, Detection, Report
 from jitscan.shadow import DETECTION_ACTIONS, ShadowEngine
 from jitscan.signatures import RuleSet, parse_rules, scan_page, sync_check
 from jitscan.trace import PROC, parse_trace
 
-from conftest import SYNC_RULES_TEXT, SYNC_STUB, reference_replay
+from conftest import SYNC_RULES_TEXT, SYNC_STUB, encode_record, reference_replay
 
 PS = 4096
 
@@ -523,6 +523,22 @@ class TestWrittenSpans:
                     detected += bool(report.detections)
         assert detected > 400 and 50 < zero_sets < 150  # matches, clean and unclean sets
 
+    def test_each_snapshot_holds_only_the_spans_written_since_the_last_check(self):
+        # a check hands the page's span list to its snapshot and starts a new one
+        rs = parse_rules("rule r family=f severity=kill { ee ff }\n", 64)
+        ctx = build_run(SimConfig(page_size=64, drain_every=0), rs)
+        pid = ctx.machine.create_process(uid=1)
+        ctx.machine.mmap(pid, "rwx", 1, at=16)
+        from jitscan.mmu import AccessKind
+
+        ctx.machine.access(pid, 1, 0, 16 * 64 + 4, AccessKind.WRITE, b"\x01\x02")
+        ctx.machine.access(pid, 1, 0, 16 * 64, AccessKind.FETCH)
+        pte = ctx.machine.spaces[pid].ptes[16]
+        assert pte.written == []
+        ctx.machine.access(pid, 1, 0, 16 * 64 + 20, AccessKind.WRITE, b"\x03")
+        ctx.machine.access(pid, 1, 0, 16 * 64, AccessKind.FETCH)
+        assert [snap.spans for snap in ctx.pipeline.drain()] == [[(4, 6)], [(20, 21)]]
+
     def test_a_checked_fetch_without_a_snapshot_stops_the_process(self, monkeypatch):
         # one span list serves the sync check and the snapshot only because
         # of this: a page's checks and snapshots pair one to one
@@ -903,19 +919,6 @@ class TestEmit:
         with pytest.raises(ValueError):
             replay("PROC uid=1\n", rules()).emit("xml")
 
-    def test_shared_encoder_equals_json_dumps(self):
-        records = [
-            {"record": "summary", "outcomes": {"ok": 3, "error": 0}, "z": {"b": [1, {"y": None}]}},
-            {"rule": "caf\u00e9 \u2603 \U0001f600", "path": None, "action": "kill"},
-            {"rule": 'quote" back\\ tab\t nl\n nul\x00 del\x7f', "n": -1, "f": 0.5},
-            {"b": True, "a": False, "": [], "k": {}},
-        ]
-        for record in records:
-            assert encode_record(record) == json.dumps(
-                record, sort_keys=True, separators=(",", ":")
-            )
-
-
     def test_detection_and_action_records_equal_encode_record(self):
         # every field set, from the record type's own field list, so a field
         # added to a type and not to its template fails here
@@ -997,6 +1000,17 @@ class TestCli:
         assert exc.value.code == 2
         assert "invalid choice: 'alert' (choose from 'kill', 'block')" in capsys.readouterr().err
 
+    def test_run_flag_defaults_are_the_config_defaults(self):
+        args = _build_parser().parse_args(["run", "--trace", "t", "--rules", "r"])
+        sim, guard = SimConfig(), GuardConfig()
+        assert (args.sync_check == "on") is sim.sync_check
+        assert (args.action, args.drain_every, args.page_size) == (
+            sim.detection_action, sim.drain_every, sim.page_size,
+        )
+        assert (args.threshold, args.ttl_penalty, args.ttl_evict, args.penalty_action) == (
+            guard.threshold, guard.ttl_penalty, guard.ttl_evict, guard.penalty_action,
+        )
+
     def test_run_emits_report_and_exit_code(self, files, capsys):
         trace, rule_file, _ = files
         code = main(["run", "--trace", str(trace), "--rules", str(rule_file)])
@@ -1053,6 +1067,25 @@ class TestCli:
         assert code == 1
         match = json.loads(out_lines[0])
         assert (match["rule"], match["offset"]) == ("dropper", 100)
+
+    def test_scan_records_equal_encode_record(self, tmp_path, capsys):
+        # a non-ASCII name, a family with '"' and '\\', and one with a control
+        # character: each string takes the report's json fallback
+        hits = [("règle_ω", 'pa"ck\\er', "kill", "de ad", 8),
+                ("probe", "ctl\x01", "alert", "be ef", 10)]
+        rule_file = tmp_path / "r.rules"
+        rule_file.write_text("".join(
+            f"rule {rule} family={family} severity={severity} {{ {atoms} }}\n"
+            for rule, family, severity, atoms, _ in hits
+        ), encoding="utf-8")
+        page = tmp_path / "page.bin"
+        page.write_bytes(bytes(8) + bytes.fromhex("deadbeef"))
+        argv = ["scan", "--rules", str(rule_file), "--page", str(page), "--page-size", "64"]
+        assert main(argv) == 1
+        records = [{"record": "match", "rule": rule, "family": family, "severity": severity,
+                    "offset": offset} for rule, family, severity, _, offset in hits]
+        records.append({"record": "summary", "matches": 2})
+        assert capsys.readouterr().out == "".join(encode_record(r) + "\n" for r in records)
 
     def test_scan_clean_page_exits_zero(self, files, capsys):
         _, rule_file, tmp = files

@@ -7,8 +7,9 @@ importing the package loads neither ``dataclasses`` nor the ``inspect``
 it pulls in, so every record is a plain class or a ``typing.NamedTuple``
 and the access kinds and results are plain module constants, which an
 access returns as they are.  Nor does parsing rules, replaying a
-plain-ASCII trace and emitting its report load ``json``: the report
-writes its records itself.  No function body reads ``AccessKind.X`` or
+plain-ASCII trace and emitting its report load ``json``, nor ``jitscan
+scan`` of a page that matches an ASCII-named rule: the report writes
+its records itself.  No function body reads ``AccessKind.X`` or
 ``AccessResult.X``: the package reads the module constants, and the
 classes are public aliases only.  Every function the bench counts calls of by
 name exists, so a rename cannot silently zero a count.  Every parameter
@@ -117,6 +118,26 @@ def test_a_fresh_import_loads_neither_dataclasses_nor_inspect():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_a_scan_does_not_load_json(tmp_path):
+    """`jitscan scan` writes its records itself: a match of an ASCII-named rule loads no json."""
+    rules, page = tmp_path / "r.rules", tmp_path / "page.bin"
+    rules.write_text(SYNC_RULES_TEXT)
+    page.write_bytes(SYNC_STUB)
+    code = textwrap.dedent(f"""\
+        import sys
+        from jitscan.cli import main
+        code = main(["scan", "--rules", {str(rules)!r}, "--page", {str(page)!r}])
+        print(code, "json" in sys.modules)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    *records, last = done.stdout.splitlines()
+    assert '"record":"match"' in records[0] and last == "1 False"
 
 
 def test_per_event_records_are_slotted():
