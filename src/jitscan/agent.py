@@ -112,13 +112,8 @@ def build_run(config: SimConfig | None = None, rules: RuleSet | None = None) -> 
     pipeline = SnapshotTable()
     if config.shadow:
         engine = ShadowEngine(
-            machine,
-            rules=rules,
-            pipeline=pipeline,
-            guard=guard,
-            sync_check_enabled=config.sync_check,
-            detection_action=config.detection_action,
-            report=report,
+            machine, rules, pipeline, guard, report,
+            sync_check=config.sync_check, detection_action=config.detection_action,
         )
     else:
         engine = BaselineEngine(machine)

@@ -32,9 +32,9 @@ class GuardConfig:
         ttl_penalty: int = ttl_penalty, ttl_evict: int = ttl_evict,
     ):
         if threshold < 1:
-            raise ValueError("threshold must be >= 1")
+            raise ValueError(f"threshold must be >= 1, got {threshold}")
         if penalty_action not in PENALTY_ACTIONS:
-            raise ValueError("penalty_action must be 'kill' or 'block'")
+            raise ValueError(f"penalty_action must be 'kill' or 'block', got {penalty_action!r}")
         if ttl_penalty < 1:
             raise ValueError(f"ttl_penalty must be >= 1, got {ttl_penalty}")
         if ttl_evict < 1:
@@ -76,7 +76,8 @@ class DosGuard:
         self.unknown_deliveries = 0
 
     def admit(self, uid: int, pid: int, now: int) -> Admission:
-        """Decide one snapshot emission for (uid, pid) at tick `now`."""
+        """Decide one snapshot emission for (uid, pid) at tick `now`; the pid is
+        never read: a penalty holds for the uid, whatever pid asks."""
         cfg = self.config
         entry = self.entries.get(uid)
         if entry is None:

@@ -259,12 +259,13 @@ class Machine:
     applies any kill or block (see the shadow module) and returns the
     result of the access, OK to proceed.
     ``mprotect`` calls on_mprotect(pte, area) per present page in range, then flushes it.
+    Every flush goes through ``tlb_flush_one``; a test fakes a lost flush
+    by replacing it on its machine.
     """
 
-    def __init__(self, page_size: int = DEFAULT_PAGE_SIZE, suppress_tlb_flush: bool = False):
+    def __init__(self, page_size: int = DEFAULT_PAGE_SIZE):
         check_page_size(page_size)
         self.page_size = page_size
-        self.suppress_tlb_flush = suppress_tlb_flush
         self.spaces: dict[int, AddressSpace] = {}
         self.now = 0
         self.engine = None
@@ -359,8 +360,7 @@ class Machine:
 
     def tlb_flush_one(self, pte: PageTableEntry) -> None:
         """Drop the page's entry on every CPU that holds one."""
-        if not self.suppress_tlb_flush:
-            pte.tlb.clear()
+        pte.tlb.clear()
 
     def memory_map(self) -> dict[tuple[int, int], bytes]:
         """Present page contents keyed by (pid, vpage)."""

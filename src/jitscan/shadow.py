@@ -15,9 +15,10 @@ write proceeds.  On a shadow fetch trap the page content is checked
 snapshot for the asynchronous scanner) before the page flips to exec
 mode and the fetch proceeds; the guard is swept just before each
 admission, at the previous event's tick.  Every flag edit is followed
-by a cross-CPU flush of that page's TLB entry; without it a stale
-entry on another CPU would let writes land on a page that is
-currently executable.
+by a cross-CPU flush of that page's TLB entry (``Machine.tlb_flush_one``,
+which a test replaces to fake a lost flush); without it a stale entry
+on another CPU would let writes land on a page that is currently
+executable.
 
 Every executable page starts in write mode, whatever touched it first,
 so its first fetch checks it; a page of an area without execute rights
@@ -130,28 +131,16 @@ def _plain_relabel(pte: PageTableEntry, area: VmArea) -> None:
 
 
 class ShadowEngine:
-    """Fault hooks implementing the shadow state machine; no rules is the empty set."""
+    """Fault hooks implementing the shadow state machine; only ``build_run`` wires
+    one.  A test keeps a stale TLB entry by replacing ``Machine.tlb_flush_one``."""
 
     def __init__(
-        self,
-        machine: Machine,
-        rules: RuleSet | None = None,
-        pipeline: SnapshotTable | None = None,
-        guard: DosGuard | None = None,
-        *,
-        sync_check_enabled: bool = True,
-        detection_action: str = "kill",
-        report: Report | None = None,
+        self, machine: Machine, rules: RuleSet, pipeline: SnapshotTable, guard: DosGuard,
+        report: Report, *, sync_check: bool, detection_action: str,
     ):
-        if detection_action not in DETECTION_ACTIONS:
-            raise ValueError(f"bad detection action {detection_action!r}")
-        self.machine = machine
-        self.rules = RuleSet((), machine.page_size) if rules is None else rules
-        self.pipeline = pipeline
-        self.guard = guard
-        self.sync_check_enabled = sync_check_enabled
-        self.detection_action = detection_action
-        self.report = report if report is not None else Report()
+        self.machine, self.rules, self.pipeline = machine, rules, pipeline
+        self.guard, self.report = guard, report
+        self.sync_check, self.detection_action = sync_check, detection_action
 
     # ---- fault hooks ---------------------------------------------------
 
@@ -233,7 +222,7 @@ class ShadowEngine:
         pid, uid = space.pid, space.uid
         content = bytes(pte.frame)
         spans, pte.written = pte.written, []
-        if self.sync_check_enabled:
+        if self.sync_check:
             hit = sync_check(content, self.rules, spans)
             if hit is not None:
                 pte.written = None  # the next check must see this match again
@@ -243,17 +232,15 @@ class ShadowEngine:
                 )
                 if result is not OK:
                     return result
-        if self.guard is not None:
-            self.guard.tick(machine.now - 1)  # as sweeps after each earlier event would
-            admission = self.guard.admit(uid, pid, machine.now)
-            if not admission.admitted:
-                return respond(machine, self.report, pid, uid, admission.action, "throttle")
-        if self.pipeline is not None:
-            # Every return above stops the process for good (a blocked one
-            # never traps again), so a page's snapshots pair one to one
-            # with its checked fetches, and spans are the bytes written
-            # since the page's previous snapshot.
-            self.pipeline.enqueue(PageSnapshot(content, vpage, pid, uid, spans))
+        self.guard.tick(machine.now - 1)  # as sweeps after each earlier event would
+        admission = self.guard.admit(uid, pid, machine.now)
+        if not admission.admitted:
+            return respond(machine, self.report, pid, uid, admission.action, "throttle")
+        # Every return above stops the process for good (a blocked one
+        # never traps again), so a page's snapshots pair one to one with
+        # its checked fetches, and spans are the bytes written since the
+        # page's previous snapshot.
+        self.pipeline.enqueue(PageSnapshot(content, vpage, pid, uid, spans))
         return OK
 
 

@@ -19,8 +19,10 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 
-from jitscan.guard import Admission
+from jitscan.agent import RunContext, SimConfig, build_run
+from jitscan.guard import Admission, GuardConfig
 from jitscan.mmu import MAX_WRITTEN_SPANS, AccessResult, Machine, SimError
 from jitscan.signatures import RuleSyntaxError, SignatureRule
 from jitscan.trace import FETCH, MMAP, MPROTECT, PROC, READ, TICK, WRITE, TraceError
@@ -44,6 +46,13 @@ SYNC_RULES_TEXT = (
     "rule stub_shellcode family=stub severity=kill sync "
     "{ fe ed c0 de de ad be ef ca fe ba be 0f 05 c3 90 }\n"
 )
+
+
+def quiet_run(rules=None, page_size: int = 4096, **settings) -> RunContext:
+    """``build_run``'s stack from SimConfig(page_size, **settings) with a guard
+    that never throttles: the rig of every test that drives a machine itself."""
+    guard = GuardConfig(threshold=sys.maxsize)
+    return build_run(SimConfig(page_size=page_size, guard=guard, **settings), rules)
 
 
 def naive_scan(content: bytes, patterns: list[tuple[str, tuple[int | None, ...]]]):

@@ -190,8 +190,7 @@ MUTANTS = (
     ),
     Mutant(
         "tlb_flush_one does nothing", "src/jitscan/mmu.py",
-        "        if not self.suppress_tlb_flush:\n            pte.tlb.clear()\n",
-        "        pass\n",
+        'holds one."""\n        pte.tlb.clear()\n', 'holds one."""\n        pass\n',
         (
             MMU + "TestTlb::test_flush_one_is_a_broadcast",
             SHADOW + "TestWriteFault::test_write_transition_flushes_the_page_entry",
@@ -314,6 +313,44 @@ MUTANTS = (
         (
             AGENT + "TestWrittenSpans::"
             "test_each_snapshot_holds_only_the_spans_written_since_the_last_check",
+        ),
+    ),
+    Mutant(
+        "mprotect relabel ignores a new w", "src/jitscan/shadow.py",
+        "_set_mode(pte, area, not pte.exec_disabled and (pte.orig_write or not area.logical_w))",
+        "_set_mode(pte, area, not pte.exec_disabled)",
+        (
+            SHADOW + "TestMprotect::test_grant_w_on_exec_page_enters_write_mode",
+            SHADOW + "TestMprotect::test_each_page_keeps_its_own_former_w",
+            SHADOW + "TestModeRule::test_mprotect_leaves_one_of_the_two_modes[rx-exec]",
+        ),
+    ),
+    Mutant(
+        "a block is recorded twice", "src/jitscan/shadow.py",
+        'space.alive and not (action == "block" and space.blocked):', "space.alive:",
+        (
+            AGENT + "TestAgentStep::test_async_hit_on_a_throttle_blocked_pid[block-expected1]",
+            AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
+        ),
+    ),
+    Mutant(
+        "guard swept at the fetch's own tick", "src/jitscan/shadow.py",
+        "self.guard.tick(machine.now - 1)", "self.guard.tick(machine.now)",
+        (
+            AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
+            AGENT + "TestGuardSweep::test_eviction_boundary[4-0]",
+            AGENT + "TestGuardSweep::test_a_penalty_ends_with_its_eviction_not_before[4]",
+            AGENT + "TestGuardSweep::test_no_executable_page_sweeps_once",
+        ),
+    ),
+    Mutant(
+        "sync hit keeps the narrowed span list", "src/jitscan/shadow.py",
+        "                pte.written = None  # the next check must see this match again\n", "",
+        (
+            AGENT + "TestWrittenSpans::test_reports_equal_whole_page_checks",
+            AGENT + "TestWrittenSpans::"
+            "test_reports_equal_whole_page_checks_with_zero_rules_and_images",
+            AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
         ),
     ),
     Mutant(

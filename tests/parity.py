@@ -1,5 +1,5 @@
-"""Compare ``jitscan run`` and ``jitscan scan`` against another revision
-on the bench workloads.
+"""Compare ``jitscan run``, ``jitscan scan`` and ``jitscan check-trace``
+against another revision on the bench workloads.
 
     python3 tests/parity.py REV
 
@@ -17,9 +17,11 @@ prefilter on dense content.  That is 27 more per side.  One more
 ``scan`` runs a rule file whose strings take the report's ``json``
 fallback (a non-ASCII rule name, a family holding ``"`` and ``\\``, one
 holding a control character) on a page that matches each of its rules:
-28 scans and 55 runs per side.  One process at a time.  Prints
-every run whose exit code or output bytes (the report of ``run``,
-stdout of ``scan``) differ and exits 1 if any do, 0 if none.  It also
+28 scans.  ``jitscan check-trace`` runs once on each generated trace, 9
+more, so every subcommand is checked: 64 runs per side.  One process at
+a time.  Prints every run whose exit code or output bytes (the report of
+``run``, stdout of ``scan`` and ``check-trace``) differ and exits 1 if
+any do, 0 if none.  It also
 prints the ``wc -l`` total of ``src/jitscan/*.py`` at REV and in this
 tree, which leaves the exit status alone.  Standard library only; pytest
 does not collect this file.
@@ -80,6 +82,14 @@ def run(src: Path, workdir: Path, flags: list[str], report: Path) -> tuple[int, 
     data = report.read_bytes() if report.exists() else b""
     report.unlink(missing_ok=True)
     return proc.returncode, data
+
+
+def check_trace(src: Path, workdir: Path) -> tuple[int, bytes]:
+    """The exit code and stdout bytes of one ``jitscan check-trace`` on ``src``."""
+    proc = cli(src, workdir, [
+        "check-trace", str(workdir / "trace.txt"), "--page-size", str(workloads.PAGE_SIZE),
+    ])
+    return proc.returncode, proc.stdout
 
 
 def scan(src: Path, workdir: Path, page: Path) -> tuple[int, bytes]:
@@ -144,7 +154,7 @@ def main(argv: list[str]) -> int:
         pages = {"kill-rule page": tmp / "kill.page", "zero page": tmp / "zero.page",
                  "dense page": tmp / "dense.page"}
         pages["zero page"].write_bytes(bytes(workloads.PAGE_SIZE))
-        runs = scans = differ = 0
+        runs = scans = checks = differ = 0
 
         def compare(what: str, a: tuple[int, bytes], b: tuple[int, bytes]) -> None:
             nonlocal differ
@@ -157,6 +167,10 @@ def main(argv: list[str]) -> int:
             for seed in SEEDS:
                 workdir = workloads.generate(name, seed, tmp / f"{name}-{seed}")
                 flags = json.loads((workdir / "config.json").read_text())["cli_flags"]
+                checks += 1
+                compare(f"check-trace {name} seed {seed}",
+                        check_trace(tmp / "rev" / "src", workdir),
+                        check_trace(ROOT / "src", workdir))
                 for action in ACTIONS:
                     runs += 1
                     flags = with_action(flags, action)
@@ -178,8 +192,9 @@ def main(argv: list[str]) -> int:
         scans += 1
         compare("scan escaped names", scan(tmp / "rev" / "src", workdir, workdir / "page"),
                 scan(ROOT / "src", workdir, workdir / "page"))
-        print(f"parity: {runs + scans - differ} of {runs + scans} runs equal to {rev}"
-              f" ({runs} run, {scans} scan)")
+        total = runs + scans + checks
+        print(f"parity: {total - differ} of {total} runs equal to {rev}"
+              f" ({runs} run, {scans} scan, {checks} check-trace)")
         before, after = line_count(tmp / "rev" / "src"), line_count(ROOT / "src")
         print(f"lines: src/jitscan/*.py {before} at {rev}, {after} here ({after - before:+d})")
         return 1 if differ else 0

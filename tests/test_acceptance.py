@@ -15,15 +15,15 @@ import time
 
 from jitscan.agent import SimConfig, _apply_event, build_run, replay
 from jitscan.guard import DosGuard, GuardConfig
-from jitscan.mmu import AccessKind, AccessResult, Machine, SimError
+from jitscan.mmu import AccessKind, AccessResult, SimError
 from jitscan.pipeline import PageSnapshot, SnapshotTable
-from jitscan.shadow import ShadowEngine
 from jitscan.signatures import parse_rules, scan_page
 from jitscan.trace import parse_trace
 
 from conftest import (
     ACCEPTANCE_RESULTS,
     naive_scan,
+    quiet_run,
     random_benign_trace,
     snapshot_reference,
     wx_violations,
@@ -40,14 +40,10 @@ def _criterion(n: int, ok: bool, desc: str) -> None:
     assert ok, line
 
 
-def _quiet_rig(suppress_tlb_flush: bool = False):
-    """Machine + engine with the throttle effectively off."""
-    machine = Machine(page_size=PS, suppress_tlb_flush=suppress_tlb_flush)
-    table = SnapshotTable(8)
-    machine.attach_engine(
-        ShadowEngine(machine, pipeline=table, guard=DosGuard(GuardConfig(threshold=10**9)))
-    )
-    return machine, table
+def _quiet_rig():
+    """Machine and pipeline of a shadow run whose guard never throttles."""
+    ctx = quiet_run(page_size=PS)
+    return ctx.machine, ctx.pipeline
 
 
 def test_01_snapshot_events_match_the_write_fetch_oracle():
@@ -205,7 +201,9 @@ def test_04_read_only_and_data_pages_never_snapshot():
 
 def test_05_stale_tlb_entry_defeats_the_state_machine_without_flushes():
     def drive(suppress: bool):
-        machine, _ = _quiet_rig(suppress_tlb_flush=suppress)
+        machine, _ = _quiet_rig()
+        if suppress:
+            machine.tlb_flush_one = lambda pte: None  # every flush is lost
         pid = machine.create_process(uid=1)
         machine.mmap(pid, "wx", 1, at=16)
         addr = 16 * PS

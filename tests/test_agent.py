@@ -26,7 +26,7 @@ from jitscan import shadow as shadow_module
 from jitscan.agent import SimConfig, build_run, replay
 from jitscan.cli import _build_parser, main
 from jitscan.guard import PENALTY_ACTIONS, DosGuard, GuardConfig
-from jitscan.mmu import DeadProcessError, Machine, SimError
+from jitscan.mmu import DeadProcessError, SimError
 from jitscan.pipeline import SnapshotTable
 from jitscan.report import ActionTaken, Detection, Report
 from jitscan.shadow import DETECTION_ACTIONS, ShadowEngine
@@ -825,8 +825,7 @@ class TestNoRulesIsTheEmptySet:
 
     def test_the_engine_and_agent_hold_an_empty_set(self):
         ctx = build_run(SimConfig(page_size=64))
-        engine = ShadowEngine(Machine(page_size=64))
-        for rules in (engine.rules, ctx.machine.engine.rules, ctx.agent.rules):
+        for rules in (ctx.machine.engine.rules, ctx.agent.rules):
             assert isinstance(rules, RuleSet) and len(rules.rules) == 0 and rules.page_size == 64
 
 
@@ -1231,7 +1230,8 @@ class TestCli:
         [
             pytest.param([*_RUN, flag, value], setting, id=f"{flag[2:]}={value}")
             for flag, value, setting in [
-                ("--threshold", "0", "threshold"), ("--ttl-penalty", "0", "ttl_penalty"),
+                ("--threshold", "0", "threshold must be >= 1, got 0"),
+                ("--ttl-penalty", "0", "ttl_penalty"),
                 ("--ttl-evict", "0", "ttl_evict"), ("--drain-every", "-1", "drain_every"),
                 ("--threshold", "x", "--threshold"), ("--action", "shame", "--action"),
                 ("--penalty-action", "alert", "--penalty-action"),

@@ -176,8 +176,8 @@ class TestConfig:
 
     def test_bad_values_rejected(self):
         for kwargs, message in [
-            ({"threshold": 0}, "threshold must be >= 1"),
-            ({"penalty_action": "shame"}, "penalty_action must be 'kill' or 'block'"),
+            ({"threshold": 0}, "threshold must be >= 1, got 0"),
+            ({"penalty_action": "shame"}, "penalty_action must be 'kill' or 'block', got 'shame'"),
             ({"ttl_penalty": 0}, "ttl_penalty must be >= 1, got 0"),
             ({"ttl_evict": 0}, "ttl_evict must be >= 1, got 0"),
         ]:

@@ -30,12 +30,12 @@ from pathlib import Path
 import pytest
 
 from jitscan import (
-    AccessKind, AccessResult, AddressSpace, Admission, BaselineEngine, Machine, Match,
-    PageSnapshot, PageTableEntry, Report, ShadowEngine, SignatureRule, SimConfig, SnapshotTable,
-    ThrottleEntry, VmArea, mmu, parse_rules, replay, trace,
+    AccessKind, AccessResult, AddressSpace, Admission, BaselineEngine, Match, PageSnapshot,
+    PageTableEntry, Report, ShadowEngine, SignatureRule, SimConfig, SnapshotTable, ThrottleEntry,
+    VmArea, mmu, parse_rules, replay, trace,
 )
 
-from conftest import SYNC_RULES_TEXT, SYNC_STUB
+from conftest import SYNC_RULES_TEXT, SYNC_STUB, quiet_run
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jitscan"
 BENCH_LAYERS = PACKAGE.parent.parent / "bench" / "layers.py"
@@ -209,10 +209,8 @@ def test_no_function_reads_an_access_enum_member_through_its_class(module):
 def test_access_returns_access_result_members():
     """Each result is the very str object AccessResult names, not an equal copy."""
     ps = 4096
-    machine = Machine(page_size=ps)
-    rules = parse_rules(SYNC_RULES_TEXT, page_size=ps)
-    engine = ShadowEngine(machine, rules=rules, pipeline=SnapshotTable())
-    machine.attach_engine(engine)
+    machine = quiet_run(parse_rules(SYNC_RULES_TEXT, page_size=ps), ps).machine
+    engine = machine.engine
     read, write, fetch = AccessKind.READ, AccessKind.WRITE, AccessKind.FETCH
     pid = machine.create_process(uid=1)
     machine.mmap(pid, "wx", 1, at=16)

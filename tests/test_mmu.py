@@ -27,21 +27,17 @@ from jitscan.shadow import BaselineEngine, ShadowEngine
 from jitscan.signatures import RuleSet, RuleSyntaxError, parse_rules
 from jitscan.trace import TraceError, parse_trace
 
-from conftest import reference_access, wx_violations
+from conftest import quiet_run, reference_access, wx_violations
 
 PS = 4096
 
 
-def plain_machine(page_size: int = PS, suppress_tlb_flush: bool = False) -> Machine:
-    machine = Machine(page_size=page_size, suppress_tlb_flush=suppress_tlb_flush)
-    machine.attach_engine(BaselineEngine(machine))
-    return machine
+def plain_machine(page_size: int = PS) -> Machine:
+    return quiet_run(page_size=page_size, shadow=False).machine
 
 
-def shadow_machine(page_size: int = PS, suppress_tlb_flush: bool = False) -> Machine:
-    machine = Machine(page_size=page_size, suppress_tlb_flush=suppress_tlb_flush)
-    machine.attach_engine(ShadowEngine(machine))
-    return machine
+def shadow_machine(page_size: int = PS) -> Machine:
+    return quiet_run(page_size=page_size).machine
 
 
 class TestCreateProcess:
@@ -249,7 +245,8 @@ class TestTlb:
     def test_stale_entry_is_honored_until_flushed(self):
         # write perms are revoked behind cpu 1's back; with the flush
         # suppressed its stale entry keeps authorizing writes
-        machine = shadow_machine(suppress_tlb_flush=True)
+        machine = shadow_machine()
+        machine.tlb_flush_one = lambda pte: None
         pid = machine.create_process(uid=0)
         machine.mmap(pid, "wx", 1, at=16)
         machine.access(pid, 1, 1, 16 * PS, AccessKind.WRITE, b"\x90")
@@ -290,7 +287,8 @@ class TestTlb:
         assert pte.tlb == {0: (True, False)}  # refilled by the walk
 
     def test_faulting_cpu_drops_its_own_stale_entry(self):
-        machine = shadow_machine(suppress_tlb_flush=True)
+        machine = shadow_machine()
+        machine.tlb_flush_one = lambda pte: None  # flushes are lost
         pid = machine.create_process(uid=0)
         machine.mmap(pid, "wx", 1, at=16)
         machine.access(pid, 1, 0, 16 * PS, AccessKind.WRITE, b"\x90")
@@ -718,8 +716,7 @@ class TestPerPageMprotect:
         assert len(engine.mprotects) == 4
 
     def test_both_engines_expose_the_hooks_with_equal_signatures(self):
-        machine = Machine(page_size=PS)
-        shadow, plain = ShadowEngine(machine), BaselineEngine(machine)
+        shadow, plain = shadow_machine().engine, plain_machine().engine
         params = {
             "on_materialize": ["space", "area", "vpage", "kind"],
             "handle_write_fault": ["area", "pte"],
@@ -853,12 +850,12 @@ class TestReferencePath:
 
     def _machine(self, shape):
         suppress, plain, action = shape
-        machine = Machine(page_size=self.PS, suppress_tlb_flush=suppress)
-        engine = (
-            BaselineEngine(machine) if plain
-            else ShadowEngine(machine, parse_rules(self.RULES, self.PS), detection_action=action)
-        )
-        recorder = RecordingEngine(machine, engine)
+        machine = quiet_run(
+            parse_rules(self.RULES, self.PS), self.PS, shadow=not plain, detection_action=action,
+        ).machine
+        if suppress:
+            machine.tlb_flush_one = lambda pte: None  # flushes are lost
+        recorder = RecordingEngine(machine, machine.engine)
         machine.attach_engine(recorder)
         for uid in (0, 1, 1):
             pid = machine.create_process(uid)

@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 
 from jitscan import shadow as shadow_module
 from jitscan import signatures as signatures_module
-from jitscan.agent import SimConfig, replay
-from jitscan.guard import DosGuard, GuardConfig
+from jitscan.agent import SimConfig, build_run, replay
+from jitscan.guard import GuardConfig
 from jitscan.mmu import AccessKind, AccessResult, Machine, PageTableEntry
-from jitscan.pipeline import SnapshotTable
 from jitscan.report import Report
-from jitscan.shadow import BaselineEngine, ShadowEngine
 from jitscan.signatures import parse_rules, sync_check
 
 from conftest import (
-    SYNC_RULES_TEXT, SYNC_STUB, naive_scan, snapshot_reference, wx_violations,
+    SYNC_RULES_TEXT, SYNC_STUB, naive_scan, quiet_run, snapshot_reference, wx_violations,
 )
 
 PS = 4096
@@ -28,13 +26,10 @@ F = AccessKind.FETCH
 R = AccessKind.READ
 
 
-def rig(rules_text: str | None = None, **engine_kwargs):
-    machine = Machine(page_size=PS)
-    pipeline = SnapshotTable(8)
+def rig(rules_text: str | None = None, **settings):
     rules = parse_rules(rules_text, page_size=PS) if rules_text else None
-    engine = ShadowEngine(machine, rules=rules, pipeline=pipeline, **engine_kwargs)
-    machine.attach_engine(engine)
-    return machine, pipeline, engine
+    ctx = quiet_run(rules, PS, **settings)
+    return ctx.machine, ctx.pipeline, ctx.machine.engine
 
 
 def one_wx_page(machine: Machine) -> int:
@@ -143,19 +138,16 @@ class TestExecFault:
         assert len(det) == 1 and det[0].path == "sync" and det[0].rule == "stub_shellcode"
 
     def test_sync_check_disabled_lets_content_through_to_async(self):
-        machine, pipeline, _ = rig(SYNC_RULES_TEXT, sync_check_enabled=False)
+        machine, pipeline, _ = rig(SYNC_RULES_TEXT, sync_check=False)
         pid = one_wx_page(machine)
         machine.access(pid, 1, 0, 16 * PS, W, SYNC_STUB)
         assert machine.access(pid, 1, 0, 16 * PS, F) is AccessResult.OK
         assert pipeline.pending_count() == 1
 
     def test_throttle_denial_blocks_before_snapshot(self):
-        machine = Machine(page_size=PS)
-        pipeline = SnapshotTable(8)
-        guard = DosGuard(GuardConfig(threshold=1, penalty_action="block",
-                                     ttl_penalty=100, ttl_evict=500))
-        engine = ShadowEngine(machine, pipeline=pipeline, guard=guard)
-        machine.attach_engine(engine)
+        guard = GuardConfig(threshold=1, penalty_action="block", ttl_penalty=100, ttl_evict=500)
+        ctx = build_run(SimConfig(page_size=PS, guard=guard))
+        machine, pipeline = ctx.machine, ctx.pipeline
         pid = machine.create_process(uid=9)
         machine.mmap(pid, "rx", 3, backing=b"\xc3" * (3 * PS), at=16)
         assert machine.access(pid, 1, 0, 16 * PS, F) is AccessResult.OK
@@ -290,11 +282,7 @@ class TestStateMachineProperties:
 
     def test_transparent_for_benign_behavior(self):
         def run(shadow: bool):
-            machine = Machine(page_size=PS)
-            if shadow:
-                machine.attach_engine(ShadowEngine(machine, pipeline=SnapshotTable(4)))
-            else:
-                machine.attach_engine(BaselineEngine(machine))
+            machine = quiet_run(page_size=PS, shadow=shadow).machine
             pid = machine.create_process(uid=1)
             machine.mmap(pid, "wx", 2, at=16)
             outcomes = [
@@ -311,18 +299,6 @@ class TestStateMachineProperties:
         plain_out, plain_mem = run(False)
         assert shadow_out == plain_out
         assert shadow_mem == plain_mem
-
-
-def test_verdict_report_defaults_to_private_report():
-    machine = Machine(page_size=PS)
-    engine = ShadowEngine(machine)
-    assert isinstance(engine.report, Report)
-
-
-def test_bad_detection_action_rejected():
-    machine = Machine(page_size=PS)
-    with pytest.raises(ValueError):
-        ShadowEngine(machine, detection_action="explode")
 
 
 # ---- every executable page starts unchecked ------------------------------
@@ -500,7 +476,7 @@ class TestWholePageWalks:
             )
             pte = PageTableEntry(frame)
             walks.clear()
-            ShadowEngine(Machine(page_size=page_size), rules=rules)._walk_unknown(pte)
+            quiet_run(rules, page_size).machine.engine._walk_unknown(pte)
             assert pte.written == ([] if not whole else None)
             if not walks:
                 assert rules.zero_page_clean and not any(content)
