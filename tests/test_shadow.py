@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from jitscan.agent import SimConfig, build_run, replay
 from jitscan.guard import GuardConfig
 from jitscan.mmu import AccessKind, AccessResult, Machine, PageTableEntry
 from jitscan.report import Report
+from jitscan.shadow import ShadowEngine
 from jitscan.signatures import parse_rules, sync_check
 
 from conftest import (
@@ -299,6 +301,30 @@ class TestStateMachineProperties:
         plain_out, plain_mem = run(False)
         assert shadow_out == plain_out
         assert shadow_mem == plain_mem
+
+
+def test_the_engine_takes_no_defaults():
+    """Only `build_run` wires an engine, so it must name every collaborator."""
+    params = inspect.signature(ShadowEngine).parameters.values()
+    assert [p.name for p in params] == [
+        "machine", "rules", "pipeline", "guard", "report", "sync_check", "detection_action",
+    ]
+    assert all(p.default is inspect.Parameter.empty for p in params)
+
+
+def test_the_engine_shares_the_runs_collaborators():
+    rules = parse_rules(SYNC_RULES_TEXT, page_size=PS)
+    ctx = build_run(SimConfig(page_size=PS, sync_check=True, detection_action="block"), rules)
+    engine = ctx.machine.engine
+    assert engine.rules is rules and ctx.agent.rules is rules
+    assert engine.pipeline is ctx.pipeline and engine.guard is ctx.guard
+    assert engine.report is ctx.report and engine.sync_check is True
+    assert engine.detection_action == "block"
+    pid = one_wx_page(ctx.machine)
+    ctx.machine.access(pid, 1, 0, 16 * PS, W, SYNC_STUB)
+    ctx.machine.access(pid, 1, 0, 16 * PS, F)
+    assert [(d.path, d.rule) for d in ctx.report.detections] == [("sync", "stub_shellcode")]
+    assert [a.action for a in ctx.report.actions] == ["block"]
 
 
 # ---- every executable page starts unchecked ------------------------------
