@@ -126,28 +126,30 @@ def _apply_event(machine: Machine, event: tuple) -> str:
     """Advance the clock and run one parsed event (see trace.py for its
     layout); returns its result for the report's outcome counts.
 
-    Op codes are told apart by identity, as ``Machine.access`` tells kinds
-    apart, so an op code other than READ ... TICK (-1, 1.0, 7, None, True)
-    raises TypeError before the clock moves.
+    ``replay`` runs READ, FETCH and WRITE itself, so PROC, MMAP, MPROTECT
+    and TICK are tested first.  Op codes are told apart by identity, as
+    ``Machine.access`` tells kinds apart, so an op code other than READ ...
+    TICK (-1, 1.0, 7, None, True) raises TypeError before the clock moves.
     """
     op = event[0]
-    if op is READ or op is WRITE or op is FETCH:  # nearly every event: the op is the kind
+    if op is PROC:
+        machine.now += 1
+        machine.create_process(event[2])
+    elif op is MMAP:
+        machine.now += 1
+        machine.mmap(event[2], event[3], event[4], event[5], event[6])
+    elif op is MPROTECT:
+        machine.now += 1
+        machine.mprotect(event[2], event[3], event[4], event[5])
+    elif op is TICK:
+        machine.now += event[2]
+    elif op is READ or op is WRITE or op is FETCH:  # the op is the kind
         machine.now += 1
         return machine.access(
             event[2], event[3], event[4], event[5], op, event[6] if op is WRITE else None,
         )
-    if op is TICK:
-        machine.now += event[2]
-        return "ok"
-    if op is not PROC and op is not MMAP and op is not MPROTECT:
-        raise TypeError(f"unknown op code {op!r}")
-    machine.now += 1
-    if op is PROC:
-        machine.create_process(event[2])
-    elif op is MMAP:
-        machine.mmap(event[2], event[3], event[4], event[5], event[6])
     else:
-        machine.mprotect(event[2], event[3], event[4], event[5])
+        raise TypeError(f"unknown op code {op!r}")
     return "ok"
 
 

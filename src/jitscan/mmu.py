@@ -122,7 +122,7 @@ class VmArea:
 
     def permits(self, kind: int) -> bool:
         # x86-flavored: every mapping is readable (no execute-only pages),
-        # as every present page is (see _permits)
+        # as every present page is (see Machine.access's fault tail)
         if kind is READ:
             return True
         if kind is WRITE:
@@ -184,6 +184,11 @@ class AddressSpace:
         i = bisect.bisect_left(areas, start, key=_start)
         lo = i - 1 if i and areas[i - 1].end_vpage >= start else i
         hi = bisect.bisect_right(areas, end, i, key=_start)
+        if lo == hi and not mapped:  # a free range no area touches: one insert
+            if end > self.mmap_cursor:
+                self.mmap_cursor = end
+            areas.insert(lo, new)
+            return new
         covered = 0
         for area in areas[lo:hi]:  # a touching area covers 0
             a0, a1 = area.start_vpage, area.start_vpage + area.n_pages
@@ -231,12 +236,13 @@ def _check_request(perms: str, n_pages: int) -> None:
         raise ValueError("n_pages must be >= 1")
 
 
-def _permits(kind: int, writable: bool, exec_disabled: bool) -> bool:
-    if kind is WRITE:
-        return writable
-    if kind is FETCH:
-        return not exec_disabled
-    return True  # present implies readable
+class _NoEngine:
+    """``Machine.engine`` until ``attach_engine``: every hook raises SimError."""
+
+    def _missing(self, *args):
+        raise SimError("no fault engine attached")
+
+    on_materialize = handle_write_fault = handle_exec_fault = on_mprotect = _missing
 
 
 # The four TLB entries, indexed [writable][exec_disabled]: a fill shares
@@ -247,7 +253,7 @@ _TLB_ENTRIES = (((False, False), (False, True)), ((True, False), (True, True)))
 class Machine:
     """The simulated machine: processes, frames, logical clock.
 
-    A fault engine must be attached before accesses run.  ``access``
+    Until ``attach_engine``, every engine hook raises SimError.  ``access``
     branches once on the kind, and a TLB hit or a miss on a present page
     whose bits permit the access stays on that kind's path, reading
     neither the areas nor the engine.  Per trap, the one shared tail
@@ -268,7 +274,7 @@ class Machine:
         self.page_size = page_size
         self.spaces: dict[int, AddressSpace] = {}
         self.now = 0
-        self.engine = None
+        self.engine = _NoEngine()  # faults raise until attach_engine; hits never read it
         self._next_pid = 1
 
     def attach_engine(self, engine) -> None:
@@ -278,7 +284,7 @@ class Machine:
 
     def create_process(self, uid: int) -> int:
         """A new process with no areas mapped; ``mmap`` maps them."""
-        space = AddressSpace(pid=self._next_pid, uid=uid)
+        space = AddressSpace(self._next_pid, uid)
         self._next_pid += 1
         self.spaces[space.pid] = space
         return space.pid
@@ -345,8 +351,9 @@ class Machine:
     def install_page(self, space: AddressSpace, vpage: int) -> PageTableEntry:
         """Make vpage present, its bits clear, its frame the mmap image zero-padded."""
         frame = bytearray(self.page_size)
-        image = space.images.pop(vpage, b"")
-        frame[: len(image)] = image
+        image = space.images.pop(vpage, None)
+        if image is not None:  # a blank page stays all zero
+            frame[: len(image)] = image
         pte = PageTableEntry(frame)
         space.ptes[vpage] = pte
         return pte
@@ -454,8 +461,8 @@ class Machine:
             result = self.engine.handle_exec_fault(space, area, pte, vpage)
         if result is not OK:
             return result
-        pte = space.ptes.get(vpage)
-        if pte is None or not _permits(kind, pte.writable, pte.exec_disabled):
+        pte = space.ptes.get(vpage)  # present implies readable
+        if pte is None or kind is WRITE and not pte.writable or kind is FETCH and pte.exec_disabled:
             raise SimError(
                 f"fault engine allowed {_KIND_NAMES[kind]} of pid {pid} vpage {vpage}"
                 " but left it impermissible"

@@ -84,7 +84,7 @@ def respond(
             machine.kill_process(pid)
         else:
             space.blocked = True
-        report.actions.append(ActionTaken(pid, uid, action, cause, rule=rule, path=path))
+        report.actions.append(ActionTaken(pid, uid, action, cause, rule, path))
     return KILLED if action == "kill" else BLOCKED
 
 

@@ -84,6 +84,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "_apply_event routes MPROTECT to mmap", "src/jitscan/agent.py",
+        "    elif op is MMAP:\n", "    elif op is MMAP or op is MPROTECT:\n",
+        (
+            AGENT + "TestReplay::test_each_setup_op_code_advances_the_clock_and_returns_ok",
+            AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
+            ACCEPTANCE + "test_07_regained_write_access_forces_a_recheck",
+            SHADOW + "TestFirstCheckSpans::test_data_page_made_executable_gets_only_later_writes",
+        ),
+    ),
+    Mutant(
         "agent acknowledges each snapshot twice", "src/jitscan/agent.py",
         "            on_delivered(snap.uid, now)\n",
         "            on_delivered(snap.uid, now)\n            on_delivered(snap.uid, now)\n",
@@ -244,6 +254,29 @@ MUTANTS = (
             MMU + "test_area_map_matches_per_page_model[0]",
             AGENT + "TestReplay::test_benign_trace_all_ok",
             ACCEPTANCE + "test_01_snapshot_events_match_the_write_fetch_oracle",
+        ),
+    ),
+    Mutant(
+        "free-range insert skips the mmap_cursor bump", "src/jitscan/mmu.py",
+        "            if end > self.mmap_cursor:\n"
+        "                self.mmap_cursor = end\n"
+        "            areas.insert(lo, new)\n",
+        "            areas.insert(lo, new)\n",
+        (
+            MMU + "TestFreeRange::test_an_mmap_below_the_cursor_leaves_it_alone",
+            MMU + "TestMmapMprotect::test_mmap_auto_placement_is_deterministic",
+            AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
+        ),
+    ),
+    Mutant(
+        "blank install takes the image branch", "src/jitscan/mmu.py",
+        "        if image is not None:  # a blank page stays all zero\n",
+        "        if image is None:  # a blank page stays all zero\n",
+        (
+            MMU + "TestAccess::test_backing_image_copied_on_materialize",
+            MMU + "TestReadPage::test_zero_fill_for_anonymous_pages",
+            MMU + "TestReferencePath::test_access_equals_the_reference",
+            SHADOW + "TestFirstCheckSpans::test_blank_wx_page_gets_exactly_its_writes",
         ),
     ),
     # bit i of byte p+i lands on bit i-1 of byte p+i-1: marks are not 0/1

@@ -108,6 +108,24 @@ class TestReplay:
         with pytest.raises(TypeError, match=rf"^unknown op code {op!r}$"):
             replay([(PROC, 1, 0), (op, 2, 1, 1, 0, 0)])
 
+    def test_each_setup_op_code_advances_the_clock_and_returns_ok(self):
+        # _apply_event tests these four before the access kinds
+        machine = build_run().machine
+        events = parse_trace(
+            "PROC uid=7\nMMAP pid=1 perms=rw pages=2 at=16\n"
+            "MPROTECT pid=1 start=16 pages=1 perms=r\nTICK n=50\n"
+        )
+        got = []
+        for event in events:
+            now = machine.now
+            got.append((agent_module._apply_event(machine, event), machine.now - now))
+        assert got == [("ok", 1), ("ok", 1), ("ok", 1), ("ok", 50)]
+        space = machine.spaces[1]
+        assert space.uid == 7
+        assert [(a.start_vpage, a.n_pages, a.perms()) for a in space.areas] == [
+            (16, 1, "r"), (17, 1, "rw"),
+        ]
+
     def test_kill_mid_trace_turns_later_events_into_errors(self):
         trace = PACKER_TRACE + f"FETCH pid=1 tid=1 cpu=0 addr={17 * PS}\n"
         report = replay(trace, rules())

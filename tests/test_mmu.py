@@ -539,6 +539,52 @@ class TestMmapMprotect:
         ]
 
 
+class TestFreeRange:
+    """A range that no area overlaps or touches: an mmap is one insert, an
+    mprotect the same UnmappedRangeError as any partly mapped range."""
+
+    def test_an_mmap_into_a_hole_inserts_between_untouched_neighbours(self):
+        machine = plain_machine()
+        pid = machine.create_process(uid=0)
+        space = machine.spaces[pid]
+        left = machine.mmap(pid, "rw", 2, at=16)
+        right = machine.mmap(pid, "rw", 2, at=30)
+        area = machine.mmap(pid, "rw", 3, at=22)  # gaps [18, 22) and [25, 30) keep all three
+        assert len(space.areas) == 3
+        assert all(a is b for a, b in zip(space.areas, (left, area, right)))
+        assert [(a.start_vpage, a.n_pages, a.perms()) for a in space.areas] == [
+            (16, 2, "rw"), (22, 3, "rw"), (30, 2, "rw"),
+        ]
+
+    def test_an_mmap_below_the_cursor_leaves_it_alone(self):
+        machine = plain_machine()
+        pid = machine.create_process(uid=0)
+        space = machine.spaces[pid]
+        machine.mmap(pid, "rx", 4)  # [16, 20)
+        machine.mmap(pid, "rw", 2, at=40)
+        assert space.mmap_cursor == 42
+        machine.mmap(pid, "rw", 3, at=25)
+        machine.mmap(pid, "r", 1, at=2)
+        assert space.mmap_cursor == 42
+        assert machine.mmap(pid, "r", 1).start_vpage == 42
+
+    @pytest.mark.parametrize("areas", [(), ((16, 2), (30, 2))])
+    @pytest.mark.parametrize("start, n", [(22, 3), (2, 3), (40, 2)])
+    def test_an_mprotect_over_a_hole_raises_and_changes_nothing(self, areas, start, n):
+        machine = plain_machine()
+        pid = machine.create_process(uid=0)
+        space = machine.spaces[pid]
+        for at, pages in areas:
+            machine.mmap(pid, "rw", pages, at=at)
+        before, cursor = list(space.areas), space.mmap_cursor
+        error = rf"^pid 1: vpages \[{start}, {start + n}\) not fully mapped$"
+        with pytest.raises(UnmappedRangeError, match=error):
+            machine.mprotect(pid, start, n, "rx")
+        assert len(space.areas) == len(before)
+        assert all(a is b for a, b in zip(space.areas, before))
+        assert space.mmap_cursor == cursor
+
+
 PERMS = ["", "r", "w", "x", "rw", "rx", "wx", "rwx"]
 
 
@@ -975,6 +1021,14 @@ class TestFaultEngineContract:
         ]
         assert stub.calls[0][2] is pte and stub.calls[1][3] is pte
 
+
+    def test_a_fault_with_no_engine_attached_is_a_sim_error(self):
+        machine = Machine(page_size=64)
+        pid = machine.create_process(uid=0)
+        machine.mmap(pid, "rw", 1, at=16)
+        with pytest.raises(SimError, match="^no fault engine attached$"):
+            machine.access(pid, 1, 0, 16 * 64, AccessKind.READ)
+        assert machine.spaces[pid].ptes == {}
 
     def test_a_forbidding_or_missing_area_never_reaches_the_engine(self):
         machine = Machine(page_size=PS)
