@@ -29,10 +29,6 @@ class _BadInput(Exception):
     prints it on one line and exits 2."""
 
 
-# the largest --page-size, x86-64's 2 MiB huge page: a page is allocated whole
-MAX_PAGE_SIZE = 2**21
-
-
 class _Parser(argparse.ArgumentParser):
     """Prints a usage error as one `jitscan: ...` line and exits 2; subparsers inherit it."""
 
@@ -151,9 +147,7 @@ _COMMANDS = {"run": _cmd_run, "scan": _cmd_scan, "check-trace": _cmd_check}
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.page_size > MAX_PAGE_SIZE:  # checked before any read allocates a page
-            raise _BadInput(f"page_size must be <= {MAX_PAGE_SIZE}, got {args.page_size}")
-        try:
+        try:  # checked before any read allocates a page
             check_page_size(args.page_size)
         except ValueError as exc:
             raise _BadInput(str(exc)) from None

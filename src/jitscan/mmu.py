@@ -27,6 +27,8 @@ mmap and mprotect: no two touching areas have equal permissions, so an
 edit rebuilds only the areas around its range.  Areas carry permissions
 only.  An mmap's initial content waits per page in the space's ``images``
 until that page is first touched; an entry in ``ptes`` means it is present.
+Only this module reads a space's ``areas`` or ``images``: each area edit
+goes through ``AddressSpace._splice``, each image out through ``install_page``.
 """
 
 from __future__ import annotations
@@ -144,9 +146,10 @@ class VmArea:
 class AddressSpace:
     """One process's areas, initial page images and page table.
 
-    ``areas`` is sorted by start, disjoint and merged (see the module docstring).
-    ``images`` maps a vpage to the mmap content it starts with, held
-    until the page is first touched; ``ptes`` holds the present pages.
+    ``areas`` is sorted by start, disjoint and merged (see the module
+    docstring); only ``_splice`` edits it.  ``images`` maps a vpage to the
+    mmap content it starts with, held until ``Machine.install_page`` takes
+    it at the page's first touch; ``ptes`` holds the present pages.
     """
 
     __slots__ = ("pid", "uid", "areas", "images", "ptes", "alive", "blocked", "mmap_cursor")
@@ -165,54 +168,49 @@ class AddressSpace:
             return self.areas[i - 1]
         return None
 
-    def insert(self, area: VmArea) -> VmArea:
-        """Map area's free range; returns the area now holding it (see _splice)."""
-        return self._splice(area, False)
+    def _splice(self, start: int, n_pages: int, perms: str, mapped: bool) -> VmArea:
+        """Give vpages [start, start+n) perms; returns the area now holding them.
 
-    def protect(self, start: int, n_pages: int, perms: str) -> VmArea:
-        """Give mapped vpages [start, start+n) perms; returns the area now holding them."""
-        return self._splice(VmArea(start, n_pages, "r" in perms, "w" in perms, "x" in perms), True)
-
-    def _splice(self, new: VmArea, mapped: bool) -> VmArea:
-        """Put new in place of the areas that overlap or touch its range.
-
-        Raises, changing nothing, unless it is all mapped (if mapped) or all
-        free.  Outer parts of the first and last stay; alike ones merge into new.
+        Raises, changing nothing, unless the range is all mapped (if mapped,
+        an mprotect) or all free (an mmap).  The new area replaces the areas
+        that overlap or touch it: outer parts of the first and last stay,
+        alike ones merge into it.  ``mmap_cursor`` moves past the range.
         """
         areas = self.areas
-        start, end = new.start_vpage, new.end_vpage
+        end = start + n_pages
+        new = VmArea(start, n_pages, "r" in perms, "w" in perms, "x" in perms)
         i = bisect.bisect_left(areas, start, key=_start)
         lo = i - 1 if i and areas[i - 1].end_vpage >= start else i
         hi = bisect.bisect_right(areas, end, i, key=_start)
-        if lo == hi and not mapped:  # a free range no area touches: one insert
-            if end > self.mmap_cursor:
-                self.mmap_cursor = end
+        if lo != hi or mapped:  # else free and touching no area: nothing to check
+            covered = 0
+            for area in areas[lo:hi]:  # a touching area covers 0
+                a0, a1 = area.start_vpage, area.end_vpage
+                covered += (a1 if a1 < end else end) - (a0 if a0 > start else start)
+                if covered and not mapped:
+                    raise OverlapError(
+                        f"pid {self.pid}: mapping [{start}, {end}) overlaps [{a0}, {a1})"
+                    )
+            if mapped and covered != n_pages:
+                raise UnmappedRangeError(
+                    f"pid {self.pid}: vpages [{start}, {end}) not fully mapped"
+                )
+        if end > self.mmap_cursor:
+            self.mmap_cursor = end
+        if lo == hi:  # an mmap of a free range that touches no area (mprotect raised)
             areas.insert(lo, new)
             return new
-        covered = 0
-        for area in areas[lo:hi]:  # a touching area covers 0
-            a0, a1 = area.start_vpage, area.start_vpage + area.n_pages
-            covered += (a1 if a1 < end else end) - (a0 if a0 > start else start)
-            if covered and not mapped:
-                raise OverlapError(
-                    f"pid {self.pid}: mapping [{start}, {end}) overlaps"
-                    f" [{area.start_vpage}, {area.end_vpage})"
-                )
-        if mapped and covered != end - start:
-            raise UnmappedRangeError(f"pid {self.pid}: vpages [{start}, {end}) not fully mapped")
-        self.mmap_cursor = max(self.mmap_cursor, end)
+        first, last = areas[lo], areas[hi - 1]
         edit = []
-        if lo < hi:
-            first, last = areas[lo], areas[hi - 1]
-            if _perms(first) == _perms(new):
-                start = min(start, first.start_vpage)
-            elif first.start_vpage < start:
-                edit.append(first.part(first.start_vpage, start))
-            if _perms(last) == _perms(new):
-                end = max(end, last.end_vpage)
-            new = new.part(start, end)
+        if _perms(first) == _perms(new):
+            start = min(start, first.start_vpage)
+        elif first.start_vpage < start:
+            edit.append(first.part(first.start_vpage, start))
+        if _perms(last) == _perms(new):
+            end = max(end, last.end_vpage)
+        new = new.part(start, end)
         edit.append(new)
-        if lo < hi and last.end_vpage > end:
+        if last.end_vpage > end:
             edit.append(last.part(end, last.end_vpage))
         areas[lo:hi] = edit
         return new
@@ -222,10 +220,16 @@ _start = operator.attrgetter("start_vpage")
 _perms = operator.attrgetter("logical_r", "logical_w", "logical_x")
 
 
+# the largest page size, x86-64's 2 MiB huge page: a page is allocated whole
+MAX_PAGE_SIZE = 2**21
+
+
 def check_page_size(page_size: int) -> None:
-    """ValueError unless page_size is 1 or more: the one check of every entry point."""
+    """ValueError unless 1 <= page_size <= MAX_PAGE_SIZE: the one check of every entry point."""
     if page_size < 1:
         raise ValueError(f"page_size must be positive, got {page_size}")
+    if page_size > MAX_PAGE_SIZE:
+        raise ValueError(f"page_size must be <= {MAX_PAGE_SIZE}, got {page_size}")
 
 
 def _check_request(perms: str, n_pages: int) -> None:
@@ -313,7 +317,7 @@ class Machine:
             raise ValueError(f"at must be >= 0, got {at}")
         space = self.space(pid)
         start = space.mmap_cursor if at is None else at
-        area = space.insert(VmArea(start, n_pages, "r" in perms, "w" in perms, "x" in perms))
+        area = space._splice(start, n_pages, perms, False)
         if backing is not None:
             image = memoryview(backing)
             for off in range(0, len(image), ps):
@@ -329,7 +333,7 @@ class Machine:
         """
         _check_request(perms, n_pages)
         space = self.space(pid)
-        area = space.protect(start_vpage, n_pages, perms)
+        area = space._splice(start_vpage, n_pages, perms, True)
         end, ptes = start_vpage + n_pages, space.ptes
         # walk the fewer of the range's vpages and the pid's present pages
         for vpage in range(start_vpage, end) if n_pages <= len(ptes) else ptes:
@@ -348,15 +352,16 @@ class Machine:
 
     # ---- page plumbing ------------------------------------------------
 
-    def install_page(self, space: AddressSpace, vpage: int) -> PageTableEntry:
-        """Make vpage present, its bits clear, its frame the mmap image zero-padded."""
+    def install_page(self, space: AddressSpace, vpage: int) -> tuple[PageTableEntry, bool]:
+        """Make vpage present, its bits clear, its frame the mmap image zero-padded;
+        returns the new page entry and whether an image was copied into it."""
         frame = bytearray(self.page_size)
         image = space.images.pop(vpage, None)
         if image is not None:  # a blank page stays all zero
             frame[: len(image)] = image
         pte = PageTableEntry(frame)
         space.ptes[vpage] = pte
-        return pte
+        return pte, image is not None
 
     def read_page(self, pid: int, vpage: int) -> bytes:
         space = self.space(pid, require_alive=False)

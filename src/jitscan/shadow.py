@@ -148,10 +148,9 @@ class ShadowEngine:
         self, space: AddressSpace, area: VmArea, vpage: int, kind: int,
     ) -> str:
         """Not-present fault: install the page unchecked; a fetch then checks it."""
-        image = vpage in space.images  # tested before the pop
-        pte = self.machine.install_page(space, vpage)
+        pte, imaged = self.machine.install_page(space, vpage)
         if area.logical_x:
-            if image:
+            if imaged:
                 self._walk_unknown(pte)
             elif self.rules.zero_page_clean:
                 pte.written = []
@@ -258,7 +257,7 @@ class BaselineEngine:
     def on_materialize(
         self, space: AddressSpace, area: VmArea, vpage: int, kind: int,
     ) -> str:
-        _plain_relabel(self.machine.install_page(space, vpage), area)
+        _plain_relabel(self.machine.install_page(space, vpage)[0], area)
         return OK
 
     def handle_write_fault(self, area: VmArea, pte: PageTableEntry) -> str:

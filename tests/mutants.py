@@ -258,13 +258,34 @@ MUTANTS = (
     ),
     Mutant(
         "free-range insert skips the mmap_cursor bump", "src/jitscan/mmu.py",
-        "            if end > self.mmap_cursor:\n"
-        "                self.mmap_cursor = end\n"
-        "            areas.insert(lo, new)\n",
-        "            areas.insert(lo, new)\n",
+        "        if end > self.mmap_cursor:\n",
+        "        if end > self.mmap_cursor and lo != hi:\n",
         (
             MMU + "TestFreeRange::test_an_mmap_below_the_cursor_leaves_it_alone",
             MMU + "TestMmapMprotect::test_mmap_auto_placement_is_deterministic",
+            MMU + "TestMmapMprotect::test_a_refused_edit_past_the_cursor_leaves_it_alone",
+            MMU + "TestAccess::test_perms_the_trace_grammar_refuses_are_refused[]",
+            MMU + "TestAccess::test_perms_the_trace_grammar_refuses_are_refused[rr]",
+            AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
+            AGENT + "TestReferenceReplay::test_plain_engine_equals_the_reference",
+        ),
+    ),
+    # A refused mmap or mprotect that ends past the cursor moves it anyway.
+    Mutant(
+        "cursor bumped before the overlap check", "src/jitscan/mmu.py",
+        "        if lo != hi or mapped:  # else free and touching no area: nothing to check\n",
+        "        if end > self.mmap_cursor:\n"
+        "            self.mmap_cursor = end\n"
+        "        if lo != hi or mapped:  # else free and touching no area: nothing to check\n",
+        (
+            MMU + "TestMmapMprotect::test_a_refused_edit_past_the_cursor_leaves_it_alone",
+            MMU + "TestFreeRange::test_an_mprotect_over_a_hole_raises_and_changes_nothing"
+            "[22-3-areas0]",
+            MMU + "TestFreeRange::test_an_mprotect_over_a_hole_raises_and_changes_nothing"
+            "[40-2-areas0]",
+            MMU + "TestFreeRange::test_an_mprotect_over_a_hole_raises_and_changes_nothing"
+            "[40-2-areas1]",
+            MMU + "test_area_map_matches_per_page_model[7]",
             AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
         ),
     ),
@@ -277,6 +298,27 @@ MUTANTS = (
             MMU + "TestReadPage::test_zero_fill_for_anonymous_pages",
             MMU + "TestReferencePath::test_access_equals_the_reference",
             SHADOW + "TestFirstCheckSpans::test_blank_wx_page_gets_exactly_its_writes",
+        ),
+    ),
+    # An imaged page then counts as blank: its image is not walked at install,
+    # so its first check may cover only the spans written since.
+    Mutant(
+        "install reports a blank page as imaged", "src/jitscan/mmu.py",
+        "        return pte, image is not None\n", "        return pte, image is None\n",
+        (
+            SHADOW + "TestReadBeforeFirstFetch::"
+            "test_sync_kill_payload_is_caught_after_a_read[rx-mmap]",
+            SHADOW + "TestReadBeforeFirstFetch::"
+            "test_sync_kill_payload_is_caught_after_a_read[rw-mprotect-rx]",
+            SHADOW + "TestReadBeforeFirstFetch::test_async_alert_sees_one_snapshot_after_a_read",
+            SHADOW + "TestFirstCheckSpans::test_image_holding_a_sync_match_is_checked_whole",
+            SHADOW + "TestFirstCheckSpans::test_image_holding_an_async_match_is_checked_whole",
+            SHADOW + "TestFirstCheckSpans::"
+            "test_image_whose_match_needs_the_zero_padding_is_checked_whole",
+            SHADOW + "TestWholePageWalks::test_first_fetch_walks[image]",
+            AGENT + "TestWrittenSpans::"
+            "test_reports_equal_whole_page_checks_with_zero_rules_and_images",
+            AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
         ),
     ),
     # bit i of byte p+i lands on bit i-1 of byte p+i-1: marks are not 0/1

@@ -527,6 +527,18 @@ class TestMmapMprotect:
             machine.mmap(pid, "rx", 8, at=15)
         assert machine.spaces[pid].areas == before
 
+    def test_a_refused_edit_past_the_cursor_leaves_it_alone(self):
+        machine = plain_machine()
+        pid = machine.create_process(uid=0)
+        space = machine.spaces[pid]
+        machine.mmap(pid, "rw", 4)  # [16, 20)
+        before = list(space.areas)
+        with pytest.raises(OverlapError, match=r"mapping \[18, 26\) overlaps \[16, 20\)$"):
+            machine.mmap(pid, "rx", 8, at=18)
+        with pytest.raises(UnmappedRangeError, match=r"vpages \[18, 26\) not fully mapped$"):
+            machine.mprotect(pid, 18, 8, "rx")
+        assert space.areas == before and space.mmap_cursor == 20
+
     def test_flipping_every_page_and_back_leaves_one_area(self):
         machine = plain_machine()
         pid = machine.create_process(uid=0)
@@ -600,11 +612,11 @@ def _area_map_step(rng, machine, pid, perms_model, bytes_model, ps):
             backing = bytes(rng.randrange(1, 256) for _ in range(rng.randrange(n * ps + 1)))
         start = space.mmap_cursor if at is None else at
         if any(v in perms_model for v in range(start, start + n)):
-            before = list(space.areas)
+            before, cursor = list(space.areas), space.mmap_cursor
             perms = rng.choice(PERMS)
             with pytest.raises(ValueError if perms == "" else OverlapError):
                 machine.mmap(pid, perms, n, backing=backing, at=at)
-            assert space.areas == before
+            assert space.areas == before and space.mmap_cursor == cursor
             return
         perms = rng.choice(PERMS)
         if perms == "":  # the trace grammar's refusal, made by the machine too
@@ -1049,8 +1061,12 @@ def test_every_public_name_resolves():
     assert [n for n in jitscan.__all__ if not hasattr(jitscan, n)] == []
 
 
-@pytest.mark.parametrize("page_size", [0, -1])
-def test_every_entry_point_refuses_a_page_size_below_one(page_size):
+@pytest.mark.parametrize("page_size, error", [
+    (0, "page_size must be positive, got 0"),
+    (-1, "page_size must be positive, got -1"),
+    (2**21 + 1, "page_size must be <= 2097152, got 2097153"),
+], ids=["0", "-1", "2097153"])
+def test_every_entry_point_refuses_a_page_size_out_of_range(page_size, error):
     # one check in mmu.py; parse_rules and parse_trace raise it before reading a line
     trace = (
         "PROC uid=1\nMMAP pid=1 perms=rw pages=1\n"
@@ -1064,6 +1080,6 @@ def test_every_entry_point_refuses_a_page_size_below_one(page_size):
         lambda: parse_trace(trace, page_size),
     ]
     for entry_point in entry_points:
-        with pytest.raises(ValueError, match="page_size must be positive") as caught:
+        with pytest.raises(ValueError, match=f"^{error}$") as caught:
             entry_point()
         assert not isinstance(caught.value, (RuleSyntaxError, TraceError))
