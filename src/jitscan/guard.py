@@ -6,15 +6,18 @@ counter past the threshold starts a penalty window during which every
 admission for that uid is denied, whatever pid it comes from (a fork
 bomb churning through pids still shares the uid).  Entries that sit at
 zero long enough are evicted so setuid churn cannot grow the table
-without bound; the owner sweeps them (``tick``) before each admission
-and once at the end, not on every event.  An eviction drops the entry
-with its penalty, so a penalty lasts ``ttl_penalty`` ticks or until
-the uid has sat idle ``ttl_evict`` ticks, whichever ends first.
+without bound: ``admit`` sweeps them (``tick``) at the previous tick
+before it decides, and the owner sweeps once more at the end, not on
+every event.  An eviction drops the entry with its penalty, so a
+penalty lasts ``ttl_penalty`` ticks or until the uid has sat idle
+``ttl_evict`` ticks, whichever ends first.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
+
+from .mmu import SimError
 
 PENALTY_ACTIONS = ("kill", "block")  # what a throttle denial does to the process
 
@@ -47,7 +50,7 @@ class ThrottleEntry:
     __slots__ = ("pending", "penalized_until")
 
     def __init__(self):
-        self.pending, self.penalized_until = 0, None
+        self.pending, self.penalized_until = 0, 0  # no penalty once now >= penalized_until
 
 
 class Admission(NamedTuple):
@@ -70,37 +73,32 @@ class DosGuard:
         self._denied = Admission(False, self.config.penalty_action)
         self.entries: dict[int, ThrottleEntry] = {}
         self._idle: dict[int, int] = {}  # uid -> tick pending reached 0, oldest first
-        self.admits = 0
-        self.denials = 0
-        self.evictions = 0
-        self.unknown_deliveries = 0
+        self.admits = self.denials = self.evictions = 0
 
     def admit(self, uid: int, pid: int, now: int) -> Admission:
-        """Decide one snapshot emission for (uid, pid) at tick `now`; the pid is
-        never read: a penalty holds for the uid, whatever pid asks."""
-        cfg = self.config
+        """Sweep at `now - 1`, as sweeps after each earlier event would, then decide
+        one snapshot for (uid, pid) at `now`; a penalty holds for the uid, whatever pid."""
+        self.tick(now - 1)
         entry = self.entries.get(uid)
         if entry is None:
             entry = self.entries[uid] = ThrottleEntry()
-        if entry.penalized_until is not None and now >= entry.penalized_until:
-            entry.penalized_until = None
-        if entry.penalized_until is None and entry.pending + 1 > cfg.threshold:
+        if now >= entry.penalized_until:
+            if entry.pending < self.config.threshold:
+                entry.pending += 1
+                self._idle.pop(uid, None)
+                self.admits += 1
+                return _ADMITTED
             # denied requests never enqueue, so pending stays put
-            entry.penalized_until = now + cfg.ttl_penalty
-        if entry.penalized_until is not None:
-            self.denials += 1
-            return self._denied
-        entry.pending += 1
-        self._idle.pop(uid, None)
-        self.admits += 1
-        return _ADMITTED
+            entry.penalized_until = now + self.config.ttl_penalty
+        self.denials += 1
+        return self._denied
 
     def on_delivered(self, uid: int, now: int) -> None:
-        """The agent drained a snapshot for uid at tick `now`."""
+        """The agent drained a snapshot for uid at tick `now`; one the guard
+        never admitted, or already saw delivered, is a SimError."""
         entry = self.entries.get(uid)
         if entry is None or entry.pending == 0:
-            self.unknown_deliveries += 1
-            return
+            raise SimError(f"delivery for uid {uid} at tick {now} with nothing pending")
         entry.pending -= 1
         if entry.pending == 0:
             self._idle[uid] = now

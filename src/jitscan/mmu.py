@@ -269,8 +269,9 @@ class Machine:
     applies any kill or block (see the shadow module) and returns the
     result of the access, OK to proceed.
     ``mprotect`` calls on_mprotect(pte, area) per present page in range, then flushes it.
-    Every flush goes through ``tlb_flush_one``; a test fakes a lost flush
-    by replacing it on its machine.
+    Every flush of a live page goes through ``tlb_flush_one``; a test fakes
+    a lost flush by replacing it on its machine.  ``kill_process`` clears
+    a dead process's entries itself.
     """
 
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE):

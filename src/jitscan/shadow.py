@@ -13,8 +13,8 @@ violation.  On a shadow write trap the page flips to write mode and the
 write proceeds.  On a shadow fetch trap the page content is checked
 (synchronous signature check, then flood-guard admission, then a
 snapshot for the asynchronous scanner) before the page flips to exec
-mode and the fetch proceeds; the guard is swept just before each
-admission, at the previous event's tick.  Every flag edit is followed
+mode and the fetch proceeds; the guard's admission sweeps it first, at
+the previous event's tick.  Every flag edit is followed
 by a cross-CPU flush of that page's TLB entry (``Machine.tlb_flush_one``,
 which a test replaces to fake a lost flush); without it a stale entry
 on another CPU would let writes land on a page that is currently
@@ -231,7 +231,6 @@ class ShadowEngine:
                 )
                 if result is not OK:
                     return result
-        self.guard.tick(machine.now - 1)  # as sweeps after each earlier event would
         admission = self.guard.admit(uid, pid, machine.now)
         if not admission.admitted:
             return respond(machine, self.report, pid, uid, admission.action, "throttle")

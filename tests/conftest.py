@@ -9,9 +9,10 @@ per page and no TLB, the trace oracle reads each line through a
 per-line field object with one method per field kind, the rule
 oracle reads every line with one token loop and checks each rule
 there, and the access oracle runs every kind down one path with one
-permission test, and the record oracle is ``json.dumps``.  Tests compare
-engine output against these instead of trusting the engine's own
-bookkeeping.
+permission test, the record oracle is ``json.dumps``, and the content
+oracle compares each fetched frame with the bytes its page's last passed
+check saw.  Tests compare engine output against these instead of
+trusting the engine's own bookkeeping.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ import random
 import re
 import sys
 
-from jitscan.agent import RunContext, SimConfig, build_run
+from jitscan.agent import RunContext, SimConfig, _apply_event, build_run
 from jitscan.guard import Admission, GuardConfig
-from jitscan.mmu import MAX_WRITTEN_SPANS, AccessResult, Machine, SimError
+from jitscan.mmu import MAX_WRITTEN_SPANS, OK, AccessResult, Machine, SimError
 from jitscan.signatures import RuleSyntaxError, SignatureRule
-from jitscan.trace import FETCH, MMAP, MPROTECT, PROC, READ, TICK, WRITE, TraceError
+from jitscan.trace import FETCH, MMAP, MPROTECT, PROC, READ, TICK, WRITE, TraceError, parse_trace
 
 # one line per acceptance criterion, echoed after the run
 ACCEPTANCE_RESULTS: list[str] = []
@@ -91,18 +92,20 @@ class SweepGuard:
     """Reference flood guard: every tick walks the whole uid table.
 
     Same contract as DosGuard (admit / on_delivered / tick / pending and
-    the four counters), written the slow obvious way: each entry carries
+    the three counters), written the slow obvious way: each entry carries
     its own penalty end and idle-since tick, and tick expires penalties
-    and evicts idle entries by visiting every uid.
+    and evicts idle entries by visiting every uid.  admit sweeps at the
+    tick before its own, and a delivery with nothing pending raises.
     """
 
     def __init__(self, config):
         self.config = config
         self.entries: dict[int, dict] = {}
-        self.admits = self.denials = self.evictions = self.unknown_deliveries = 0
+        self.admits = self.denials = self.evictions = 0
 
     def admit(self, uid: int, pid: int, now: int) -> Admission:
         cfg = self.config
+        self.tick(now - 1)
         entry = self.entries.setdefault(
             uid, {"pending": 0, "penalized_until": None, "zero_since": now}
         )
@@ -123,8 +126,7 @@ class SweepGuard:
     def on_delivered(self, uid: int, now: int) -> None:
         entry = self.entries.get(uid)
         if entry is None or entry["pending"] == 0:
-            self.unknown_deliveries += 1
-            return
+            raise SimError(f"delivery for uid {uid} with nothing pending")
         entry["pending"] -= 1
         if entry["pending"] == 0:
             entry["zero_since"] = now
@@ -562,6 +564,44 @@ def reference_parse_rules(text: str, page_size: int = 4096) -> list[SignatureRul
         names.add(name)
         rules.append(SignatureRule(name, family, severity, sync, tuple(atoms)))
     return rules
+
+
+def unchecked_fetches(trace_text: str, rules, config) -> list[tuple[int, int, int]]:
+    """The content invariant over one shadow run: every FETCH that returns
+    ``ok`` runs a frame equal to the bytes of its page's last
+    ``_checked_fetch`` that returned OK.  Returns (line, pid, vpage) of
+    each fetch that breaks it.
+
+    ``wx_violations`` checks bits, on pages of W+X areas; this checks
+    bytes, on every area.  The run steps each event through
+    ``_apply_event`` and the agent on every ``drain_every``-th one, as
+    ``replay`` runs it.
+    """
+    ctx = build_run(config, rules)
+    machine, engine = ctx.machine, ctx.machine.engine
+    passed: dict[tuple[int, int], bytes] = {}  # (pid, vpage) -> bytes its last passed check saw
+    checked_fetch = engine._checked_fetch
+
+    def recording(space, pte, vpage):
+        result = checked_fetch(space, pte, vpage)
+        if result == OK:
+            passed[space.pid, vpage] = bytes(pte.frame)
+        return result
+
+    engine._checked_fetch = recording
+    bad = []
+    for index, event in enumerate(parse_trace(trace_text, config.page_size), start=1):
+        try:
+            result = _apply_event(machine, event)
+        except (SimError, ValueError):
+            result = "error"
+        if event[0] is FETCH and result == OK:
+            pid, vpage = event[2], event[5] // config.page_size
+            if passed.get((pid, vpage)) != machine.spaces[pid].ptes[vpage].frame:
+                bad.append((event[1], pid, vpage))
+        if config.drain_every > 0 and index % config.drain_every == 0:
+            ctx.agent.step()
+    return bad
 
 
 def wx_violations(machine: Machine) -> list[tuple[int, int]]:

@@ -8,14 +8,15 @@ an unknown name exits 2 with a one-line message before any runs.  Each
 entry of ``MUTANTS`` names a file under ``src/``, an exact old text
 that occurs there once, its replacement and the pytest node ids that
 must fail once the replacement is made.  The runner copies ``src``,
-``tests`` and ``pyproject.toml`` into a temporary directory, because
-pyproject's ``pythonpath = ["src"]`` would otherwise put this tree's
-unmutated package first on ``sys.path``.  It applies one mutant at a
-time there and runs that entry's node ids, with the copy as pytest's
-rootdir, one process at a time.  It prints each mutant that survives
-(none of its node ids fails) and each node id that passes though it
-must fail, and exits 1 if there is any, 0 if none.  The copy holds no
-``bench/``, so a test that reads it fails under any mutant: name none.
+``tests``, the files of ``bench`` (not ``bench/.work/``),
+``pyproject.toml`` and ``BENCHMARK.json`` into a temporary directory, so
+that every tier-1 test runs there as here, and because pyproject's
+``pythonpath = ["src"]`` would otherwise put this tree's unmutated
+package first on ``sys.path``.  It applies one mutant at a time there
+and runs that entry's node ids, with the copy as pytest's rootdir, one
+process at a time.  It prints each mutant that survives (none of its
+node ids fails) and each node id that passes though it must fail, and
+exits 1 if there is any, 0 if none.
 
 An entry marked ``survives`` is a known survivor: no test can see it
 yet, its node ids are the tests that come nearest, and it fails no run.
@@ -47,6 +48,7 @@ SHADOW = "tests/test_shadow.py::"
 ACCEPTANCE = "tests/test_acceptance.py::"
 SIGNATURES = "tests/test_signatures.py::"
 GUARD = "tests/test_guard.py::"
+IMPORTS = "tests/test_imports.py::"
 
 
 class Mutant(NamedTuple):
@@ -207,6 +209,32 @@ MUTANTS = (
             ACCEPTANCE + "test_02_write_and_execute_never_jointly_reachable",
             ACCEPTANCE + "test_05_stale_tlb_entry_defeats_the_state_machine_without_flushes",
             AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
+            AGENT + "TestReferenceReplay::test_every_ok_fetch_runs_the_bytes_its_last_check_passed",
+        ),
+    ),
+    Mutant(
+        "mprotect skips its flush", "src/jitscan/mmu.py",
+        "                self.engine.on_mprotect(pte, area)\n"
+        "                self.tlb_flush_one(pte)\n",
+        "                self.engine.on_mprotect(pte, area)\n",
+        (
+            ACCEPTANCE + "test_02_write_and_execute_never_jointly_reachable",
+            ACCEPTANCE + "test_10_shadow_engine_is_invisible_to_benign_workloads",
+            AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
+            AGENT + "TestReferenceReplay::test_every_ok_fetch_runs_the_bytes_its_last_check_passed",
+            AGENT + "TestReferenceReplay::test_plain_engine_equals_the_reference",
+            MMU + "TestMmapMprotect::test_mprotect_applies_to_present_pages",
+            MMU + "test_area_map_matches_per_page_model[0]",
+            MMU + "test_area_map_matches_per_page_model[1]",
+            MMU + "test_area_map_matches_per_page_model[3]",
+            MMU + "test_area_map_matches_per_page_model[4]",
+            MMU + "test_area_map_matches_per_page_model[5]",
+            MMU + "test_area_map_matches_per_page_model[6]",
+            MMU + "test_area_map_matches_per_page_model[7]",
+            MMU + "TestPerPageMprotect::test_a_range_shorter_than_the_present_pages",
+            MMU + "TestPerPageMprotect::test_fewer_present_pages_than_the_range",
+            MMU + "TestWalk::test_tlb_flush_one_runs_once_per_flushed_page",
+            SHADOW + "TestModeRule::test_mprotect_leaves_one_of_the_two_modes[rx-exec]",
         ),
     ),
     Mutant(
@@ -371,6 +399,76 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "admit skips its sweep", "src/jitscan/guard.py",
+        "        self.tick(now - 1)\n", "",
+        (
+            AGENT + "TestDrainSkip::test_reports_equal_the_plain_loop",
+            AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
+            AGENT + "TestGuardSweep::test_eviction_boundary[5-1]",
+            AGENT + "TestGuardSweep::test_a_penalty_ends_with_its_eviction_not_before[5]",
+            AGENT + "TestGuardSweep::test_no_executable_page_sweeps_once",
+            GUARD + "TestAgainstSweepOracle::test_same_decisions_as_the_full_table_sweep[0]",
+            GUARD + "TestAgainstSweepOracle::test_same_decisions_as_the_full_table_sweep[1]",
+            GUARD + "TestAgainstSweepOracle::test_same_decisions_as_the_full_table_sweep[2]",
+            GUARD + "TestAgainstSweepOracle::test_same_decisions_as_the_full_table_sweep[3]",
+        ),
+    ),
+    Mutant(
+        "guard swept at the fetch's own tick", "src/jitscan/guard.py",
+        "self.tick(now - 1)", "self.tick(now)",
+        (
+            AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
+            AGENT + "TestGuardSweep::test_eviction_boundary[4-0]",
+            AGENT + "TestGuardSweep::test_a_penalty_ends_with_its_eviction_not_before[4]",
+            AGENT + "TestGuardSweep::test_no_executable_page_sweeps_once",
+            GUARD + "TestAgainstSweepOracle::test_same_decisions_as_the_full_table_sweep[0]",
+            GUARD + "TestAgainstSweepOracle::test_same_decisions_as_the_full_table_sweep[1]",
+            GUARD + "TestAgainstSweepOracle::test_same_decisions_as_the_full_table_sweep[2]",
+            GUARD + "TestAgainstSweepOracle::test_same_decisions_as_the_full_table_sweep[3]",
+        ),
+    ),
+    Mutant(
+        "threshold off by one", "src/jitscan/guard.py",
+        "if entry.pending < self.config.threshold:",
+        "if entry.pending <= self.config.threshold:",
+        (
+            ACCEPTANCE + "test_06_flood_is_throttled_then_evicted_after_quiescence",
+            AGENT + "TestReplay::test_flood_is_throttled_and_second_pid_shares_the_penalty",
+            AGENT + "TestAgentStep::test_async_hit_on_a_throttle_blocked_pid[kill-expected0]",
+            AGENT + "TestAgentStep::test_async_hit_on_a_throttle_blocked_pid[block-expected1]",
+            AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
+            AGENT + "TestGuardSweep::test_a_penalty_ends_with_its_eviction_not_before[4]",
+            AGENT + "TestGuardSweep::test_a_penalty_ends_with_its_eviction_not_before[5]",
+            AGENT + "TestCli::test_report_does_not_depend_on_the_hash_seed",
+            GUARD + "TestAdmit::test_admits_up_to_threshold_then_denies",
+            GUARD + "TestAdmit::test_denial_leaves_pending_unchanged",
+            GUARD + "TestAdmit::test_penalty_applies_to_every_pid_of_the_uid",
+            GUARD + "TestAdmit::test_penalty_expires_after_ttl",
+            GUARD + "TestAdmit::test_block_action_reported_on_denial",
+            GUARD + "TestDelivery::test_a_surplus_delivery_raises_and_changes_nothing[5]",
+            GUARD + "TestAgainstSweepOracle::test_same_decisions_as_the_full_table_sweep[0]",
+            GUARD + "TestAgainstSweepOracle::test_same_decisions_as_the_full_table_sweep[1]",
+            GUARD + "TestAgainstSweepOracle::test_same_decisions_as_the_full_table_sweep[2]",
+            GUARD + "TestAgainstSweepOracle::test_same_decisions_as_the_full_table_sweep[3]",
+            SHADOW + "TestExecFault::test_throttle_denial_blocks_before_snapshot",
+        ),
+    ),
+    Mutant(
+        "surplus delivery ignored", "src/jitscan/guard.py",
+        '            raise SimError(f"delivery for uid {uid} at tick {now} with nothing'
+        ' pending")\n',
+        "            return\n",
+        (
+            GUARD + "TestDelivery::test_a_surplus_delivery_raises_and_changes_nothing[5]",
+            GUARD + "TestDelivery::test_a_surplus_delivery_raises_and_changes_nothing[42]",
+            GUARD + "TestAgainstSweepOracle::test_same_decisions_as_the_full_table_sweep[0]",
+            GUARD + "TestAgainstSweepOracle::test_same_decisions_as_the_full_table_sweep[1]",
+            GUARD + "TestAgainstSweepOracle::test_same_decisions_as_the_full_table_sweep[2]",
+            GUARD + "TestAgainstSweepOracle::test_same_decisions_as_the_full_table_sweep[3]",
+            IMPORTS + "test_module_uses_every_import[guard.py]"  # SimError goes unused,
+        ),
+    ),
+    Mutant(
         "SimConfig accepts a negative drain_every", "src/jitscan/agent.py",
         "        if drain_every < 0:\n", "        if drain_every < -1:\n",
         (
@@ -409,16 +507,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "guard swept at the fetch's own tick", "src/jitscan/shadow.py",
-        "self.guard.tick(machine.now - 1)", "self.guard.tick(machine.now)",
-        (
-            AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
-            AGENT + "TestGuardSweep::test_eviction_boundary[4-0]",
-            AGENT + "TestGuardSweep::test_a_penalty_ends_with_its_eviction_not_before[4]",
-            AGENT + "TestGuardSweep::test_no_executable_page_sweeps_once",
-        ),
-    ),
-    Mutant(
         "sync hit keeps the narrowed span list", "src/jitscan/shadow.py",
         "                pte.written = None  # the next check must see this match again\n", "",
         (
@@ -439,11 +527,13 @@ MUTANTS = (
 
 
 def copy_tree(into: Path) -> None:
-    """This tree's ``src``, ``tests`` and ``pyproject.toml``, caches left out."""
-    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-    for name in ("src", "tests"):
+    """This tree's ``src``, ``tests``, ``bench``, ``pyproject.toml`` and
+    ``BENCHMARK.json``; caches and the bench's work directory left out."""
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", ".work")
+    for name in ("src", "tests", "bench"):
         shutil.copytree(ROOT / name, into / name, ignore=skip)
-    shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
+    for name in ("pyproject.toml", "BENCHMARK.json"):
+        shutil.copy2(ROOT / name, into / name)
 
 
 def failing(root: Path, mutant: Mutant) -> set[str] | None:

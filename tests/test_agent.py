@@ -26,14 +26,16 @@ from jitscan import shadow as shadow_module
 from jitscan.agent import SimConfig, build_run, replay
 from jitscan.cli import _build_parser, main
 from jitscan.guard import PENALTY_ACTIONS, DosGuard, GuardConfig
-from jitscan.mmu import DeadProcessError, SimError
+from jitscan.mmu import DeadProcessError, Machine, SimError
 from jitscan.pipeline import SnapshotTable
 from jitscan.report import ActionTaken, Detection, Report
 from jitscan.shadow import DETECTION_ACTIONS, ShadowEngine
 from jitscan.signatures import RuleSet, parse_rules, scan_page, sync_check
 from jitscan.trace import PROC, parse_trace
 
-from conftest import SYNC_RULES_TEXT, SYNC_STUB, encode_record, reference_replay
+from conftest import (
+    SYNC_RULES_TEXT, SYNC_STUB, encode_record, reference_replay, unchecked_fetches,
+)
 
 PS = 4096
 
@@ -760,7 +762,9 @@ def _mixed_runs():
 
 class TestReferenceReplay:
     """replay's report equals the reference replay's in conftest, which has
-    no areas, no TLB, no written spans and no drain ring."""
+    no areas, no TLB, no written spans and no drain ring; and on the same
+    runs every fetch that returns ok runs the bytes its page's last passed
+    check saw (conftest's content oracle)."""
 
     def test_reports_equal_the_reference(self):
         seen = dict.fromkeys(
@@ -780,6 +784,15 @@ class TestReferenceReplay:
             seen["segv"] += "segv_delivered" in report.outcomes
         assert min(seen.values()) > 50, seen  # the traces reach every path
 
+    def test_every_ok_fetch_runs_the_bytes_its_last_check_passed(self):
+        for trace, rs, config in _mixed_runs():
+            assert unchecked_fetches(trace, rs, config) == [], trace
+
+    def test_the_content_oracle_flags_fetches_once_flushes_are_lost(self, monkeypatch):
+        monkeypatch.setattr(Machine, "tlb_flush_one", lambda self, pte: None)
+        flagged = sum(len(unchecked_fetches(*run)) for run in _mixed_runs())
+        assert flagged > 100  # 152 fetches, in 92 of the runs
+
     def test_plain_engine_equals_the_reference(self):
         rng = random.Random(22)
         for _ in range(40):
@@ -790,12 +803,11 @@ class TestReferenceReplay:
 
 
 def _assert_guard_counts_the_pipeline(ctx) -> int:
-    """Each uid's guard counter equals its snapshots in the pipeline, and
-    every delivery named a pending uid; returns the snapshots pending."""
+    """Each uid's guard counter equals its snapshots in the pipeline;
+    returns the snapshots pending."""
     in_pipeline = collections.Counter(
         snap.uid for bucket in ctx.pipeline._buckets for snap in bucket
     )
-    assert ctx.guard.unknown_deliveries == 0
     for uid in ctx.guard.entries.keys() | in_pipeline.keys():
         assert ctx.guard.pending(uid) == in_pipeline[uid], uid
     return sum(in_pipeline.values())
@@ -848,8 +860,8 @@ class TestNoRulesIsTheEmptySet:
 
 
 class TestGuardSweep:
-    """The shadow engine sweeps the guard at the previous event's tick just
-    before each admission, and replay sweeps once after the last event."""
+    """Each admission sweeps the guard at the previous event's tick first,
+    and replay sweeps once after the last event."""
 
     @pytest.mark.parametrize("k, evictions", [(4, 0), (5, 1)])
     def test_eviction_boundary(self, k, evictions):

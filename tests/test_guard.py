@@ -7,6 +7,7 @@ import random
 import pytest
 
 from jitscan.guard import DosGuard, GuardConfig
+from jitscan.mmu import SimError
 
 from conftest import SweepGuard
 
@@ -72,18 +73,20 @@ class TestDelivery:
         assert g.pending(5) == 15
         assert g.pending(5) == g.admits - 25
 
-    def test_delivery_for_unknown_uid_is_counted_not_fatal(self):
-        g = guard()
-        g.on_delivered(42, now=1)
-        assert g.unknown_deliveries == 1
+    @pytest.mark.parametrize("uid", [5, 42])
+    def test_a_surplus_delivery_raises_and_changes_nothing(self, uid):
+        g = guard(threshold=1, ttl_evict=500)
+        g.admit(5, 1, now=1)
+        g.admit(5, 1, now=2)  # denied: starts a penalty
+        g.on_delivered(5, now=3)  # uid 5 idle since 3; uid 42 has no entry
 
-    def test_delivery_below_zero_is_clamped(self):
-        g = guard()
-        g.admit(5, 1, 1)
-        g.on_delivered(5, 2)
-        g.on_delivered(5, 3)
-        assert g.pending(5) == 0
-        assert g.unknown_deliveries == 1
+        def state():
+            return dict(g.entries), g.admits, g.denials, g.evictions, g.pending(uid), dict(g._idle)
+
+        before = state()
+        with pytest.raises(SimError, match=f"uid {uid} "):
+            g.on_delivered(uid, now=4)
+        assert state() == before
 
 
 class TestTick:
@@ -136,6 +139,7 @@ class TestAgainstSweepOracle:
     def test_same_decisions_as_the_full_table_sweep(self, seed):
         """Random admit/deliver/tick runs on a few uids, compared step by step."""
         rng = random.Random(seed)
+        surplus = 0
         for _ in range(100):
             config = GuardConfig(
                 threshold=rng.randint(1, 3), penalty_action=rng.choice(["kill", "block"]),
@@ -149,12 +153,17 @@ class TestAgainstSweepOracle:
                 where = (config, step)
                 if kind < 0.4:
                     assert fast.admit(uid, uid + 100, now) == slow.admit(uid, uid + 100, now), where
-                elif kind < 0.8:  # may deliver more than is pending
+                elif kind < 0.8 and slow.pending(uid):
                     fast.on_delivered(uid, now)
                     slow.on_delivered(uid, now)
+                elif kind < 0.8:  # a surplus delivery
+                    surplus += 1
+                    for g in (fast, slow):
+                        with pytest.raises(SimError):
+                            g.on_delivered(uid, now)
                 else:
                     assert sorted(fast.tick(now)) == sorted(slow.tick(now)), where
-                counters = ("admits", "denials", "evictions", "unknown_deliveries")
+                counters = ("admits", "denials", "evictions")
                 assert [getattr(fast, c) for c in counters] == [
                     getattr(slow, c) for c in counters
                 ], where
@@ -162,6 +171,7 @@ class TestAgainstSweepOracle:
                     slow.pending(u) for u in range(3)
                 ], where
                 assert set(fast.entries) == set(slow.entries), where
+        assert surplus > 100  # the runs reach the raise
 
 
 class TestConfig:
