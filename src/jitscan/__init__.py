@@ -9,7 +9,7 @@ the whole thing replays from text traces byte-for-byte reproducibly.
 """
 
 from .agent import Agent, RunContext, SimConfig, build_run, replay
-from .guard import Admission, DosGuard, GuardConfig, ThrottleEntry
+from .guard import DosGuard, GuardConfig, ThrottleEntry
 from .mmu import (
     AccessKind,
     AccessResult,
@@ -45,7 +45,6 @@ __all__ = [
     "AccessResult",
     "ActionTaken",
     "AddressSpace",
-    "Admission",
     "Agent",
     "BaselineEngine",
     "DeadProcessError",

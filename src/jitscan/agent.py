@@ -146,7 +146,7 @@ def _apply_event(machine: Machine, event: tuple) -> str:
     elif op is READ or op is WRITE or op is FETCH:  # the op is the kind
         machine.now += 1
         return machine.access(
-            event[2], event[3], event[4], event[5], op, event[6] if op is WRITE else None,
+            event[2], event[4], event[5], op, event[6] if op is WRITE else None,
         )
     else:
         raise TypeError(f"unknown op code {op!r}")
@@ -180,13 +180,14 @@ def replay(
     for index, event in enumerate(events, start=1):
         op = event[0]
         try:
-            # four subscripts pass the fields faster than *event[2:6]
+            # pid, cpu and addr: the model reads no tid (event[3]), as
+            # TLBs and faults are per CPU
             if op is READ or op is FETCH:
                 machine.now += 1
-                result = access(event[2], event[3], event[4], event[5], op)
+                result = access(event[2], event[4], event[5], op)
             elif op is WRITE:
                 machine.now += 1
-                result = access(event[2], event[3], event[4], event[5], op, event[6])
+                result = access(event[2], event[4], event[5], op, event[6])
             else:
                 result = _apply_event(machine, event)
         except DeadProcessError:  # a pid the run already killed

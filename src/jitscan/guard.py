@@ -15,8 +15,6 @@ penalty lasts ``ttl_penalty`` ticks or until the uid has sat idle
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .mmu import SimError
 
 PENALTY_ACTIONS = ("kill", "block")  # what a throttle denial does to the process
@@ -53,31 +51,23 @@ class ThrottleEntry:
         self.pending, self.penalized_until = 0, 0  # no penalty once now >= penalized_until
 
 
-class Admission(NamedTuple):
-    admitted: bool
-    action: str | None = None  # penalty action when denied
-
-
-_ADMITTED = Admission(True)
-
-
 class DosGuard:
     """Per-uid admission control; `now` never decreases from call to call.
 
-    Only the simulation thread calls it, so it holds no lock.  A denial's
-    penalty action is read from the config once, at construction.
+    Only the simulation thread calls it, so it holds no lock.  A denial
+    answers with the config's penalty action.
     """
 
     def __init__(self, config: GuardConfig | None = None):
         self.config = config or GuardConfig()
-        self._denied = Admission(False, self.config.penalty_action)
         self.entries: dict[int, ThrottleEntry] = {}
         self._idle: dict[int, int] = {}  # uid -> tick pending reached 0, oldest first
         self.admits = self.denials = self.evictions = 0
 
-    def admit(self, uid: int, pid: int, now: int) -> Admission:
+    def admit(self, uid: int, now: int) -> str | None:
         """Sweep at `now - 1`, as sweeps after each earlier event would, then decide
-        one snapshot for (uid, pid) at `now`; a penalty holds for the uid, whatever pid."""
+        one snapshot of uid's at `now`: None admits it, and a denial returns the
+        penalty action, for whichever of the uid's pids asked."""
         self.tick(now - 1)
         entry = self.entries.get(uid)
         if entry is None:
@@ -87,11 +77,11 @@ class DosGuard:
                 entry.pending += 1
                 self._idle.pop(uid, None)
                 self.admits += 1
-                return _ADMITTED
+                return None
             # denied requests never enqueue, so pending stays put
             entry.penalized_until = now + self.config.ttl_penalty
         self.denials += 1
-        return self._denied
+        return self.config.penalty_action
 
     def on_delivered(self, uid: int, now: int) -> None:
         """The agent drained a snapshot for uid at tick `now`; one the guard

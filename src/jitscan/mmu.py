@@ -386,13 +386,7 @@ class Machine:
     # ---- the access path ----------------------------------------------
 
     def access(
-        self,
-        pid: int,
-        tid: int,
-        cpu_id: int,
-        vaddr: int,
-        kind: int,
-        data: bytes | None = None,
+        self, pid: int, cpu_id: int, vaddr: int, kind: int, data: bytes | None = None,
     ) -> str:
         """One memory access: TLB lookup, walk, fault dispatch, retry.
 

@@ -231,9 +231,9 @@ class ShadowEngine:
                 )
                 if result is not OK:
                     return result
-        admission = self.guard.admit(uid, pid, machine.now)
-        if not admission.admitted:
-            return respond(machine, self.report, pid, uid, admission.action, "throttle")
+        penalty = self.guard.admit(uid, machine.now)
+        if penalty is not None:
+            return respond(machine, self.report, pid, uid, penalty, "throttle")
         # Every return above stops the process for good (a blocked one
         # never traps again), so a page's snapshots pair one to one with
         # its checked fetches, and spans are the bytes written since the

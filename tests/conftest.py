@@ -23,7 +23,7 @@ import re
 import sys
 
 from jitscan.agent import RunContext, SimConfig, _apply_event, build_run
-from jitscan.guard import Admission, GuardConfig
+from jitscan.guard import GuardConfig
 from jitscan.mmu import MAX_WRITTEN_SPANS, OK, AccessResult, Machine, SimError
 from jitscan.signatures import RuleSyntaxError, SignatureRule
 from jitscan.trace import FETCH, MMAP, MPROTECT, PROC, READ, TICK, WRITE, TraceError, parse_trace
@@ -103,7 +103,7 @@ class SweepGuard:
         self.entries: dict[int, dict] = {}
         self.admits = self.denials = self.evictions = 0
 
-    def admit(self, uid: int, pid: int, now: int) -> Admission:
+    def admit(self, uid: int, now: int) -> str | None:
         cfg = self.config
         self.tick(now - 1)
         entry = self.entries.setdefault(
@@ -113,15 +113,15 @@ class SweepGuard:
             entry["penalized_until"] = None
         if entry["penalized_until"] is not None:
             self.denials += 1
-            return Admission(False, cfg.penalty_action)
+            return cfg.penalty_action
         if entry["pending"] + 1 > cfg.threshold:
             entry["penalized_until"] = now + cfg.ttl_penalty
             self.denials += 1
-            return Admission(False, cfg.penalty_action)
+            return cfg.penalty_action
         entry["pending"] += 1
         entry["zero_since"] = None
         self.admits += 1
-        return Admission(True)
+        return None
 
     def on_delivered(self, uid: int, now: int) -> None:
         entry = self.entries.get(uid)
@@ -343,9 +343,9 @@ def reference_replay(trace_text: str, rules, config) -> bytes:
                 result = hit(hits[0][1], pid, vpage, hits[0][0], "sync")
                 if result != "ok":
                     return result
-        admission = guard.admit(uid_of[pid], pid, now)
-        if not admission.admitted:
-            return respond(pid, admission.action, "throttle")
+        penalty = guard.admit(uid_of[pid], now)
+        if penalty is not None:
+            return respond(pid, penalty, "throttle")
         bucket = hash(pid) % 64
         if not buckets.get(bucket):
             order.append(bucket)
@@ -627,8 +627,7 @@ def wx_violations(machine: Machine) -> list[tuple[int, int]]:
 
 
 def reference_access(
-    machine: Machine, pid: int, tid: int, cpu_id: int, vaddr: int, kind: int,
-    data: bytes | None = None,
+    machine: Machine, pid: int, cpu_id: int, vaddr: int, kind: int, data: bytes | None = None,
 ) -> str:
     """``Machine.access`` as one path for every kind: check the request,
     look up the CPU's cached pair, then test the pair and the page's bits

@@ -49,6 +49,7 @@ ACCEPTANCE = "tests/test_acceptance.py::"
 SIGNATURES = "tests/test_signatures.py::"
 GUARD = "tests/test_guard.py::"
 IMPORTS = "tests/test_imports.py::"
+BENCH = "bench/test_bench.py::"
 
 
 class Mutant(NamedTuple):
@@ -76,8 +77,8 @@ MUTANTS = (
     ),
     Mutant(
         "replay loop swaps READ and FETCH", "src/jitscan/agent.py",
-        "result = access(event[2], event[3], event[4], event[5], op)\n",
-        "result = access(event[2], event[3], event[4], event[5], READ + FETCH - op)\n",
+        "result = access(event[2], event[4], event[5], op)\n",
+        "result = access(event[2], event[4], event[5], READ + FETCH - op)\n",
         (
             AGENT + "TestReplay::test_benign_trace_all_ok",
             AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
@@ -442,7 +443,6 @@ MUTANTS = (
             AGENT + "TestCli::test_report_does_not_depend_on_the_hash_seed",
             GUARD + "TestAdmit::test_admits_up_to_threshold_then_denies",
             GUARD + "TestAdmit::test_denial_leaves_pending_unchanged",
-            GUARD + "TestAdmit::test_penalty_applies_to_every_pid_of_the_uid",
             GUARD + "TestAdmit::test_penalty_expires_after_ttl",
             GUARD + "TestAdmit::test_block_action_reported_on_denial",
             GUARD + "TestDelivery::test_a_surplus_delivery_raises_and_changes_nothing[5]",
@@ -521,6 +521,110 @@ MUTANTS = (
         '''{{"family":{_str(rule.family)},''', '''{{"family":"{rule.family}",''',
         (
             AGENT + "TestCli::test_scan_records_equal_encode_record",
+        ),
+    ),
+    # The mutants below change which bytes of a page a check scans: too
+    # wide costs only time, too narrow can miss a match.  The tests that
+    # kill them watch the spans scanned, or compare narrowed checks with
+    # whole ones.  Merging span windows only when they overlap, not when
+    # they touch, is not listed: touching windows find the same hits, so
+    # that mutant is equivalent.
+    Mutant(
+        "a clean whole rescan leaves the page matched", "src/jitscan/agent.py",
+        "                self._matched.discard(page)\n", "                pass\n",
+        (
+            AGENT + "TestWrittenSpans::test_a_clean_whole_rescan_narrows_the_pages_next_scan",
+        ),
+    ),
+    Mutant(
+        "a page keeps a ninth written span", "src/jitscan/mmu.py",
+        "            if len(written) < MAX_WRITTEN_SPANS:\n",
+        "            if len(written) <= MAX_WRITTEN_SPANS:\n",
+        (
+            MMU + "TestAccess::test_a_page_keeps_at_most_eight_written_spans",
+        ),
+    ),
+    Mutant(
+        "a walk's nonzero extent ends a byte short", "src/jitscan/shadow.py",
+        "            end = marks.rfind(1) + 1\n", "            end = marks.rfind(1)\n",
+        (
+            AGENT + "TestWrittenSpans::test_reports_equal_whole_page_checks",
+            AGENT + "TestWrittenSpans::"
+            "test_reports_equal_whole_page_checks_with_zero_rules_and_images",
+            SHADOW + "TestFirstCheckSpans::"
+            "test_image_whose_match_needs_the_zero_padding_is_checked_whole",
+            SHADOW + "TestWholePageWalks::test_first_fetch_walks[image]",
+            SHADOW + "TestWholePageWalks::test_first_fetch_walks[rw-then-rx]",
+            SHADOW + "TestWholePageWalks::test_narrowed_walks_find_what_whole_and_naive_scans_find",
+        ),
+    ),
+    Mutant(
+        "a walk's nonzero extent starts a byte late", "src/jitscan/shadow.py",
+        "            spans = [(marks.find(1), end)]\n",
+        "            spans = [(marks.find(1) + 1, end)]\n",
+        (
+            SHADOW + "TestWholePageWalks::test_first_fetch_walks[image]",
+            SHADOW + "TestWholePageWalks::test_first_fetch_walks[rw-then-rx]",
+            SHADOW + "TestWholePageWalks::test_narrowed_walks_find_what_whole_and_naive_scans_find",
+        ),
+    ),
+    Mutant(
+        "a frame zero at one end is walked whole", "src/jitscan/shadow.py",
+        "not (frame[0] and frame[-1])", "not (frame[0] or frame[-1])",
+        (
+            SHADOW + "TestWholePageWalks::test_first_fetch_walks[image]",
+            SHADOW + "TestWholePageWalks::test_narrowed_walks_find_what_whole_and_naive_scans_find",
+        ),
+    ),
+    Mutant(
+        "a blank executable page starts narrow under rules that match zeros",
+        "src/jitscan/shadow.py",
+        "            elif self.rules.zero_page_clean:\n", "            else:\n",
+        (
+            AGENT + "TestWrittenSpans::"
+            "test_reports_equal_whole_page_checks_with_zero_rules_and_images",
+            AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
+            SHADOW + "TestFirstCheckSpans::test_rules_that_match_a_zero_page_check_it_whole",
+        ),
+    ),
+    Mutant(
+        "a data page made executable is not walked", "src/jitscan/shadow.py",
+        "pte.exec_disabled and not pte.orig_exe:\n            self._walk_unknown(pte)\n",
+        "pte.exec_disabled and not pte.orig_exe:\n            pass\n",
+        (
+            SHADOW + "TestFirstCheckSpans::test_data_page_made_executable_gets_only_later_writes",
+            SHADOW + "TestWholePageWalks::test_first_fetch_walks[rw-then-rx]",
+        ),
+    ),
+    Mutant(
+        "the agent narrows a matched page's scan", "src/jitscan/agent.py",
+        "spans = None if page in self._matched else snap.spans", "spans = snap.spans",
+        (
+            AGENT + "TestWrittenSpans::test_reports_equal_whole_page_checks",
+            AGENT + "TestWrittenSpans::"
+            "test_reports_equal_whole_page_checks_with_zero_rules_and_images",
+            AGENT + "TestWrittenSpans::test_a_clean_whole_rescan_narrows_the_pages_next_scan",
+            AGENT + "TestReferenceReplay::test_reports_equal_the_reference",
+        ),
+    ),
+    Mutant(
+        "a single span's window does not reach back", "src/jitscan/signatures.py",
+        "windows = [(lo - reach if lo > reach else 0, hi)]", "windows = [(lo, hi)]",
+        (
+            AGENT + "TestWrittenSpans::test_reports_equal_whole_page_checks",
+            AGENT + "TestWrittenSpans::"
+            "test_reports_equal_whole_page_checks_with_zero_rules_and_images",
+            SHADOW + "TestWholePageWalks::test_narrowed_walks_find_what_whole_and_naive_scans_find",
+            SIGNATURES + "TestSyncCheck::"
+            "test_a_buffer_longer_than_the_page_size_is_scanned_to_its_end",
+            SIGNATURES + "TestPrefilterEdges::"
+            "test_a_window_at_the_buffer_end_shorter_than_the_key",
+            SIGNATURES + "TestWindowScan::test_spans_find_what_the_whole_page_scan_finds",
+            SIGNATURES + "TestSpansKeepOverlaps::test_a_match_just_before_a_span_is_not_kept",
+            SIGNATURES + "TestSpansKeepOverlaps::"
+            "test_equal_the_naive_matches_that_overlap_a_span",
+            SIGNATURES + "TestDensePages::test_bench_shaped_rules_on_full_alphabet_pages",
+            BENCH + "test_replay_meets_ground_truth[jit-churn]",
         ),
     ),
 )

@@ -59,9 +59,9 @@ def test_01_snapshot_events_match_the_write_fetch_oracle():
             for op in ops:
                 before = table.enqueued_total
                 if op == "write":
-                    assert machine.access(pid, 1, 0, 16 * PS, W, b"\x90") is AccessResult.OK
+                    assert machine.access(pid, 0, 16 * PS, W, b"\x90") is AccessResult.OK
                 else:
-                    assert machine.access(pid, 1, 0, 16 * PS, F) is AccessResult.OK
+                    assert machine.access(pid, 0, 16 * PS, F) is AccessResult.OK
                 got.append(table.enqueued_total - before)
             expected = [int(b) for b in snapshot_reference(ops)]
             assert got == expected, ops
@@ -95,11 +95,11 @@ def test_02_write_and_execute_never_jointly_reachable():
             cpu = rng.randrange(2)
             roll = rng.random()
             if roll < 0.40:
-                machine.access(pid, 1, cpu, addr, W, bytes(rng.randrange(256) for _ in range(rng.randint(1, 8))))
+                machine.access(pid, cpu, addr, W, bytes(rng.randrange(256) for _ in range(rng.randint(1, 8))))
             elif roll < 0.70:
-                machine.access(pid, 1, cpu, addr, F)
+                machine.access(pid, cpu, addr, F)
             elif roll < 0.85:
-                machine.access(pid, 1, cpu, addr, R)
+                machine.access(pid, cpu, addr, R)
             else:
                 span = rng.randint(1, pages)
                 offset = rng.randrange(pages - span + 1)
@@ -209,7 +209,7 @@ def test_05_stale_tlb_entry_defeats_the_state_machine_without_flushes():
         addr = 16 * PS
         results, observed = [], []
         for kind, cpu, payload in ((W, 1, b"\x90"), (F, 0, None), (W, 1, b"\xcc")):
-            results.append(machine.access(pid, 1, cpu, addr, kind, payload))
+            results.append(machine.access(pid, cpu, addr, kind, payload))
             observed.append(wx_violations(machine))
         return results, observed
 
@@ -228,13 +228,13 @@ def test_05_stale_tlb_entry_defeats_the_state_machine_without_flushes():
 
 def test_06_flood_is_throttled_then_evicted_after_quiescence():
     guard = DosGuard(GuardConfig(threshold=8, ttl_penalty=100, ttl_evict=500))
-    decisions = [guard.admit(uid=1, pid=1, now=0).admitted for _ in range(20)]
+    decisions = [guard.admit(uid=1, now=0) is None for _ in range(20)]
     exact_cutoff = decisions == [True] * 8 + [False] * 12
-    second_pid_denied = not guard.admit(uid=1, pid=2, now=50).admitted
+    second_pid_denied = guard.admit(uid=1, now=50) is not None
     for _ in range(8):
         guard.on_delivered(1, now=150)
     evicts_on_time = guard.tick(649) == [] and guard.tick(650) == [1]
-    readmitted = guard.admit(uid=1, pid=3, now=651).admitted and guard.pending(1) == 1
+    readmitted = guard.admit(uid=1, now=651) is None and guard.pending(1) == 1
 
     # same budget enforced end to end: the 9th fresh exec page is refused
     lines = ["PROC uid=7", "PROC uid=7",

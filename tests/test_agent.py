@@ -295,7 +295,7 @@ class TestAgentStep:
         from jitscan.mmu import AccessKind
 
         for i in range(5):
-            ctx.machine.access(pid, 1, 0, (16 + i) * PS, AccessKind.FETCH)
+            ctx.machine.access(pid, 0, (16 + i) * PS, AccessKind.FETCH)
         assert ctx.pipeline.pending_count() == 5
         assert ctx.agent.step(batch=2) == 2
         assert ctx.pipeline.pending_count() == 3
@@ -308,8 +308,8 @@ class TestAgentStep:
         ctx.machine.mmap(pid, "wx", 1, at=16)
         from jitscan.mmu import AccessKind
 
-        ctx.machine.access(pid, 1, 0, 16 * PS, AccessKind.WRITE, DROPPER)
-        ctx.machine.access(pid, 1, 0, 16 * PS, AccessKind.FETCH)
+        ctx.machine.access(pid, 0, 16 * PS, AccessKind.WRITE, DROPPER)
+        ctx.machine.access(pid, 0, 16 * PS, AccessKind.FETCH)
         ctx.machine.kill_process(pid)  # dies before the agent gets there
         ctx.agent.step()
         assert [d.rule for d in ctx.report.detections] == ["dropper"]
@@ -331,9 +331,9 @@ class TestAgentStep:
         ctx.machine.mmap(pid, "wx", 2, at=16)
         from jitscan.mmu import AccessKind, AccessResult
 
-        ctx.machine.access(pid, 1, 0, 16 * PS, AccessKind.WRITE, DROPPER)
-        assert ctx.machine.access(pid, 1, 0, 16 * PS, AccessKind.FETCH) is AccessResult.OK
-        assert ctx.machine.access(pid, 1, 0, 17 * PS, AccessKind.FETCH) is AccessResult.BLOCKED
+        ctx.machine.access(pid, 0, 16 * PS, AccessKind.WRITE, DROPPER)
+        assert ctx.machine.access(pid, 0, 16 * PS, AccessKind.FETCH) is AccessResult.OK
+        assert ctx.machine.access(pid, 0, 17 * PS, AccessKind.FETCH) is AccessResult.BLOCKED
         ctx.agent.step()
         assert [d.rule for d in ctx.report.detections] == ["dropper"]
         assert [(a.action, a.cause) for a in ctx.report.actions] == expected
@@ -345,7 +345,7 @@ class TestAgentStep:
         ctx.machine.mmap(pid, "rx", 1, backing=b"\xc3", at=16)
         from jitscan.mmu import AccessKind
 
-        ctx.machine.access(pid, 1, 0, 16 * PS, AccessKind.FETCH)
+        ctx.machine.access(pid, 0, 16 * PS, AccessKind.FETCH)
         assert ctx.agent.step() == 1
         assert ctx.report.detections == []
 
@@ -358,7 +358,7 @@ class TestAgentStep:
             pid = ctx.machine.create_process(uid=uid)
             ctx.machine.mmap(pid, "rx", 1, backing=b"\xc3", at=16)
             ctx.machine.now += 1
-            ctx.machine.access(pid, 1, 0, 16 * PS, AccessKind.FETCH)
+            ctx.machine.access(pid, 0, 16 * PS, AccessKind.FETCH)
         assert (ctx.guard.pending(10), ctx.guard.pending(20)) == (1, 1)
         ctx.machine.now = 42
         assert ctx.agent.step() == 2
@@ -551,13 +551,37 @@ class TestWrittenSpans:
         ctx.machine.mmap(pid, "rwx", 1, at=16)
         from jitscan.mmu import AccessKind
 
-        ctx.machine.access(pid, 1, 0, 16 * 64 + 4, AccessKind.WRITE, b"\x01\x02")
-        ctx.machine.access(pid, 1, 0, 16 * 64, AccessKind.FETCH)
+        ctx.machine.access(pid, 0, 16 * 64 + 4, AccessKind.WRITE, b"\x01\x02")
+        ctx.machine.access(pid, 0, 16 * 64, AccessKind.FETCH)
         pte = ctx.machine.spaces[pid].ptes[16]
         assert pte.written == []
-        ctx.machine.access(pid, 1, 0, 16 * 64 + 20, AccessKind.WRITE, b"\x03")
-        ctx.machine.access(pid, 1, 0, 16 * 64, AccessKind.FETCH)
+        ctx.machine.access(pid, 0, 16 * 64 + 20, AccessKind.WRITE, b"\x03")
+        ctx.machine.access(pid, 0, 16 * 64, AccessKind.FETCH)
         assert [snap.spans for snap in ctx.pipeline.drain()] == [[(4, 6)], [(20, 21)]]
+
+    def test_a_clean_whole_rescan_narrows_the_pages_next_scan(self, monkeypatch):
+        # a match sends the page's next scan whole; once that scan is clean,
+        # the scan after it takes the snapshot's spans again
+        seen = []
+
+        def spy(content, rules, spans=None):
+            seen.append(spans)
+            return scan_page(content, rules, spans)
+
+        monkeypatch.setattr(agent_module, "scan_page", spy)
+        rs = parse_rules("rule r family=f severity=alert { ee ff }\n", 64)
+        ctx = build_run(SimConfig(page_size=64, sync_check=False, drain_every=0), rs)
+        machine, agent = ctx.machine, ctx.agent
+        pid = machine.create_process(uid=1)
+        machine.mmap(pid, "rwx", 1, at=16)
+        from jitscan.mmu import AccessKind
+
+        for off, data in ((4, b"\xee\xff"), (4, b"\x00\x00"), (20, b"\x01")):
+            machine.access(pid, 0, 16 * 64 + off, AccessKind.WRITE, data)
+            assert machine.access(pid, 0, 16 * 64, AccessKind.FETCH) == "ok"
+            agent.step()
+        assert seen == [[(4, 6)], None, [(20, 21)]]
+        assert len(ctx.report.detections) == 1 and agent._matched == set()
 
     def test_a_checked_fetch_without_a_snapshot_stops_the_process(self, monkeypatch):
         # one span list serves the sync check and the snapshot only because

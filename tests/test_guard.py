@@ -22,52 +22,44 @@ def guard(threshold=3, action="kill", ttl_penalty=100, ttl_evict=500) -> DosGuar
 class TestAdmit:
     def test_admits_up_to_threshold_then_denies(self):
         g = guard(threshold=3)
-        results = [g.admit(uid=5, pid=1, now=t) for t in range(1, 6)]
-        assert [r.admitted for r in results] == [True, True, True, False, False]
-        assert results[3].action == "kill"
+        results = [g.admit(uid=5, now=t) for t in range(1, 6)]
+        assert results == [None, None, None, "kill", "kill"]
         assert (g.admits, g.denials) == (3, 2)
 
     def test_denial_leaves_pending_unchanged(self):
         g = guard(threshold=2)
-        g.admit(5, 1, 1)
-        g.admit(5, 1, 2)
-        g.admit(5, 1, 3)  # denied
+        g.admit(5, 1)
+        g.admit(5, 2)
+        g.admit(5, 3)  # denied
         assert g.pending(5) == 2
-
-    def test_penalty_applies_to_every_pid_of_the_uid(self):
-        g = guard(threshold=1, ttl_penalty=50)
-        assert g.admit(5, 1, now=10).admitted
-        assert not g.admit(5, 1, now=11).admitted  # starts penalty until 61
-        assert not g.admit(5, 2, now=12).admitted  # different pid, same uid
-        assert g.admit(6, 3, now=12).admitted  # other uid unaffected
 
     def test_penalty_expires_after_ttl(self):
         g = guard(threshold=1, ttl_penalty=50)
-        g.admit(5, 1, now=10)
-        g.admit(5, 1, now=11)  # penalty until 61
-        assert not g.admit(5, 1, now=60).admitted
+        g.admit(5, now=10)
+        g.admit(5, now=11)  # penalty until 61
+        assert g.admit(5, now=60) is not None
         g.on_delivered(5, now=60)  # pending back to 0
-        assert g.admit(5, 1, now=61).admitted
+        assert g.admit(5, now=61) is None
 
     def test_block_action_reported_on_denial(self):
         g = guard(threshold=1, action="block")
-        g.admit(5, 1, 1)
-        denied = g.admit(5, 1, 2)
-        assert (denied.admitted, denied.action) == (False, "block")
+        g.admit(5, 1)
+        denied = g.admit(5, 2)
+        assert denied == "block"
 
 
 class TestDelivery:
     def test_delivery_decrements_pending(self):
         g = guard(threshold=10)
         for t in range(3):
-            g.admit(5, 1, now=t)
+            g.admit(5, now=t)
         g.on_delivered(5, now=5)
         assert g.pending(5) == 2
 
     def test_pending_is_admits_minus_deliveries(self):
         g = guard(threshold=100)
         for t in range(40):
-            g.admit(5, 1, now=t)
+            g.admit(5, now=t)
         for t in range(25):
             g.on_delivered(5, now=100 + t)
         assert g.pending(5) == 15
@@ -76,8 +68,8 @@ class TestDelivery:
     @pytest.mark.parametrize("uid", [5, 42])
     def test_a_surplus_delivery_raises_and_changes_nothing(self, uid):
         g = guard(threshold=1, ttl_evict=500)
-        g.admit(5, 1, now=1)
-        g.admit(5, 1, now=2)  # denied: starts a penalty
+        g.admit(5, now=1)
+        g.admit(5, now=2)  # denied: starts a penalty
         g.on_delivered(5, now=3)  # uid 5 idle since 3; uid 42 has no entry
 
         def state():
@@ -92,41 +84,41 @@ class TestDelivery:
 class TestTick:
     def test_entry_evicted_after_idle_ttl(self):
         g = guard(ttl_evict=500)
-        g.admit(5, 1, now=10)
+        g.admit(5, now=10)
         g.on_delivered(5, now=20)  # zero since 20
         assert g.tick(now=519) == []
         assert g.tick(now=520) == [5]
         assert 5 not in g.entries
         assert g.evictions == 1
 
-    def test_fresh_entry_with_no_admissions_ages_out(self):
+    def test_idle_time_counts_from_the_last_delivery(self):
         g = guard(threshold=1, ttl_penalty=10, ttl_evict=100)
-        g.admit(5, 1, now=0)
+        g.admit(5, now=0)
         g.on_delivered(5, now=1)
-        g.admit(5, 1, now=2)
+        g.admit(5, now=2)
         g.on_delivered(5, now=3)
         assert g.tick(now=102) == []  # zero only since 3
         assert g.tick(now=103) == [5]
 
     def test_nonzero_pending_is_never_evicted(self):
         g = guard(ttl_evict=50)
-        g.admit(5, 1, now=0)
+        g.admit(5, now=0)
         assert g.tick(now=10_000) == []
         assert 5 in g.entries
 
     def test_readmission_recreates_the_entry(self):
         g = guard(ttl_evict=50)
-        g.admit(5, 1, now=0)
+        g.admit(5, now=0)
         g.on_delivered(5, now=1)
         g.tick(now=51)
         assert 5 not in g.entries
-        assert g.admit(5, 2, now=60).admitted
+        assert g.admit(5, now=60) is None
         assert g.pending(5) == 1
 
     def test_evicts_oldest_idle_first_and_stops_at_a_young_one(self):
         g = guard(ttl_evict=100)
         for uid in (7, 5, 6):
-            g.admit(uid, 1, now=0)
+            g.admit(uid, now=0)
         g.on_delivered(6, now=10)
         g.on_delivered(7, now=20)
         g.on_delivered(5, now=30)
@@ -152,7 +144,7 @@ class TestAgainstSweepOracle:
                 uid, kind = rng.randrange(3), rng.random()
                 where = (config, step)
                 if kind < 0.4:
-                    assert fast.admit(uid, uid + 100, now) == slow.admit(uid, uid + 100, now), where
+                    assert fast.admit(uid, now) == slow.admit(uid, now), where
                 elif kind < 0.8 and slow.pending(uid):
                     fast.on_delivered(uid, now)
                     slow.on_delivered(uid, now)

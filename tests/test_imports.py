@@ -14,7 +14,8 @@ its records itself.  No function body reads ``AccessKind.X`` or
 classes are public aliases only.  Every function the bench counts calls of by
 name exists, so a rename cannot silently zero a count.  Every parameter
 of a fault engine hook is read by the shadow or the baseline engine's
-version, so a hook carries nothing no engine uses.  Standard library only.
+version, so a hook carries nothing no engine uses, and every other function
+and method reads each parameter it takes.  Standard library only.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 import pytest
 
 from jitscan import (
-    AccessKind, AccessResult, AddressSpace, Admission, BaselineEngine, Match, PageSnapshot,
+    AccessKind, AccessResult, AddressSpace, BaselineEngine, Match, PageSnapshot,
     PageTableEntry, Report, ShadowEngine, SignatureRule, SimConfig, SnapshotTable, ThrottleEntry,
     VmArea, mmu, parse_rules, replay, trace,
 )
@@ -154,7 +155,6 @@ def test_per_event_records_are_slotted():
 
 def test_immutable_records_compare_by_value():
     assert Match("r", 4) == Match("r", 4) != Match("r", 5)
-    assert Admission(False, "kill") == Admission(False, "kill") != Admission(True)
     rule = SignatureRule("r", "f", "kill", True, (1, None))
     assert rule == SignatureRule("r", "f", "kill", True, (1, None))
     assert rule != rule._replace(sync=False)
@@ -217,21 +217,21 @@ def test_access_returns_access_result_members():
     machine.mmap(pid, "rw", 1, at=17)
     machine.mmap(pid, "rx", 1, at=18)
     got = [
-        (machine.access(pid, 1, 0, 16 * ps, write, b"\x90"), AccessResult.OK),
-        (machine.access(pid, 1, 0, 16 * ps, fetch), AccessResult.OK),  # a clean check
-        (machine.access(pid, 1, 0, 17 * ps, read), AccessResult.OK),
-        (machine.access(pid, 1, 0, 17 * ps, fetch), AccessResult.SEGV_DELIVERED),  # exec hook
-        (machine.access(pid, 1, 0, 18 * ps, read), AccessResult.OK),
-        (machine.access(pid, 1, 0, 18 * ps, write, b"\x90"), AccessResult.SEGV_DELIVERED),
-        (machine.access(pid, 1, 0, 40 * ps, read), AccessResult.SEGV_DELIVERED),  # no area
+        (machine.access(pid, 0, 16 * ps, write, b"\x90"), AccessResult.OK),
+        (machine.access(pid, 0, 16 * ps, fetch), AccessResult.OK),  # a clean check
+        (machine.access(pid, 0, 17 * ps, read), AccessResult.OK),
+        (machine.access(pid, 0, 17 * ps, fetch), AccessResult.SEGV_DELIVERED),  # exec hook
+        (machine.access(pid, 0, 18 * ps, read), AccessResult.OK),
+        (machine.access(pid, 0, 18 * ps, write, b"\x90"), AccessResult.SEGV_DELIVERED),
+        (machine.access(pid, 0, 40 * ps, read), AccessResult.SEGV_DELIVERED),  # no area
     ]
     for action, stopped in (("kill", AccessResult.KILLED), ("block", AccessResult.BLOCKED)):
         engine.detection_action = action
         victim = machine.create_process(uid=2)
         machine.mmap(victim, "wx", 1, at=16)
-        machine.access(victim, 1, 0, 16 * ps, write, SYNC_STUB)
-        got.append((machine.access(victim, 1, 0, 16 * ps, fetch), stopped))
-    got.append((machine.access(victim, 1, 0, 16 * ps, read), AccessResult.BLOCKED))
+        machine.access(victim, 0, 16 * ps, write, SYNC_STUB)
+        got.append((machine.access(victim, 0, 16 * ps, fetch), stopped))
+    got.append((machine.access(victim, 0, 16 * ps, read), AccessResult.BLOCKED))
     for result, expected in got:
         assert type(result) is str and result is expected
 
@@ -297,17 +297,82 @@ def test_checker_finds_functions_and_call_counts():
 
 
 def names_read(func) -> set[str]:
-    """The names func's body reads; its signature's annotations are left out."""
-    (node,) = ast.parse(textwrap.dedent(inspect.getsource(func))).body
+    """The names the body of func, a function or its ``def`` node, reads;
+    its signature's annotations and defaults are left out."""
+    node = func
+    if not isinstance(node, ast.AST):
+        (node,) = ast.parse(textwrap.dedent(inspect.getsource(func))).body
     return {
         n.id for stmt in node.body for n in ast.walk(stmt)
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
     }
 
 
-@pytest.mark.parametrize(
-    "hook", ["on_materialize", "handle_write_fault", "handle_exec_fault", "on_mprotect"],
-)
+def unread_parameters(source: str) -> list[tuple[str, str]]:
+    """(function, parameter) for each parameter of a function or method of
+    the source, nested ones included, that its body never reads; a
+    function is named by its dotted path of classes and functions, and a
+    method's ``self`` is its receiver, not a parameter."""
+    found: list[tuple[str, str]] = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name, args, read = prefix + child.name, child.args, names_read(child)
+                params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+                found.extend(
+                    (name, p.arg) for p in params
+                    if p is not None and p.arg != "self" and p.arg not in read
+                )
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_checker_finds_an_unread_parameter():
+    source = (
+        "def f(a, b: int, *args, c=1, **kw) -> int:\n    return b + kw['x']\n"
+        "class C:\n    def m(self, x, y=0):\n        def g(z):\n            return y\n"
+        "        return g\n"
+    )
+    assert unread_parameters(source) == [
+        ("f", "a"), ("f", "args"), ("f", "c"), ("C.m", "x"), ("C.m.g", "z"),
+    ]
+
+
+def test_checker_finds_no_parameter_a_body_or_its_closure_reads():
+    source = (
+        "from __future__ import annotations\n"
+        "def f(a, /, b, *rest, c, **kw):\n    print(a, b, rest, c, kw)\n"
+        "class C:\n    def m(self, x):\n        def g():\n            return x\n"
+        "        return g\n    async def h(self, y):\n        await y\n"
+    )
+    assert unread_parameters(source) == []
+
+
+ENGINE_HOOKS = ("on_materialize", "handle_write_fault", "handle_exec_fault", "on_mprotect")
+
+
+def test_every_parameter_is_read_by_its_body():
+    """Every function and method reads each parameter it takes.  BaselineEngine's
+    hooks are exempt, since the hook test below checks the hook interface
+    across both engines, and so is ``_NoEngine._missing``'s ``*args``: it
+    stands in for every hook and raises, whatever it is passed."""
+    baseline_hooks = {f"BaselineEngine.{hook}" for hook in ENGINE_HOOKS}
+    unread = [
+        (path.name, func, param) for path in sorted(PACKAGE.glob("*.py"))
+        for func, param in unread_parameters(path.read_text(encoding="utf-8"))
+        if func not in baseline_hooks and (func, param) != ("_NoEngine._missing", "args")
+    ]
+    assert unread == []
+
+
+@pytest.mark.parametrize("hook", ENGINE_HOOKS)
 def test_every_hook_parameter_is_read_by_an_engine(hook):
     # BaselineEngine.on_mprotect is the module function _plain_relabel
     versions = [getattr(ShadowEngine, hook), getattr(BaselineEngine, hook)]

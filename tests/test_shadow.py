@@ -49,7 +49,7 @@ class TestMaterialize:
     def test_wx_page_starts_in_write_mode(self):
         machine, pipeline, _ = rig()
         pid = one_wx_page(machine)
-        assert machine.access(pid, 1, 0, 16 * PS, W, b"\x90") is AccessResult.OK
+        assert machine.access(pid, 0, 16 * PS, W, b"\x90") is AccessResult.OK
         # W=1 XD=1, the masked execute permission remembered in orig_exe
         assert flags(machine, pid) == (True, True, False, True)
         assert pipeline.pending_count() == 0  # writes never snapshot
@@ -57,7 +57,7 @@ class TestMaterialize:
     def test_fetch_materialization_checks_once(self):
         machine, pipeline, _ = rig()
         pid = one_wx_page(machine)
-        assert machine.access(pid, 1, 0, 16 * PS, F) is AccessResult.OK
+        assert machine.access(pid, 0, 16 * PS, F) is AccessResult.OK
         assert flags(machine, pid) == (False, False, True, False)  # exec mode
         assert pipeline.pending_count() == 1  # one snapshot, not two
 
@@ -65,19 +65,19 @@ class TestMaterialize:
         machine, pipeline, _ = rig()
         pid = machine.create_process(uid=1)
         machine.mmap(pid, "rx", 1, backing=b"\xc3", at=16)
-        assert machine.access(pid, 1, 0, 16 * PS, F) is AccessResult.OK
+        assert machine.access(pid, 0, 16 * PS, F) is AccessResult.OK
         assert flags(machine, pid) == (False, False, False, False)  # no shadow bits
         assert pipeline.pending_count() == 1
         # second fetch does not fault and does not snapshot again
-        assert machine.access(pid, 1, 0, 16 * PS, F) is AccessResult.OK
+        assert machine.access(pid, 0, 16 * PS, F) is AccessResult.OK
         assert pipeline.pending_count() == 1
 
     def test_data_areas_never_enter_the_machine(self):
         machine, pipeline, _ = rig()
         pid = machine.create_process(uid=1)
         machine.mmap(pid, "rw", 2, at=16)
-        machine.access(pid, 1, 0, 16 * PS, W, b"hi")
-        machine.access(pid, 1, 0, 17 * PS, R)
+        machine.access(pid, 0, 16 * PS, W, b"hi")
+        machine.access(pid, 0, 17 * PS, R)
         for vpage in (16, 17):
             pte = machine.spaces[pid].ptes[vpage]
             assert (pte.orig_write, pte.orig_exe) == (False, False)
@@ -89,8 +89,8 @@ class TestWriteFault:
     def test_shadow_write_flips_back_to_write_mode(self):
         machine, pipeline, _ = rig()
         pid = one_wx_page(machine)
-        machine.access(pid, 1, 0, 16 * PS, F)  # exec mode
-        assert machine.access(pid, 1, 0, 16 * PS, W, b"\x41") is AccessResult.OK
+        machine.access(pid, 0, 16 * PS, F)  # exec mode
+        assert machine.access(pid, 0, 16 * PS, W, b"\x41") is AccessResult.OK
         assert flags(machine, pid) == (True, True, False, True)
         assert machine.read_page(pid, 16)[0] == 0x41
 
@@ -98,15 +98,15 @@ class TestWriteFault:
         machine, _, _ = rig()
         pid = machine.create_process(uid=1)
         machine.mmap(pid, "r", 1, at=16)
-        machine.access(pid, 1, 0, 16 * PS, R)
-        assert machine.access(pid, 1, 0, 16 * PS, W, b"x") is AccessResult.SEGV_DELIVERED
+        machine.access(pid, 0, 16 * PS, R)
+        assert machine.access(pid, 0, 16 * PS, W, b"x") is AccessResult.SEGV_DELIVERED
 
     def test_write_transition_flushes_the_page_entry(self):
         machine, _, _ = rig()
         pid = one_wx_page(machine)
-        machine.access(pid, 1, 0, 16 * PS, F)
-        machine.access(pid, 1, 1, 16 * PS, F)  # cpu1 caches exec-mode flags
-        machine.access(pid, 1, 0, 16 * PS, W, b"\x41")  # flips to write mode
+        machine.access(pid, 0, 16 * PS, F)
+        machine.access(pid, 1, 16 * PS, F)  # cpu1 caches exec-mode flags
+        machine.access(pid, 0, 16 * PS, W, b"\x41")  # flips to write mode
         assert 1 not in machine.spaces[pid].ptes[16].tlb
 
 
@@ -114,8 +114,8 @@ class TestExecFault:
     def test_fetch_after_write_snapshots_current_content(self):
         machine, pipeline, _ = rig()
         pid = one_wx_page(machine)
-        machine.access(pid, 1, 0, 16 * PS + 7, W, b"\xeb\xfe")
-        assert machine.access(pid, 1, 0, 16 * PS + 7, F) is AccessResult.OK
+        machine.access(pid, 0, 16 * PS + 7, W, b"\xeb\xfe")
+        assert machine.access(pid, 0, 16 * PS + 7, F) is AccessResult.OK
         snaps = pipeline.drain()
         assert len(snaps) == 1
         assert snaps[0].content[7:9] == b"\xeb\xfe"
@@ -125,14 +125,14 @@ class TestExecFault:
         machine, _, _ = rig()
         pid = machine.create_process(uid=1)
         machine.mmap(pid, "rw", 1, at=16)
-        machine.access(pid, 1, 0, 16 * PS, W, b"\x90")
-        assert machine.access(pid, 1, 0, 16 * PS, F) is AccessResult.SEGV_DELIVERED
+        machine.access(pid, 0, 16 * PS, W, b"\x90")
+        assert machine.access(pid, 0, 16 * PS, F) is AccessResult.SEGV_DELIVERED
 
     def test_sync_hit_kills_without_snapshot_or_flip(self):
         machine, pipeline, engine = rig(SYNC_RULES_TEXT)
         pid = one_wx_page(machine)
-        machine.access(pid, 1, 0, 16 * PS, W, SYNC_STUB)
-        assert machine.access(pid, 1, 0, 16 * PS, F) is AccessResult.KILLED
+        machine.access(pid, 0, 16 * PS, W, SYNC_STUB)
+        assert machine.access(pid, 0, 16 * PS, F) is AccessResult.KILLED
         assert not machine.spaces[pid].alive
         assert pipeline.pending_count() == 0
         assert flags(machine, pid) == (True, True, False, True)  # still write mode
@@ -142,8 +142,8 @@ class TestExecFault:
     def test_sync_check_disabled_lets_content_through_to_async(self):
         machine, pipeline, _ = rig(SYNC_RULES_TEXT, sync_check=False)
         pid = one_wx_page(machine)
-        machine.access(pid, 1, 0, 16 * PS, W, SYNC_STUB)
-        assert machine.access(pid, 1, 0, 16 * PS, F) is AccessResult.OK
+        machine.access(pid, 0, 16 * PS, W, SYNC_STUB)
+        assert machine.access(pid, 0, 16 * PS, F) is AccessResult.OK
         assert pipeline.pending_count() == 1
 
     def test_throttle_denial_blocks_before_snapshot(self):
@@ -152,10 +152,10 @@ class TestExecFault:
         machine, pipeline = ctx.machine, ctx.pipeline
         pid = machine.create_process(uid=9)
         machine.mmap(pid, "rx", 3, backing=b"\xc3" * (3 * PS), at=16)
-        assert machine.access(pid, 1, 0, 16 * PS, F) is AccessResult.OK
-        assert machine.access(pid, 1, 0, 17 * PS, F) is AccessResult.BLOCKED
+        assert machine.access(pid, 0, 16 * PS, F) is AccessResult.OK
+        assert machine.access(pid, 0, 17 * PS, F) is AccessResult.BLOCKED
         assert machine.spaces[pid].blocked
-        assert machine.access(pid, 1, 0, 18 * PS, F) is AccessResult.BLOCKED
+        assert machine.access(pid, 0, 18 * PS, F) is AccessResult.BLOCKED
         assert pipeline.pending_count() == 1  # only the admitted fetch
 
 
@@ -164,11 +164,11 @@ class TestMprotect:
         machine, pipeline, _ = rig()
         pid = machine.create_process(uid=1)
         machine.mmap(pid, "rw", 1, at=16)
-        machine.access(pid, 1, 0, 16 * PS, W, b"\xcc\xcc")
+        machine.access(pid, 0, 16 * PS, W, b"\xcc\xcc")
         machine.mprotect(pid, 16, 1, "rx")
         pte = machine.spaces[pid].ptes[16]
         assert (pte.exec_disabled, pte.orig_exe, pte.writable) == (True, True, False)
-        assert machine.access(pid, 1, 0, 16 * PS, F) is AccessResult.OK
+        assert machine.access(pid, 0, 16 * PS, F) is AccessResult.OK
         assert pipeline.pending_count() == 1
         snaps = pipeline.drain()
         assert snaps[0].content[:2] == b"\xcc\xcc"
@@ -179,11 +179,11 @@ class TestMprotect:
         machine, pipeline, _ = rig()
         pid = machine.create_process(uid=1)
         machine.mmap(pid, "rx", 1, backing=b"\xc3", at=16)
-        machine.access(pid, 1, 0, 16 * PS, F)
+        machine.access(pid, 0, 16 * PS, F)
         machine.mprotect(pid, 16, 1, "wx")
         assert flags(machine, pid) == (True, True, False, True)
-        machine.access(pid, 1, 0, 16 * PS, W, b"\x90")
-        assert machine.access(pid, 1, 0, 16 * PS, F) is AccessResult.OK
+        machine.access(pid, 0, 16 * PS, W, b"\x90")
+        assert machine.access(pid, 0, 16 * PS, F) is AccessResult.OK
         assert pipeline.enqueued_total == 2  # one per checked fetch
 
     def test_each_page_keeps_its_own_former_w(self):
@@ -193,7 +193,7 @@ class TestMprotect:
         machine.mmap(pid, "wx", 1, at=16)
         machine.mmap(pid, "rx", 1, backing=b"\xc3", at=17)
         for vpage in (16, 17):
-            assert machine.access(pid, 1, 0, vpage * PS, F) is AccessResult.OK
+            assert machine.access(pid, 0, vpage * PS, F) is AccessResult.OK
         assert flags(machine, pid, 16) == (False, False, True, False)
         assert flags(machine, pid, 17) == (False, False, False, False)
         machine.mprotect(pid, 16, 2, "rwx")
@@ -203,16 +203,16 @@ class TestMprotect:
     def test_losing_x_leaves_the_machine(self):
         machine, _, _ = rig()
         pid = one_wx_page(machine)
-        machine.access(pid, 1, 0, 16 * PS, F)  # exec mode, orig_write set
+        machine.access(pid, 0, 16 * PS, F)  # exec mode, orig_write set
         machine.mprotect(pid, 16, 1, "rw")
         assert flags(machine, pid) == (True, True, False, False)
-        assert machine.access(pid, 1, 0, 16 * PS, W, b"x") is AccessResult.OK
-        assert machine.access(pid, 1, 0, 16 * PS, F) is AccessResult.SEGV_DELIVERED
+        assert machine.access(pid, 0, 16 * PS, W, b"x") is AccessResult.OK
+        assert machine.access(pid, 0, 16 * PS, F) is AccessResult.SEGV_DELIVERED
 
     def test_unchanged_perms_change_no_shadow_bits(self):
         machine, _, _ = rig()
         pid = one_wx_page(machine)
-        machine.access(pid, 1, 0, 16 * PS, F)
+        machine.access(pid, 0, 16 * PS, F)
         before = flags(machine, pid)
         machine.mprotect(pid, 16, 1, "wx")
         assert flags(machine, pid) == before
@@ -221,11 +221,11 @@ class TestMprotect:
         # the packer pattern: write payload, drop W, execute
         machine, pipeline, _ = rig()
         pid = one_wx_page(machine)
-        machine.access(pid, 1, 0, 16 * PS, W, b"\xde\xad")
+        machine.access(pid, 0, 16 * PS, W, b"\xde\xad")
         machine.mprotect(pid, 16, 1, "rx")
         pte = machine.spaces[pid].ptes[16]
         assert not pte.writable and pte.exec_disabled and pte.orig_exe
-        assert machine.access(pid, 1, 0, 16 * PS, F) is AccessResult.OK
+        assert machine.access(pid, 0, 16 * PS, F) is AccessResult.OK
         assert pipeline.drain()[0].content[:2] == b"\xde\xad"
 
 
@@ -241,9 +241,9 @@ class TestStateMachineProperties:
                 for op in ops:
                     before = pipeline.enqueued_total
                     if op == "write":
-                        machine.access(pid, 1, 0, 16 * PS, W, b"\x41")
+                        machine.access(pid, 0, 16 * PS, W, b"\x41")
                     else:
-                        assert machine.access(pid, 1, 0, 16 * PS, F) is AccessResult.OK
+                        assert machine.access(pid, 0, 16 * PS, F) is AccessResult.OK
                     seen.append(pipeline.enqueued_total - before == 1)
                 assert seen == snapshot_reference(ops), ops
 
@@ -256,9 +256,9 @@ class TestStateMachineProperties:
         for op in ops:
             before = pipeline.enqueued_total
             if op == "write":
-                machine.access(pid, 1, 0, 16 * PS, W, b"\x41")
+                machine.access(pid, 0, 16 * PS, W, b"\x41")
             else:
-                machine.access(pid, 1, 0, 16 * PS, F)
+                machine.access(pid, 0, 16 * PS, F)
             seen.append(pipeline.enqueued_total - before == 1)
         assert seen == snapshot_reference(ops)
 
@@ -273,9 +273,9 @@ class TestStateMachineProperties:
             vpage = rng.choice([16, 17, 18, 19, 32, 33, 48, 49])
             cpu = rng.randrange(3)
             if rng.random() < 0.5 and machine.spaces[pid].find_area(vpage).logical_w:
-                machine.access(pid, 1, cpu, vpage * PS, W, b"\x41")
+                machine.access(pid, cpu, vpage * PS, W, b"\x41")
             else:
-                machine.access(pid, 1, cpu, vpage * PS, F)
+                machine.access(pid, cpu, vpage * PS, F)
             assert wx_violations(machine) == []
             for vp, pte in machine.spaces[pid].ptes.items():
                 area = machine.spaces[pid].find_area(vp)
@@ -288,12 +288,12 @@ class TestStateMachineProperties:
             pid = machine.create_process(uid=1)
             machine.mmap(pid, "wx", 2, at=16)
             outcomes = [
-                machine.access(pid, 1, 0, 16 * PS, W, b"\x90\x90"),
-                machine.access(pid, 1, 0, 16 * PS, F),
-                machine.access(pid, 1, 1, 16 * PS + 1, W, b"\xc3"),
-                machine.access(pid, 1, 0, 16 * PS, F),
-                machine.access(pid, 1, 2, 17 * PS, F),
-                machine.access(pid, 1, 0, 99 * PS, R),
+                machine.access(pid, 0, 16 * PS, W, b"\x90\x90"),
+                machine.access(pid, 0, 16 * PS, F),
+                machine.access(pid, 1, 16 * PS + 1, W, b"\xc3"),
+                machine.access(pid, 0, 16 * PS, F),
+                machine.access(pid, 2, 17 * PS, F),
+                machine.access(pid, 0, 99 * PS, R),
             ]
             return outcomes, machine.memory_map()
 
@@ -321,8 +321,8 @@ def test_the_engine_shares_the_runs_collaborators():
     assert engine.report is ctx.report and engine.sync_check is True
     assert engine.detection_action == "block"
     pid = one_wx_page(ctx.machine)
-    ctx.machine.access(pid, 1, 0, 16 * PS, W, SYNC_STUB)
-    ctx.machine.access(pid, 1, 0, 16 * PS, F)
+    ctx.machine.access(pid, 0, 16 * PS, W, SYNC_STUB)
+    ctx.machine.access(pid, 0, 16 * PS, F)
     assert [(d.path, d.rule) for d in ctx.report.detections] == [("sync", "stub_shellcode")]
     assert [a.action for a in ctx.report.actions] == ["block"]
 
@@ -545,15 +545,15 @@ class TestModeRule:
             pid = machine.create_process(uid=1)
             machine.mmap(pid, start, 1, backing=b"\x90", at=16)
             if state == "data":
-                machine.access(pid, 1, 0, 16 * PS, R)
+                machine.access(pid, 0, 16 * PS, R)
             elif state == "write" and "w" in start:
-                machine.access(pid, 1, 0, 16 * PS, F)
-                machine.access(pid, 1, 1, 16 * PS, W, b"\xc3")
+                machine.access(pid, 0, 16 * PS, F)
+                machine.access(pid, 1, 16 * PS, W, b"\xc3")
             elif state == "write":
-                machine.access(pid, 1, 1, 16 * PS, R)
+                machine.access(pid, 1, 16 * PS, R)
             elif state == "exec":
-                machine.access(pid, 1, 0, 16 * PS, F)
-                machine.access(pid, 1, 1, 16 * PS, R)
+                machine.access(pid, 0, 16 * PS, F)
+                machine.access(pid, 1, 16 * PS, R)
             if state != "untouched":
                 assert flags(machine, pid) == mode_bits(start, state == "exec"), (start, state)
             machine.mprotect(pid, 16, 1, perms)
@@ -561,7 +561,7 @@ class TestModeRule:
             if state == "untouched":
                 # the first touch materializes it; only a fetch checks it
                 kind = R if machine.spaces[pid].find_area(16).permits(R) else F
-                assert machine.access(pid, 1, 0, 16 * PS, kind) is AccessResult.OK
+                assert machine.access(pid, 0, 16 * PS, kind) is AccessResult.OK
                 checked = kind is F
             else:
                 # a page stays checked only from exec mode, and only if no w was granted
